@@ -32,6 +32,7 @@ from .ktheta import (
     SplitHypothesisError,
     dimension_check,
     koszul_check,
+    lusztig_check,
     theta_cone_character,
     theta_cone_ktypes,
     wedge_class,

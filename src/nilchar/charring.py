@@ -1,7 +1,9 @@
 """Exact arithmetic on virtual torus characters and truncated q-graded
-character series, plus decomposition of Weyl-invariant characters into
-irreducibles.
+character series, graded symmetric algebras, plus decomposition of
+Weyl-invariant characters into irreducibles.
 
+Irreducible characters come from Freudenthal's recursion; the Weyl-sum
+multiplicities (`kostant.weyl_multiplicity`) remain a test of them.
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -9,12 +11,10 @@ the typical inputs.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
-from .kostant import freudenthal_table, weyl_multiplicity
+from .kostant import freudenthal_table, memo_get, memo_put, new_memo
 from .rootdata import RootDatum, Weight, mat_apply, wadd
 
-_irrep_cache: WeakKeyDictionary = WeakKeyDictionary()
+_irrep_cache = new_memo()
 
 
 class TorusCharacter:
@@ -212,6 +212,24 @@ def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     return GradedCharacter(a.rank, n, out)
 
 
+def symmetric_series(weights, truncation: int, rank: int | None = None) -> GradedCharacter:
+    """Graded symmetric algebra of a weight multiset (weight w in degree 1):
+    the product over weights w of 1 / (1 - e^w q)."""
+    weights = [tuple(w) for w in weights]
+    if rank is None:
+        if not weights:
+            raise ValueError("rank is required for an empty weight multiset")
+        rank = len(weights[0])
+    layers = [{(0,) * rank: 1}] + [dict() for _ in range(truncation)]
+    for w in weights:
+        for n in range(1, truncation + 1):
+            layer = layers[n]
+            for v, c in layers[n - 1].items():
+                key = wadd(v, w)
+                layer[key] = layer.get(key, 0) + c
+    return GradedCharacter(rank, truncation, layers)
+
+
 class IrrepSeries:
     """Truncated q-series whose layers are multiplicity maps on dominant
     highest-weight labels."""
@@ -251,29 +269,20 @@ class IrrepSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def irrep_dominant_weights(datum: RootDatum, lam: Weight) -> list[Weight]:
-    """Dominant weights of the irreducible with highest weight `lam`."""
-    return sorted(freudenthal_table(datum, lam))
-
-
 def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
-    """Full torus character of the irreducible with highest weight `lam`,
-    assembled from Weyl-group-sum multiplicities spread over Weyl orbits."""
+    """Full torus character of the irreducible with highest weight `lam`:
+    the Freudenthal multiplicities of its dominant weights, spread over
+    Weyl orbits."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    per_datum = _irrep_cache.setdefault(datum, {})
-    cached = per_datum.get(lam)
+    cached = memo_get(_irrep_cache, datum, lam)
     if cached is not None:
         return cached
     terms: dict[Weight, int] = {}
-    for mu in irrep_dominant_weights(datum, lam):
-        m = weyl_multiplicity(datum, lam, mu)
-        if m:
-            for nu in datum.weyl_orbit(mu):
-                terms[nu] = m
-    ch = TorusCharacter(datum.rank, terms)
-    per_datum[lam] = ch
-    return ch
+    for mu, m in freudenthal_table(datum, lam).items():
+        for nu in datum.weyl_orbit(mu):
+            terms[nu] = m
+    return memo_put(_irrep_cache, datum, lam, TorusCharacter(datum.rank, terms))
 
 
 def decompose_into_irreducibles(datum: RootDatum, ch: TorusCharacter) -> dict[Weight, int]:

@@ -14,7 +14,13 @@ import sys
 
 from .catalog import catalog_description, catalog_names, load_catalog_config
 from .config import ConfigError, LoadedConfig, load_config_file
-from .ktheta import dimension_check, koszul_check, theta_cone_character, theta_cone_ktypes
+from .ktheta import (
+    dimension_check,
+    koszul_check,
+    lusztig_check,
+    theta_cone_character,
+    theta_cone_ktypes,
+)
 from .langlands import graded_branching_sum
 from .nilcone import nilcone_series
 from .oracle import compare_with_formula, hilbert_by_degree
@@ -58,7 +64,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--force", action="store_true", help="compute even when not split modulo center")
     p.add_argument("--decompose-k", action="store_true", help="decompose layers into K-irreducible labels")
 
-    p = sub.add_parser("checks", help="run the Koszul, dimension, and cone-model checks")
+    p = sub.add_parser("checks", help="run the Koszul, dimension, Lusztig-route, and cone-model checks")
     common(p)
     p.add_argument("--force", action="store_true", help="run the model comparison even when not split")
 
@@ -169,6 +175,7 @@ def cmd_checks(args) -> int:
     results.append(("koszul", koszul, None))
     dims = dimension_check(rf)
     results.append(("dimensions", dims, None))
+    results.append(("lusztig-vs-harmonics", lusztig_check(rf.g_datum, degree), None))
     if cfg.oracle_model is not None:
         if rf.split_mod_center or args.force:
             res = compare_with_formula(rf, cfg.oracle_model, degree, force=args.force)

@@ -5,7 +5,8 @@ The partition polynomial counts expressions of a root-lattice weight as sums
 of positive roots, graded by the number of summands. Weight multiplicities
 come in two independent flavours: the alternating Weyl-group sum over the
 partition function, and Freudenthal's recursion over the weight saturation.
-Agreement of the two is a core consistency check, not an assumption.
+Freudenthal's tables build the irreducible characters; the Weyl-group sum is
+kept as the independent check of them, not as a second production route.
 """
 
 from __future__ import annotations
@@ -23,7 +24,31 @@ from .rootdata import RootDatum, Weight, wadd, wscale, wsub
 
 _lock = threading.Lock()
 _tables: WeakKeyDictionary = WeakKeyDictionary()
-_freudenthal_cache: WeakKeyDictionary = WeakKeyDictionary()
+_memos: list[WeakKeyDictionary] = []
+
+
+def new_memo() -> WeakKeyDictionary:
+    """A per-datum memo table (datum -> {key: value}) that `clear_caches`
+    empties. Read and write it only through `memo_get` and `memo_put`."""
+    memo: WeakKeyDictionary = WeakKeyDictionary()
+    _memos.append(memo)
+    return memo
+
+
+def memo_get(memo: WeakKeyDictionary, datum: RootDatum, key):
+    with _lock:
+        per_datum = memo.get(datum)
+        return None if per_datum is None else per_datum.get(key)
+
+
+def memo_put(memo: WeakKeyDictionary, datum: RootDatum, key, value):
+    """Store `value` unless another caller stored one first; return the
+    stored value, so concurrent callers all get the same object."""
+    with _lock:
+        return memo.setdefault(datum, {}).setdefault(key, value)
+
+
+_freudenthal_cache = new_memo()
 
 
 class _Table:
@@ -83,7 +108,8 @@ def warm_partition_table(datum: RootDatum, bounds) -> None:
 def clear_caches() -> None:
     with _lock:
         _tables.clear()
-        _freudenthal_cache.clear()
+        for memo in _memos:
+            memo.clear()
 
 
 def _partition_coeffs(datum: RootDatum, rc: tuple[int, ...]):
@@ -155,15 +181,12 @@ def freudenthal_table(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
     function path."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    per_datum = _freudenthal_cache.setdefault(datum, {})
-    cached = per_datum.get(lam)
+    cached = memo_get(_freudenthal_cache, datum, lam)
     if cached is not None:
         return cached
 
     if datum.nsimple == 0:
-        table = {lam: 1}
-        per_datum[lam] = table
-        return table
+        return memo_put(_freudenthal_cache, datum, lam, {lam: 1})
 
     w0 = datum.longest_element()
     span = wsub(lam, w0.act(lam))
@@ -196,8 +219,7 @@ def freudenthal_table(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
         val = num / denom
         assert val.denominator == 1 and val >= 0
         mult[mu] = int(val)
-    per_datum[lam] = mult
-    return mult
+    return memo_put(_freudenthal_cache, datum, lam, mult)
 
 
 def freudenthal_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:

@@ -15,10 +15,12 @@ from .charring import (
     GradedCharacter,
     IrrepSeries,
     decompose_into_irreducibles,
+    expand_irrep_series,
     graded_mul,
     restrict_graded,
+    symmetric_series,
 )
-from .nilcone import nilcone_character
+from .nilcone import nilcone_character, nilcone_series
 from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, wneg
 
 
@@ -115,23 +117,6 @@ def wedge_class(k_weights, truncation: int, rank: int | None = None) -> GradedCh
     return out
 
 
-def symmetric_series(k_weights, truncation: int, rank: int | None = None) -> GradedCharacter:
-    """Graded symmetric algebra of a weight multiset (weight w in degree 1)."""
-    weights = [tuple(w) for w in k_weights]
-    if rank is None:
-        if not weights:
-            raise ValueError("rank is required for an empty weight multiset")
-        rank = len(weights[0])
-    layers = [{(0,) * rank: 1}] + [dict() for _ in range(truncation)]
-    for w in weights:
-        for n in range(1, truncation + 1):
-            layer = layers[n]
-            for v, c in layers[n - 1].items():
-                key = tuple(a + b for a, b in zip(v, w))
-                layer[key] = layer.get(key, 0) + c
-    return GradedCharacter(rank, truncation, layers)
-
-
 def koszul_check(k_weights, truncation: int, rank: int | None = None) -> CheckResult:
     """Verify that functions on k* times the signed exterior class of k is the
     trivial class through the given degree."""
@@ -150,6 +135,29 @@ def koszul_check(k_weights, truncation: int, rank: int | None = None) -> CheckRe
                 ),
             )
     return CheckResult(True, (f"Koszul identity holds through degree {truncation}",))
+
+
+def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
+    """Compare the Lusztig route (q-multiplicities expanded through
+    irreducible characters) with the harmonic closed form, layer by layer.
+    Both describe the complex group alone, so no real-form hypothesis is
+    needed."""
+    lusztig = expand_irrep_series(datum, nilcone_series(datum, truncation))
+    harmonic = nilcone_character(datum, truncation)
+    for n in range(truncation + 1):
+        a, b = lusztig.layers[n], harmonic.layers[n]
+        if a != b:
+            w = min(v for v in a.keys() | b.keys() if a.get(v, 0) != b.get(v, 0))
+            return CheckResult(
+                False,
+                (
+                    f"Lusztig expansion and harmonic closed form differ first at degree {n}: "
+                    f"weight {list(w)} has multiplicity {a.get(w, 0)} vs {b.get(w, 0)}",
+                ),
+            )
+    return CheckResult(
+        True, (f"Lusztig expansion equals the harmonic closed form through degree {truncation}",)
+    )
 
 
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:
@@ -180,26 +188,27 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
 
 
 def dimension_check(config: RealFormConfig) -> CheckResult:
-    """Dimension bookkeeping: the cone-restriction identity, the Cartan
-    decomposition, consistency with the root datum, and (when split) the
-    Iwasawa count."""
+    """Dimension bookkeeping: (when split) the cone-restriction identity with
+    dim N = 2|Phi+| taken from the root datum, consistency of dim g with the
+    root datum, and (when split) the Iwasawa count. The Cartan decomposition
+    dim g = dim k + dim p is enforced when the config is built."""
     d = config.dims
+    dim_n = 2 * len(config.g_datum.positive_roots)
     lines = []
     ok = True
 
-    lhs = d.dim_p - d.rank_split
-    rhs = (d.dim_g - d.rank_split) + d.dim_p - d.dim_g
-    good = lhs == rhs
-    ok &= good
-    lines.append(
-        f"{'ok' if good else 'FAIL'}: dim N_theta = dim N + dim p - dim g  ({lhs} vs {rhs})"
-    )
+    if config.split_mod_center:
+        lhs = d.dim_p - d.rank_split
+        rhs = dim_n + d.dim_p - d.dim_g
+        good = lhs == rhs
+        ok &= good
+        lines.append(
+            f"{'ok' if good else 'FAIL'}: dim N_theta = dim N + dim p - dim g  ({lhs} vs {rhs})"
+        )
+    else:
+        lines.append("skip: dim N_theta = dim N + dim p - dim g (config is not split modulo center)")
 
-    good = d.dim_g == d.dim_k + d.dim_p
-    ok &= good
-    lines.append(f"{'ok' if good else 'FAIL'}: dim g = dim k + dim p  ({d.dim_g} vs {d.dim_k + d.dim_p})")
-
-    datum_dim = 2 * len(config.g_datum.positive_roots) + config.g_datum.rank
+    datum_dim = dim_n + config.g_datum.rank
     good = d.dim_g == datum_dim
     ok &= good
     lines.append(f"{'ok' if good else 'FAIL'}: dim g matches the root datum  ({d.dim_g} vs {datum_dim})")

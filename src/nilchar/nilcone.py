@@ -1,16 +1,26 @@
 """Graded character of the ring of functions on the nilpotent cone.
 
-The degree-n layer assigns to each dominant root-lattice weight the q^n
-coefficient of its q-analog multiplicity against the zero weight. Only
-weights expressible as sums of at most n positive roots can contribute at
-degree n, which bounds the enumeration domain by height.
+`nilcone_character` is Kostant's harmonic closed form (Amer. J. Math. 85,
+1963): ch_q C[N] = ch_q S(g*) * prod_i (1 - q^{d_i}). The rank zero weights
+of g* give 1 / (1 - q)^rank, and grouping them with the invariant degrees
+d_i = e_i + 1 leaves prod_i (1 + q + ... + q^{e_i}) over the exponents;
+central torus directions have d = 1 and cancel exactly. So the character is
+the symmetric algebra on the roots times those q-strings, in integer
+arithmetic that never subtracts.
+
+`nilcone_series` is the highest-weight decomposition: the degree-n layer
+assigns to each dominant root-lattice weight the q^n coefficient of its
+q-analog multiplicity against the zero weight. Only weights expressible as
+sums of at most n positive roots can contribute at degree n, which bounds the
+enumeration domain by height. Expanded through irreducible characters it is
+an independent route to `nilcone_character` (`ktheta.lusztig_check`).
 """
 
 from __future__ import annotations
 
-from .charring import GradedCharacter, IrrepSeries, expand_irrep_series
+from .charring import GradedCharacter, IrrepSeries, graded_mul, symmetric_series
 from .kostant import lusztig_mq, warm_partition_table
-from .rootdata import RootDatum, dominant_weights_up_to_height
+from .rootdata import RootDatum, dominant_weights_up_to_height, wneg
 
 
 def contributor_polynomials(datum: RootDatum, truncation: int):
@@ -41,5 +51,11 @@ def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
 
 
 def nilcone_character(datum: RootDatum, truncation: int) -> GradedCharacter:
-    """Torus-character expansion of `nilcone_series`."""
-    return expand_irrep_series(datum, nilcone_series(datum, truncation))
+    """Torus character of the graded cone functions, by the harmonic closed
+    form: S(roots) * prod over exponents e of (1 + q + ... + q^e)."""
+    roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
+    out = symmetric_series(roots, truncation, rank=datum.rank)
+    zero = (0,) * datum.rank
+    for e in datum.exponents:
+        out = graded_mul(out, GradedCharacter(datum.rank, truncation, [{zero: 1}] * (e + 1)))
+    return out

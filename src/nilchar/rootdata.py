@@ -216,6 +216,21 @@ class RootDatum:
             return 0
         return max(self.height(r) for r in self.positive_roots)
 
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        """Exponents of the Weyl group, ascending; the invariant degrees are
+        e + 1. Exponent k occurs #{height-k roots} - #{height-(k+1) roots}
+        times (Kostant's dual-partition theorem). Central torus directions
+        contribute none."""
+        counts: dict[int, int] = {}
+        for r in self.positive_roots:
+            h = self.height(r)
+            counts[h] = counts.get(h, 0) + 1
+        out: list[int] = []
+        for k in range(1, max(counts, default=0) + 1):
+            out.extend([k] * (counts.get(k, 0) - counts.get(k + 1, 0)))
+        return tuple(out)
+
     # -- reflections and the Weyl group ------------------------------------
 
     def reflect(self, i: int, weight: Weight) -> Weight:

@@ -14,10 +14,17 @@ from nilchar.charring import (
     restrict_character,
     restrict_graded,
 )
-from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
+from nilchar.kostant import weyl_multiplicity
+from nilchar.rootdata import (
+    build_root_datum,
+    dominant_weights_up_to_height,
+    reductive_root_datum,
+    torus_datum,
+)
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
+B2 = build_root_datum([[2, -2], [-1, 2]])
 
 
 def chi(*coords, mult=1):
@@ -213,3 +220,17 @@ def test_records_are_sorted_and_stable():
         {"degree": 1, "weight": [-2], "multiplicity": 1},
         {"degree": 1, "weight": [2], "multiplicity": 1},
     ]
+
+
+def test_irreducible_character_matches_weyl_sums():
+    """Freudenthal-built characters against the Weyl-sum multiplicities over
+    the criterion-5 scan set (A2 and B2, height <= 6)."""
+    checked = 0
+    for datum in (A2, B2):
+        for lam in dominant_weights_up_to_height(datum, 6):
+            ch = irreducible_character(datum, lam)
+            assert ch.mass() == datum.weyl_dimension(lam)
+            for mu, m in ch.terms.items():
+                assert weyl_multiplicity(datum, lam, mu) == m, (lam, mu)
+                checked += 1
+    assert checked > 250

@@ -147,7 +147,8 @@ def test_cntheta_decompose_k(capsys):
 def test_checks_pass(capsys):
     code, out, _ = run(capsys, "checks", "--group", "sl2-split", "--degree", "10")
     assert code == 0
-    assert out.count("[PASS]") == 3
+    assert out.count("[PASS]") == 4
+    assert "[PASS] lusztig-vs-harmonics" in out
 
 
 def test_checks_degree_zero_vacuous(capsys):

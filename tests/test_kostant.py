@@ -5,12 +5,15 @@ enumeration oracle below, which never touches the dynamic program.
 """
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import kernels
+from nilchar import charring, kernels, kostant
+from nilchar.charring import irreducible_character
 from nilchar.kostant import (
     clear_caches,
     freudenthal_multiplicity,
@@ -156,6 +159,44 @@ def test_cache_transparency(tmp_path, monkeypatch):
     assert first == second == cold
     monkeypatch.delenv("NILCHAR_CACHE_DIR")
     clear_caches()
+
+
+def test_clear_caches_empties_irrep_cache():
+    irreducible_character(A2, (2, 1))
+    freudenthal_table(A2, (2, 1))
+    assert A2 in charring._irrep_cache
+    clear_caches()
+    assert A2 not in charring._irrep_cache
+    assert A2 not in kostant._freudenthal_cache
+
+
+@pytest.mark.parametrize("memoized", [freudenthal_table, irreducible_character])
+def test_memo_is_safe_under_concurrent_use(memoized):
+    """Threads racing on a cold cache all get the one stored object; a lost
+    update (a later writer replacing an earlier one) would break that."""
+    datum = build_root_datum([[2, -1], [-2, 2]])  # fresh: shares no cache entry
+    lam = (3, 2)
+    results = []
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=10)
+        results.append(memoized(datum, lam))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 8
+    assert all(r is results[0] for r in results)
+    assert memoized(datum, lam) is results[0]
 
 
 def test_warm_partition_table():

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar.catalog import load_catalog_config
+from nilchar import ktheta
+from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
+from nilchar.charring import symmetric_series
+from nilchar.cli import main
+from nilchar.config import config_from_dict
 from nilchar.ktheta import (
     Dims,
     RealFormConfig,
     SplitHypothesisError,
     dimension_check,
     koszul_check,
-    symmetric_series,
+    lusztig_check,
     theta_cone_character,
     theta_cone_ktypes,
     wedge_class,
@@ -161,6 +165,48 @@ def test_dimension_check_rejects_bad_table():
     result = dimension_check(bad)
     assert not result.passed
     assert "FAIL" in result.details
+
+
+def test_dimension_check_cone_line_can_fail():
+    """dim N comes from the root datum, so a wrong real rank shows on the
+    cone-restriction line itself."""
+    doc = catalog_document("sl3-split")
+    doc["dims"]["rank_split"] = 1
+    result = dimension_check(config_from_dict(doc).real_form)
+    assert not result.passed
+    assert result.lines[0] == "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)"
+
+
+def test_dimension_check_cone_line_skipped_when_not_split():
+    result = dimension_check(load_catalog_config("sl2xsl2-swap").real_form)
+    assert result.passed
+    assert result.lines[0].startswith("skip: dim N_theta")
+
+
+def test_lusztig_check_catalog():
+    for name in catalog_names():
+        result = lusztig_check(load_catalog_config(name).real_form.g_datum, 6)
+        assert result.passed, (name, result.details)
+
+
+@pytest.mark.parametrize("side", ["nilcone_series", "nilcone_character"])
+def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, side):
+    real = getattr(ktheta, side)
+
+    def bumped(datum, truncation):
+        out = real(datum, truncation)
+        key = min(out.layers[2])
+        out.layers[2][key] += 1
+        return out
+
+    monkeypatch.setattr(ktheta, side, bumped)
+    result = lusztig_check(load_catalog_config("sl3-split").real_form.g_datum, 4)
+    assert not result.passed
+    assert "differ first at degree 2" in result.details
+    code = main(["checks", "--group", "sl3-split", "--degree", "3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[FAIL] lusztig-vs-harmonics" in out
 
 
 def test_config_validation_errors():

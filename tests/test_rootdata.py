@@ -15,6 +15,8 @@ from nilchar.rootdata import (
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 B2 = [[2, -2], [-1, 2]]
+C2 = [[2, -1], [-2, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 A1A1 = [[2, 0], [0, 2]]
 G2 = [[2, -1], [-3, 2]]
 
@@ -24,6 +26,18 @@ def test_positive_root_counts():
     assert len(build_root_datum(A2).positive_roots) == 3
     assert len(build_root_datum(B2).positive_roots) == 4
     assert len(build_root_datum(G2).positive_roots) == 6
+
+
+def test_exponents():
+    assert build_root_datum(A1).exponents == (1,)
+    assert build_root_datum(A2).exponents == (1, 2)
+    assert build_root_datum(C2).exponents == (1, 3)
+    assert build_root_datum(G2).exponents == (1, 5)
+    assert build_root_datum(A4).exponents == (1, 2, 3, 4)
+    assert build_root_datum(A1A1).exponents == (1, 1)
+    # central torus directions add no exponent
+    assert reductive_root_datum(2, [(1, -1)], [(1, -1)]).exponents == (1,)
+    assert torus_datum(2).exponents == ()
 
 
 def test_two_rho_is_sum_of_positive_roots():
