@@ -41,29 +41,37 @@ def _get(obj, key, path, required=True, default=None):
     return obj[key]
 
 
+def _int(value, path) -> int:
+    """A JSON integer, taken as it is: a bool, a float (even 2.0) or a
+    string is refused instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _int_vector(value, path) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of integers")
+    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
 def _int_matrix(value, path):
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ConfigError(f"{path}: expected a matrix (list of integer lists)")
-    try:
-        return tuple(tuple(int(v) for v in row) for row in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: matrix entries must be integers") from None
+    return tuple(_int_vector(row, f"{path}[{i}]") for i, row in enumerate(value))
 
 
 def _weight_list(value, path):
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of integer vectors")
-    try:
-        return tuple(tuple(int(v) for v in w) for w in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: weights must be integer vectors") from None
+    return tuple(_int_vector(w, f"{path}[{i}]") for i, w in enumerate(value))
 
 
 def _load_group(obj, path) -> RootDatum:
     try:
         if "cartan_matrix" in obj:
             return build_root_datum(_int_matrix(obj["cartan_matrix"], f"{path}.cartan_matrix"))
-        rank = int(_get(obj, "rank", path))
+        rank = _int(_get(obj, "rank", path), f"{path}.rank")
         roots = _weight_list(_get(obj, "simple_roots", path), f"{path}.simple_roots")
         coroots = _weight_list(_get(obj, "simple_coroots", path), f"{path}.simple_coroots")
         return reductive_root_datum(rank, roots, coroots)
@@ -106,7 +114,7 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
                         _get(ps, "imaginary_roots", spath, required=False, default=[]),
                         f"{spath}.imaginary_roots",
                     ),
-                    ell=int(_get(ps, "ell", spath)),
+                    ell=_int(_get(ps, "ell", spath), f"{spath}.ell"),
                 )
             )
         out.append(TorusDatum(label, theta, tuple(systems)))
@@ -121,7 +129,7 @@ def _load_model(obj, path) -> AffineConeModel:
     for i, v in enumerate(raw_vars):
         vpath = f"{path}.variables[{i}]"
         name = str(_get(v, "name", vpath))
-        weight = tuple(int(x) for x in _get(v, "weight", vpath))
+        weight = _int_vector(_get(v, "weight", vpath), f"{vpath}.weight")
         variables.append(ConeVariable(name, weight))
     raw_gens = _get(obj, "generators", path)
     if not isinstance(raw_gens, list):
@@ -134,11 +142,11 @@ def _load_model(obj, path) -> AffineConeModel:
         terms = {}
         for j, term in enumerate(g):
             tpath = f"{gpath}[{j}]"
-            num = int(_get(term, "num", tpath))
-            den = int(_get(term, "den", tpath, required=False, default=1))
+            num = _int(_get(term, "num", tpath), f"{tpath}.num")
+            den = _int(_get(term, "den", tpath, required=False, default=1), f"{tpath}.den")
             if den == 0:
                 raise ConfigError(f"{tpath}.den: zero denominator")
-            exps = tuple(int(x) for x in _get(term, "exponents", tpath))
+            exps = _int_vector(_get(term, "exponents", tpath), f"{tpath}.exponents")
             terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
         generators.append(terms)
     try:
@@ -156,7 +164,7 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 
     kobj = _get(doc, "k", "k")
-    torus_rank = int(_get(kobj, "torus_rank", "k"))
+    torus_rank = _int(_get(kobj, "torus_rank", "k"), "k.torus_rank")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
     k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
     k_datum = None
@@ -165,10 +173,10 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
 
     dobj = _get(doc, "dims", "dims")
     dims = Dims(
-        dim_g=int(_get(dobj, "g", "dims")),
-        dim_k=int(_get(dobj, "k", "dims")),
-        dim_p=int(_get(dobj, "p", "dims")),
-        rank_split=int(_get(dobj, "rank_split", "dims")),
+        dim_g=_int(_get(dobj, "g", "dims"), "dims.g"),
+        dim_k=_int(_get(dobj, "k", "dims"), "dims.k"),
+        dim_p=_int(_get(dobj, "p", "dims"), "dims.p"),
+        rank_split=_int(_get(dobj, "rank_split", "dims"), "dims.rank_split"),
     )
     split = bool(_get(doc, "split_mod_center", "split_mod_center"))
 

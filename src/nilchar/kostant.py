@@ -11,9 +11,6 @@ kept as the independent check of them, not as a second production route.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from fractions import Fraction
 from weakref import WeakKeyDictionary
@@ -52,10 +49,14 @@ _freudenthal_cache = new_memo()
 
 
 class _Table:
-    __slots__ = ("bounds", "data")
+    """Partition polynomials of every weight of height <= `height`, exact
+    through q^degree."""
 
-    def __init__(self, bounds, data):
-        self.bounds = bounds
+    __slots__ = ("height", "degree", "data")
+
+    def __init__(self, height, degree, data):
+        self.height = height
+        self.degree = degree
         self.data = data
 
 
@@ -68,41 +69,26 @@ def _root_matrix(datum: RootDatum):
     return coords
 
 
-def _cache_path(cache_dir: str, roots, bounds) -> str:
-    key = hashlib.sha256(json.dumps([roots, list(bounds)]).encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"ptable-{key}.json")
+def _build_table(datum: RootDatum, height: int, degree: int) -> _Table:
+    return _Table(height, degree, kernels.partition_table(_root_matrix(datum), height, degree))
 
 
-def _build_table(datum: RootDatum, bounds) -> _Table:
-    roots = _root_matrix(datum)
-    cache_dir = os.environ.get("NILCHAR_CACHE_DIR")
-    path = _cache_path(cache_dir, roots, bounds) if cache_dir else None
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        data = {tuple(m): tuple(coeffs) for m, coeffs in raw}
-        return _Table(bounds, data)
-    data = kernels.partition_table(roots, bounds)
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump([[list(m), list(c)] for m, c in sorted(data.items())], fh)
-        os.replace(tmp, path)
-    return _Table(bounds, data)
+def _covering_table(datum: RootDatum, height: int, degree: int) -> _Table:
+    """The datum's table, rebuilt (keeping what it covered) unless it covers
+    `height` and `degree` already. The caller holds `_lock`."""
+    tab = _tables.get(datum)
+    if tab is None or height > tab.height or degree > tab.degree:
+        if tab is not None:
+            height, degree = max(height, tab.height), max(degree, tab.degree)
+        tab = _tables[datum] = _build_table(datum, height, degree)
+    return tab
 
 
-def warm_partition_table(datum: RootDatum, bounds) -> None:
-    """Pre-build the partition table for a componentwise box."""
-    nsimple = datum.nsimple
-    bounds = tuple(bounds)
-    if len(bounds) != nsimple:
-        raise ValueError("bounds length must equal the number of simple roots")
+def warm_partition_table(datum: RootDatum, height: int, degree: int | None = None) -> None:
+    """Pre-build the partition table for every weight of height <= `height`,
+    exact through q^degree (every degree when None)."""
     with _lock:
-        tab = _tables.get(datum)
-        if tab is None or any(b > tb for b, tb in zip(bounds, tab.bounds)):
-            merged = bounds if tab is None else tuple(max(b, tb) for b, tb in zip(bounds, tab.bounds))
-            _tables[datum] = _build_table(datum, merged)
+        _covering_table(datum, height, height if degree is None else degree)
 
 
 def clear_caches() -> None:
@@ -112,29 +98,29 @@ def clear_caches() -> None:
             memo.clear()
 
 
-def _partition_coeffs(datum: RootDatum, rc: tuple[int, ...]):
+def _partition_coeffs(datum: RootDatum, rc: tuple[int, ...], truncation: int | None):
+    height = sum(rc)
+    degree = height if truncation is None else min(height, truncation)
     with _lock:
         tab = _tables.get(datum)
-        if tab is None or any(m > b for m, b in zip(rc, tab.bounds)):
-            # Rebuild with a little headroom so scans do not rebuild per query.
-            if tab is None:
-                bounds = tuple(max(m + m // 4, m, 4) for m in rc)
-            else:
-                bounds = tuple(max(b, m + m // 4, m) for b, m in zip(tab.bounds, rc))
-            tab = _build_table(datum, bounds)
-            _tables[datum] = tab
-        return tab.data.get(rc, ())
+        if tab is None or height > tab.height or degree > tab.degree:
+            # Grow with a little headroom so scans do not rebuild per query.
+            height = max(height + height // 4, 4)
+            tab = _covering_table(datum, height, height if truncation is None else degree)
+        coeffs = tab.data.get(rc, ())
+    return coeffs if truncation is None else coeffs[: truncation + 1]
 
 
-def kostant_partition_q(datum: RootDatum, lam: Weight) -> QPolynomial:
-    """Counting polynomial of `lam` as graded sums of positive roots; zero
-    when `lam` is not a non-negative root-lattice combination."""
+def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = None) -> QPolynomial:
+    """Counting polynomial of `lam` as graded sums of positive roots, cut
+    after q^truncation (whole when None); zero when `lam` is not a
+    non-negative root-lattice combination."""
     rc = datum.root_coords_int(lam)
     if rc is None or any(v < 0 for v in rc):
         return QPolynomial.zero()
     if datum.nsimple == 0:
         return QPolynomial.one() if not any(lam) else QPolynomial.zero()
-    return QPolynomial.from_list(_partition_coeffs(datum, rc))
+    return QPolynomial.from_list(_partition_coeffs(datum, rc, truncation))
 
 
 def kostant_partition(datum: RootDatum, lam: Weight) -> int:
@@ -149,15 +135,16 @@ def _rho_shifted_argument(datum: RootDatum, w, lam: Weight, mu: Weight) -> Weigh
     return tuple(v // 2 for v in doubled)
 
 
-def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight) -> QPolynomial:
+def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:
     """q-analog of the weight multiplicity of `mu` in the irreducible of
-    highest weight `lam`: the signed Weyl-group sum of partition polynomials."""
+    highest weight `lam`: the signed Weyl-group sum of partition polynomials,
+    cut after q^truncation (whole when None)."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     total = QPolynomial.zero()
     for w in datum.weyl_group():
         arg = _rho_shifted_argument(datum, w, lam, mu)
-        p = kostant_partition_q(datum, arg)
+        p = kostant_partition_q(datum, arg, truncation)
         if p:
             total = total + p * w.sign
     return total

@@ -28,12 +28,14 @@ def contributor_polynomials(datum: RootDatum, truncation: int):
     that can contribute a q-power <= truncation."""
     height_bound = truncation * datum.max_root_height
     if datum.nsimple:
-        # One warm-up build sized for the whole scan beats per-query rebuilds.
-        warm_partition_table(datum, (height_bound + 2,) * datum.nsimple)
+        # One table for the whole scan: for dominant lam, every argument
+        # w(lam + rho) - rho of the Weyl-group sum lies below lam, so its
+        # height is at most ht(lam) <= height_bound.
+        warm_partition_table(datum, height_bound, truncation)
     zero = (0,) * datum.rank
     out = []
     for lam in dominant_weights_up_to_height(datum, height_bound):
-        mq = lusztig_mq(datum, lam, zero).truncate(truncation)
+        mq = lusztig_mq(datum, lam, zero, truncation)
         if mq:
             out.append((lam, mq))
     return out

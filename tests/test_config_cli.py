@@ -1,6 +1,7 @@
 """Configuration loading and the command-line surface."""
 
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,37 @@ def test_config_error_bad_tori():
     doc["tori"][1]["positive_systems"][0]["imaginary_roots"] = [[2], [-2]]
     with pytest.raises(ConfigError, match="tori"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("k", "restriction", 0, 0), 1.5),
+        (("dims", "rank_split"), True),
+        (("oracle_model", "generators", 0, 0, "num"), 1.5),
+        (("dims", "g"), "10"),
+        (("dims", "p"), 6.0),
+        (("oracle_model", "variables", 2, "weight", 1), False),
+    ],
+    ids=["float-entry", "bool-dim", "float-num", "str-dim", "integral-float", "bool-entry"],
+)
+def test_config_refuses_non_integers(tmp_path, capsys, field, value):
+    """A value that is not a JSON integer is refused, never converted
+    (int(1.5) == 1 and int(True) == 1 would run a different model)."""
+    doc = catalog_document("sp4-split")
+    owner = doc
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    field_path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in field)[1:]
+    with pytest.raises(ConfigError, match=re.escape(field_path + ": expected an integer")):
+        config_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Partition function, q-multiplicities, Freudenthal; kernel backends.
+"""Partition function, q-multiplicities, Freudenthal; the partition kernel.
 
 Expected values for the partition polynomials come from the exhaustive
 enumeration oracle below, which never touches the dynamic program.
@@ -30,6 +30,7 @@ from nilchar.rootdata import build_root_datum
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
 B2 = build_root_datum([[2, -2], [-1, 2]])
+G2 = build_root_datum([[2, -1], [-3, 2]])
 
 
 def brute_partition_q(datum, lam):
@@ -40,7 +41,7 @@ def brute_partition_q(datum, lam):
     roots = [datum.root_coords_int(r) for r in datum.positive_roots]
     height = sum(rc)
     counts: dict[int, int] = {}
-    ranges = [range(0, height + 1) for _ in roots]
+    ranges = [range(0, height // sum(root) + 1) for root in roots]
     for combo in itertools.product(*ranges):
         if sum(combo) > height:
             continue
@@ -143,21 +144,12 @@ def test_three_way_multiplicity_agreement(datum):
             assert mq.eval_at_one() == freudenthal_multiplicity(datum, lam, mu)
 
 
-def test_cache_transparency(tmp_path, monkeypatch):
+def test_cache_transparency():
     lam = (2, 2)
     clear_caches()
     cold = lusztig_mq(B2, lam, (0, 0))
     warm = lusztig_mq(B2, lam, (0, 0))
     assert cold == warm
-    # disk cache round trip
-    monkeypatch.setenv("NILCHAR_CACHE_DIR", str(tmp_path))
-    clear_caches()
-    first = lusztig_mq(B2, lam, (0, 0))
-    assert list(tmp_path.glob("ptable-*.json"))
-    clear_caches()
-    second = lusztig_mq(B2, lam, (0, 0))
-    assert first == second == cold
-    monkeypatch.delenv("NILCHAR_CACHE_DIR")
     clear_caches()
 
 
@@ -201,58 +193,71 @@ def test_memo_is_safe_under_concurrent_use(memoized):
 
 def test_warm_partition_table():
     clear_caches()
-    warm_partition_table(B2, (6, 6))
+    warm_partition_table(B2, 6)
     assert kostant_partition_q(B2, (0, 1)) == brute_partition_q(B2, (0, 1))
 
 
-# -- kernel backends ---------------------------------------------------------
+def test_truncated_lookups_match_whole_polynomials():
+    """Cut and whole queries share one table per datum in either order; each
+    must get its own exact answer."""
+    lam = (4, 2)  # M_q = q^4 + 2q^6 + q^7 + 2q^8 + q^9 + q^10
+    for first_cut in (True, False):
+        clear_caches()
+        if first_cut:
+            cut = [lusztig_mq(B2, lam, (0, 0), n) for n in range(11)]
+            whole = lusztig_mq(B2, lam, (0, 0))
+        else:
+            whole = lusztig_mq(B2, lam, (0, 0))
+            cut = [lusztig_mq(B2, lam, (0, 0), n) for n in range(11)]
+        assert whole == QPolynomial({4: 1, 6: 2, 7: 1, 8: 2, 9: 1, 10: 1})
+        assert cut == [whole.truncate(n) for n in range(11)]
 
-B2_ROOT_COORDS = [(1, 0), (0, 1), (1, 1), (2, 1)]
+
+# -- the partition kernel ----------------------------------------------------
 
 
 def test_pure_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
-        kernels.partition_table([(0, 0)], (2, 2))
+        kernels.partition_table([(0, 0)], 2)
     with pytest.raises(ValueError):
-        kernels.partition_table([(1, -1)], (2, 2))
+        kernels.partition_table([(1, -1)], 2)
     with pytest.raises(ValueError):
-        kernels.partition_table([(1, 0)], (2, -1))
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel not built")
-def test_backend_parity():
-    for roots in (B2_ROOT_COORDS, [(1,), (2,)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]):
-        rank = len(roots[0])
-        bounds = (6,) * rank
-        pure = kernels.partition_table(roots, bounds, backend="python")
-        fast = kernels.partition_table(roots, bounds, backend="compiled")
-        assert pure == fast
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_rejects_oversized_tables():
-    with pytest.raises(OverflowError):
-        kernels._kernels.partition_table([(1, 0), (0, 1)], (4000, 4000))
-
-
-def test_dispatch_falls_back_on_overflow(monkeypatch):
-    class Stub:
-        @staticmethod
-        def partition_table(roots, bounds):
-            raise OverflowError("forced")
-
-    monkeypatch.setattr(kernels, "_kernels", Stub())
-    monkeypatch.setattr(kernels, "HAVE_COMPILED", True)
-    result = kernels.partition_table([(1,)], (3,), backend="compiled")
-    assert result == kernels.partition_table([(1,)], (3,), backend="python")
-
-
-def test_backend_env_override(monkeypatch):
-    monkeypatch.setenv("NILCHAR_BACKEND", "python")
-    assert kernels.active_backend() == "python"
-    monkeypatch.setenv("NILCHAR_BACKEND", "bogus")
+        kernels.partition_table([(1, 0)], -1)
     with pytest.raises(ValueError):
-        kernels.active_backend()
+        kernels.partition_table([(1, 0)], 2, -1)
+
+
+def _simplex(rank, height):
+    return [m for m in itertools.product(range(height + 1), repeat=rank) if sum(m) <= height]
+
+
+@pytest.mark.parametrize("datum,height", [(A2, 8), (B2, 7), (G2, 7)], ids=["A2", "B2", "G2"])
+def test_kernel_matches_brute_force_on_simplex(datum, height):
+    """Every cell of the simplex, reachable or not, against direct enumeration."""
+    roots = [datum.root_coords_int(r) for r in datum.positive_roots]
+    table = kernels.partition_table(roots, height)
+    cells = _simplex(datum.nsimple, height)
+    assert set(table) <= set(cells)
+    for m in cells:
+        lam = tuple(sum(m[j] * datum.simple_roots[j][k] for j in range(2)) for k in range(2))
+        assert QPolynomial.from_list(table.get(m, ())) == brute_partition_q(datum, lam), m
+
+
+@pytest.mark.parametrize("datum", [A2, B2, G2], ids=["A2", "B2", "G2"])
+def test_truncated_table_is_full_table_cut(datum):
+    roots = [datum.root_coords_int(r) for r in datum.positive_roots]
+    height = 9
+    full = kernels.partition_table(roots, height)
+    assert kernels.partition_table(roots, height, height) == full
+    for degree in range(height):
+        cut = {}
+        for m, coeffs in full.items():
+            kept = coeffs[: degree + 1]
+            while kept and not kept[-1]:
+                kept = kept[:-1]
+            if kept:
+                cut[m] = kept
+        assert kernels.partition_table(roots, height, degree) == cut, degree
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,9 +270,8 @@ def test_backend_env_override(monkeypatch):
     )
 )
 def test_kernel_total_count_property(roots):
-    """Summing the table over the box against direct enumeration of tuples."""
-    bounds = (4, 4)
-    table = kernels.partition_table(roots, bounds, backend="python")
+    """One table entry against direct enumeration of root multiplicity tuples."""
+    table = kernels.partition_table(roots, 6)
     target = (3, 3)
     expected: dict[int, int] = {}
     for combo in itertools.product(range(0, 8), repeat=len(roots)):

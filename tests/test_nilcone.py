@@ -2,8 +2,9 @@
 
 import pytest
 
+from nilchar import kernels
 from nilchar.charring import expand_irrep_series
-from nilchar.kostant import lusztig_mq
+from nilchar.kostant import clear_caches, lusztig_mq
 from nilchar.nilcone import nilcone_character, nilcone_series
 from nilchar.rootdata import (
     build_root_datum,
@@ -62,6 +63,25 @@ def test_no_contributors_beyond_height_bound():
     assert shell
     for lam in shell:
         assert not lusztig_mq(A2, lam, (0, 0)).truncate(N)
+
+
+def test_scan_builds_one_partition_table(monkeypatch):
+    """The scan sizes its table once, from the truncation: height
+    N * max_root_height, cut after q^N. A rebuild as the weights grow would
+    show as a second call."""
+    calls = []
+    build = kernels.partition_table
+
+    def counted(roots, height_bound, degree_bound=None):
+        calls.append((height_bound, degree_bound))
+        return build(roots, height_bound, degree_bound)
+
+    monkeypatch.setattr(kernels, "partition_table", counted)
+    clear_caches()
+    series = nilcone_series(A4, 3)
+    clear_caches()
+    assert calls == [(12, 3)]
+    assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
 
 
 def test_torus_cone_is_constants_only():
