@@ -4,6 +4,8 @@ Weyl-invariant characters into irreducibles.
 
 Irreducible characters come from Freudenthal's recursion; the Weyl-sum
 multiplicities (`kostant.weyl_multiplicity`) remain a test of them.
+Decomposition reads multiplicities off the product with the Weyl
+denominator and builds no irreducible character.
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -12,7 +14,7 @@ the typical inputs.
 from __future__ import annotations
 
 from .kostant import freudenthal_table, memo_get, memo_put, new_memo
-from .rootdata import RootDatum, Weight, mat_apply, wadd
+from .rootdata import RootDatum, Weight, mat_apply, wadd, wsub
 
 _irrep_cache = new_memo()
 
@@ -287,41 +289,27 @@ def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
 
 def decompose_into_irreducibles(datum: RootDatum, ch: TorusCharacter) -> dict[Weight, int]:
     """Write a Weyl-invariant virtual character as an integer combination of
-    irreducible characters by stripping maximal dominant support weights."""
+    irreducible characters, read off the Weyl denominator.
+
+    By the Weyl character formula, ch(V_lam) * prod_{alpha>0} (1 - e^{-alpha})
+    = sum_w sign(w) e^{w(lam+rho)-rho}, and only w = 1 gives a dominant weight
+    (w(lam+rho) is dominant regular only for w = 1). So the multiplicity of
+    V_lam in `ch` is the coefficient of e^lam in ch * prod_{alpha>0} (1 - e^{-alpha})."""
     if ch.rank != datum.rank:
         raise ValueError(f"torus rank mismatch: {ch.rank} vs {datum.rank}")
     _validate_weyl_invariance(datum, ch)
-    remaining = dict(ch.terms)
-    out: dict[Weight, int] = {}
-    while remaining:
-        doms = [w for w in remaining if datum.is_dominant(w)]
-        if not doms:
-            raise AssertionError("invariant character with no dominant support weight")
-        pick = _maximal_dominant(datum, doms)
-        coeff = remaining[pick]
-        for w, c in irreducible_character(datum, pick).terms.items():
-            v = remaining.get(w, 0) - coeff * c
+    acc = dict(ch.terms)
+    for alpha in datum.positive_roots:
+        shifted = dict(acc)
+        for w, c in acc.items():
+            key = wsub(w, alpha)
+            v = shifted.get(key, 0) - c
             if v:
-                remaining[w] = v
+                shifted[key] = v
             else:
-                remaining.pop(w, None)
-        out[pick] = out.get(pick, 0) + coeff
-    return {w: c for w, c in out.items() if c}
-
-
-def _maximal_dominant(datum: RootDatum, doms: list[Weight]) -> Weight:
-    """Root-order-maximal dominant weight, lexicographically largest on ties."""
-    maximal = []
-    for d in doms:
-        if not any(_root_order_above(datum, other, d) for other in doms if other != d):
-            maximal.append(d)
-    return max(maximal)
-
-
-def _root_order_above(datum: RootDatum, a: Weight, b: Weight) -> bool:
-    """True when a - b is a non-zero, non-negative root-lattice combination."""
-    rc = datum.root_coords_int(tuple(x - y for x, y in zip(a, b)))
-    return rc is not None and any(rc) and all(v >= 0 for v in rc)
+                del shifted[key]
+        acc = shifted
+    return {w: c for w, c in acc.items() if datum.is_dominant(w)}
 
 
 def _validate_weyl_invariance(datum: RootDatum, ch: TorusCharacter) -> None:

@@ -31,10 +31,14 @@ class LoadedConfig:
     oracle_model: AffineConeModel | None
 
 
-def _get(obj, key, path, required=True, default=None):
-    if not isinstance(obj, dict):
+def _object(value, path) -> dict:
+    if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
-    if key not in obj:
+    return value
+
+
+def _get(obj, key, path, required=True, default=None):
+    if key not in _object(obj, path):
         if required:
             raise ConfigError(f"{path}.{key}: missing")
         return default
@@ -46,6 +50,14 @@ def _int(value, path) -> int:
     string is refused instead of being converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value, path) -> bool:
+    """A JSON boolean, taken as it is: "false", 0 or null is refused instead
+    of being read by its truth value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
@@ -68,6 +80,7 @@ def _weight_list(value, path):
 
 
 def _load_group(obj, path) -> RootDatum:
+    _object(obj, path)
     try:
         if "cartan_matrix" in obj:
             return build_root_datum(_int_matrix(obj["cartan_matrix"], f"{path}.cartan_matrix"))
@@ -107,16 +120,16 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
             raise ConfigError(f"{tpath}.positive_systems: expected a non-empty list")
         for j, ps in enumerate(raw_systems):
             spath = f"{tpath}.positive_systems[{j}]"
-            systems.append(
-                PositiveSystem(
-                    id=str(_get(ps, "id", spath)),
-                    imaginary_roots=_weight_list(
-                        _get(ps, "imaginary_roots", spath, required=False, default=[]),
-                        f"{spath}.imaginary_roots",
-                    ),
-                    ell=_int(_get(ps, "ell", spath), f"{spath}.ell"),
-                )
+            ps_id = str(_get(ps, "id", spath))
+            imaginary = _weight_list(
+                _get(ps, "imaginary_roots", spath, required=False, default=[]),
+                f"{spath}.imaginary_roots",
             )
+            ell = _int(_get(ps, "ell", spath), f"{spath}.ell")
+            try:
+                systems.append(PositiveSystem(id=ps_id, imaginary_roots=imaginary, ell=ell))
+            except ValueError as exc:
+                raise ConfigError(f"{spath}: {exc}") from None
         out.append(TorusDatum(label, theta, tuple(systems)))
     return tuple(out)
 
@@ -163,7 +176,7 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
     g_datum = _load_group(_get(doc, "group", "group"), "group")
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 
-    kobj = _get(doc, "k", "k")
+    kobj = _object(_get(doc, "k", "k"), "k")
     torus_rank = _int(_get(kobj, "torus_rank", "k"), "k.torus_rank")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
     k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
@@ -178,7 +191,7 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
         dim_p=_int(_get(dobj, "p", "dims"), "dims.p"),
         rank_split=_int(_get(dobj, "rank_split", "dims"), "dims.rank_split"),
     )
-    split = bool(_get(doc, "split_mod_center", "split_mod_center"))
+    split = _bool(_get(doc, "split_mod_center", "split_mod_center"), "split_mod_center")
 
     try:
         real_form = RealFormConfig(

@@ -220,16 +220,22 @@ def graded_character_by_degree(
 
 
 def compare_with_formula(
-    config: RealFormConfig, model: AffineConeModel, truncation: int, force: bool = False
+    config: RealFormConfig,
+    model: AffineConeModel,
+    truncation: int,
+    force: bool = False,
+    actual: GradedCharacter | None = None,
 ) -> CheckResult:
     """Layer-by-layer comparison of the product-formula character against the
-    model's brute-force character."""
+    model's brute-force character; `actual` is that character when the caller
+    has already computed it with `graded_character_by_degree`."""
     if model.torus_rank != config.k_torus_rank:
         raise ValueError(
             f"model torus rank {model.torus_rank} does not match config rank {config.k_torus_rank}"
         )
     formula = theta_cone_character(config, truncation, force=force)
-    actual = graded_character_by_degree(model, truncation)
+    if actual is None:
+        actual = graded_character_by_degree(model, truncation)
     lines = []
     ok = True
     for n in range(truncation + 1):

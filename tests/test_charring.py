@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilchar import charring, kostant
+from nilchar.catalog import load_catalog_config
 from nilchar.charring import (
     GradedCharacter,
+    IrrepSeries,
     TorusCharacter,
     decompose_into_irreducibles,
     expand_irrep_series,
@@ -15,7 +18,10 @@ from nilchar.charring import (
     restrict_graded,
 )
 from nilchar.kostant import weyl_multiplicity
+from nilchar.ktheta import theta_cone_character, wedge_class
+from nilchar.nilcone import nilcone_character, nilcone_series
 from nilchar.rootdata import (
+    RootDatum,
     build_root_datum,
     dominant_weights_up_to_height,
     reductive_root_datum,
@@ -25,6 +31,8 @@ from nilchar.rootdata import (
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
 B2 = build_root_datum([[2, -2], [-1, 2]])
+G2 = build_root_datum([[2, -1], [-3, 2]])
+A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
 
 def chi(*coords, mult=1):
@@ -89,6 +97,66 @@ def test_decompose_virtual():
 def test_decompose_rejects_non_invariant():
     with pytest.raises(ValueError, match="orbit"):
         decompose_into_irreducibles(A1, chi(2))
+    with pytest.raises(ValueError, match="orbit"):
+        decompose_into_irreducibles(A2, chi(1, 0) + chi(-1, 1))
+
+
+def test_decompose_rejects_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        decompose_into_irreducibles(A2, chi(0))
+
+
+@pytest.mark.parametrize(
+    "datum, truncation", [(A2, 6), (B2, 6), (G2, 6), (A3, 4)], ids=["A2", "B2", "G2", "A3"]
+)
+def test_decompose_nilcone_layers_match_lusztig(datum, truncation):
+    """The closed-form C[N], decomposed layer by layer, is the highest-weight
+    series of the independent Lusztig route."""
+    gc = nilcone_character(datum, truncation)
+    layers = [decompose_into_irreducibles(datum, gc.layer(n)) for n in range(truncation + 1)]
+    assert IrrepSeries(datum.rank, truncation, layers) == nilcone_series(datum, truncation)
+
+
+@pytest.mark.parametrize("datum", [B2, G2], ids=["B2", "G2"])
+def test_decompose_signed_exterior_round_trip(datum):
+    """Every layer of the signed exterior algebra of the adjoint weights (a
+    virtual character, negative in odd degree) is rebuilt from its parts."""
+    roots = list(datum.positive_roots)
+    weights = roots + [tuple(-v for v in r) for r in roots] + [(0,) * datum.rank] * datum.rank
+    wedge = wedge_class(weights, len(weights), rank=datum.rank)
+    signs = set()
+    for n in range(wedge.truncation + 1):
+        layer = wedge.layer(n)
+        parts = decompose_into_irreducibles(datum, layer)
+        signs |= {c > 0 for c in parts.values()}
+        rebuilt = TorusCharacter(datum.rank)
+        for lam, c in parts.items():
+            rebuilt = rebuilt + c * irreducible_character(datum, lam)
+        assert rebuilt == layer
+    assert signs == {True, False}
+
+
+def test_decompose_builds_no_irreducible(monkeypatch):
+    """Reading K-types off the Weyl denominator needs no irreducible
+    character, no Freudenthal table and no root-lattice solve."""
+    rf = load_catalog_config("sp4-split").real_form
+    gc = theta_cone_character(rf, 8)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(charring, "irreducible_character", counted("irrep", charring.irreducible_character))
+    monkeypatch.setattr(charring, "freudenthal_table", counted("freudenthal", charring.freudenthal_table))
+    monkeypatch.setattr(kostant, "freudenthal_table", counted("freudenthal", kostant.freudenthal_table))
+    monkeypatch.setattr(RootDatum, "root_coords_int", counted("solve", RootDatum.root_coords_int))
+    ktypes = [decompose_into_irreducibles(rf.k_datum, gc.layer(n)) for n in range(9)]
+    assert calls == []
+    assert all(ktypes)
 
 
 def test_decompose_round_trip():

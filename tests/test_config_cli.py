@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from nilchar.catalog import catalog_document, catalog_names
+from nilchar import oracle
+from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
 from nilchar.cli import main
 from nilchar.config import ConfigError, config_from_dict
 
@@ -93,6 +94,50 @@ def test_config_refuses_non_integers(tmp_path, capsys, field, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["false", 0, None, "true"], ids=repr)
+def test_split_mod_center_must_be_boolean(value):
+    """bool("false") is True: only JSON true/false may reach the split guard."""
+    doc = catalog_document("sp4-split")
+    doc["split_mod_center"] = value
+    with pytest.raises(ConfigError, match=re.escape("split_mod_center: expected true or false")):
+        config_from_dict(doc)
+    doc["split_mod_center"] = False
+    assert config_from_dict(doc).real_form.split_mod_center is False
+
+
+def _top_and_first_level_fields(doc):
+    for key, value in doc.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+@pytest.mark.parametrize("value", [5, None, "x", [], True], ids=repr)
+def test_single_field_mutation_is_valid_or_config_error(tmp_path, capsys, value):
+    """Every top-level and first-level field of sp4-split set to one wrong
+    value: the document loads, or it is refused with a ConfigError and the
+    CLI exits 1 with `error:`; never another exception."""
+    path = tmp_path / "mutated.json"
+    for field in _top_and_first_level_fields(catalog_document("sp4-split")):
+        doc = catalog_document("sp4-split")
+        owner = doc
+        for key in field[:-1]:
+            owner = owner[key]
+        owner[field[-1]] = value
+        try:
+            config_from_dict(doc)
+            valid = True
+        except ConfigError:
+            valid = False
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+        if valid:
+            assert code == 0, (field, err)
+        else:
+            assert code == 1 and out == "", field
+            assert err.startswith("error: ") and "Traceback" not in err, (field, err)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -232,6 +277,25 @@ def test_oracle_check(capsys):
     doc = json.loads(out)
     assert doc["hilbert"] == [1, 2, 2, 2, 2, 2, 2]
     assert doc["passed"] is True
+
+
+def test_oracle_check_hilbert_is_model_character_masses(capsys, monkeypatch):
+    """oracle-check builds the model's weight-split character once and reads
+    its Hilbert function off the masses; the rank count on the unsplit
+    matrices agrees."""
+    calls = []
+    split = oracle.graded_character_by_degree
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "graded_character_by_degree", counted)
+    code, out, _ = run(capsys, "oracle-check", "--group", "sp4-split", "--degree", "5", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    model = load_catalog_config("sp4-split").oracle_model
+    assert json.loads(out)["hilbert"] == oracle.hilbert_by_degree(model, 5)
 
 
 def test_oracle_check_missing_model(capsys):
