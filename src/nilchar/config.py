@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ktheta import Dims, RealFormConfig
+from .ktheta import Dims, RealFormConfig, dimension_check
 from .langlands import PositiveSystem, TorusDatum
 from .oracle import AffineConeModel, ConeVariable
 from .rootdata import (
@@ -168,8 +168,13 @@ def _load_model(obj, path) -> AffineConeModel:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
-    """Build and cross-validate a configuration from its object model."""
+def config_from_dict(doc: dict, label: str | None = None, require_split: bool = True) -> LoadedConfig:
+    """Build and cross-validate a configuration from its object model.
+
+    A document that declares `split_mod_center` must pass the split lines of
+    `dimension_check`, since every split-only result rests on them.
+    `require_split=False` loads it anyway, for a caller that reports those
+    lines itself (the `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     name = label or str(doc.get("label", "unnamed"))
@@ -207,6 +212,13 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"config {name!r}: {exc}") from None
+    if split and require_split:
+        failing = [line[len("FAIL: "):] for line in dimension_check(real_form).lines if line.startswith("FAIL")]
+        if failing:
+            raise ConfigError(
+                f"split_mod_center: config {name!r} is declared split modulo center, "
+                f"but its dimensions fail {'; '.join(failing)}"
+            )
 
     tori = None
     if doc.get("tori") is not None:
@@ -228,7 +240,7 @@ def config_from_dict(doc: dict, label: str | None = None) -> LoadedConfig:
     return LoadedConfig(name, real_form, tori, model)
 
 
-def load_config_file(path: str) -> LoadedConfig:
+def load_config_file(path: str, require_split: bool = True) -> LoadedConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -236,4 +248,4 @@ def load_config_file(path: str) -> LoadedConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return config_from_dict(doc)
+    return config_from_dict(doc, require_split=require_split)

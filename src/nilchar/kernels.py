@@ -1,9 +1,14 @@
-"""Partition-function kernel: a height-bounded, q-truncated dynamic program.
+"""Partition-function kernel: a height-bounded, q-truncated dynamic program
+over the reached lattice points only.
 
-The table covers the simplex of lattice points m >= 0 (in simple-root
-coordinates) with height sum(m) <= `height_bound`, not a box: a weight of
-height h is a sum of positive roots of height <= h only. Counts are
-arbitrary-precision integers, so the table never overflows.
+The table holds the lattice points m >= 0 (in simple-root coordinates) of
+height sum(m) <= `height_bound` that are sums of the given roots. Each root is
+added as an unbounded knapsack that pushes from the points reached so far, in
+ascending height buckets; a point whose polynomial lies wholly above the
+degree bound is not pushed, since one more part would put it past the cut. So
+a degree bound also bounds the points held: only those that are sums of at
+most `degree_bound` roots appear. Counts are arbitrary-precision integers, so
+the table never overflows.
 """
 
 from __future__ import annotations
@@ -14,18 +19,8 @@ def active_backend() -> str:
     return "python"
 
 
-def _layer(height: int, rank: int):
-    """Every non-negative integer `rank`-tuple with coordinate sum `height`."""
-    if rank == 1:
-        yield (height,)
-        return
-    for first in range(height, -1, -1):
-        for rest in _layer(height - first, rank - 1):
-            yield (first,) + rest
-
-
 def partition_table(roots, height_bound: int, degree_bound: int | None = None):
-    """q-graded vector partition counts over the simplex of height <= `height_bound`.
+    """q-graded vector partition counts over the points of height <= `height_bound`.
 
     `roots`: non-zero, non-negative integer tuples of one length (positive
     roots in simple-root coordinates). Returns a dict mapping each reachable
@@ -46,42 +41,35 @@ def partition_table(roots, height_bound: int, degree_bound: int | None = None):
             raise ValueError(f"invalid root coordinates {r}")
     top = height_bound if degree_bound is None else min(degree_bound, height_bound)
 
-    # Ascending height: m - root is lower, so it is final for this root by the
-    # time m is visited (an unbounded knapsack per root).
-    cells: list[tuple[int, ...]] = []
-    first = []  # first[h]: index of the first cell of height h
-    for h in range(height_bound + 1):
-        first.append(len(cells))
-        cells.extend(_layer(h, rank))
-    index = {m: i for i, m in enumerate(cells)}
-    table: list[list[int] | None] = [None] * len(cells)
-    table[0] = [1]
+    zero = (0,) * rank
+    table: dict[tuple[int, ...], list[int]] = {zero: [1]}
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(height_bound + 1)]
+    buckets[0].append(zero)
 
+    # Ascending height: a point pushed to m + root lands in a higher bucket,
+    # which this root visits later, so repeated parts are counted (an
+    # unbounded knapsack per root). Bucket h only grows from lower buckets.
     for root in roots:
-        if sum(root) > height_bound:
-            continue
-        for i in range(first[sum(root)], len(cells)):
-            m = cells[i]
-            lower = tuple(a - b for a, b in zip(m, root))
-            if min(lower) < 0:
-                continue
-            src = table[index[lower]]
-            if src is None:
-                continue
-            dst = table[i]
-            if dst is None:
-                dst = []
-                table[i] = dst
-            need = min(len(src) + 1, top + 1)
-            if len(dst) < need:
-                dst.extend([0] * (need - len(dst)))
-            for d in range(need - 1):
-                dst[d + 1] += src[d]
+        step = sum(root)
+        for h in range(height_bound - step + 1):
+            upper = buckets[h + step]
+            for m in buckets[h]:
+                src = table[m]
+                if not any(src[:top]):
+                    continue
+                target = tuple(a + b for a, b in zip(m, root))
+                dst = table.get(target)
+                if dst is None:
+                    dst = table[target] = []
+                    upper.append(target)
+                need = min(len(src) + 1, top + 1)
+                if len(dst) < need:
+                    dst.extend([0] * (need - len(dst)))
+                for d in range(need - 1):
+                    dst[d + 1] += src[d]
 
     out = {}
-    for m, coeffs in zip(cells, table):
-        if coeffs is None:
-            continue
+    for m, coeffs in table.items():
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if coeffs:

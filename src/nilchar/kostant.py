@@ -7,17 +7,23 @@ come in two independent flavours: the alternating Weyl-group sum over the
 partition function, and Freudenthal's recursion over the weight saturation.
 Freudenthal's tables build the irreducible characters; the Weyl-group sum is
 kept as the independent check of them, not as a second production route.
+
+The Weyl-group sum runs in integer simple-root coordinates: the Weyl group
+acts on Dynkin labels through one integer matrix per element
+(`weyl_on_labels`), so a call solves for the coordinates of lam - mu once and
+reads every partition polynomial from one table, with no solve per element.
 """
 
 from __future__ import annotations
 
 import threading
+from operator import mul
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import kernels
 from .qpoly import QPolynomial
-from .rootdata import RootDatum, Weight, wadd, wscale, wsub
+from .rootdata import Matrix, RootDatum, Weight, wadd, wdot, wscale, wsub
 
 _lock = threading.Lock()
 _tables: WeakKeyDictionary = WeakKeyDictionary()
@@ -60,17 +66,8 @@ class _Table:
         self.data = data
 
 
-def _root_matrix(datum: RootDatum):
-    coords = []
-    for r in datum.positive_roots:
-        rc = datum.root_coords_int(r)
-        assert rc is not None
-        coords.append(rc)
-    return coords
-
-
 def _build_table(datum: RootDatum, height: int, degree: int) -> _Table:
-    return _Table(height, degree, kernels.partition_table(_root_matrix(datum), height, degree))
+    return _Table(height, degree, kernels.partition_table(datum.positive_root_coords, height, degree))
 
 
 def _covering_table(datum: RootDatum, height: int, degree: int) -> _Table:
@@ -98,8 +95,10 @@ def clear_caches() -> None:
             memo.clear()
 
 
-def _partition_coeffs(datum: RootDatum, rc: tuple[int, ...], truncation: int | None):
-    height = sum(rc)
+def _table_for(datum: RootDatum, height: int, truncation: int | None) -> _Table:
+    """A table exact, through q^truncation (every degree when None), for
+    every weight of height <= `height`. A table is never changed once built,
+    so the caller may read it without the lock."""
     degree = height if truncation is None else min(height, truncation)
     with _lock:
         tab = _tables.get(datum)
@@ -107,8 +106,7 @@ def _partition_coeffs(datum: RootDatum, rc: tuple[int, ...], truncation: int | N
             # Grow with a little headroom so scans do not rebuild per query.
             height = max(height + height // 4, 4)
             tab = _covering_table(datum, height, height if truncation is None else degree)
-        coeffs = tab.data.get(rc, ())
-    return coeffs if truncation is None else coeffs[: truncation + 1]
+    return tab
 
 
 def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = None) -> QPolynomial:
@@ -119,8 +117,9 @@ def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = 
     if rc is None or any(v < 0 for v in rc):
         return QPolynomial.zero()
     if datum.nsimple == 0:
-        return QPolynomial.one() if not any(lam) else QPolynomial.zero()
-    return QPolynomial.from_list(_partition_coeffs(datum, rc, truncation))
+        return QPolynomial.one()
+    coeffs = _table_for(datum, sum(rc), truncation).data.get(rc, ())
+    return QPolynomial.from_list(coeffs if truncation is None else coeffs[: truncation + 1])
 
 
 def kostant_partition(datum: RootDatum, lam: Weight) -> int:
@@ -128,38 +127,84 @@ def kostant_partition(datum: RootDatum, lam: Weight) -> int:
     return kostant_partition_q(datum, lam).eval_at_one()
 
 
-def _rho_shifted_argument(datum: RootDatum, w, lam: Weight, mu: Weight) -> Weight:
-    """w(lam+rho) - (mu+rho), computed on the doubled lattice to stay integral."""
-    doubled = wsub(w.act(wadd(wscale(2, lam), datum.two_rho)), wadd(wscale(2, mu), datum.two_rho))
-    assert all(v % 2 == 0 for v in doubled)
-    return tuple(v // 2 for v in doubled)
+_weyl_on_labels_cache = new_memo()
+
+
+def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
+    """(sign(w), D_w) for every Weyl element w, in `weyl_group()` order, where
+    x - w(x) = D_w . labels(x) in simple-root coordinates for every weight x.
+
+    Built along reduced words: s_i(v) = v - <v, alpha_i^vee> alpha_i gives, for
+    w = w' s_i, D_w = D_w' + (e_i - D_w' . C e_i) e_i^T, where C e_i (column
+    i of the Cartan matrix) holds the labels of alpha_i. The word of each
+    element less its last letter is the word of another element, since the
+    group is closed breadth-first by appending letters.
+    """
+    cached = memo_get(_weyl_on_labels_cache, datum, None)
+    if cached is not None:
+        return cached
+    n = datum.nsimple
+    cartan = datum.cartan_matrix
+    by_word: dict[tuple[int, ...], Matrix] = {(): tuple((0,) * n for _ in range(n))}
+    out = []
+    for w in datum.weyl_group():
+        if w.word:
+            prefix, i = by_word[w.word[:-1]], w.word[-1]
+            column = [cartan[j][i] for j in range(n)]
+            by_word[w.word] = tuple(
+                row[:i] + (row[i] + (k == i) - wdot(row, column),) + row[i + 1:]
+                for k, row in enumerate(prefix)
+            )
+        out.append((w.sign, by_word[w.word]))
+    return memo_put(_weyl_on_labels_cache, datum, None, tuple(out))
+
+
+def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None) -> list[int]:
+    """Coefficients of sum_w sign(w) P_q(w(lam + rho) - (mu + rho)), cut after
+    q^truncation (whole when None).
+
+    In simple-root coordinates the argument is rc(lam - mu) - D_w . (labels(lam)
+    + 1), since labels(rho) = 1: one lattice solve per call, none per element.
+    Every argument lies below lam - mu, so one table sized to ht(lam - mu)
+    covers them all, and a negative ht(lam - mu) or coordinate leaves none.
+    """
+    labels = datum.labels(lam)
+    if any(v < 0 for v in labels):
+        raise ValueError(f"{lam} is not dominant")
+    rc = datum.root_coords_int(wsub(lam, mu))
+    if rc is None or any(v < 0 for v in rc):
+        return []
+    if datum.nsimple == 0:
+        return [1]
+    shifted = tuple(v + 1 for v in labels)
+    data = _table_for(datum, sum(rc), truncation).data
+    top = None if truncation is None else truncation + 1
+    acc: list[int] = []
+    for sign, d in weyl_on_labels(datum):
+        arg = tuple([r - sum(map(mul, row, shifted)) for r, row in zip(rc, d)])
+        coeffs = data.get(arg)
+        if coeffs is None:
+            continue
+        if top is not None:
+            coeffs = coeffs[:top]
+        if len(acc) < len(coeffs):
+            acc.extend([0] * (len(coeffs) - len(acc)))
+        for k, c in enumerate(coeffs):
+            acc[k] += sign * c
+    return acc
 
 
 def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:
     """q-analog of the weight multiplicity of `mu` in the irreducible of
     highest weight `lam`: the signed Weyl-group sum of partition polynomials,
     cut after q^truncation (whole when None)."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    total = QPolynomial.zero()
-    for w in datum.weyl_group():
-        arg = _rho_shifted_argument(datum, w, lam, mu)
-        p = kostant_partition_q(datum, arg, truncation)
-        if p:
-            total = total + p * w.sign
-    return total
+    return QPolynomial.from_list(_weyl_sum(datum, lam, mu, truncation))
 
 
 def weyl_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:
     """Multiplicity of the weight `mu` in the irreducible of highest weight
     `lam`, by the signed Weyl-group sum over plain partition counts."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    total = 0
-    for w in datum.weyl_group():
-        arg = _rho_shifted_argument(datum, w, lam, mu)
-        total += w.sign * kostant_partition(datum, arg)
-    return total
+    return sum(_weyl_sum(datum, lam, mu, None))
 
 
 def freudenthal_table(datum: RootDatum, lam: Weight) -> dict[Weight, int]:

@@ -12,8 +12,10 @@ arithmetic that never subtracts.
 assigns to each dominant root-lattice weight the q^n coefficient of its
 q-analog multiplicity against the zero weight. Only weights expressible as
 sums of at most n positive roots can contribute at degree n, which bounds the
-enumeration domain by height. Expanded through irreducible characters it is
-an independent route to `nilcone_character` (`ktheta.lusztig_check`).
+enumeration domain by height. The scan builds one partition table, cut at
+q^n, and spends one lattice solve per scanned weight (in `lusztig_mq`).
+Expanded through irreducible characters it is an independent route to
+`nilcone_character` (`ktheta.lusztig_check`).
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
     """Highest-weight decomposition of the graded cone functions, by degree."""
     layers: list[dict] = [dict() for _ in range(truncation + 1)]
     for lam, mq in contributor_polynomials(datum, truncation):
-        height = datum.height(lam)
         for deg, coeff in mq.items():
-            assert height <= deg * max(datum.max_root_height, 1)
             layers[deg][lam] = coeff
     return IrrepSeries(datum.rank, truncation, layers)
 

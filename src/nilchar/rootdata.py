@@ -179,12 +179,27 @@ class RootDatum:
             raise ValueError("simple roots must be linearly independent")
 
         self.positive_roots, self.positive_coroots = self._close_positive_roots()
+        # Simple-root coordinates of the positive roots, solved once here.
+        self.positive_root_coords = tuple(self.root_coords_int(r) for r in self.positive_roots)
         two_rho = (0,) * rank
         for r in self.positive_roots:
             two_rho = wadd(two_rho, r)
         self.two_rho = two_rho
 
         self._weyl: tuple[WeylElement, ...] | None = None
+        self._key = (rank, roots, coroots)
+        self._hash = hash(self._key)
+
+    # Equal (co)roots make equal data, so the per-datum caches keyed by a
+    # datum are shared between equal data built separately.
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootDatum):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic pairings ----------------------------------------------------
 
@@ -192,8 +207,12 @@ class RootDatum:
         """<weight, coweight> with the coweight in dual coordinates."""
         return wdot(weight, coweight)
 
+    def labels(self, weight: Weight) -> tuple[int, ...]:
+        """Dynkin labels: the pairings <weight, alpha_i^vee> with the simple coroots."""
+        return tuple(wdot(weight, c) for c in self.simple_coroots)
+
     def is_dominant(self, weight: Weight) -> bool:
-        return all(wdot(weight, c) >= 0 for c in self.simple_coroots)
+        return all(v >= 0 for v in self.labels(weight))
 
     def root_coords(self, weight: Weight) -> tuple[Fraction, ...] | None:
         """Coordinates of `weight` in the simple-root basis, or None if the
@@ -212,9 +231,7 @@ class RootDatum:
 
     @property
     def max_root_height(self) -> int:
-        if not self.positive_roots:
-            return 0
-        return max(self.height(r) for r in self.positive_roots)
+        return max((sum(rc) for rc in self.positive_root_coords), default=0)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -223,8 +240,8 @@ class RootDatum:
         times (Kostant's dual-partition theorem). Central torus directions
         contribute none."""
         counts: dict[int, int] = {}
-        for r in self.positive_roots:
-            h = self.height(r)
+        for rc in self.positive_root_coords:
+            h = sum(rc)
             counts[h] = counts.get(h, 0) + 1
         out: list[int] = []
         for k in range(1, max(counts, default=0) + 1):
@@ -605,32 +622,36 @@ def classify_roots(datum: RootDatum, inv: InvolutionData) -> RootClassification:
 
 
 def dominant_weights_up_to_height(datum: RootDatum, bound: int) -> list[Weight]:
-    """Dominant root-lattice weights of height <= bound, sorted by (height, lex)."""
-    if bound < 0:
-        return []
-    out = []
-    for total in range(bound + 1):
-        for m in _compositions(total, datum.nsimple):
+    """Dominant root-lattice weights of height <= bound, sorted by (height, lex).
+
+    The weight sum_j m_j alpha_j has Dynkin labels C.m (C the Cartan matrix),
+    so dominance is tested on the composition m, and a weight is built only
+    for a dominant m. The coordinates of m are chosen in turn; off the
+    diagonal C is <= 0, so once label i is negative with m_0..m_k fixed
+    (i <= k), no choice of the later coordinates makes it non-negative, and
+    that branch is cut. Distinct m give distinct weights, the simple roots
+    being independent, so no weight repeats.
+    """
+    n = datum.nsimple
+    columns = [tuple(row[k] for row in datum.cartan_matrix) for k in range(n)]
+    found: list[tuple[int, Weight]] = []
+
+    def extend(k: int, m: tuple[int, ...], labels: tuple[int, ...], left: int) -> None:
+        if k == n:
             w = (0,) * datum.rank
-            for j, mj in enumerate(m):
-                w = wadd(w, wscale(mj, datum.simple_roots[j]))
-            if datum.is_dominant(w):
-                out.append((total, w))
-    seen = set()
-    result = []
-    for total, w in sorted(out):
-        if w not in seen:
-            seen.add(w)
-            result.append(w)
-    return result
+            for mj, alpha in zip(m, datum.simple_roots):
+                if mj:
+                    w = wadd(w, wscale(mj, alpha))
+            found.append((bound - left, w))
+            return
+        column = columns[k]
+        for mk in range(left + 1):
+            now = tuple(v + mk * c for v, c in zip(labels, column))
+            if any(v < 0 for v in now[:k]):
+                break  # labels before k only fall as m_k grows
+            if now[k] >= 0:
+                extend(k + 1, m + (mk,), now, left - mk)
 
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    if bound >= 0:
+        extend(0, (), (0,) * n, bound)
+    return [w for _, w in sorted(found)]

@@ -257,6 +257,41 @@ def test_checks_skips_oracle_when_not_split(tmp_path, capsys):
     assert "[SKIP] oracle" in out
 
 
+def _flipped_swap(tmp_path):
+    """sl2xsl2-swap declared split: its dimension table says otherwise."""
+    doc = catalog_document("sl2xsl2-swap")
+    doc["split_mod_center"] = True
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(doc))
+    return doc, path
+
+
+def test_declared_split_must_pass_dimension_identities(tmp_path):
+    doc, _ = _flipped_swap(tmp_path)
+    with pytest.raises(ConfigError, match=r"split_mod_center: .*dim N_theta = dim N \+ dim p - dim g"):
+        config_from_dict(doc)
+    assert config_from_dict(doc, require_split=False).real_form.split_mod_center is True
+
+
+@pytest.mark.parametrize("command", ["cntheta", "oracle-check", "branching"])
+def test_split_dependent_commands_refuse_false_split(tmp_path, capsys, command):
+    """Without the load-time check, `cntheta` printed a wrong character and
+    exited 0."""
+    _, path = _flipped_swap(tmp_path)
+    code, out, err = run(capsys, command, "--group", str(path), "--degree", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "split_mod_center" in err and "Iwasawa count" in err
+
+
+def test_checks_reports_false_split(tmp_path, capsys):
+    _, path = _flipped_swap(tmp_path)
+    code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "2")
+    assert code == 2
+    assert "[FAIL] dimensions" in out
+    assert out.count("FAIL: ") == 3
+
+
 def test_branching_degree_zero_is_zuckerman(capsys):
     code, out, _ = run(capsys, "branching", "--group", "sl2-split", "--degree", "0", "--json")
     assert code == 0

@@ -23,14 +23,17 @@ from nilchar.kostant import (
     lusztig_mq,
     warm_partition_table,
     weyl_multiplicity,
+    weyl_on_labels,
 )
 from nilchar.qpoly import QPolynomial
-from nilchar.rootdata import build_root_datum
+from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
 B2 = build_root_datum([[2, -2], [-1, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
+A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
 
 
 def brute_partition_q(datum, lam):
@@ -113,6 +116,42 @@ def test_mq_rejects_non_dominant():
         freudenthal_multiplicity(A2, (-1, 0), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "datum", [A2, B2, G2, A3, GL2], ids=["A2", "B2", "G2", "A3", "GL2"]
+)
+def test_weyl_on_labels_is_x_minus_wx(datum):
+    """D_w . labels(x) is the root-coordinate vector of x - w(x), for every
+    Weyl element and every weight of a box (GL2 has a central torus, so
+    labels do not determine x there)."""
+    elements = datum.weyl_group()
+    table = weyl_on_labels(datum)
+    assert len(table) == len(elements)
+    box = list(itertools.product(range(-2, 3), repeat=datum.rank))
+    for w, (sign, d) in zip(elements, table):
+        assert sign == w.sign
+        for x in box:
+            labels = datum.labels(x)
+            image = tuple(sum(a * b for a, b in zip(row, labels)) for row in d)
+            assert image == datum.root_coords_int(tuple(a - b for a, b in zip(x, w.act(x)))), (w.word, x)
+
+
+def test_mq_outside_root_lattice_is_zero():
+    assert lusztig_mq(A2, (1, 0), (0, 0)) == QPolynomial.zero()
+    assert lusztig_mq(A2, (1, 0), (0, 0), 3) == QPolynomial.zero()
+    assert weyl_multiplicity(A2, (1, 0), (0, 0)) == 0
+    assert weyl_multiplicity(A2, (1, 0), (-1, 1)) == 1  # (1, 0) - alpha_1, a weight of V(1, 0)
+    assert lusztig_mq(A2, (1, 0), (-1, 1)) == QPolynomial({1: 1})
+
+
+def test_mq_on_a_torus_is_the_delta():
+    t = torus_datum(2)
+    assert lusztig_mq(t, (1, -2), (1, -2)) == QPolynomial.one()
+    assert lusztig_mq(t, (1, -2), (0, 0)) == QPolynomial.zero()
+    assert lusztig_mq(t, (0, 0), (0, 0), 0) == QPolynomial.one()
+    assert weyl_multiplicity(t, (3, 0), (3, 0)) == 1
+    assert weyl_multiplicity(t, (3, 0), (2, 0)) == 0
+
+
 def test_weyl_multiplicity_examples():
     assert weyl_multiplicity(A1, (2,), (0,)) == 1
     assert weyl_multiplicity(A2, (1, 1), (0, 0)) == 2
@@ -166,7 +205,8 @@ def test_clear_caches_empties_irrep_cache():
 def test_memo_is_safe_under_concurrent_use(memoized):
     """Threads racing on a cold cache all get the one stored object; a lost
     update (a later writer replacing an earlier one) would break that."""
-    datum = build_root_datum([[2, -1], [-2, 2]])  # fresh: shares no cache entry
+    datum = build_root_datum([[2, -1], [-2, 2]])
+    clear_caches()  # equal data share entries: start from a cold cache
     lam = (3, 2)
     results = []
     start = threading.Barrier(8)

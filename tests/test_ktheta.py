@@ -1,14 +1,15 @@
 """Wedge class, Koszul identity, the product formula, dimension checks."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import ktheta
-from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
+from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.charring import symmetric_series
 from nilchar.cli import main
-from nilchar.config import config_from_dict
 from nilchar.ktheta import (
     Dims,
     RealFormConfig,
@@ -169,10 +170,11 @@ def test_dimension_check_rejects_bad_table():
 
 def test_dimension_check_cone_line_can_fail():
     """dim N comes from the root datum, so a wrong real rank shows on the
-    cone-restriction line itself."""
-    doc = catalog_document("sl3-split")
-    doc["dims"]["rank_split"] = 1
-    result = dimension_check(config_from_dict(doc).real_form)
+    cone-restriction line itself. Built directly: the config loader refuses
+    a split document whose dimensions fail."""
+    sl3 = load_catalog_config("sl3-split").real_form
+    bad = dataclasses.replace(sl3, dims=dataclasses.replace(sl3.dims, rank_split=1))
+    result = dimension_check(bad)
     assert not result.passed
     assert result.lines[0] == "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)"
 

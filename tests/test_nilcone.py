@@ -2,11 +2,12 @@
 
 import pytest
 
-from nilchar import kernels
+from nilchar import kernels, nilcone
 from nilchar.charring import expand_irrep_series
 from nilchar.kostant import clear_caches, lusztig_mq
 from nilchar.nilcone import nilcone_character, nilcone_series
 from nilchar.rootdata import (
+    RootDatum,
     build_root_datum,
     dominant_weights_up_to_height,
     reductive_root_datum,
@@ -17,7 +18,8 @@ A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
 C2 = build_root_datum([[2, -1], [-2, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
-A4 = build_root_datum([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+A4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+A4 = build_root_datum(A4_CARTAN)
 GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
 
 
@@ -82,6 +84,51 @@ def test_scan_builds_one_partition_table(monkeypatch):
     clear_caches()
     assert calls == [(12, 3)]
     assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
+
+
+def test_equal_data_share_one_partition_table(monkeypatch):
+    """Per-datum caches are keyed by value: two A4 data built separately
+    build one table between them."""
+    calls = []
+    build = kernels.partition_table
+
+    def counted(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(kernels, "partition_table", counted)
+    first = build_root_datum(A4_CARTAN)
+    second = build_root_datum(A4_CARTAN)
+    clear_caches()
+    assert nilcone_series(first, 3) == nilcone_series(second, 3)
+    clear_caches()
+    assert calls == [(12, 3)]
+
+
+def test_scan_solves_once_per_weight(monkeypatch):
+    """Lusztig's sum acts on Dynkin labels in simple-root coordinates: one
+    lattice solve per scanned weight (for lam - 0), none per Weyl element."""
+    scanned = []
+    enumerate_weights = nilcone.dominant_weights_up_to_height
+
+    def recorded(datum, bound):
+        out = enumerate_weights(datum, bound)
+        scanned.extend(out)
+        return out
+
+    solves = []
+    solve = RootDatum.root_coords_int
+
+    def counted(self, weight):
+        solves.append(weight)
+        return solve(self, weight)
+
+    monkeypatch.setattr(nilcone, "dominant_weights_up_to_height", recorded)
+    monkeypatch.setattr(RootDatum, "root_coords_int", counted)
+    series = nilcone_series(A4, 3)
+    assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
+    assert scanned
+    assert len(solves) <= len(scanned)
 
 
 def test_torus_cone_is_constants_only():

@@ -1,5 +1,7 @@
 """Root datum construction, Weyl groups, involutions, weight enumeration."""
 
+import itertools
+
 import pytest
 
 from nilchar.rootdata import (
@@ -154,6 +156,46 @@ def test_dominant_weights_up_to_height():
     for w in dominant_weights_up_to_height(a2, 5):
         assert a2.is_dominant(w)
         assert a2.height(w) <= 5
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize(
+    "datum, bound",
+    [
+        (build_root_datum(A2), 8),
+        (build_root_datum(G2), 8),
+        (build_root_datum(A1A1), 8),
+        (build_root_datum(A4), 6),
+        (build_root_datum(D4), 6),
+        (reductive_root_datum(2, [(1, -1)], [(1, -1)]), 8),
+        (torus_datum(2), 3),
+    ],
+    ids=["A2", "G2", "A1A1", "A4", "D4", "GL2", "T2"],
+)
+def test_dominant_weights_match_exhaustive_scan(datum, bound):
+    """The pruned scan against every simple-root combination of height <=
+    bound, tested with is_dominant and sorted by (height, weight)."""
+    expected = []
+    for m in itertools.product(range(bound + 1), repeat=datum.nsimple):
+        if sum(m) <= bound:
+            w = tuple(sum(mj * alpha[k] for mj, alpha in zip(m, datum.simple_roots)) for k in range(datum.rank))
+            if datum.is_dominant(w):
+                expected.append((sum(m), w))
+    assert dominant_weights_up_to_height(datum, bound) == [w for _, w in sorted(expected)]
+    assert dominant_weights_up_to_height(datum, -1) == []
+
+
+def test_equal_data_are_equal_and_hash_alike():
+    first, second = build_root_datum(A4), build_root_datum(A4)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert build_root_datum(A2) != build_root_datum(A1A1)
+    sl2 = build_root_datum(A1)
+    gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
+    assert sl2 != gl2 and gl2 == reductive_root_datum(2, [(1, -1)], [(1, -1)])
+    assert sl2 != "A1"
 
 
 def test_dominant_rep_and_orbit():
