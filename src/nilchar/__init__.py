@@ -2,9 +2,11 @@
 
 The main entry points: `build_root_datum` for the ambient combinatorics,
 `nilcone_series`/`nilcone_character` for the graded functions on the full
-nilpotent cone, `theta_cone_character` for the K-side via the signed exterior
-class, `graded_branching_sum` for the standard-module bookkeeping, and the
-`oracle` module for independent brute-force verification.
+nilpotent cone, `theta_cone_character` for the K-side in the Kostant-Rallis
+form S(p) * prod_i (1 - q^{d_i}) (by the Koszul identity, the paper's
+restriction of C[N] times the signed exterior class of k),
+`graded_branching_sum` for the standard-module bookkeeping, and the `oracle`
+module for independent brute-force verification.
 """
 
 from .charring import (

@@ -343,12 +343,6 @@ def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
     return TorusCharacter(target_rank, out)
 
 
-def restrict_graded(gc: GradedCharacter, rmatrix) -> GradedCharacter:
-    rows = tuple(tuple(int(v) for v in row) for row in rmatrix)
-    layers = [restrict_character(gc.layer(n), rows).terms for n in range(gc.truncation + 1)]
-    return GradedCharacter(len(rows), gc.truncation, layers)
-
-
 def expand_irrep_series(datum: RootDatum, series: IrrepSeries) -> GradedCharacter:
     """Expand highest-weight labels through their full torus characters."""
     layers = []

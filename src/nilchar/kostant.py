@@ -19,32 +19,35 @@ from __future__ import annotations
 import threading
 from operator import mul
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from . import kernels
 from .qpoly import QPolynomial
 from .rootdata import Matrix, RootDatum, Weight, wadd, wdot, wscale, wsub
 
+# Per-datum caches are plain dicts keyed by the datum, which compares and
+# hashes by its Cartan data: an entry serves every equal datum and lives
+# until `clear_caches`. (Weak keys would drop it with the first datum that
+# stored it, while an equal one is still in use.)
 _lock = threading.Lock()
-_tables: WeakKeyDictionary = WeakKeyDictionary()
-_memos: list[WeakKeyDictionary] = []
+_tables: dict[RootDatum, _Table] = {}
+_memos: list[dict] = []
 
 
-def new_memo() -> WeakKeyDictionary:
+def new_memo() -> dict:
     """A per-datum memo table (datum -> {key: value}) that `clear_caches`
     empties. Read and write it only through `memo_get` and `memo_put`."""
-    memo: WeakKeyDictionary = WeakKeyDictionary()
+    memo: dict = {}
     _memos.append(memo)
     return memo
 
 
-def memo_get(memo: WeakKeyDictionary, datum: RootDatum, key):
+def memo_get(memo: dict, datum: RootDatum, key):
     with _lock:
         per_datum = memo.get(datum)
         return None if per_datum is None else per_datum.get(key)
 
 
-def memo_put(memo: WeakKeyDictionary, datum: RootDatum, key, value):
+def memo_put(memo: dict, datum: RootDatum, key, value):
     """Store `value` unless another caller stored one first; return the
     stored value, so concurrent callers all get the same object."""
     with _lock:

@@ -1,15 +1,22 @@
-"""Graded character of the K-nilpotent cone via the signed exterior class.
+"""Graded character of the K-nilpotent cone in the Kostant-Rallis form.
 
-For a real form split modulo center, the graded K-character of functions on
-the theta-fixed part of the nilpotent cone equals the restriction of the full
-cone character multiplied by the signed graded exterior algebra of k. This
-module computes that product, together with the Koszul sanity identity and
-the dimension bookkeeping that the hypothesis rests on.
+For a real form split modulo center, the paper computes the graded
+K-character of functions on the theta-fixed part N_theta of the nilpotent
+cone as the restriction of the full cone character times the signed graded
+exterior algebra of k. Since C[N] = S(g) * prod_i (1 - q^{d_i}) and
+S(k) * Lambda(k) = 1 (the Koszul identity), that product equals
+
+    ch_q C[N_theta] = S(p) * prod_i (1 - q^{d_i}),
+
+the Kostant-Rallis description of N_theta as the zero fibre of p -> p//K
+(Amer. J. Math. 93, 1971). This module computes the right-hand side on the
+K-torus alone, with the invariant degrees d_i of G, together with the Koszul
+sanity identity and the dimension bookkeeping that the hypothesis rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .charring import (
     GradedCharacter,
@@ -17,11 +24,10 @@ from .charring import (
     decompose_into_irreducibles,
     expand_irrep_series,
     graded_mul,
-    restrict_graded,
     symmetric_series,
 )
 from .nilcone import nilcone_character, nilcone_series
-from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, wneg
+from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, mat_apply, wneg
 
 
 class SplitHypothesisError(ValueError):
@@ -52,7 +58,11 @@ class Dims:
 @dataclass(frozen=True)
 class RealFormConfig:
     """The (G, theta, K) package: ambient root datum, involution, torus-level
-    restriction to K, the weights of k, and the dimension table."""
+    restriction to K, the weights of k, and the dimension table.
+
+    `p_weights` is derived: the restricted weights of g (both signs of every
+    root, and `rank` zero weights) less the weights of k, as multisets. A k
+    weight that the restricted weights of g do not cover is refused."""
 
     label: str
     g_datum: RootDatum
@@ -63,6 +73,7 @@ class RealFormConfig:
     dims: Dims
     split_mod_center: bool
     k_datum: RootDatum | None = None
+    p_weights: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         classify_roots(self.g_datum, self.involution)
@@ -82,6 +93,7 @@ class RealFormConfig:
             raise ValueError("dimension table violates dim g = dim k + dim p")
         if _multiset(kw) != _multiset(map(wneg, kw)):
             raise ValueError("k weights must be symmetric under negation")
+        object.__setattr__(self, "p_weights", _p_weights(self.g_datum, rows, kw))
         if self.k_datum is not None:
             if self.k_datum.rank != self.k_torus_rank:
                 raise ValueError("K root datum rank must equal the K-torus rank")
@@ -93,6 +105,23 @@ def _multiset(items):
     for x in items:
         out[x] = out.get(x, 0) + 1
     return out
+
+
+def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]:
+    """The restricted weights of g less the weights of k, as a sorted
+    multiset; a k weight they do not cover is a ValueError naming k.weights."""
+    roots = [mat_apply(restriction, r) for r in g_datum.positive_roots]
+    zeros = [(0,) * len(restriction)] * g_datum.rank
+    counts = _multiset(roots + [wneg(w) for w in roots] + zeros)
+    for w, c in sorted(_multiset(k_weights).items()):
+        if c > counts.get(w, 0):
+            raise ValueError(
+                f"k.weights: weight {list(w)} occurs {c} times in k but "
+                f"{counts.get(w, 0)} times in the restricted weights of g, so p would "
+                "have a negative multiplicity"
+            )
+        counts[w] -= c
+    return tuple(w for w, c in sorted(counts.items()) for _ in range(c))
 
 
 def _check_weyl_invariant_multiset(datum: RootDatum, weights) -> None:
@@ -161,18 +190,28 @@ def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
 
 
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:
-    """Graded K-torus character of functions on the K-nilpotent cone:
-    restrict the full cone character and multiply by the signed exterior
-    class of k."""
+    """Graded K-torus character of functions on the K-nilpotent cone, in the
+    Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}): the symmetric algebra on
+    the p weights times one factor per invariant degree of G, d_i = e_i + 1
+    over the exponents and d = 1 for each central direction. By the Koszul
+    identity this equals the paper's restriction of C[N] times the signed
+    exterior class of k; it never builds the G-torus character."""
     if not config.split_mod_center and not force:
         raise SplitHypothesisError(
             f"config {config.label!r} is not split modulo center; the product formula is "
             "proved only under that hypothesis (pass force=True to compute it anyway)"
         )
-    full = nilcone_character(config.g_datum, truncation)
-    restricted = restrict_graded(full, config.restriction)
-    wedge = wedge_class(config.k_weights, truncation, rank=config.k_torus_rank)
-    return graded_mul(restricted, wedge)
+    g = config.g_datum
+    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank).layers
+    degrees = [e + 1 for e in g.exponents] + [1] * (g.rank - len(g.exponents))
+    for d in degrees:
+        # Times (1 - q^d) in place: from the top down, so that layer n - d
+        # still holds the factor's input when layer n subtracts it.
+        for n in range(truncation, d - 1, -1):
+            layer = layers[n]
+            for w, c in layers[n - d].items():
+                layer[w] = layer.get(w, 0) - c
+    return GradedCharacter(config.k_torus_rank, truncation, layers)
 
 
 def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:

@@ -1,0 +1,21 @@
+"""The paper's product formula for C[N_theta], kept on the test side: the
+G-torus character of C[N] restricted to the K-torus, times the signed
+exterior class of k. The library computes the same character in the
+Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (`theta_cone_character`);
+the two agree by the Koszul identity S(k) * Lambda(k) = 1."""
+
+from nilchar.charring import GradedCharacter, graded_mul, restrict_character
+from nilchar.ktheta import RealFormConfig, wedge_class
+from nilchar.nilcone import nilcone_character
+
+
+def restrict_graded(gc: GradedCharacter, rmatrix) -> GradedCharacter:
+    """`restrict_character` applied to every layer."""
+    rows = tuple(tuple(int(v) for v in row) for row in rmatrix)
+    layers = [restrict_character(gc.layer(n), rows).terms for n in range(gc.truncation + 1)]
+    return GradedCharacter(len(rows), gc.truncation, layers)
+
+
+def restrict_times_wedge(config: RealFormConfig, truncation: int) -> GradedCharacter:
+    restricted = restrict_graded(nilcone_character(config.g_datum, truncation), config.restriction)
+    return graded_mul(restricted, wedge_class(config.k_weights, truncation, rank=config.k_torus_rank))

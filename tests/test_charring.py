@@ -15,7 +15,6 @@ from nilchar.charring import (
     graded_mul,
     irreducible_character,
     restrict_character,
-    restrict_graded,
 )
 from nilchar.kostant import weyl_multiplicity
 from nilchar.ktheta import theta_cone_character, wedge_class
@@ -27,6 +26,7 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
+from paper_formula import restrict_graded
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])

@@ -51,6 +51,22 @@ def test_config_error_inconsistent_weights():
         config_from_dict(doc)
 
 
+def test_config_error_k_weights_outside_g(tmp_path, capsys):
+    """sl3-split restricts the roots of g to +-4, +-2, +-2 on the K-torus.
+    With k weights +-6, p would need weight 6 with multiplicity -1."""
+    doc = catalog_document("sl3-split")
+    doc["k"]["weights"] = [[-6], [0], [6]]
+    with pytest.raises(ConfigError, match=r"k\.weights: weight \[-6\] occurs 1 times in k but 0"):
+        config_from_dict(doc)
+    path = tmp_path / "bad_k.json"
+    path.write_text(json.dumps(doc))
+    for command in ("cntheta", "checks"):
+        code, out, err = run(capsys, command, "--group", str(path), "--degree", "3")
+        assert code == 1 and out == "", command
+        assert err.startswith("error: ") and "Traceback" not in err, command
+        assert "k.weights" in err, command
+
+
 def test_config_error_model_rank():
     doc = catalog_document("sl2-split")
     doc["oracle_model"]["variables"][0]["weight"] = [2, 0]

@@ -4,6 +4,7 @@ Expected values for the partition polynomials come from the exhaustive
 enumeration oracle below, which never touches the dynamic program.
 """
 
+import gc
 import itertools
 import sys
 import threading
@@ -25,6 +26,7 @@ from nilchar.kostant import (
     weyl_multiplicity,
     weyl_on_labels,
 )
+from nilchar.nilcone import nilcone_series
 from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
 
@@ -199,6 +201,32 @@ def test_clear_caches_empties_irrep_cache():
     clear_caches()
     assert A2 not in charring._irrep_cache
     assert A2 not in kostant._freudenthal_cache
+
+
+def test_equal_datum_keeps_table_after_first_is_collected(monkeypatch):
+    """The partition table and the per-datum memos serve every equal datum,
+    and stay while one of them is alive, even when the datum that stored
+    them is collected."""
+    builds = []
+    real = kernels.partition_table
+
+    def counted(*args, **kwargs):
+        builds.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "partition_table", counted)
+    clear_caches()
+    first = build_root_datum([[2, -1], [-1, 2]])
+    second = build_root_datum([[2, -1], [-1, 2]])
+    assert nilcone_series(first, 4) == nilcone_series(second, 4)
+    assert len(builds) == 1
+    on_labels = weyl_on_labels(first)
+    del first
+    gc.collect()
+    nilcone_series(second, 4)
+    assert len(builds) == 1
+    assert weyl_on_labels(second) is on_labels
+    clear_caches()
 
 
 @pytest.mark.parametrize("memoized", [freudenthal_table, irreducible_character])

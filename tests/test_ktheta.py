@@ -1,4 +1,5 @@
-"""Wedge class, Koszul identity, the product formula, dimension checks."""
+"""Wedge class, Koszul identity, the Kostant-Rallis form against the paper's
+product formula, dimension checks."""
 
 import dataclasses
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import ktheta
+from nilchar import charring, ktheta, nilcone
 from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.charring import symmetric_series
 from nilchar.cli import main
@@ -21,7 +22,8 @@ from nilchar.ktheta import (
     theta_cone_ktypes,
     wedge_class,
 )
-from nilchar.rootdata import InvolutionData, build_root_datum, torus_datum
+from nilchar.rootdata import InvolutionData, build_root_datum, reductive_root_datum, torus_datum
+from paper_formula import restrict_times_wedge
 
 
 def test_wedge_single_zero_weight():
@@ -128,6 +130,92 @@ def test_kostant_rallis_multiplicity_one_sl2():
         for w, c in layer.items():
             totals[w] = totals.get(w, 0) + c
     assert totals == {(2 * k,): 1 for k in range(-N, N + 1)}
+
+
+SPLIT = [name for name in catalog_names() if load_catalog_config(name).real_form.split_mod_center]
+
+# Split GL2: K = O(2), whose torus SO(2) is conjugate to {diag(z, 1/z)}, so a
+# G-torus weight (a, b) restricts to a - b. The centre of gl2 lies in p.
+GL2_SPLIT = RealFormConfig(
+    label="gl2-split",
+    g_datum=reductive_root_datum(2, [(1, -1)], [(1, -1)]),
+    involution=InvolutionData([[-1, 0], [0, -1]]),
+    k_torus_rank=1,
+    restriction=[[1, -1]],
+    k_weights=[(0,)],
+    dims=Dims(dim_g=4, dim_k=1, dim_p=3, rank_split=2),
+    split_mod_center=True,
+)
+# A one-dimensional compact torus: its only (central) direction lies in k.
+COMPACT_TORUS = RealFormConfig(
+    label="u1",
+    g_datum=torus_datum(1),
+    involution=InvolutionData([[1]]),
+    k_torus_rank=1,
+    restriction=[[1]],
+    k_weights=[(0,)],
+    dims=Dims(dim_g=1, dim_k=1, dim_p=0, rank_split=0),
+    split_mod_center=False,
+)
+
+
+@pytest.mark.parametrize("name", SPLIT)
+def test_kostant_rallis_form_is_paper_product(name):
+    cfg = load_catalog_config(name).real_form
+    assert theta_cone_character(cfg, 20) == restrict_times_wedge(cfg, 20)
+
+
+def test_kostant_rallis_form_is_paper_product_forced():
+    swap = load_catalog_config("sl2xsl2-swap").real_form
+    assert theta_cone_character(swap, 12, force=True) == restrict_times_wedge(swap, 12)
+
+
+def test_kostant_rallis_form_central_torus():
+    """A central direction of G counts as an invariant of degree 1, whether
+    it lies in p (split GL2) or in k (a compact torus)."""
+    assert dimension_check(GL2_SPLIT).passed
+    assert GL2_SPLIT.g_datum.exponents == (1,)
+    assert GL2_SPLIT.p_weights == ((-2,), (0,), (2,))
+    gc = theta_cone_character(GL2_SPLIT, 12)
+    assert gc == restrict_times_wedge(GL2_SPLIT, 12)
+    assert gc == theta_cone_character(SL2, 12)
+    assert COMPACT_TORUS.p_weights == ()
+    gc = theta_cone_character(COMPACT_TORUS, 4, force=True)
+    assert gc == restrict_times_wedge(COMPACT_TORUS, 4)
+    assert gc.layers == [{(0,): 1}, {(0,): -1}, {}, {}, {}]
+
+
+def test_p_weights_catalog():
+    assert load_catalog_config("sl3-split").real_form.p_weights == ((-4,), (-2,), (0,), (2,), (4,))
+    sp4 = load_catalog_config("sp4-split").real_form
+    assert sp4.p_weights == ((-2, 0), (-1, -1), (0, -2), (0, 2), (1, 1), (2, 0))
+    for name in catalog_names():
+        cfg = load_catalog_config(name).real_form
+        assert len(cfg.p_weights) == cfg.dims.dim_p, name
+
+
+def test_theta_cone_builds_no_g_torus_character(monkeypatch):
+    """The K side never builds C[N] on the G-torus, restricts it, or
+    multiplies by the exterior class of k."""
+    rf = load_catalog_config("sp4-split").real_form
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (nilcone, ktheta):
+        monkeypatch.setattr(module, "nilcone_character", counted("nilcone", nilcone.nilcone_character))
+    monkeypatch.setattr(charring, "restrict_character", counted("restrict", charring.restrict_character))
+    monkeypatch.setattr(ktheta, "wedge_class", counted("wedge", ktheta.wedge_class))
+    monkeypatch.setattr(ktheta, "graded_mul", counted("graded_mul", ktheta.graded_mul))
+    gc = theta_cone_character(rf, 8)
+    ktypes = theta_cone_ktypes(rf, 8)
+    assert calls == []
+    assert gc.masses()[8] > 0 and all(ktypes.layers)
 
 
 def test_dimension_check_catalog():
