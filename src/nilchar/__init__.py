@@ -21,7 +21,6 @@ from .charring import (
 from .config import ConfigError, LoadedConfig, config_from_dict, load_config_file
 from .catalog import catalog_names, load_catalog_config
 from .kostant import (
-    freudenthal_multiplicity,
     kostant_partition,
     kostant_partition_q,
     lusztig_mq,

@@ -2,10 +2,10 @@
 character series, graded symmetric algebras, plus decomposition of
 Weyl-invariant characters into irreducibles.
 
-Irreducible characters come from Freudenthal's recursion; the Weyl-sum
-multiplicities (`kostant.weyl_multiplicity`) remain a test of them.
-Decomposition reads multiplicities off the product with the Weyl
-denominator and builds no irreducible character.
+Irreducible characters come from Demazure's character formula; the
+Weyl-sum multiplicities (`kostant.weyl_multiplicity`) and the Weyl numerator
+remain tests of them. Decomposition reads multiplicities off the product
+with the Weyl denominator and builds no irreducible character.
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -13,8 +13,8 @@ the typical inputs.
 
 from __future__ import annotations
 
-from .kostant import freudenthal_table, memo_get, memo_put, new_memo
-from .rootdata import RootDatum, Weight, mat_apply, wadd, wsub
+from .kostant import memo_get, memo_put, new_memo
+from .rootdata import RootDatum, Weight, mat_apply, wadd, wdot, wsub
 
 _irrep_cache = new_memo()
 
@@ -272,19 +272,35 @@ class IrrepSeries:
 
 
 def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
-    """Full torus character of the irreducible with highest weight `lam`:
-    the Freudenthal multiplicities of its dominant weights, spread over
-    Weyl orbits."""
+    """Full torus character of the irreducible with highest weight `lam`, by
+    Demazure's character formula ch V_lam = D_{w0}(e^lam) (Bull. Sci. Math.
+    98, 1974): one Demazure operator per letter of a reduced word of the
+    longest Weyl element."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     cached = memo_get(_irrep_cache, datum, lam)
     if cached is not None:
         return cached
-    terms: dict[Weight, int] = {}
-    for mu, m in freudenthal_table(datum, lam).items():
-        for nu in datum.weyl_orbit(mu):
-            terms[nu] = m
+    terms = {tuple(lam): 1}
+    for i in reversed(datum.longest_element().word):
+        terms = _demazure(datum, i, terms)
     return memo_put(_irrep_cache, datum, lam, TorusCharacter(datum.rank, terms))
+
+
+def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight, int]:
+    """The Demazure operator D_i = (e^mu - e^{s_i(mu) - alpha_i}) / (1 - e^{-alpha_i})
+    on e^mu, with n = <mu, alpha_i^vee>: the string e^{mu - k alpha_i} for
+    k = 0..n when n >= 0, zero when n = -1, and minus the string for
+    k = n+1..-1 when n <= -2."""
+    alpha, coroot = datum.simple_roots[i], datum.simple_coroots[i]
+    out: dict[Weight, int] = {}
+    for mu, c in terms.items():
+        n = wdot(mu, coroot)
+        ks, sign = (range(n + 1), c) if n >= 0 else (range(n + 1, 0), -c)
+        for k in ks:
+            key = tuple(m - k * a for m, a in zip(mu, alpha))
+            out[key] = out.get(key, 0) + sign
+    return {w: c for w, c in out.items() if c}
 
 
 def decompose_into_irreducibles(datum: RootDatum, ch: TorusCharacter) -> dict[Weight, int]:
@@ -341,15 +357,3 @@ def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
         key = mat_apply(rows, w)
         out[key] = out.get(key, 0) + c
     return TorusCharacter(target_rank, out)
-
-
-def expand_irrep_series(datum: RootDatum, series: IrrepSeries) -> GradedCharacter:
-    """Expand highest-weight labels through their full torus characters."""
-    layers = []
-    for n in range(series.truncation + 1):
-        acc: dict[Weight, int] = {}
-        for lam, c in series.layers[n].items():
-            for w, m in irreducible_character(datum, lam).terms.items():
-                acc[w] = acc.get(w, 0) + c * m
-        layers.append(acc)
-    return GradedCharacter(datum.rank, series.truncation, layers)

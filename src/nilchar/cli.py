@@ -109,6 +109,14 @@ def _fmt_weight(w) -> str:
     return "[" + ",".join(str(v) for v in w) + "]"
 
 
+def _weight_rows(records: list[dict], key: str, as_json: bool) -> list[dict]:
+    """`to_records()` rows, passed through for JSON; for text, with the
+    weight column `key` written compactly."""
+    if as_json:
+        return records
+    return [{**r, key: _fmt_weight(r[key])} for r in records]
+
+
 def cmd_catalog(args) -> int:
     rows = [{"name": n, "description": catalog_description(n)} for n in catalog_names()]
     _emit({"command": "catalog"}, rows, ["name", "description"], args.json)
@@ -119,18 +127,9 @@ def cmd_cn(args) -> int:
     cfg = _load_group(args.group)
     degree = _check_degree(args)
     series = nilcone_series(cfg.real_form.g_datum, degree)
-    rows = []
-    for rec in series.to_records():
-        rows.append(
-            {
-                "degree": rec["degree"],
-                "highest_weight": _fmt_weight(rec["highest_weight"]) if not args.json else rec["highest_weight"],
-                "multiplicity": rec["multiplicity"],
-            }
-        )
     _emit(
         {"command": "cn", "group": cfg.label, "degree": degree},
-        rows,
+        _weight_rows(series.to_records(), "highest_weight", args.json),
         ["degree", "highest_weight", "multiplicity"],
         args.json,
     )
@@ -141,24 +140,14 @@ def cmd_cntheta(args) -> int:
     cfg = _load_group(args.group)
     degree = _check_degree(args)
     if args.decompose_k:
-        series = theta_cone_ktypes(cfg.real_form, degree, force=args.force)
-        raw = series.to_records()
+        records = theta_cone_ktypes(cfg.real_form, degree, force=args.force).to_records()
         key = "highest_weight"
     else:
-        gc = theta_cone_character(cfg.real_form, degree, force=args.force)
-        raw = gc.to_records()
+        records = theta_cone_character(cfg.real_form, degree, force=args.force).to_records()
         key = "weight"
-    rows = [
-        {
-            "degree": r["degree"],
-            key: _fmt_weight(r[key]) if not args.json else r[key],
-            "multiplicity": r["multiplicity"],
-        }
-        for r in raw
-    ]
     _emit(
         {"command": "cntheta", "group": cfg.label, "degree": degree},
-        rows,
+        _weight_rows(records, key, args.json),
         ["degree", key, "multiplicity"],
         args.json,
     )

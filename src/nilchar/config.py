@@ -110,6 +110,8 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
     for i, entry in enumerate(value):
         tpath = f"{path}[{i}]"
         label = str(_get(entry, "label", tpath))
+        if any(other.label == label for other in out):
+            raise ConfigError(f"{tpath}.label: duplicate torus label {label!r}")
         theta = _load_involution(
             {"matrix": _get(entry, "theta", tpath), "compact_roots": entry.get("compact_roots", [])},
             tpath,
@@ -121,6 +123,8 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
         for j, ps in enumerate(raw_systems):
             spath = f"{tpath}.positive_systems[{j}]"
             ps_id = str(_get(ps, "id", spath))
+            if any(other.id == ps_id for other in systems):
+                raise ConfigError(f"{spath}.id: duplicate positive-system id {ps_id!r}")
             imaginary = _weight_list(
                 _get(ps, "imaginary_roots", spath, required=False, default=[]),
                 f"{spath}.imaginary_roots",

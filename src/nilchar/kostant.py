@@ -1,12 +1,11 @@
-"""Kostant's partition function, Lusztig's q-analog of weight multiplicity,
-and Freudenthal's recursion.
+"""Kostant's partition function and Lusztig's q-analog of weight multiplicity.
 
 The partition polynomial counts expressions of a root-lattice weight as sums
-of positive roots, graded by the number of summands. Weight multiplicities
-come in two independent flavours: the alternating Weyl-group sum over the
-partition function, and Freudenthal's recursion over the weight saturation.
-Freudenthal's tables build the irreducible characters; the Weyl-group sum is
-kept as the independent check of them, not as a second production route.
+of positive roots, graded by the number of summands. Its alternating
+Weyl-group sum gives the q-analog of a weight multiplicity; at q = 1 it is
+Kostant's multiplicity formula (`weyl_multiplicity`), kept as the reference
+that tests hold the Demazure-built irreducible characters
+(`charring.irreducible_character`) against.
 
 The Weyl-group sum runs in integer simple-root coordinates: the Weyl group
 acts on Dynkin labels through one integer matrix per element
@@ -18,11 +17,10 @@ from __future__ import annotations
 
 import threading
 from operator import mul
-from fractions import Fraction
 
 from . import kernels
 from .qpoly import QPolynomial
-from .rootdata import Matrix, RootDatum, Weight, wadd, wdot, wscale, wsub
+from .rootdata import Matrix, RootDatum, Weight, wdot, wsub
 
 # Per-datum caches are plain dicts keyed by the datum, which compares and
 # hashes by its Cartan data: an entry serves every equal datum and lives
@@ -52,9 +50,6 @@ def memo_put(memo: dict, datum: RootDatum, key, value):
     stored value, so concurrent callers all get the same object."""
     with _lock:
         return memo.setdefault(datum, {}).setdefault(key, value)
-
-
-_freudenthal_cache = new_memo()
 
 
 class _Table:
@@ -208,75 +203,3 @@ def weyl_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:
     """Multiplicity of the weight `mu` in the irreducible of highest weight
     `lam`, by the signed Weyl-group sum over plain partition counts."""
     return sum(_weyl_sum(datum, lam, mu, None))
-
-
-def freudenthal_table(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Multiplicities of all dominant weights of the irreducible with highest
-    weight `lam`, by Freudenthal's recursion. Independent of the partition
-    function path."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    cached = memo_get(_freudenthal_cache, datum, lam)
-    if cached is not None:
-        return cached
-
-    if datum.nsimple == 0:
-        return memo_put(_freudenthal_cache, datum, lam, {lam: 1})
-
-    w0 = datum.longest_element()
-    span = wsub(lam, w0.act(lam))
-    hmax = datum.height(span)
-    dominants: list[tuple[int, Weight]] = []
-    for total, mu in _lower_dominants(datum, lam, hmax):
-        dominants.append((total, mu))
-    dominants.sort(key=lambda t: (t[0], t[1]))
-
-    two_rho = datum.two_rho
-    lam2 = wadd(wscale(2, lam), two_rho)
-    norm_lam = datum.inner(lam2, lam2)
-    mult: dict[Weight, int] = {}
-    for dist, mu in dominants:
-        if dist == 0:
-            mult[mu] = 1
-            continue
-        num = Fraction(0)
-        for alpha in datum.positive_roots:
-            k = 1
-            while True:
-                nu = wadd(mu, wscale(k, alpha))
-                m_nu = mult.get(datum.dominant_rep(nu))
-                if m_nu is None:
-                    break
-                num += 2 * m_nu * datum.inner(nu, alpha)
-                k += 1
-        mu2 = wadd(wscale(2, mu), two_rho)
-        denom = (norm_lam - datum.inner(mu2, mu2)) / 4
-        val = num / denom
-        assert val.denominator == 1 and val >= 0
-        mult[mu] = int(val)
-    return memo_put(_freudenthal_cache, datum, lam, mult)
-
-
-def freudenthal_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:
-    return freudenthal_table(datum, lam).get(datum.dominant_rep(mu), 0)
-
-
-def _lower_dominants(datum: RootDatum, lam: Weight, hmax: int):
-    """(height-distance, mu) for dominant mu with lam - mu a non-negative
-    root-lattice combination of height <= hmax."""
-    nsimple = datum.nsimple
-    stack = [(0, (0,) * nsimple)]
-    seen = {(0,) * nsimple}
-    while stack:
-        total, m = stack.pop()
-        mu = lam
-        for j, mj in enumerate(m):
-            mu = wsub(mu, wscale(mj, datum.simple_roots[j]))
-        if datum.is_dominant(mu):
-            yield total, mu
-        if total < hmax:
-            for j in range(nsimple):
-                nm = m[:j] + (m[j] + 1,) + m[j + 1:]
-                if nm not in seen:
-                    seen.add(nm)
-                    stack.append((total + 1, nm))

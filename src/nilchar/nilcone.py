@@ -14,8 +14,8 @@ q-analog multiplicity against the zero weight. Only weights expressible as
 sums of at most n positive roots can contribute at degree n, which bounds the
 enumeration domain by height. The scan builds one partition table, cut at
 q^n, and spends one lattice solve per scanned weight (in `lusztig_mq`).
-Expanded through irreducible characters it is an independent route to
-`nilcone_character` (`ktheta.lusztig_check`).
+It is an independent route to `nilcone_character`: `ktheta.lusztig_check`
+decomposes each closed-form layer into irreducibles and compares the labels.
 """
 
 from __future__ import annotations

@@ -298,17 +298,6 @@ class RootDatum:
                 count += 1
         return count
 
-    def dominant_rep(self, weight: Weight) -> Weight:
-        """The dominant Weyl-orbit representative."""
-        w = weight
-        while True:
-            for i in range(self.nsimple):
-                if wdot(w, self.simple_coroots[i]) < 0:
-                    w = self.reflect(i, w)
-                    break
-            else:
-                return w
-
     def weyl_orbit(self, weight: Weight) -> set[Weight]:
         orbit = {weight}
         frontier = [weight]

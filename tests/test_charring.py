@@ -1,17 +1,18 @@
 """Torus characters, graded series, decomposition into irreducibles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, kostant
+from nilchar import charring
 from nilchar.catalog import load_catalog_config
 from nilchar.charring import (
     GradedCharacter,
     IrrepSeries,
     TorusCharacter,
     decompose_into_irreducibles,
-    expand_irrep_series,
     graded_mul,
     irreducible_character,
     restrict_character,
@@ -33,6 +34,8 @@ A2 = build_root_datum([[2, -1], [-1, 2]])
 B2 = build_root_datum([[2, -2], [-1, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
 A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+A4 = build_root_datum([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
 
 
 def chi(*coords, mult=1):
@@ -70,13 +73,44 @@ def test_irreducible_character_a2_fundamental():
 
 
 def test_irreducible_character_mass_is_weyl_dimension():
-    for lam in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+    for lam in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
         assert irreducible_character(A2, lam).mass() == A2.weyl_dimension(lam)
 
 
 def test_irreducible_character_rejects_non_dominant():
     with pytest.raises(ValueError):
         irreducible_character(A2, (-1, 0))
+
+
+def dominant_box(datum, bound):
+    """Every dominant weight with coordinates in [-bound, bound]."""
+    box = itertools.product(range(-bound, bound + 1), repeat=datum.rank)
+    return [lam for lam in box if datum.is_dominant(lam)]
+
+
+@pytest.mark.parametrize(
+    "datum, bound", [(A2, 3), (B2, 3), (G2, 2), (A3, 2), (GL2, 3)], ids=["A2", "B2", "G2", "A3", "GL2"]
+)
+def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound):
+    """Weyl's character formula in product form: ch(V_lam) * prod_{alpha>0}
+    (1 - e^{-alpha}) = sum_w sign(w) e^{(w(2 lam + 2 rho) - 2 rho) / 2}, with
+    the denominator built here by ring products and the numerator summed over
+    the whole Weyl group."""
+    one = TorusCharacter.trivial(datum.rank)
+    denominator = one
+    for alpha in datum.positive_roots:
+        denominator = denominator * (one - TorusCharacter.from_weight(tuple(-v for v in alpha)))
+    two_rho = datum.two_rho
+    lams = dominant_box(datum, bound)
+    assert len(lams) > bound
+    for lam in lams:
+        numerator = TorusCharacter(datum.rank)
+        shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
+        for w in datum.weyl_group():
+            doubled = tuple(a - r for a, r in zip(w.act(shifted), two_rho))
+            assert all(v % 2 == 0 for v in doubled)
+            numerator = numerator + TorusCharacter.from_weight(tuple(v // 2 for v in doubled), w.sign)
+        assert irreducible_character(datum, lam) * denominator == numerator, lam
 
 
 def test_decompose_trivial():
@@ -107,7 +141,9 @@ def test_decompose_rejects_rank_mismatch():
 
 
 @pytest.mark.parametrize(
-    "datum, truncation", [(A2, 6), (B2, 6), (G2, 6), (A3, 4)], ids=["A2", "B2", "G2", "A3"]
+    "datum, truncation",
+    [(A1, 20), (A2, 12), (B2, 8), (G2, 6), (A3, 4), (A4, 2), (GL2, 6), (torus_datum(2), 4)],
+    ids=["A1", "A2", "B2", "G2", "A3", "A4", "GL2", "T2"],
 )
 def test_decompose_nilcone_layers_match_lusztig(datum, truncation):
     """The closed-form C[N], decomposed layer by layer, is the highest-weight
@@ -138,7 +174,7 @@ def test_decompose_signed_exterior_round_trip(datum):
 
 def test_decompose_builds_no_irreducible(monkeypatch):
     """Reading K-types off the Weyl denominator needs no irreducible
-    character, no Freudenthal table and no root-lattice solve."""
+    character, no Demazure operator and no root-lattice solve."""
     rf = load_catalog_config("sp4-split").real_form
     gc = theta_cone_character(rf, 8)
     calls = []
@@ -151,8 +187,7 @@ def test_decompose_builds_no_irreducible(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(charring, "irreducible_character", counted("irrep", charring.irreducible_character))
-    monkeypatch.setattr(charring, "freudenthal_table", counted("freudenthal", charring.freudenthal_table))
-    monkeypatch.setattr(kostant, "freudenthal_table", counted("freudenthal", kostant.freudenthal_table))
+    monkeypatch.setattr(charring, "_demazure", counted("demazure", charring._demazure))
     monkeypatch.setattr(RootDatum, "root_coords_int", counted("solve", RootDatum.root_coords_int))
     ktypes = [decompose_into_irreducibles(rf.k_datum, gc.layer(n)) for n in range(9)]
     assert calls == []
@@ -273,14 +308,6 @@ def test_restrict_graded():
     assert r.layers == [{(0,): 1}, {(2,): 1, (-2,): 1}]
 
 
-def test_expand_irrep_series():
-    from nilchar.charring import IrrepSeries
-
-    series = IrrepSeries(1, 1, [{(0,): 1}, {(2,): 1}])
-    gc = expand_irrep_series(A1, series)
-    assert gc.layers == [{(0,): 1}, {(-2,): 1, (0,): 1, (2,): 1}]
-
-
 def test_records_are_sorted_and_stable():
     gc = GradedCharacter(1, 1, [{(0,): 1}, {(2,): 1, (-2,): 1}])
     assert gc.to_records() == [
@@ -291,11 +318,15 @@ def test_records_are_sorted_and_stable():
 
 
 def test_irreducible_character_matches_weyl_sums():
-    """Freudenthal-built characters against the Weyl-sum multiplicities over
-    the criterion-5 scan set (A2 and B2, height <= 6)."""
+    """Demazure-built characters against the Weyl-sum multiplicities over
+    the criterion-5 scan set (A2 and B2, height <= 6), the dominant G2
+    weights of height <= 10 and a box of GL2 weights (central charge
+    included)."""
     checked = 0
-    for datum in (A2, B2):
-        for lam in dominant_weights_up_to_height(datum, 6):
+    scans = [(datum, dominant_weights_up_to_height(datum, h)) for datum, h in ((A2, 6), (B2, 6), (G2, 10))]
+    scans.append((GL2, dominant_box(GL2, 3)))
+    for datum, lams in scans:
+        for lam in lams:
             ch = irreducible_character(datum, lam)
             assert ch.mass() == datum.weyl_dimension(lam)
             for mu, m in ch.terms.items():

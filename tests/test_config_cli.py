@@ -1,5 +1,6 @@
 """Configuration loading and the command-line surface."""
 
+import copy
 import json
 import re
 
@@ -79,6 +80,37 @@ def test_config_error_bad_tori():
     doc["tori"][1]["positive_systems"][0]["imaginary_roots"] = [[2], [-2]]
     with pytest.raises(ConfigError, match="tori"):
         config_from_dict(doc)
+
+
+def test_config_error_duplicate_torus_label():
+    """A repeated torus would silently double its branching coefficients."""
+    doc = catalog_document("sl2-split")
+    doc["tori"].append(copy.deepcopy(doc["tori"][0]))
+    with pytest.raises(ConfigError, match=re.escape("tori[2].label: duplicate torus label 'split'")):
+        config_from_dict(doc)
+
+
+def test_config_error_duplicate_positive_system_id():
+    doc = catalog_document("sl2-split")
+    systems = doc["tori"][0]["positive_systems"]
+    systems.append(copy.deepcopy(systems[0]))
+    with pytest.raises(ConfigError, match=re.escape("tori[0].positive_systems[1].id: duplicate")):
+        config_from_dict(doc)
+
+
+def test_config_error_k_datum_is_not_k(tmp_path, capsys):
+    """sl2-split has K = SO(2), a torus: an A1 datum for K has weights -2, 0,
+    2, not the one zero weight of k, and would print A1 labels."""
+    doc = catalog_document("sl2-split")
+    doc["k"]["datum"] = {"cartan_matrix": [[2]]}
+    with pytest.raises(ConfigError, match=r"k\.datum: its adjoint weights"):
+        config_from_dict(doc)
+    path = tmp_path / "bad_k_datum.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "3", "--decompose-k")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "k.datum" in err
 
 
 @pytest.mark.parametrize(

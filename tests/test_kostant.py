@@ -1,4 +1,5 @@
-"""Partition function, q-multiplicities, Freudenthal; the partition kernel.
+"""Partition function, q-multiplicities, Demazure-built characters against
+the Weyl-group sums; the partition kernel.
 
 Expected values for the partition polynomials come from the exhaustive
 enumeration oracle below, which never touches the dynamic program.
@@ -13,12 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, kernels, kostant
+from nilchar import charring, kernels
 from nilchar.charring import irreducible_character
 from nilchar.kostant import (
     clear_caches,
-    freudenthal_multiplicity,
-    freudenthal_table,
     kostant_partition,
     kostant_partition_q,
     lusztig_mq,
@@ -114,8 +113,6 @@ def test_mq_rejects_non_dominant():
         lusztig_mq(A2, (-1, 0), (0, 0))
     with pytest.raises(ValueError):
         weyl_multiplicity(A2, (-1, 0), (0, 0))
-    with pytest.raises(ValueError):
-        freudenthal_multiplicity(A2, (-1, 0), (0, 0))
 
 
 @pytest.mark.parametrize(
@@ -160,29 +157,24 @@ def test_weyl_multiplicity_examples():
     assert weyl_multiplicity(A2, (1, 1), (1, 1)) == 1
 
 
-def test_freudenthal_examples():
-    assert freudenthal_multiplicity(A1, (4,), (0,)) == 1
-    assert freudenthal_multiplicity(A2, (1, 1), (2, -1)) == 1
-    assert freudenthal_multiplicity(A2, (1, 1), (0, 0)) == 2
-    assert freudenthal_multiplicity(A2, (1, 1), (5, 5)) == 0
-
-
-def test_freudenthal_total_dimension():
-    for lam in [(1, 1), (2, 0), (2, 2)]:
-        table = freudenthal_table(A2, lam)
-        total = sum(m * len(A2.weyl_orbit(mu)) for mu, m in table.items())
-        assert total == A2.weyl_dimension(lam)
+def test_irreducible_character_examples():
+    assert irreducible_character(A1, (4,)).terms[(0,)] == 1
+    assert irreducible_character(A2, (1, 1)).terms[(2, -1)] == 1
+    assert irreducible_character(A2, (1, 1)).terms[(0, 0)] == 2
+    assert (5, 5) not in irreducible_character(A2, (1, 1)).terms
 
 
 @pytest.mark.parametrize("datum", [A2, B2], ids=["A2", "B2"])
 def test_three_way_multiplicity_agreement(datum):
+    """Lusztig's q-analog at q = 1, the Weyl-group sum and the Demazure-built
+    character agree on every weight of every irreducible scanned."""
     from nilchar.rootdata import dominant_weights_up_to_height
 
     for lam in dominant_weights_up_to_height(datum, 4):
-        for mu in freudenthal_table(datum, lam):
+        for mu, m in irreducible_character(datum, lam).terms.items():
             mq = lusztig_mq(datum, lam, mu)
             assert mq.eval_at_one() == weyl_multiplicity(datum, lam, mu)
-            assert mq.eval_at_one() == freudenthal_multiplicity(datum, lam, mu)
+            assert mq.eval_at_one() == m
 
 
 def test_cache_transparency():
@@ -196,11 +188,9 @@ def test_cache_transparency():
 
 def test_clear_caches_empties_irrep_cache():
     irreducible_character(A2, (2, 1))
-    freudenthal_table(A2, (2, 1))
     assert A2 in charring._irrep_cache
     clear_caches()
     assert A2 not in charring._irrep_cache
-    assert A2 not in kostant._freudenthal_cache
 
 
 def test_equal_datum_keeps_table_after_first_is_collected(monkeypatch):
@@ -229,7 +219,7 @@ def test_equal_datum_keeps_table_after_first_is_collected(monkeypatch):
     clear_caches()
 
 
-@pytest.mark.parametrize("memoized", [freudenthal_table, irreducible_character])
+@pytest.mark.parametrize("memoized", [irreducible_character])
 def test_memo_is_safe_under_concurrent_use(memoized):
     """Threads racing on a cold cache all get the one stored object; a lost
     update (a later writer replacing an earlier one) would break that."""

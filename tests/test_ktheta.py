@@ -299,6 +299,34 @@ def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, si
     assert "[FAIL] lusztig-vs-harmonics" in out
 
 
+def test_lusztig_check_fails_on_a_bumped_weyl_orbit(monkeypatch, capsys):
+    """One whole Weyl orbit raised by 1 on the closed-form side leaves the
+    layer Weyl-invariant, so the invariance guard passes it; the label
+    comparison must catch it. The orbit of the roots of sl3 is
+    V(1,1) - 2 V(0,0), and degree 2 holds no invariant."""
+    real = ktheta.nilcone_character
+    datum = load_catalog_config("sl3-split").real_form.g_datum
+    orbit = datum.weyl_orbit((1, 1))
+
+    def bumped(datum, truncation):
+        out = real(datum, truncation)
+        for w in orbit:
+            out.layers[2][w] += 1
+        return out
+
+    monkeypatch.setattr(ktheta, "nilcone_character", bumped)
+    result = lusztig_check(datum, 4)
+    assert not result.passed
+    assert result.lines == (
+        "Lusztig series and harmonic closed form differ first at degree 2: "
+        "highest weight [0, 0] has multiplicity 0 vs -2",
+    )
+    code = main(["checks", "--group", "sl3-split", "--degree", "3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[FAIL] lusztig-vs-harmonics" in out
+
+
 def test_config_validation_errors():
     a1 = build_root_datum([[2]])
     with pytest.raises(ValueError, match="dim k"):

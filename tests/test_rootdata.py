@@ -199,11 +199,12 @@ def test_equal_data_are_equal_and_hash_alike():
 
 
 def test_dominant_rep_and_orbit():
+    """Each orbit holds exactly one dominant weight, its representative."""
     datum = build_root_datum(A2)
-    orbit = datum.weyl_orbit((1, 0))
-    assert len(orbit) == 3
-    for w in orbit:
-        assert datum.dominant_rep(w) == (1, 0)
+    for w in [(1, 0), (-1, 1), (0, -1)]:
+        orbit = datum.weyl_orbit(w)
+        assert len(orbit) == 3
+        assert [v for v in orbit if datum.is_dominant(v)] == [(1, 0)]
 
 
 def test_reductive_datum_gl2():
