@@ -1,20 +1,26 @@
 """Graded functions on the full nilpotent cone."""
 
+import pytest
+
 from nilchar import kernels, nilcone
+from nilchar.charring import TorusCharacter, irreducible_character
 from nilchar.kostant import clear_caches, lusztig_mq
 from nilchar.nilcone import nilcone_character, nilcone_series
 from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
     dominant_weights_up_to_height,
+    reductive_root_datum,
     torus_datum,
 )
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
+C2 = build_root_datum([[2, -1], [-2, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
 A4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 A4 = build_root_datum(A4_CARTAN)
+GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
 
 
 def test_a1_series_single_string():
@@ -129,6 +135,23 @@ def test_torus_cone_is_constants_only():
     t = torus_datum(1)
     gc = nilcone_character(t, 3)
     assert gc.masses() == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "datum, truncation",
+    [(A1, 20), (A2, 12), (C2, 8), (G2, 6), (A4, 2), (GL2, 6), (torus_datum(2), 4)],
+    ids=["A1", "A2", "C2", "G2", "A4", "GL2", "T2"],
+)
+def test_closed_form_equals_lusztig_expansion(datum, truncation):
+    """Layer by layer, the closed form is Lusztig's series with every highest
+    weight expanded into its full torus character."""
+    gc = nilcone_character(datum, truncation)
+    series = nilcone_series(datum, truncation)
+    for n in range(truncation + 1):
+        expanded = TorusCharacter(datum.rank)
+        for lam, c in series.layers[n].items():
+            expanded = expanded + c * irreducible_character(datum, lam)
+        assert gc.layer(n) == expanded
 
 
 def test_closed_form_hilbert_series():
