@@ -1,5 +1,5 @@
 """Independent brute-force oracle: graded dimensions and torus characters of
-explicit affine cone models by exact rank computations over the rationals.
+explicit affine cone models by fraction-free sparse integer elimination.
 
 A model is a polynomial ring with weighted degree-one variables and a list of
 homogeneous generators. Degree slices of the quotient are computed one at a
@@ -11,13 +11,20 @@ floating point.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
+from operator import add
 
 from .charring import GradedCharacter
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
 from .rootdata import Weight
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -26,15 +33,19 @@ class ConeVariable:
     weight: Weight
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", tuple(int(v) for v in self.weight))
+        weight = tuple(self.weight)
+        if not all(_is_int(v) for v in weight):
+            raise ValueError(f"variable {self.name!r}: weight {weight!r} must have integer entries")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
 class AffineConeModel:
     """Weighted polynomial ring modulo the ideal of the listed generators.
 
-    Generators map exponent tuples to rational coefficients and must be
-    homogeneous in total degree (and in weight for character computations).
+    Generators map exponent tuples to rational coefficients (`int` or
+    `Fraction`) and must be homogeneous in total degree (and in weight for
+    character computations).
     """
 
     variables: tuple[ConeVariable, ...]
@@ -49,16 +60,21 @@ class AffineConeModel:
         if len(ranks) > 1:
             raise ValueError("variable weights must share one torus rank")
         gens = []
-        for g in self.generators:
+        for i, g in enumerate(self.generators):
             terms = {}
             for exps, c in dict(g).items():
+                exps = tuple(exps)
+                term = f"generator {i} term {exps!r}"
                 if len(exps) != len(variables):
                     raise ValueError("generator exponent vector length mismatch")
+                if not all(_is_int(e) for e in exps):
+                    raise ValueError(f"{term}: exponents must be integers")
                 if any(e < 0 for e in exps):
                     raise ValueError("generator exponents must be non-negative")
-                c = Fraction(c)
+                if isinstance(c, bool) or not isinstance(c, Rational):
+                    raise ValueError(f"{term}: coefficient {c!r} must be an int or a Fraction")
                 if c:
-                    terms[tuple(int(e) for e in exps)] = c
+                    terms[exps] = Fraction(c)
             if not terms:
                 raise ValueError("zero generator")
             gens.append(terms)
@@ -108,80 +124,70 @@ def _monomials(nvars: int, degree: int, order: str = "lex"):
     return out
 
 
-def _integer_rank(rows) -> int:
-    """Rank of integer rows by fraction-free elimination with gcd control."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivot = work[rank]
-        pv = pivot[col]
-        for r in range(rank + 1, len(work)):
-            row = work[r]
-            if not row[col]:
-                continue
-            f = row[col]
-            for c in range(col, ncols):
-                row[c] = row[c] * pv - pivot[c] * f
-            g = 0
-            for c in range(col, ncols):
-                g = gcd(g, row[c])
-                if g == 1:
-                    break
-            if g > 1:
-                for c in range(col, ncols):
-                    row[c] //= g
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
+    """The generator's terms scaled to integers by the lcm of its denominators."""
+    denom = lcm(*(c.denominator for c in g.values()))
+    return [(exps, int(c * denom)) for exps, c in g.items()]
 
 
-def _scale_to_int(row) -> list[int]:
-    denom = 1
-    for v in row:
-        if v:
-            denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in row]
+def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce the sparse integer row `row` against `pivots`, which are keyed by
+    their leading (least) column, with fraction-free steps `row*p - pivot*f`;
+    what is left, divided by its gcd, becomes a new pivot. `row` is consumed.
+    The rank of the rows inserted so far is `len(pivots)`."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = gcd(*row.values())
+            pivots[lead] = {c: v // g for c, v in row.items()} if g > 1 else row
+            return
+        f, p = row[lead], pivot[lead]
+        g = gcd(f, p)
+        f, p = f // g, p // g
+        if p != 1:
+            row = {c: v * p for c, v in row.items()}
+        for c, v in pivot.items():
+            x = row.get(c, 0) - v * f
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
 
-def _ideal_rows(model: AffineConeModel, degree: int, index: dict, order: str):
-    """Rows spanning the degree slice of the ideal, over the monomial basis."""
+def _quotient_layers(model: AffineConeModel, truncation: int, order: str, split: bool) -> list[dict]:
+    """Dimension of each block of each degree slice of the quotient ring.
+
+    With `split` the blocks are the weights and the generators must be
+    weight-homogeneous, so each ideal row lies in one weight block and is
+    reduced against that block's pivots only; without it each degree is one
+    block keyed `()`."""
     nvars = len(model.variables)
-    rows = []
-    for g in model.generators:
-        dg = model.generator_degree(g)
-        if dg > degree:
-            continue
-        for m in _monomials(nvars, degree - dg, order):
-            row = [Fraction(0)] * len(index)
-            for exps, c in g.items():
-                key = tuple(a + b for a, b in zip(m, exps))
-                row[index[key]] += c
-            rows.append(_scale_to_int(row))
-    return rows
+    weight = model.monomial_weight if split else (lambda m: ())
+    gens = [
+        (model.generator_degree(g), model.generator_weight(g) if split else (), _integer_terms(g))
+        for g in model.generators
+    ]
+    graded = []  # graded[d]: the degree-d monomials in order, each with its block
+    layers = []
+    for n in range(truncation + 1):
+        graded.append([(m, weight(m)) for m in _monomials(nvars, n, order)])
+        index = {m: i for i, (m, _) in enumerate(graded[n])}
+        sizes = Counter(w for _, w in graded[n])
+        pivots: dict = {w: {} for w in sizes}
+        for dg, gw, terms in gens:
+            if dg > n:
+                continue
+            for m, w in graded[n - dg]:
+                row = {index[tuple(map(add, m, exps))]: c for exps, c in terms}
+                _insert_row(pivots[tuple(map(add, w, gw))], row)
+        layers.append({w: size - len(pivots[w]) for w, size in sizes.items() if size > len(pivots[w])})
+    return layers
 
 
 def hilbert_by_degree(model: AffineConeModel, truncation: int, order: str = "lex") -> list[int]:
     """Dimension of each degree slice of the quotient ring, exactly."""
-    nvars = len(model.variables)
-    out = []
-    for n in range(truncation + 1):
-        mons = _monomials(nvars, n, order)
-        index = {m: i for i, m in enumerate(mons)}
-        rank = _integer_rank(_ideal_rows(model, n, index, order))
-        out.append(len(mons) - rank)
-    return out
+    return [layer.get((), 0) for layer in _quotient_layers(model, truncation, order, split=False)]
 
 
 def graded_character_by_degree(
@@ -189,33 +195,7 @@ def graded_character_by_degree(
 ) -> GradedCharacter:
     """Torus character of each degree slice of the quotient ring; generators
     must be weight-homogeneous so the ideal splits along weights."""
-    gen_weights = [model.generator_weight(g) for g in model.generators]
-    gen_degrees = [model.generator_degree(g) for g in model.generators]
-    nvars = len(model.variables)
-    layers = []
-    for n in range(truncation + 1):
-        by_weight: dict[Weight, list] = {}
-        for m in _monomials(nvars, n, order):
-            by_weight.setdefault(model.monomial_weight(m), []).append(m)
-        rows_by_weight: dict[Weight, list] = {w: [] for w in by_weight}
-        index_by_weight = {w: {m: i for i, m in enumerate(ms)} for w, ms in by_weight.items()}
-        for g, gw, gd in zip(model.generators, gen_weights, gen_degrees):
-            if gd > n:
-                continue
-            for m in _monomials(nvars, n - gd, order):
-                target = tuple(a + b for a, b in zip(model.monomial_weight(m), gw))
-                index = index_by_weight[target]
-                row = [Fraction(0)] * len(index)
-                for exps, c in g.items():
-                    key = tuple(a + b for a, b in zip(m, exps))
-                    row[index[key]] += c
-                rows_by_weight[target].append(_scale_to_int(row))
-        layer = {}
-        for w, ms in by_weight.items():
-            dim = len(ms) - _integer_rank(rows_by_weight[w])
-            if dim:
-                layer[w] = dim
-        layers.append(layer)
+    layers = _quotient_layers(model, truncation, order, split=True)
     return GradedCharacter(model.torus_rank, truncation, layers)
 
 

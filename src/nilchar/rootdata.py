@@ -203,10 +203,6 @@ class RootDatum:
 
     # -- basic pairings ----------------------------------------------------
 
-    def pairing(self, weight: Weight, coweight) -> int:
-        """<weight, coweight> with the coweight in dual coordinates."""
-        return wdot(weight, coweight)
-
     def labels(self, weight: Weight) -> tuple[int, ...]:
         """Dynkin labels: the pairings <weight, alpha_i^vee> with the simple coroots."""
         return tuple(wdot(weight, c) for c in self.simple_coroots)
