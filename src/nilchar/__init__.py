@@ -63,7 +63,6 @@ from .qpoly import QPolynomial
 from .rootdata import (
     InvolutionData,
     RootDatum,
-    WeylElement,
     build_root_datum,
     classify_roots,
     dominant_weights_up_to_height,

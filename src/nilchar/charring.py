@@ -275,14 +275,14 @@ def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
     """Full torus character of the irreducible with highest weight `lam`, by
     Demazure's character formula ch V_lam = D_{w0}(e^lam) (Bull. Sci. Math.
     98, 1974): one Demazure operator per letter of a reduced word of the
-    longest Weyl element."""
+    longest Weyl element w0, the last of `RootDatum.weyl_words()`."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     cached = memo_get(_irrep_cache, datum, lam)
     if cached is not None:
         return cached
     terms = {tuple(lam): 1}
-    for i in reversed(datum.longest_element().word):
+    for i in reversed(datum.weyl_words()[-1]):
         terms = _demazure(datum, i, terms)
     return memo_put(_irrep_cache, datum, lam, TorusCharacter(datum.rank, terms))
 

@@ -7,10 +7,11 @@ Kostant's multiplicity formula (`weyl_multiplicity`), kept as the reference
 that tests hold the Demazure-built irreducible characters
 (`charring.irreducible_character`) against.
 
-The Weyl-group sum runs in integer simple-root coordinates: the Weyl group
-acts on Dynkin labels through one integer matrix per element
-(`weyl_on_labels`), so a call solves for the coordinates of lam - mu once and
-reads every partition polynomial from one table, with no solve per element.
+The Weyl-group sum runs in integer simple-root coordinates: each Weyl element,
+taken as a reduced word from `RootDatum.weyl_words`, acts on Dynkin labels
+through one integer matrix (`weyl_on_labels`), so a call solves for the
+coordinates of lam - mu once and reads every partition polynomial from one
+table, with no solve per element.
 """
 
 from __future__ import annotations
@@ -129,14 +130,15 @@ _weyl_on_labels_cache = new_memo()
 
 
 def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
-    """(sign(w), D_w) for every Weyl element w, in `weyl_group()` order, where
-    x - w(x) = D_w . labels(x) in simple-root coordinates for every weight x.
+    """(sign(w), D_w) for every Weyl element w, in `weyl_words()` order,
+    where sign(w) = (-1)^len(word) and x - w(x) = D_w . labels(x) in
+    simple-root coordinates for every weight x.
 
-    Built along reduced words: s_i(v) = v - <v, alpha_i^vee> alpha_i gives, for
-    w = w' s_i, D_w = D_w' + (e_i - D_w' . C e_i) e_i^T, where C e_i (column
-    i of the Cartan matrix) holds the labels of alpha_i. The word of each
-    element less its last letter is the word of another element, since the
-    group is closed breadth-first by appending letters.
+    Built along the reduced words: s_i(v) = v - <v, alpha_i^vee> alpha_i
+    gives, for w = w' s_i, D_w = D_w' + (e_i - D_w' . C e_i) e_i^T, where
+    C e_i (column i of the Cartan matrix) holds the labels of alpha_i. Each
+    word less its last letter is an earlier word of the list, since the
+    words are grown breadth-first by appending letters.
     """
     cached = memo_get(_weyl_on_labels_cache, datum, None)
     if cached is not None:
@@ -145,15 +147,15 @@ def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
     cartan = datum.cartan_matrix
     by_word: dict[tuple[int, ...], Matrix] = {(): tuple((0,) * n for _ in range(n))}
     out = []
-    for w in datum.weyl_group():
-        if w.word:
-            prefix, i = by_word[w.word[:-1]], w.word[-1]
+    for word in datum.weyl_words():
+        if word:
+            prefix, i = by_word[word[:-1]], word[-1]
             column = [cartan[j][i] for j in range(n)]
-            by_word[w.word] = tuple(
+            by_word[word] = tuple(
                 row[:i] + (row[i] + (k == i) - wdot(row, column),) + row[i + 1:]
                 for k, row in enumerate(prefix)
             )
-        out.append((w.sign, by_word[w.word]))
+        out.append((-1 if len(word) % 2 else 1, by_word[word]))
     return memo_put(_weyl_on_labels_cache, datum, None, tuple(out))
 
 

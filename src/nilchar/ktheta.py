@@ -26,7 +26,7 @@ from .charring import (
     symmetric_series,
 )
 from .nilcone import nilcone_character, nilcone_series
-from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, mat_apply, wneg
+from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
 
 
 class SplitHypothesisError(ValueError):
@@ -77,13 +77,13 @@ class RealFormConfig:
 
     def __post_init__(self):
         classify_roots(self.g_datum, self.involution)
-        rows = tuple(tuple(int(v) for v in row) for row in self.restriction)
+        rows = tuple(int_vector(row, f"restriction[{i}]") for i, row in enumerate(self.restriction))
         object.__setattr__(self, "restriction", rows)
         if len(rows) != self.k_torus_rank or any(len(r) != self.g_datum.rank for r in rows):
             raise ValueError(
                 f"restriction must be a {self.k_torus_rank} x {self.g_datum.rank} integer matrix"
             )
-        kw = tuple(tuple(int(v) for v in w) for w in self.k_weights)
+        kw = tuple(int_vector(w, f"k_weights[{i}]") for i, w in enumerate(self.k_weights))
         object.__setattr__(self, "k_weights", kw)
         if any(len(w) != self.k_torus_rank for w in kw):
             raise ValueError("k weights must live on the K-torus lattice")

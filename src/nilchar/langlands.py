@@ -21,6 +21,7 @@ from .rootdata import (
     RootDatum,
     Weight,
     classify_roots,
+    int_vector,
     wadd,
     wneg,
 )
@@ -35,9 +36,8 @@ class PositiveSystem:
     ell: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "imaginary_roots", tuple(tuple(int(v) for v in r) for r in self.imaginary_roots)
-        )
+        roots = tuple(int_vector(r, f"imaginary_roots[{i}]") for i, r in enumerate(self.imaginary_roots))
+        object.__setattr__(self, "imaginary_roots", roots)
         if self.ell < 0:
             raise ValueError("orbit codimension must be non-negative")
 

@@ -20,11 +20,7 @@ from operator import add
 
 from .charring import GradedCharacter
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
-from .rootdata import Weight
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+from .rootdata import Weight, int_vector, is_int
 
 
 @dataclass(frozen=True)
@@ -33,10 +29,7 @@ class ConeVariable:
     weight: Weight
 
     def __post_init__(self):
-        weight = tuple(self.weight)
-        if not all(_is_int(v) for v in weight):
-            raise ValueError(f"variable {self.name!r}: weight {weight!r} must have integer entries")
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", int_vector(self.weight, f"variable {self.name!r}: weight"))
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class AffineConeModel:
                 term = f"generator {i} term {exps!r}"
                 if len(exps) != len(variables):
                     raise ValueError("generator exponent vector length mismatch")
-                if not all(_is_int(e) for e in exps):
+                if not all(is_int(e) for e in exps):
                     raise ValueError(f"{term}: exponents must be integers")
                 if any(e < 0 for e in exps):
                     raise ValueError("generator exponents must be non-negative")

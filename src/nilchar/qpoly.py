@@ -33,10 +33,6 @@ class QPolynomial:
     def one(cls) -> QPolynomial:
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, n: int, coeff: int = 1) -> QPolynomial:
-        return cls({n: coeff})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -72,15 +68,9 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, k: int) -> QPolynomial:
-        return self * k
-
     def shift(self, n: int) -> QPolynomial:
         """Multiply by q^n."""
         return QPolynomial({d + n: c for d, c in self.coeffs.items()})
-
-    def coefficient(self, deg: int) -> int:
-        return self.coeffs.get(deg, 0)
 
     def truncate(self, max_deg: int) -> QPolynomial:
         return QPolynomial({d: c for d, c in self.coeffs.items() if d <= max_deg})

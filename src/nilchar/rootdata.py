@@ -1,4 +1,4 @@
-"""Root data, Weyl groups, and Cartan-involution bookkeeping.
+"""Root data, Weyl groups as reduced words, and Cartan-involution bookkeeping.
 
 Weights are plain integer tuples. For a datum built from a Cartan matrix the
 coordinates are taken in the basis of fundamental weights, so dominance and
@@ -15,8 +15,6 @@ from math import lcm
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
-
-WEYL_GROUP_CAP = 10_000_000
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -52,32 +50,29 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element: reduced word, action matrix, and length."""
+def is_int(value) -> bool:
+    """An int as it is: a bool or a float (even 2.0) is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    word: tuple[int, ...]
-    matrix: Matrix
-    length: int
 
-    def act(self, w: Weight) -> Weight:
-        return mat_apply(self.matrix, w)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
+def int_vector(values, name: str) -> Weight:
+    """`values` as a tuple of ints; an entry that is not one (`is_int`) is a
+    ValueError naming it, not rounded."""
+    out = tuple(values)
+    for k, v in enumerate(out):
+        if not is_int(v):
+            raise ValueError(f"{name}[{k}] = {v!r} is not an integer")
+    return out
 
 
 def _validate_cartan_shape(cartan) -> list[list[int]]:
-    rows = [list(r) for r in cartan]
+    rows = [list(int_vector(r, f"cartan_matrix[{i}]")) for i, r in enumerate(cartan)]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("Cartan matrix must be square and non-empty")
     for i in range(n):
         for j in range(n):
             v = rows[i][j]
-            if v != int(v):
-                raise ValueError(f"Cartan entry ({i},{j}) is not an integer")
             if i == j and v != 2:
                 raise ValueError(f"Cartan diagonal entry ({i},{i}) = {v}, expected 2")
             if i != j:
@@ -85,7 +80,7 @@ def _validate_cartan_shape(cartan) -> list[list[int]]:
                     raise ValueError(f"Cartan off-diagonal entry ({i},{j}) = {v} is positive")
                 if (rows[i][j] == 0) != (rows[j][i] == 0):
                     raise ValueError(f"Cartan entries ({i},{j}) and ({j},{i}) disagree on zero")
-    return [[int(v) for v in r] for r in rows]
+    return rows
 
 
 def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
@@ -150,8 +145,8 @@ class RootDatum:
     def __init__(self, rank: int, simple_roots, simple_coroots):
         if rank <= 0:
             raise ValueError("rank must be positive")
-        roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
-        coroots = tuple(tuple(int(x) for x in c) for c in simple_coroots)
+        roots = tuple(int_vector(r, f"simple_roots[{j}]") for j, r in enumerate(simple_roots))
+        coroots = tuple(int_vector(c, f"simple_coroots[{j}]") for j, c in enumerate(simple_coroots))
         if len(roots) != len(coroots):
             raise ValueError("simple roots and coroots must come in equal numbers")
         for v in roots + coroots:
@@ -175,8 +170,6 @@ class RootDatum:
         self.cartan_matrix = tuple(tuple(r) for r in cartan)
 
         self._root_solver = _LatticeSolver(roots, rank)
-        if any(self.root_coords(r) is None for r in roots):
-            raise ValueError("simple roots must be linearly independent")
 
         self.positive_roots, self.positive_coroots = self._close_positive_roots()
         # Simple-root coordinates of the positive roots, solved once here.
@@ -186,7 +179,7 @@ class RootDatum:
             two_rho = wadd(two_rho, r)
         self.two_rho = two_rho
 
-        self._weyl: tuple[WeylElement, ...] | None = None
+        self._weyl_words: tuple[tuple[int, ...], ...] | None = None
         self._key = (rank, roots, coroots)
         self._hash = hash(self._key)
 
@@ -209,11 +202,6 @@ class RootDatum:
 
     def is_dominant(self, weight: Weight) -> bool:
         return all(v >= 0 for v in self.labels(weight))
-
-    def root_coords(self, weight: Weight) -> tuple[Fraction, ...] | None:
-        """Coordinates of `weight` in the simple-root basis, or None if the
-        weight is outside the rational root span."""
-        return self._root_solver.solve(weight)
 
     def root_coords_int(self, weight: Weight) -> tuple[int, ...] | None:
         """Integer simple-root coordinates, or None when not in the root lattice."""
@@ -250,49 +238,36 @@ class RootDatum:
         p = wdot(weight, self.simple_coroots[i])
         return wsub(weight, wscale(p, self.simple_roots[i]))
 
-    def simple_reflection_matrix(self, i: int) -> Matrix:
-        alpha, cov = self.simple_roots[i], self.simple_coroots[i]
-        return tuple(
-            tuple((1 if k == j else 0) - alpha[k] * cov[j] for j in range(self.rank))
-            for k in range(self.rank)
-        )
+    def weyl_words(self) -> tuple[tuple[int, ...], ...]:
+        """One reduced word per Weyl group element, the least of its
+        element's reduced words, in (length, word) order; the last is w0.
 
-    def weyl_group(self, cap: int = WEYL_GROUP_CAP) -> tuple[WeylElement, ...]:
-        """All Weyl group elements with reduced words, by breadth-first closure."""
-        if self._weyl is not None:
-            return self._weyl
-        ident = WeylElement((), identity_matrix(self.rank), 0)
-        seen: dict[Matrix, WeylElement] = {ident.matrix: ident}
-        gens = [self.simple_reflection_matrix(i) for i in range(self.nsimple)]
-        frontier = [ident]
-        while frontier:
-            new: list[WeylElement] = []
-            for w in frontier:
-                for i, g in enumerate(gens):
-                    m = mat_mul(w.matrix, g)
-                    if m not in seen:
-                        el = WeylElement(w.word + (i,), m, w.length + 1)
-                        seen[m] = el
-                        new.append(el)
-                        if len(seen) > cap:
-                            raise ValueError(
-                                f"Weyl group exceeds cap of {cap} elements; input is not finite type"
-                            )
-            frontier = new
-        self._weyl = tuple(sorted(seen.values(), key=lambda w: (w.length, w.word)))
-        return self._weyl
-
-    def longest_element(self) -> WeylElement:
-        return self.weyl_group()[-1]
-
-    def inversions(self, w: WeylElement) -> int:
-        """#{alpha > 0 : w(alpha) < 0}; equals w.length for finite type."""
-        count = 0
-        pos = set(self.positive_roots)
-        for r in self.positive_roots:
-            if wneg(w.act(r)) in pos:
-                count += 1
-        return count
+        A breadth-first walk on the orbit of rho in Dynkin labels: W acts
+        simply transitively on the chambers, so the labels mu of w^-1(rho)
+        identify w. Appending i to the word of w takes mu to mu - mu_i C e_i
+        (column i of the Cartan matrix holds the labels of alpha_i), and is
+        longer exactly when mu_i > 0. Each level is expanded in word order,
+        letters ascending, so an element is first reached by its least word.
+        """
+        if self._weyl_words is None:
+            columns = tuple(zip(*self.cartan_matrix))
+            start = (1,) * self.nsimple
+            seen = {start}
+            words: list[tuple[int, ...]] = [()]
+            frontier = [((), start)]
+            while frontier:
+                nxt = []
+                for word, mu in frontier:
+                    for i, column in enumerate(columns):
+                        if mu[i] > 0:
+                            nu = tuple(m - mu[i] * c for m, c in zip(mu, column))
+                            if nu not in seen:
+                                seen.add(nu)
+                                words.append(word + (i,))
+                                nxt.append((words[-1], nu))
+                frontier = nxt
+            self._weyl_words = tuple(words)
+        return self._weyl_words
 
     def weyl_orbit(self, weight: Weight) -> set[Weight]:
         orbit = {weight}
@@ -438,7 +413,6 @@ class _LatticeSolver:
         self.dim = dim
         self.n = len(vectors)
         self._rows: list[int] = []
-        self._sub: _SquareSolver | None = None
         if self.n:
             # Greedily pick coordinate rows on which the vectors are invertible.
             work: list[list[Fraction]] = []
@@ -451,26 +425,16 @@ class _LatticeSolver:
                         break
             if len(self._rows) != self.n:
                 raise ValueError("vectors are not linearly independent")
-            self._sub = _SquareSolver([[Fraction(vectors[j][r]) for j in range(self.n)] for r in self._rows])
+            sub = _SquareSolver([[Fraction(vectors[j][r]) for j in range(self.n)] for r in self._rows])
             # Integerized inverse rows: m_i = dot(int_row_i, rhs) / den_i.
             self._int_rows = []
             self._int_dens = []
-            for row in self._sub.inverse:
+            for row in sub.inverse:
                 den = 1
                 for v in row:
                     den = lcm(den, v.denominator)
                 self._int_rows.append([int(v * den) for v in row])
                 self._int_dens.append(den)
-
-    def solve(self, target: Weight) -> tuple[Fraction, ...] | None:
-        if self.n == 0:
-            return () if all(v == 0 for v in target) else None
-        rhs = [Fraction(target[r]) for r in self._rows]
-        m = self._sub.solve_list(rhs)
-        for k in range(self.dim):
-            if sum(m[j] * self.vectors[j][k] for j in range(self.n)) != target[k]:
-                return None
-        return tuple(m)
 
     def solve_int(self, target: Weight) -> tuple[int, ...] | None:
         """Integer solution, or None when none exists (pure int arithmetic)."""
@@ -544,15 +508,15 @@ class InvolutionData:
     compact: frozenset[Weight]
 
     def __init__(self, matrix, compact=()):
-        m = tuple(tuple(int(v) for v in row) for row in matrix)
+        m = tuple(int_vector(row, f"matrix[{i}]") for i, row in enumerate(matrix))
         n = len(m)
         if any(len(r) != n for r in m):
             raise ValueError("involution matrix must be square")
         if mat_mul(m, m) != identity_matrix(n):
             raise ValueError("involution matrix must square to the identity")
         marks = set()
-        for w in compact:
-            marks.add(tuple(int(v) for v in w))
+        for i, w in enumerate(compact):
+            marks.add(int_vector(w, f"compact[{i}]"))
         for w in list(marks):
             marks.add(wneg(w))
         object.__setattr__(self, "matrix", m)

@@ -28,6 +28,7 @@ from nilchar.rootdata import (
     torus_datum,
 )
 from paper_formula import restrict_graded
+from weyl_action import act, sign
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -106,10 +107,10 @@ def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound)
     for lam in lams:
         numerator = TorusCharacter(datum.rank)
         shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
-        for w in datum.weyl_group():
-            doubled = tuple(a - r for a, r in zip(w.act(shifted), two_rho))
+        for word in datum.weyl_words():
+            doubled = tuple(a - r for a, r in zip(act(datum, word, shifted), two_rho))
             assert all(v % 2 == 0 for v in doubled)
-            numerator = numerator + TorusCharacter.from_weight(tuple(v // 2 for v in doubled), w.sign)
+            numerator = numerator + TorusCharacter.from_weight(tuple(v // 2 for v in doubled), sign(word))
         assert irreducible_character(datum, lam) * denominator == numerator, lam
 
 

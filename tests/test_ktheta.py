@@ -347,3 +347,22 @@ def test_config_validation_errors():
             k_torus_rank=2, restriction=[[1]], k_weights=[(0, 0), (1, 1), (-1, -1)],
             dims=Dims(3, 3, 0, 1), split_mod_center=True,
         )
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_config_refuses_non_integer_entries(bad):
+    """A float (even 2.0) or a bool in `restriction` or `k_weights` is
+    refused and named, not rounded."""
+    a1 = build_root_datum([[2]])
+    with pytest.raises(ValueError, match=r"restriction\[0\]\[0\]"):
+        RealFormConfig(
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            k_torus_rank=1, restriction=[[bad]], k_weights=[(0,)],
+            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+        )
+    with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
+        RealFormConfig(
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            k_torus_rank=1, restriction=[[1]], k_weights=[(bad,)],
+            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+        )

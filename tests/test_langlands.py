@@ -27,6 +27,7 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
+from weyl_action import act
 
 A1 = build_root_datum([[2]])
 SL2 = load_catalog_config("sl2-split")
@@ -46,6 +47,12 @@ def test_torus_table_rejects_bad_positive_system():
     )
     with pytest.raises(ValueError):
         bad.validate(A1)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_positive_system_refuses_non_integer_roots(bad):
+    with pytest.raises(ValueError, match=r"imaginary_roots\[0\]\[0\]"):
+        PositiveSystem("p", ((bad,),), 0)
 
 
 def test_k_multiset_split_torus():
@@ -223,9 +230,9 @@ def test_k_norm_independent_of_positive_system():
     and rho_c both move by the same element, so the norm is unchanged."""
     so3 = reductive_root_datum(1, [(2,)], [(1,)])
     for lam in [(0,), (2,), (4,)]:
-        w = so3.weyl_group()[1]
-        flipped_lam = w.act(lam)
-        flipped_two_rho = w.act(so3.two_rho)
+        w = so3.weyl_words()[1]
+        flipped_lam = act(so3, w, lam)
+        flipped_two_rho = act(so3, w, so3.two_rho)
         shifted = tuple(a + b for a, b in zip(flipped_lam, flipped_two_rho))
         direct = k_norm_squared(so3, lam)
         assert so3.inner(shifted, shifted) == direct

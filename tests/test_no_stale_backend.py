@@ -1,11 +1,19 @@
-"""The compiled partition kernel, its backend switch and the on-disk table
-cache are gone; no source file, README line or build setting may point back
-to them."""
+"""The compiled partition kernel, its backend switch, the on-disk table
+cache and the matrix-closed Weyl group are gone; no source file, README line
+or build setting may point back to them."""
 
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STALE = ("NILCHAR_BACKEND", "NILCHAR_CACHE_DIR", "_kernels.", "Cython")
+STALE = (
+    "NILCHAR_BACKEND",
+    "NILCHAR_CACHE_DIR",
+    "_kernels.",
+    "Cython",
+    "WeylElement",
+    "weyl_group(",
+    "longest_element",
+)
 
 
 def test_no_reference_to_removed_backend_or_cache():

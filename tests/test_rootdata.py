@@ -1,4 +1,5 @@
-"""Root datum construction, Weyl groups, involutions, weight enumeration."""
+"""Root datum construction, Weyl groups as reduced words, involutions,
+weight enumeration."""
 
 import itertools
 
@@ -13,6 +14,7 @@ from nilchar.rootdata import (
     torus_datum,
     wneg,
 )
+from weyl_action import act
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -21,6 +23,8 @@ C2 = [[2, -1], [-2, 2]]
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 A1A1 = [[2, 0], [0, 2]]
 G2 = [[2, -1], [-3, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def test_positive_root_counts():
@@ -53,36 +57,37 @@ def test_two_rho_is_sum_of_positive_roots():
         assert datum.two_rho == (2,) * datum.rank
 
 
-def test_weyl_group_orders():
-    assert len(build_root_datum(A1).weyl_group()) == 2
-    assert len(build_root_datum(A2).weyl_group()) == 6
-    assert len(build_root_datum(B2).weyl_group()) == 8
-    assert len(build_root_datum(A1A1).weyl_group()) == 4
-    assert len(build_root_datum(G2).weyl_group()) == 12
-
-
-def test_weyl_lengths_match_inversions():
-    for cartan in (A2, B2):
+def test_weyl_words_are_the_reduced_words_of_the_whole_group():
+    """|W| words in (length, word) order with distinct images of rho; each
+    word's length is its number of inversions #{alpha > 0 : w(alpha) < 0},
+    and only the last, w0, inverts every positive root."""
+    cases = [(A1, 2), (A2, 6), (B2, 8), (A1A1, 4), (G2, 12), (A4, 120), (D4, 192), (F4, 1152)]
+    for cartan, order in cases:
         datum = build_root_datum(cartan)
-        for w in datum.weyl_group():
-            assert w.length == datum.inversions(w)
+        words = datum.weyl_words()
+        assert len(words) == order, cartan
+        assert list(words) == sorted(words, key=lambda w: (len(w), w)), cartan
+        assert len({act(datum, w, datum.two_rho) for w in words}) == order, cartan
+        positive = set(datum.positive_roots)
+        for w in words:
+            inversions = sum(wneg(act(datum, w, r)) in positive for r in datum.positive_roots)
+            assert len(w) == inversions, (cartan, w)
+        assert max(len(w) for w in words[:-1]) < len(words[-1]) == len(positive), cartan
 
 
-def test_longest_element():
-    datum = build_root_datum(A2)
-    w0 = datum.longest_element()
-    assert w0.length == 3
-    assert sorted(w.length for w in datum.weyl_group()) == [0, 1, 1, 2, 2, 3]
-
-
-def test_reduced_word_matches_matrix():
-    datum = build_root_datum(B2)
-    for w in datum.weyl_group():
-        acc = tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
-        for i in w.word:
-            m = datum.simple_reflection_matrix(i)
-            acc = tuple(tuple(sum(acc[r][k] * m[k][c] for k in range(2)) for c in range(2)) for r in range(2))
-        assert acc == w.matrix
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_constructors_refuse_non_integer_entries(bad):
+    """A float (even 2.0) or a bool is refused and named, not rounded."""
+    with pytest.raises(ValueError, match=r"simple_roots\[0\]\[0\]"):
+        reductive_root_datum(2, [(bad, -1)], [(1, -1)])
+    with pytest.raises(ValueError, match=r"simple_coroots\[0\]\[1\]"):
+        reductive_root_datum(2, [(1, -1)], [(1, bad)])
+    with pytest.raises(ValueError, match=r"cartan_matrix\[1\]\[1\]"):
+        build_root_datum([[2, -1], [-1, bad]])
+    with pytest.raises(ValueError, match=r"matrix\[0\]\[0\]"):
+        InvolutionData([[bad]])
+    with pytest.raises(ValueError, match=r"compact\[0\]\[0\]"):
+        InvolutionData([[1]], compact=[(bad,)])
 
 
 def test_bad_cartan_matrices_rejected():
@@ -158,9 +163,6 @@ def test_dominant_weights_up_to_height():
         assert a2.height(w) <= 5
 
 
-D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-
-
 @pytest.mark.parametrize(
     "datum, bound",
     [
@@ -210,7 +212,7 @@ def test_dominant_rep_and_orbit():
 def test_reductive_datum_gl2():
     gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
     assert gl2.positive_roots == ((1, -1),)
-    assert len(gl2.weyl_group()) == 2
+    assert gl2.weyl_words() == ((), (0,))
     assert gl2.is_dominant((3, 1)) and not gl2.is_dominant((1, 3))
     # invariant form: the root has squared length 2, the center is Euclidean
     assert gl2.inner((1, -1), (1, -1)) == 2
@@ -222,7 +224,7 @@ def test_torus_datum():
     t = torus_datum(2)
     assert t.positive_roots == ()
     assert t.is_dominant((-5, 3))
-    assert len(t.weyl_group()) == 1
+    assert t.weyl_words() == ((),)
     assert t.inner((1, 2), (3, 4)) == 11
 
 
