@@ -57,22 +57,37 @@ def test_two_rho_is_sum_of_positive_roots():
         assert datum.two_rho == (2,) * datum.rank
 
 
-def test_weyl_words_are_the_reduced_words_of_the_whole_group():
-    """|W| words in (length, word) order with distinct images of rho; each
-    word's length is its number of inversions #{alpha > 0 : w(alpha) < 0},
-    and only the last, w0, inverts every positive root."""
-    cases = [(A1, 2), (A2, 6), (B2, 8), (A1A1, 4), (G2, 12), (A4, 120), (D4, 192), (F4, 1152)]
-    for cartan, order in cases:
+WEYL_ORDERS = [(A1, 2), (A2, 6), (B2, 8), (A1A1, 4), (G2, 12), (A4, 120), (D4, 192), (F4, 1152)]
+
+
+def test_weyl_group_orders():
+    """weyl_words() gives |W| words in (length, word) order, with distinct
+    images of rho."""
+    for cartan, order in WEYL_ORDERS:
         datum = build_root_datum(cartan)
         words = datum.weyl_words()
         assert len(words) == order, cartan
         assert list(words) == sorted(words, key=lambda w: (len(w), w)), cartan
         assert len({act(datum, w, datum.two_rho) for w in words}) == order, cartan
+
+
+def test_weyl_lengths_match_inversions():
+    """Each word's length is #{alpha > 0 : w(alpha) < 0}, so it is reduced."""
+    for cartan, _ in WEYL_ORDERS:
+        datum = build_root_datum(cartan)
         positive = set(datum.positive_roots)
-        for w in words:
+        for w in datum.weyl_words():
             inversions = sum(wneg(act(datum, w, r)) in positive for r in datum.positive_roots)
             assert len(w) == inversions, (cartan, w)
-        assert max(len(w) for w in words[:-1]) < len(words[-1]) == len(positive), cartan
+
+
+def test_longest_element():
+    """Only the last word, w0, has length |positive roots|."""
+    for cartan, _ in WEYL_ORDERS:
+        datum = build_root_datum(cartan)
+        words = datum.weyl_words()
+        assert max(len(w) for w in words[:-1]) < len(words[-1]) == len(datum.positive_roots), cartan
+    assert [len(w) for w in build_root_datum(A2).weyl_words()] == [0, 1, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("bad", [1.5, True, 2.0])
