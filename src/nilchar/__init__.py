@@ -45,7 +45,6 @@ from .langlands import (
     TorusDatum,
     WeightMultiset,
     graded_branching_sum,
-    k_norm_squared,
     k_weight_multiset,
     tensor_standard,
     wedge_weight_multiset,

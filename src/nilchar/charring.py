@@ -14,7 +14,7 @@ the typical inputs.
 from __future__ import annotations
 
 from .kostant import memo_get, memo_put, new_memo
-from .rootdata import RootDatum, Weight, mat_apply, wadd, wdot, wsub
+from .rootdata import RootDatum, Weight, int_vector, is_int, mat_apply, wadd, wdot, wsub
 
 _irrep_cache = new_memo()
 
@@ -31,8 +31,10 @@ class TorusCharacter:
             for w, c in dict(terms).items():
                 if len(w) != rank:
                     raise ValueError(f"weight {w} does not have rank {rank}")
+                if not is_int(c):
+                    raise ValueError(f"multiplicity of {w} = {c!r} is not an integer")
                 if c:
-                    cleaned[tuple(w)] = int(c)
+                    cleaned[tuple(w)] = c
         self.terms = cleaned
 
     @classmethod
@@ -125,8 +127,10 @@ class GradedCharacter:
                 for w, c in dict(layers[n]).items():
                     if len(w) != rank:
                         raise ValueError(f"weight {w} does not have rank {rank}")
+                    if not is_int(c):
+                        raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
                     if c:
-                        layer[tuple(w)] = int(c)
+                        layer[tuple(w)] = c
             self.layers.append(layer)
 
     @classmethod
@@ -245,7 +249,11 @@ class IrrepSeries:
         for n in range(truncation + 1):
             layer = {}
             if layers is not None and n < len(layers):
-                layer = {tuple(w): int(c) for w, c in dict(layers[n]).items() if c}
+                for w, c in dict(layers[n]).items():
+                    if not is_int(c):
+                        raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
+                    if c:
+                        layer[int_vector(w, "highest_weight")] = c
             self.layers.append(layer)
 
     def __eq__(self, other) -> bool:
@@ -345,7 +353,7 @@ def _validate_weyl_invariance(datum: RootDatum, ch: TorusCharacter) -> None:
 def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
     """Push a character forward along an integer lattice map (rows index the
     target coordinates); colliding weights add."""
-    rows = tuple(tuple(int(v) for v in row) for row in rmatrix)
+    rows = tuple(int_vector(row, f"rmatrix[{i}]") for i, row in enumerate(rmatrix))
     target_rank = len(rows)
     for row in rows:
         if len(row) != ch.rank:

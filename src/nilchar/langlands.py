@@ -11,7 +11,6 @@ without attempting any orbit geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charring import irreducible_character
 from .ktheta import RealFormConfig
@@ -22,6 +21,7 @@ from .rootdata import (
     Weight,
     classify_roots,
     int_vector,
+    is_int,
     wadd,
     wneg,
 )
@@ -97,10 +97,12 @@ class WeightMultiset:
         cleaned: dict[Weight, int] = {}
         if entries:
             for w, m in dict(entries).items():
+                if not is_int(m):
+                    raise ValueError(f"multiplicity of {w} = {m!r} is not an integer")
                 if m < 0:
                     raise ValueError("multiset multiplicities must be non-negative")
                 if m:
-                    cleaned[tuple(int(v) for v in w)] = int(m)
+                    cleaned[int_vector(w, "weight")] = m
         self.entries = cleaned
 
     def total(self) -> int:
@@ -317,11 +319,3 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
                             )
     return FormalStandardSum(terms)
 
-
-def k_norm_squared(k_datum: RootDatum, lam: Weight) -> Fraction:
-    """Squared K-norm of a dominant label: the invariant pairing of
-    lam + 2*rho_c with itself."""
-    if not k_datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    shifted = wadd(lam, k_datum.two_rho)
-    return k_datum.inner(shifted, shifted)

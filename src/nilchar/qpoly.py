@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .rootdata import is_int
+
 
 class QPolynomial:
     """Sparse integer polynomial in q with non-negative exponents.
@@ -15,10 +17,12 @@ class QPolynomial:
         cleaned: dict[int, int] = {}
         if coeffs:
             for deg, c in dict(coeffs).items():
+                if not (is_int(deg) and is_int(c)):
+                    raise ValueError(f"q^{deg!r} with coefficient {c!r}: both must be integers")
                 if deg < 0:
                     raise ValueError("negative q-degree")
                 if c:
-                    cleaned[int(deg)] = int(c)
+                    cleaned[deg] = c
         self.coeffs = cleaned
 
     @classmethod

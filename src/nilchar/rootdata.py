@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -133,9 +132,30 @@ def _check_positive_definite(g: list[list[Fraction]]) -> None:
                 a[i][j] -= f * a[k][j]
 
 
+def adjugate(matrix) -> tuple[Matrix, int]:
+    """(adj(A), det(A)) for a square integer matrix A whose leading principal
+    minors are non-zero, as a finite-type Cartan matrix's are (Bareiss 1968).
+
+    Integer Gauss-Jordan (Montante) on [A | I]: step k replaces each row
+    i != k by (p_k row_i - a_ik row_k) / p_(k-1), an exact division. At the
+    end the left block is det(A) I and the right block adj(A).
+    """
+    n = len(matrix)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = piv
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
 class RootDatum:
     """Immutable root datum: simple (co)roots on a fixed lattice plus every
-    derived structure (positive roots, 2*rho, Weyl group, invariant form).
+    derived structure (positive roots, 2*rho, Weyl group).
 
     Use :func:`build_root_datum` for the canonical fundamental-weight
     realization of a Cartan matrix, or :func:`reductive_root_datum` for
@@ -161,15 +181,12 @@ class RootDatum:
         cartan = [[wdot(roots[j], coroots[i]) for j in range(self.nsimple)] for i in range(self.nsimple)]
         if self.nsimple:
             cartan = _validate_cartan_shape(cartan)
-            self._sym_d = _symmetrizer(cartan)
-            _check_positive_definite(
-                [[self._sym_d[i] * cartan[i][j] for j in range(self.nsimple)] for i in range(self.nsimple)]
-            )
-        else:
-            self._sym_d = []
+            d = _symmetrizer(cartan)
+            _check_positive_definite([[d[i] * v for v in row] for i, row in enumerate(cartan)])
         self.cartan_matrix = tuple(tuple(r) for r in cartan)
 
-        self._root_solver = _LatticeSolver(roots, rank)
+        adj, self._coord_den = adjugate(self.cartan_matrix)
+        self._coord_rows = mat_mul(adj, coroots)
 
         self.positive_roots, self.positive_coroots = self._close_positive_roots()
         # Simple-root coordinates of the positive roots, solved once here.
@@ -204,8 +221,24 @@ class RootDatum:
         return all(v >= 0 for v in self.labels(weight))
 
     def root_coords_int(self, weight: Weight) -> tuple[int, ...] | None:
-        """Integer simple-root coordinates, or None when not in the root lattice."""
-        return self._root_solver.solve_int(weight)
+        """Integer simple-root coordinates, or None when not in the root lattice.
+
+        w = sum_j m_j alpha_j has labels C m, so m = adj(C) coroots w / det(C),
+        which must divide out exactly. When the roots span less than the
+        lattice (central directions, tori), the labels cannot see the rest,
+        so sum_j m_j alpha_j == w is checked too.
+        """
+        m = []
+        for row in self._coord_rows:
+            q, r = divmod(wdot(row, weight), self._coord_den)
+            if r:
+                return None
+            m.append(q)
+        if self.nsimple < self.rank:
+            for k, wk in enumerate(weight):
+                if sum(mj * alpha[k] for mj, alpha in zip(m, self.simple_roots)) != wk:
+                    return None
+        return tuple(m)
 
     def height(self, weight: Weight) -> int:
         rc = self.root_coords_int(weight)
@@ -283,67 +316,19 @@ class RootDatum:
             frontier = nxt
         return orbit
 
-    # -- invariant inner product -------------------------------------------
-
-    def inner(self, x: Weight, y: Weight) -> Fraction:
-        """W-invariant symmetric form: short simple roots have squared length 2
-        on each simple factor; Euclidean on the coroot-kernel (toral) part."""
-        gram, den = self._gram()
-        num = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = gram[i]
-                num += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-        return Fraction(num, den)
-
-    def _gram(self):
-        cached = getattr(self, "_gram_cache", None)
-        if cached is None:
-            basis = [tuple(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank)]
-            entries = [[self._inner_slow(basis[i], basis[j]) for j in range(self.rank)] for i in range(self.rank)]
-            den = 1
-            for row in entries:
-                for v in row:
-                    den = lcm(den, v.denominator)
-            cached = ([[int(v * den) for v in row] for row in entries], den)
-            self._gram_cache = cached
-        return cached
-
-    def _inner_slow(self, x: Weight, y: Weight) -> Fraction:
-        mx = self._root_span_coords(x)
-        my = self._root_span_coords(y)
-        val = Fraction(0)
-        for i in range(self.nsimple):
-            val += mx[i] * self._sym_d[i] * wdot(y, self.simple_coroots[i])
-        xf = wsub_frac(x, [sum(mx[j] * Fraction(self.simple_roots[j][k]) for j in range(self.nsimple)) for k in range(self.rank)])
-        yf = wsub_frac(y, [sum(my[j] * Fraction(self.simple_roots[j][k]) for j in range(self.nsimple)) for k in range(self.rank)])
-        val += sum(a * b for a, b in zip(xf, yf))
-        return val
-
-    def _root_span_coords(self, x: Weight) -> list[Fraction]:
-        """Coefficients m with x - sum(m_j alpha_j) in the coroot kernel."""
-        if not self.nsimple:
-            return []
-        p = [Fraction(wdot(x, c)) for c in self.simple_coroots]
-        return self._cartan_solver().solve_list(p)
-
-    def _cartan_solver(self) -> _SquareSolver:
-        sol = getattr(self, "_cartan_solver_cache", None)
-        if sol is None:
-            sol = _SquareSolver([[Fraction(v) for v in row] for row in self.cartan_matrix])
-            self._cartan_solver_cache = sol
-        return sol
-
     def weyl_dimension(self, lam: Weight) -> int:
         """Dimension of the irreducible with highest weight `lam` (product formula)."""
         if not self.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
-        num = Fraction(1)
+        num = den = 1
         lam_rho2 = wadd(wscale(2, lam), self.two_rho)
         for cov in self.positive_coroots:
-            num *= Fraction(wdot(lam_rho2, cov), wdot(self.two_rho, cov))
-        assert num.denominator == 1
-        return int(num)
+            num *= wdot(lam_rho2, cov)
+            den *= wdot(self.two_rho, cov)
+        dim, rem = divmod(num, den)
+        if rem:
+            raise ValueError(f"Weyl product for {lam} is not an integer: {num}/{den}")
+        return dim
 
     # -- internals ----------------------------------------------------------
 
@@ -376,103 +361,6 @@ class RootDatum:
 
     def __repr__(self) -> str:
         return f"RootDatum(rank={self.rank}, positive_roots={len(self.positive_roots)})"
-
-
-def wsub_frac(x: Weight, y) -> list[Fraction]:
-    return [Fraction(a) - b for a, b in zip(x, y)]
-
-
-class _SquareSolver:
-    """Exact solver for a fixed invertible square matrix."""
-
-    def __init__(self, matrix: list[list[Fraction]]):
-        n = len(matrix)
-        aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [v / pv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        self.inverse = [row[len(matrix):] for row in aug]
-
-    def solve_list(self, rhs: list[Fraction]) -> list[Fraction]:
-        return [sum(a * b for a, b in zip(row, rhs)) for row in self.inverse]
-
-
-class _LatticeSolver:
-    """Solves sum_j m_j v_j = target exactly for independent vectors v_j."""
-
-    def __init__(self, vectors, dim: int):
-        self.vectors = vectors
-        self.dim = dim
-        self.n = len(vectors)
-        self._rows: list[int] = []
-        if self.n:
-            # Greedily pick coordinate rows on which the vectors are invertible.
-            work: list[list[Fraction]] = []
-            for r in range(dim):
-                cand = [Fraction(v[r]) for v in vectors]
-                if _rank(work + [cand]) == len(work) + 1:
-                    work.append(cand)
-                    self._rows.append(r)
-                    if len(self._rows) == self.n:
-                        break
-            if len(self._rows) != self.n:
-                raise ValueError("vectors are not linearly independent")
-            sub = _SquareSolver([[Fraction(vectors[j][r]) for j in range(self.n)] for r in self._rows])
-            # Integerized inverse rows: m_i = dot(int_row_i, rhs) / den_i.
-            self._int_rows = []
-            self._int_dens = []
-            for row in sub.inverse:
-                den = 1
-                for v in row:
-                    den = lcm(den, v.denominator)
-                self._int_rows.append([int(v * den) for v in row])
-                self._int_dens.append(den)
-
-    def solve_int(self, target: Weight) -> tuple[int, ...] | None:
-        """Integer solution, or None when none exists (pure int arithmetic)."""
-        if self.n == 0:
-            return () if all(v == 0 for v in target) else None
-        rhs = [target[r] for r in self._rows]
-        m = []
-        for row, den in zip(self._int_rows, self._int_dens):
-            num = sum(a * b for a, b in zip(row, rhs))
-            if num % den:
-                return None
-            m.append(num // den)
-        vectors = self.vectors
-        for k in range(self.dim):
-            if sum(m[j] * vectors[j][k] for j in range(self.n)) != target[k]:
-                return None
-        return tuple(m)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [r[:] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def build_root_datum(cartan_matrix) -> RootDatum:

@@ -19,7 +19,9 @@ from nilchar.charring import (
 )
 from nilchar.kostant import weyl_multiplicity
 from nilchar.ktheta import theta_cone_character, wedge_class
+from nilchar.langlands import WeightMultiset
 from nilchar.nilcone import nilcone_character, nilcone_series
+from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
@@ -57,6 +59,26 @@ def test_character_rank_mismatch():
         chi(1) + chi(1, 0)
     with pytest.raises(ValueError):
         chi(1) * chi(1, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_constructors_refuse_non_integers(bad):
+    """A float (even 2.0) or a bool as a weight entry, multiplicity, degree
+    or matrix entry is refused, not rounded."""
+    makers = [
+        lambda: TorusCharacter(1, {(0,): bad}),
+        lambda: GradedCharacter(1, 0, [{(0,): bad}]),
+        lambda: IrrepSeries(1, 0, [{(0,): bad}]),
+        lambda: IrrepSeries(1, 0, [{(bad,): 1}]),
+        lambda: QPolynomial({0: bad}),
+        lambda: QPolynomial({bad: 1}),
+        lambda: WeightMultiset({(0,): bad}),
+        lambda: WeightMultiset({(bad,): 1}),
+        lambda: restrict_character(chi(2), [[bad]]),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match="integer"):
+            make()
 
 
 def test_irreducible_character_trivial():

@@ -1,7 +1,6 @@
 """Continued-parameter bookkeeping: multisets, tensoring, Zuckerman, the
-graded branching sum, and K-norms."""
+graded branching sum."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,19 +14,12 @@ from nilchar.langlands import (
     WeightMultiset,
     graded_branching_sum,
     irrep_weight_multiset,
-    k_norm_squared,
     k_weight_multiset,
     tensor_standard,
     wedge_weight_multiset,
     zuckerman_expansion,
 )
-from nilchar.rootdata import (
-    InvolutionData,
-    build_root_datum,
-    reductive_root_datum,
-    torus_datum,
-)
-from weyl_action import act
+from nilchar.rootdata import InvolutionData, build_root_datum
 
 A1 = build_root_datum([[2]])
 SL2 = load_catalog_config("sl2-split")
@@ -212,27 +204,3 @@ def test_formal_sum_merging():
     s2 = FormalStandardSum([(1, p, 0), (1, p, 1)])
     assert len(s2.items()) == 2
 
-
-def test_k_norm_values():
-    assert k_norm_squared(torus_datum(1), (2,)) == 4
-    assert k_norm_squared(torus_datum(1), (0,)) == 0
-    so3 = reductive_root_datum(1, [(2,)], [(1,)])
-    assert k_norm_squared(so3, (0,)) == 2
-    assert k_norm_squared(so3, (2,)) == Fraction(8)
-    gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
-    assert k_norm_squared(gl2, (0, 0)) == 2
-    with pytest.raises(ValueError):
-        k_norm_squared(gl2, (0, 1))
-
-
-def test_k_norm_independent_of_positive_system():
-    """Recompute with the Weyl-translated positive system: the highest weight
-    and rho_c both move by the same element, so the norm is unchanged."""
-    so3 = reductive_root_datum(1, [(2,)], [(1,)])
-    for lam in [(0,), (2,), (4,)]:
-        w = so3.weyl_words()[1]
-        flipped_lam = act(so3, w, lam)
-        flipped_two_rho = act(so3, w, so3.two_rho)
-        shifted = tuple(a + b for a, b in zip(flipped_lam, flipped_two_rho))
-        direct = k_norm_squared(so3, lam)
-        assert so3.inner(shifted, shifted) == direct

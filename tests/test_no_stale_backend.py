@@ -1,6 +1,7 @@
 """The compiled partition kernel, its backend switch, the on-disk table
-cache and the matrix-closed Weyl group are gone; no source file, README line
-or build setting may point back to them."""
+cache, the matrix-closed Weyl group, the general lattice solver and the
+invariant form are gone; no source file, README line or build setting may
+point back to them."""
 
 from pathlib import Path
 
@@ -13,6 +14,11 @@ STALE = (
     "WeylElement",
     "weyl_group(",
     "longest_element",
+    "k_norm_squared",
+    "_LatticeSolver",
+    "_SquareSolver",
+    "wsub_frac",
+    "_inner_slow",
 )
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from nilchar.rootdata import (
     InvolutionData,
+    adjugate,
     build_root_datum,
     classify_roots,
     dominant_weights_up_to_height,
+    mat_mul,
     reductive_root_datum,
     torus_datum,
     wneg,
@@ -229,10 +231,6 @@ def test_reductive_datum_gl2():
     assert gl2.positive_roots == ((1, -1),)
     assert gl2.weyl_words() == ((), (0,))
     assert gl2.is_dominant((3, 1)) and not gl2.is_dominant((1, 3))
-    # invariant form: the root has squared length 2, the center is Euclidean
-    assert gl2.inner((1, -1), (1, -1)) == 2
-    assert gl2.inner((1, 1), (1, 1)) == 2
-    assert gl2.inner((1, 1), (1, -1)) == 0
 
 
 def test_torus_datum():
@@ -240,7 +238,6 @@ def test_torus_datum():
     assert t.positive_roots == ()
     assert t.is_dominant((-5, 3))
     assert t.weyl_words() == ((),)
-    assert t.inner((1, 2), (3, 4)) == 11
 
 
 def test_weyl_dimension():
@@ -254,9 +251,43 @@ def test_weyl_dimension():
     assert b2.weyl_dimension((2, 0)) == 10
 
 
-def test_root_coords_int():
-    a2 = build_root_datum(A2)
-    assert a2.root_coords_int((1, 1)) == (1, 1)
-    assert a2.root_coords_int((2, -1)) == (1, 0)
-    assert a2.root_coords_int((1, 0)) is None  # fundamental weight, not in root lattice
-    assert a2.root_coords_int((0, 0)) == (0, 0)
+# name: (datum, det(C), m-box radius, weight-box radius). An m-box too small
+# for its weight box makes the test fail; it cannot make it pass.
+COORD_CASES = {
+    "A2": (build_root_datum(A2), 3, 4, 4),
+    "B2": (build_root_datum(B2), 2, 6, 3),
+    "G2": (build_root_datum(G2), 1, 10, 2),
+    "A1xA1": (build_root_datum(A1A1), 4, 3, 3),
+    "F4": (build_root_datum(F4), 1, 2, 0),
+    "GL2": (reductive_root_datum(2, [(1, -1)], [(1, -1)]), 2, 3, 3),
+    "SO3": (reductive_root_datum(1, [(2,)], [(1,)]), 2, 3, 6),
+    "GL3": (reductive_root_datum(3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]), 3, 2, 2),
+    "T2": (torus_datum(2), 1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COORD_CASES))
+def test_root_coords_int(name):
+    """Against brute force: w = sum_j m_j alpha_j for every integer m in a
+    box gives back m, and every weight of a box has the coordinates of the
+    m reaching it, or None when no m does (e.g. the fundamental weight (1, 0)
+    of A2, the central (1, 1) of GL2, the (1,) off the roots (2,) of SO3)."""
+    datum, _, m_box, w_box = COORD_CASES[name]
+    span = {}
+    for m in itertools.product(range(-m_box, m_box + 1), repeat=datum.nsimple):
+        w = tuple(sum(mj * alpha[k] for mj, alpha in zip(m, datum.simple_roots)) for k in range(datum.rank))
+        span[w] = m
+        assert datum.root_coords_int(w) == m
+    for w in itertools.product(range(-w_box, w_box + 1), repeat=datum.rank):
+        assert datum.root_coords_int(w) == span.get(w), w
+
+
+@pytest.mark.parametrize("name", list(COORD_CASES))
+def test_cartan_adjugate(name):
+    """adj(C) C = det(C) I, with the known determinant of each Cartan matrix."""
+    datum, det, _, _ = COORD_CASES[name]
+    adj, d = adjugate(datum.cartan_matrix)
+    assert d == det
+    assert mat_mul(adj, datum.cartan_matrix) == tuple(
+        tuple(det if i == j else 0 for j in range(datum.nsimple)) for i in range(datum.nsimple)
+    )
