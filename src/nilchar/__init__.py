@@ -16,12 +16,10 @@ from .charring import (
     decompose_into_irreducibles,
     graded_mul,
     irreducible_character,
-    restrict_character,
 )
 from .config import ConfigError, LoadedConfig, config_from_dict, load_config_file
 from .catalog import catalog_names, load_catalog_config
 from .kostant import (
-    kostant_partition,
     kostant_partition_q,
     lusztig_mq,
     weyl_multiplicity,

@@ -14,7 +14,7 @@ the typical inputs.
 from __future__ import annotations
 
 from .kostant import memo_get, memo_put, new_memo
-from .rootdata import RootDatum, Weight, int_vector, is_int, mat_apply, wadd, wdot, wsub
+from .rootdata import RootDatum, Weight, int_vector, is_int, wadd, wdot, wsub
 
 _irrep_cache = new_memo()
 
@@ -348,20 +348,3 @@ def _validate_weyl_invariance(datum: RootDatum, ch: TorusCharacter) -> None:
             raise ValueError(
                 f"character is not Weyl-invariant on the orbit of {w}: multiplicities {sorted(vals)}"
             )
-
-
-def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
-    """Push a character forward along an integer lattice map (rows index the
-    target coordinates); colliding weights add."""
-    rows = tuple(int_vector(row, f"rmatrix[{i}]") for i, row in enumerate(rmatrix))
-    target_rank = len(rows)
-    for row in rows:
-        if len(row) != ch.rank:
-            raise ValueError(
-                f"restriction matrix expects source rank {len(row)}, character has rank {ch.rank}"
-            )
-    out: dict[Weight, int] = {}
-    for w, c in ch.terms.items():
-        key = mat_apply(rows, w)
-        out[key] = out.get(key, 0) + c
-    return TorusCharacter(target_rank, out)

@@ -5,7 +5,6 @@ optional affine cone model. Validation failures name the offending field."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ktheta import Dims, RealFormConfig, dimension_check
@@ -13,6 +12,7 @@ from .langlands import PositiveSystem, TorusDatum
 from .oracle import AffineConeModel, ConeVariable
 from .rootdata import (
     InvolutionData,
+    Record,
     RootDatum,
     build_root_datum,
     reductive_root_datum,
@@ -23,8 +23,9 @@ class ConfigError(ValueError):
     """A malformed or inconsistent configuration document."""
 
 
-@dataclass(frozen=True)
-class LoadedConfig:
+class LoadedConfig(Record):
+    __slots__ = ("label", "real_form", "tori", "oracle_model")
+
     label: str
     real_form: RealFormConfig
     tori: tuple[TorusDatum, ...] | None

@@ -121,11 +121,6 @@ def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = 
     return QPolynomial.from_list(coeffs if truncation is None else coeffs[: truncation + 1])
 
 
-def kostant_partition(datum: RootDatum, lam: Weight) -> int:
-    """Plain partition count: the q-polynomial evaluated at q = 1."""
-    return kostant_partition_q(datum, lam).eval_at_one()
-
-
 _weyl_on_labels_cache = new_memo()
 
 

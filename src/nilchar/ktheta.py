@@ -16,8 +16,6 @@ sanity identity and the dimension bookkeeping that the hypothesis rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .charring import (
     GradedCharacter,
     IrrepSeries,
@@ -26,15 +24,16 @@ from .charring import (
     symmetric_series,
 )
 from .nilcone import nilcone_character, nilcone_series
-from .rootdata import InvolutionData, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
+from .rootdata import InvolutionData, Record, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
 
 
 class SplitHypothesisError(ValueError):
     """Raised when a computation is only valid for forms split modulo center."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("passed", "lines")
+
     passed: bool
     lines: tuple[str, ...]
 
@@ -46,16 +45,16 @@ class CheckResult:
         return "\n".join(self.lines)
 
 
-@dataclass(frozen=True)
-class Dims:
+class Dims(Record):
+    __slots__ = ("dim_g", "dim_k", "dim_p", "rank_split")
+
     dim_g: int
     dim_k: int
     dim_p: int
     rank_split: int
 
 
-@dataclass(frozen=True)
-class RealFormConfig:
+class RealFormConfig(Record):
     """The (G, theta, K) package: ambient root datum, involution, torus-level
     restriction to K, the weights of k, and the dimension table.
 
@@ -63,6 +62,11 @@ class RealFormConfig:
     root, and `rank` zero weights) less the weights of k, as multisets. A k
     weight that the restricted weights of g do not cover is refused, and so
     are k weights other than the adjoint weights of `k_datum` when given."""
+
+    __slots__ = ("label", "g_datum", "involution", "k_torus_rank", "restriction", "k_weights", "dims",
+                 "split_mod_center", "k_datum", "p_weights")
+    _defaults = {"k_datum": None}
+    _derived = ("p_weights",)
 
     label: str
     g_datum: RootDatum
@@ -72,8 +76,8 @@ class RealFormConfig:
     k_weights: tuple[Weight, ...]
     dims: Dims
     split_mod_center: bool
-    k_datum: RootDatum | None = None
-    p_weights: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
+    k_datum: RootDatum | None
+    p_weights: tuple[Weight, ...]
 
     def __post_init__(self):
         classify_roots(self.g_datum, self.involution)

@@ -10,13 +10,12 @@ without attempting any orbit geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .charring import irreducible_character
 from .ktheta import RealFormConfig
 from .nilcone import contributor_polynomials
 from .rootdata import (
     InvolutionData,
+    Record,
     RootDatum,
     Weight,
     classify_roots,
@@ -27,9 +26,10 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
+class PositiveSystem(Record):
     """A positive system of imaginary roots with its orbit codimension."""
+
+    __slots__ = ("id", "imaginary_roots", "ell")
 
     id: str
     imaginary_roots: tuple[Weight, ...]
@@ -42,10 +42,11 @@ class PositiveSystem:
             raise ValueError("orbit codimension must be non-negative")
 
 
-@dataclass(frozen=True)
-class TorusDatum:
+class TorusDatum(Record):
     """A theta-stable maximal torus: its involution on the weight lattice and
     the supplied positive systems of imaginary roots."""
+
+    __slots__ = ("label", "theta", "positive_systems")
 
     label: str
     theta: InvolutionData
@@ -71,10 +72,11 @@ class TorusDatum:
                         raise ValueError(f"positive system {ps.id!r} is not closed under addition")
 
 
-@dataclass(frozen=True)
-class ContinuedParameter:
+class ContinuedParameter(Record):
     """(torus, gamma, positive system) with gamma stored as a lattice part
     plus a symbolic half-sum-of-imaginary-roots summand."""
+
+    __slots__ = ("torus", "gamma0", "rho_imaginary", "positive_system")
 
     torus: str
     gamma0: Weight

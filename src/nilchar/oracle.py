@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -20,11 +19,12 @@ from operator import add
 
 from .charring import GradedCharacter
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
-from .rootdata import Weight, int_vector, is_int
+from .rootdata import Record, Weight, int_vector, is_int
 
 
-@dataclass(frozen=True)
-class ConeVariable:
+class ConeVariable(Record):
+    __slots__ = ("name", "weight")
+
     name: str
     weight: Weight
 
@@ -32,14 +32,15 @@ class ConeVariable:
         object.__setattr__(self, "weight", int_vector(self.weight, f"variable {self.name!r}: weight"))
 
 
-@dataclass(frozen=True)
-class AffineConeModel:
+class AffineConeModel(Record):
     """Weighted polynomial ring modulo the ideal of the listed generators.
 
     Generators map exponent tuples to rational coefficients (`int` or
     `Fraction`) and must be homogeneous in total degree (and in weight for
     character computations).
     """
+
+    __slots__ = ("variables", "generators")
 
     variables: tuple[ConeVariable, ...]
     generators: tuple

@@ -9,8 +9,8 @@ groups with central tori (e.g. GL2) and pure torus factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -226,8 +226,10 @@ class RootDatum:
         w = sum_j m_j alpha_j has labels C m, so m = adj(C) coroots w / det(C),
         which must divide out exactly. When the roots span less than the
         lattice (central directions, tori), the labels cannot see the rest,
-        so sum_j m_j alpha_j == w is checked too.
+        so sum_j m_j alpha_j == w is checked too. An entry of `weight` that
+        is not an int is a ValueError naming it.
         """
+        weight = int_vector(weight, "weight")
         m = []
         for row in self._coord_rows:
             q, r = divmod(wdot(row, weight), self._coord_den)
@@ -316,20 +318,6 @@ class RootDatum:
             frontier = nxt
         return orbit
 
-    def weyl_dimension(self, lam: Weight) -> int:
-        """Dimension of the irreducible with highest weight `lam` (product formula)."""
-        if not self.is_dominant(lam):
-            raise ValueError(f"{lam} is not dominant")
-        num = den = 1
-        lam_rho2 = wadd(wscale(2, lam), self.two_rho)
-        for cov in self.positive_coroots:
-            num *= wdot(lam_rho2, cov)
-            den *= wdot(self.two_rho, cov)
-        dim, rem = divmod(num, den)
-        if rem:
-            raise ValueError(f"Weyl product for {lam} is not an integer: {num}/{den}")
-        return dim
-
     # -- internals ----------------------------------------------------------
 
     def _close_positive_roots(self):
@@ -384,13 +372,85 @@ def torus_datum(rank: int) -> RootDatum:
     return RootDatum(rank, (), ())
 
 
-@dataclass(frozen=True)
-class InvolutionData:
+class Record:
+    """Read-only value record. A subclass names its fields in `__slots__`,
+    and its instances are equal, hashed and printed by those fields, in order.
+
+    The constructor binds the fields from positional or keyword arguments,
+    takes a missing one from the class's `_defaults`, then calls
+    `__post_init__` when the class has one; that hook may normalize a field
+    with `object.__setattr__`. A field named in `_derived` is set there
+    alone and takes no part in construction, equality, hashing or repr.
+    """
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if f not in cls._derived)
+        cls._field_values = attrgetter(*cls._fields)
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
+        if self._post_init is not None:
+            self._post_init()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values in order, from arguments other than one
+        positional argument per field."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [values[f] if f in values else cls._defaults[f] for f in fields]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class InvolutionData(Record):
     """A lattice involution plus compact markings of imaginary roots.
 
     `compact` holds the imaginary roots marked compact (closed under negation;
     unmarked imaginary roots are noncompact).
     """
+
+    __slots__ = ("matrix", "compact")
 
     matrix: Matrix
     compact: frozenset[Weight]
@@ -423,8 +483,9 @@ class InvolutionData:
         return (self.rank + tr) // 2
 
 
-@dataclass(frozen=True)
-class RootClassification:
+class RootClassification(Record):
+    __slots__ = ("imaginary_compact", "imaginary_noncompact", "real", "complex_")
+
     imaginary_compact: tuple[Weight, ...]
     imaginary_noncompact: tuple[Weight, ...]
     real: tuple[Weight, ...]

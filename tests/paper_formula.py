@@ -4,9 +4,26 @@ exterior class of k. The library computes the same character in the
 Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (`theta_cone_character`);
 the two agree by the Koszul identity S(k) * Lambda(k) = 1."""
 
-from nilchar.charring import GradedCharacter, graded_mul, restrict_character
+from nilchar.charring import GradedCharacter, TorusCharacter, graded_mul
 from nilchar.ktheta import RealFormConfig, wedge_class
 from nilchar.nilcone import nilcone_character
+from nilchar.rootdata import Weight, int_vector, mat_apply
+
+
+def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
+    """Push a character forward along an integer lattice map (rows index the
+    target coordinates); colliding weights add."""
+    rows = tuple(int_vector(row, f"rmatrix[{i}]") for i, row in enumerate(rmatrix))
+    for row in rows:
+        if len(row) != ch.rank:
+            raise ValueError(
+                f"restriction matrix expects source rank {len(row)}, character has rank {ch.rank}"
+            )
+    out: dict[Weight, int] = {}
+    for w, c in ch.terms.items():
+        key = mat_apply(rows, w)
+        out[key] = out.get(key, 0) + c
+    return TorusCharacter(len(rows), out)
 
 
 def restrict_graded(gc: GradedCharacter, rmatrix) -> GradedCharacter:

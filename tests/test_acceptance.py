@@ -19,6 +19,7 @@ from nilchar.langlands import graded_branching_sum, zuckerman_expansion
 from nilchar.nilcone import contributor_polynomials, nilcone_character
 from nilchar.oracle import AffineConeModel, ConeVariable, compare_with_formula, graded_character_by_degree
 from nilchar.rootdata import build_root_datum, dominant_weights_up_to_height
+from weyl_action import weyl_dimension
 
 SL2 = load_catalog_config("sl2-split")
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -146,7 +147,7 @@ def test_criterion_9_branching_bookkeeping():
         dim_series = [0, 0]
         for lam, mq in contributor_polynomials(datum, 1):
             for deg, c in mq.items():
-                dim_series[deg] += datum.weyl_dimension(lam) * c
+                dim_series[deg] += weyl_dimension(datum, lam) * c
         dim_k = rf.dims.dim_k
         expected = {
             n: z_mass

@@ -1,13 +1,11 @@
 """Wedge class, Koszul identity, the Kostant-Rallis form against the paper's
 product formula, dimension checks."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, ktheta, nilcone
+from nilchar import ktheta, nilcone
 from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.charring import symmetric_series
 from nilchar.cli import main
@@ -24,6 +22,7 @@ from nilchar.ktheta import (
 )
 from nilchar.rootdata import InvolutionData, build_root_datum, reductive_root_datum, torus_datum
 from paper_formula import restrict_times_wedge
+from weyl_action import weyl_dimension
 
 
 def test_wedge_single_zero_weight():
@@ -117,7 +116,7 @@ def test_theta_ktypes_sl3_dimensions():
     series = theta_cone_ktypes(cfg, 4)
     gc = theta_cone_character(cfg, 4)
     for n in range(5):
-        total = sum(c * cfg.k_datum.weyl_dimension(lam) for lam, c in series.layers[n].items())
+        total = sum(c * weyl_dimension(cfg.k_datum, lam) for lam, c in series.layers[n].items())
         assert total == gc.mass(n)
         assert all(c > 0 for c in series.layers[n].values())
 
@@ -195,8 +194,9 @@ def test_p_weights_catalog():
 
 
 def test_theta_cone_builds_no_g_torus_character(monkeypatch):
-    """The K side never builds C[N] on the G-torus, restricts it, or
-    multiplies by the exterior class of k."""
+    """The K side never builds C[N] on the G-torus or multiplies by the
+    exterior class of k. Restriction to the K-torus exists only in the test
+    helper `paper_formula`."""
     rf = load_catalog_config("sp4-split").real_form
     calls = []
 
@@ -209,7 +209,6 @@ def test_theta_cone_builds_no_g_torus_character(monkeypatch):
 
     for module in (nilcone, ktheta):
         monkeypatch.setattr(module, "nilcone_character", counted("nilcone", nilcone.nilcone_character))
-    monkeypatch.setattr(charring, "restrict_character", counted("restrict", charring.restrict_character))
     monkeypatch.setattr(ktheta, "wedge_class", counted("wedge", ktheta.wedge_class))
     monkeypatch.setattr(ktheta, "graded_mul", counted("graded_mul", ktheta.graded_mul))
     gc = theta_cone_character(rf, 8)
@@ -261,7 +260,18 @@ def test_dimension_check_cone_line_can_fail():
     cone-restriction line itself. Built directly: the config loader refuses
     a split document whose dimensions fail."""
     sl3 = load_catalog_config("sl3-split").real_form
-    bad = dataclasses.replace(sl3, dims=dataclasses.replace(sl3.dims, rank_split=1))
+    d = sl3.dims
+    bad = RealFormConfig(
+        label=sl3.label,
+        g_datum=sl3.g_datum,
+        involution=sl3.involution,
+        k_torus_rank=sl3.k_torus_rank,
+        restriction=sl3.restriction,
+        k_weights=sl3.k_weights,
+        dims=Dims(dim_g=d.dim_g, dim_k=d.dim_k, dim_p=d.dim_p, rank_split=1),
+        split_mod_center=sl3.split_mod_center,
+        k_datum=sl3.k_datum,
+    )
     result = dimension_check(bad)
     assert not result.passed
     assert result.lines[0] == "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)"

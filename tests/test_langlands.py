@@ -20,6 +20,7 @@ from nilchar.langlands import (
     zuckerman_expansion,
 )
 from nilchar.rootdata import InvolutionData, build_root_datum
+from weyl_action import weyl_dimension
 
 A1 = build_root_datum([[2]])
 SL2 = load_catalog_config("sl2-split")
@@ -167,7 +168,7 @@ def test_branching_mass_matches_three_factor_convolution():
     )
     dim_series = [0] * (N + 1)
     for lam, mq in contributor_polynomials(datum, N):
-        d = datum.weyl_dimension(lam)
+        d = weyl_dimension(datum, lam)
         for deg, c in mq.items():
             dim_series[deg] += d * c
     dim_k = SL2.real_form.dims.dim_k

@@ -1,7 +1,8 @@
 """The compiled partition kernel, its backend switch, the on-disk table
-cache, the matrix-closed Weyl group, the general lattice solver and the
-invariant form are gone; no source file, README line or build setting may
-point back to them."""
+cache, the matrix-closed Weyl group, the general lattice solver, the
+invariant form, the records generated by `dataclasses` and the library
+copies of three test-only helpers are gone; no source file, README line or
+build setting may point back to them."""
 
 from pathlib import Path
 
@@ -19,6 +20,10 @@ STALE = (
     "_SquareSolver",
     "wsub_frac",
     "_inner_slow",
+    "dataclass",
+    "weyl_dimension",
+    "restrict_character",
+    "kostant_partition(",
 )
 
 

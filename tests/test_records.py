@@ -1,0 +1,141 @@
+"""The read-only value records (`rootdata.Record`) and the import cost they
+keep off every command."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from nilchar.catalog import load_catalog_config
+from nilchar.ktheta import CheckResult, Dims, RealFormConfig, dimension_check
+from nilchar.langlands import ContinuedParameter, FormalStandardSum
+from nilchar.rootdata import Record, classify_roots
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["nilchar", "nilchar.cli"])
+def test_cold_import_loads_no_code_generation_modules(module):
+    """Importing the package (as the benchmark child does) or the CLI in a
+    fresh interpreter loads neither `dataclasses` nor `inspect`."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"import {module}; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def _every_record():
+    """One instance of each record type, from the catalog configs."""
+    sl2 = load_catalog_config("sl2-split")
+    rf = sl2.real_form
+    torus = sl2.tori[0]
+    model = sl2.oracle_model
+    return [
+        sl2,
+        rf,
+        rf.dims,
+        rf.involution,
+        classify_roots(rf.g_datum, rf.involution),
+        dimension_check(rf),
+        torus,
+        torus.positive_systems[0],
+        ContinuedParameter("T", (1,), True, "ps"),
+        model,
+        model.variables[0],
+    ]
+
+
+def test_every_record_type_is_covered():
+    assert len({type(r) for r in _every_record()}) == 11
+    assert all(isinstance(r, Record) for r in _every_record())
+
+
+@pytest.mark.parametrize("record", _every_record(), ids=lambda r: type(r).__name__)
+def test_records_are_read_only(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match="read-only"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(record, field)
+
+
+def test_equal_parameters_hash_alike_and_merge():
+    p = ContinuedParameter("T", (1, 0), True, "ps")
+    q = ContinuedParameter("T", tuple([1, 0]), True, "ps")
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert FormalStandardSum([(2, p, 0), (3, q, 0)]).terms == {(p, 0): 5}
+    assert FormalStandardSum([(1, p, 1), (-1, q, 1)]).terms == {}
+    other = ContinuedParameter("T", (0, 1), True, "ps")
+    assert p != other
+    assert len(FormalStandardSum([(1, p, 0), (1, other, 0)]).terms) == 2
+
+
+def test_records_of_different_types_are_unequal():
+    class Verdict(Record):
+        __slots__ = ("passed", "lines")
+
+    assert CheckResult(True, ()) != Verdict(True, ())
+    assert CheckResult(True, ()) != (True, ())
+    assert Dims(1, 0, 1, 1) != None  # noqa: E711
+
+
+def test_constructor_binds_positional_and_keyword_arguments():
+    d = Dims(3, dim_k=1, dim_p=2, rank_split=1)
+    assert d == Dims(dim_g=3, dim_k=1, dim_p=2, rank_split=1) == Dims(3, 1, 2, 1)
+    assert repr(d) == "Dims(dim_g=3, dim_k=1, dim_p=2, rank_split=1)"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((3, 1, 2), {}, "missing arguments: rank_split"),
+        ((3, 1, 2, 1), {"extra": 0}, "unexpected argument 'extra'"),
+        ((3, 1, 2), {"dim_g": 3, "rank_split": 1}, "multiple values for argument 'dim_g'"),
+        ((3, 1, 2, 1, 0), {}, "takes 4 arguments but 5 were given"),
+    ],
+)
+def test_constructor_refuses_missing_unknown_or_repeated_fields(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Dims(*args, **kwargs)
+
+
+def _rebuild(rf, **changes):
+    fields = {f: getattr(rf, f) for f in rf._fields}
+    fields.update(changes)
+    return RealFormConfig(**fields)
+
+
+def test_real_form_config_leaves_out_derived_p_weights():
+    rf = load_catalog_config("sp4-split").real_form
+    assert "p_weights" not in rf._fields and len(rf.p_weights) == 6
+    assert "p_weights" not in repr(rf)
+    assert repr(rf).startswith("RealFormConfig(label='sp4-split', g_datum=RootDatum(")
+    copy = _rebuild(rf)
+    object.__setattr__(copy, "p_weights", ())
+    assert copy == rf and hash(copy) == hash(rf)
+    assert _rebuild(rf, label="other") != rf
+    with pytest.raises(TypeError, match="unexpected argument 'p_weights'"):
+        _rebuild(rf, p_weights=rf.p_weights)
+
+
+def test_real_form_config_takes_k_datum_default():
+    rf = load_catalog_config("sp4-split").real_form
+    assert rf.k_datum is not None
+    fields = {f: getattr(rf, f) for f in rf._fields if f != "k_datum"}
+    assert RealFormConfig(**fields).k_datum is None
+
+
+def test_check_result_keeps_its_truth_value():
+    assert not CheckResult(False, ("FAIL: x",))
+    assert CheckResult(True, ())
+    assert CheckResult(False, ("a", "b")).details == "a\nb"

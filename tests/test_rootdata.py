@@ -16,7 +16,7 @@ from nilchar.rootdata import (
     torus_datum,
     wneg,
 )
-from weyl_action import act
+from weyl_action import act, weyl_dimension
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -105,6 +105,15 @@ def test_constructors_refuse_non_integer_entries(bad):
         InvolutionData([[bad]])
     with pytest.raises(ValueError, match=r"compact\[0\]\[0\]"):
         InvolutionData([[1]], compact=[(bad,)])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2.0])
+def test_root_coords_int_refuses_non_integer_entries(bad):
+    """A float (even 2.0) or a bool in a weight is named, not read as an int."""
+    with pytest.raises(ValueError, match=r"weight\[0\] = .* is not an integer"):
+        build_root_datum(A1).root_coords_int((bad,))
+    with pytest.raises(ValueError, match=r"weight\[1\]"):
+        reductive_root_datum(2, [(1, -1)], [(1, -1)]).root_coords_int((1, bad))
 
 
 def test_bad_cartan_matrices_rejected():
@@ -242,13 +251,13 @@ def test_torus_datum():
 
 def test_weyl_dimension():
     a2 = build_root_datum(A2)
-    assert a2.weyl_dimension((0, 0)) == 1
-    assert a2.weyl_dimension((1, 0)) == 3
-    assert a2.weyl_dimension((1, 1)) == 8
+    assert weyl_dimension(a2, (0, 0)) == 1
+    assert weyl_dimension(a2, (1, 0)) == 3
+    assert weyl_dimension(a2, (1, 1)) == 8
     b2 = build_root_datum(B2)
-    assert b2.weyl_dimension((1, 0)) == 4
-    assert b2.weyl_dimension((0, 1)) == 5
-    assert b2.weyl_dimension((2, 0)) == 10
+    assert weyl_dimension(b2, (1, 0)) == 4
+    assert weyl_dimension(b2, (0, 1)) == 5
+    assert weyl_dimension(b2, (2, 0)) == 10
 
 
 # name: (datum, det(C), m-box radius, weight-box radius). An m-box too small
