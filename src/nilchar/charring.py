@@ -13,10 +13,20 @@ the typical inputs.
 
 from __future__ import annotations
 
-from .kostant import memo_get, memo_put, new_memo
+from itertools import chain
+
 from .rootdata import RootDatum, Weight, int_vector, is_int, wadd, wdot, wsub
 
-_irrep_cache = new_memo()
+
+def _refuse_non_int_entries(weights, where: str = "") -> None:
+    """A weight with an entry that is not an int (`is_int`) is a ValueError
+    naming it. The types of all entries are collected in one pass, so weights
+    of plain ints cost no Python call per entry; only a stray type leads to
+    the search for the weight that holds it."""
+    if set(map(type, chain.from_iterable(weights))) - {int}:
+        for w in weights:
+            if not all(map(is_int, w)):
+                raise ValueError(f"weight {w}{where} has an entry that is not an integer")
 
 
 class TorusCharacter:
@@ -28,7 +38,9 @@ class TorusCharacter:
         self.rank = rank
         cleaned: dict[Weight, int] = {}
         if terms:
-            for w, c in dict(terms).items():
+            terms = dict(terms)
+            _refuse_non_int_entries(terms)
+            for w, c in terms.items():
                 if len(w) != rank:
                     raise ValueError(f"weight {w} does not have rank {rank}")
                 if not is_int(c):
@@ -124,7 +136,9 @@ class GradedCharacter:
         for n in range(truncation + 1):
             layer = {}
             if layers is not None and n < len(layers):
-                for w, c in dict(layers[n]).items():
+                given = dict(layers[n])
+                _refuse_non_int_entries(given, f" in degree {n}")
+                for w, c in given.items():
                     if len(w) != rank:
                         raise ValueError(f"weight {w} does not have rank {rank}")
                     if not is_int(c):
@@ -286,13 +300,10 @@ def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
     longest Weyl element w0, the last of `RootDatum.weyl_words()`."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    cached = memo_get(_irrep_cache, datum, lam)
-    if cached is not None:
-        return cached
     terms = {tuple(lam): 1}
     for i in reversed(datum.weyl_words()[-1]):
         terms = _demazure(datum, i, terms)
-    return memo_put(_irrep_cache, datum, lam, TorusCharacter(datum.rank, terms))
+    return TorusCharacter(datum.rank, terms)
 
 
 def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight, int]:

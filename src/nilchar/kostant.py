@@ -9,103 +9,21 @@ that tests hold the Demazure-built irreducible characters
 
 The Weyl-group sum runs in integer simple-root coordinates: each Weyl element,
 taken as a reduced word from `RootDatum.weyl_words`, acts on Dynkin labels
-through one integer matrix (`weyl_on_labels`), so a call solves for the
+through one integer matrix (`weyl_on_labels`), so a query solves for the
 coordinates of lam - mu once and reads every partition polynomial from one
-table, with no solve per element.
+table, with no solve per element. A `LusztigSum` holds that table and those
+matrices for one datum, built once: a scan builds one and queries it for
+every weight; the single-query functions below build their own. Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from operator import mul
 
 from . import kernels
 from .qpoly import QPolynomial
 from .rootdata import Matrix, RootDatum, Weight, wdot, wsub
-
-# Per-datum caches are plain dicts keyed by the datum, which compares and
-# hashes by its Cartan data: an entry serves every equal datum and lives
-# until `clear_caches`. (Weak keys would drop it with the first datum that
-# stored it, while an equal one is still in use.)
-_lock = threading.Lock()
-_tables: dict[RootDatum, _Table] = {}
-_memos: list[dict] = []
-
-
-def new_memo() -> dict:
-    """A per-datum memo table (datum -> {key: value}) that `clear_caches`
-    empties. Read and write it only through `memo_get` and `memo_put`."""
-    memo: dict = {}
-    _memos.append(memo)
-    return memo
-
-
-def memo_get(memo: dict, datum: RootDatum, key):
-    with _lock:
-        per_datum = memo.get(datum)
-        return None if per_datum is None else per_datum.get(key)
-
-
-def memo_put(memo: dict, datum: RootDatum, key, value):
-    """Store `value` unless another caller stored one first; return the
-    stored value, so concurrent callers all get the same object."""
-    with _lock:
-        return memo.setdefault(datum, {}).setdefault(key, value)
-
-
-class _Table:
-    """Partition polynomials of every weight of height <= `height`, exact
-    through q^degree."""
-
-    __slots__ = ("height", "degree", "data")
-
-    def __init__(self, height, degree, data):
-        self.height = height
-        self.degree = degree
-        self.data = data
-
-
-def _build_table(datum: RootDatum, height: int, degree: int) -> _Table:
-    return _Table(height, degree, kernels.partition_table(datum.positive_root_coords, height, degree))
-
-
-def _covering_table(datum: RootDatum, height: int, degree: int) -> _Table:
-    """The datum's table, rebuilt (keeping what it covered) unless it covers
-    `height` and `degree` already. The caller holds `_lock`."""
-    tab = _tables.get(datum)
-    if tab is None or height > tab.height or degree > tab.degree:
-        if tab is not None:
-            height, degree = max(height, tab.height), max(degree, tab.degree)
-        tab = _tables[datum] = _build_table(datum, height, degree)
-    return tab
-
-
-def warm_partition_table(datum: RootDatum, height: int, degree: int | None = None) -> None:
-    """Pre-build the partition table for every weight of height <= `height`,
-    exact through q^degree (every degree when None)."""
-    with _lock:
-        _covering_table(datum, height, height if degree is None else degree)
-
-
-def clear_caches() -> None:
-    with _lock:
-        _tables.clear()
-        for memo in _memos:
-            memo.clear()
-
-
-def _table_for(datum: RootDatum, height: int, truncation: int | None) -> _Table:
-    """A table exact, through q^truncation (every degree when None), for
-    every weight of height <= `height`. A table is never changed once built,
-    so the caller may read it without the lock."""
-    degree = height if truncation is None else min(height, truncation)
-    with _lock:
-        tab = _tables.get(datum)
-        if tab is None or height > tab.height or degree > tab.degree:
-            # Grow with a little headroom so scans do not rebuild per query.
-            height = max(height + height // 4, 4)
-            tab = _covering_table(datum, height, height if truncation is None else degree)
-    return tab
 
 
 def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = None) -> QPolynomial:
@@ -117,11 +35,9 @@ def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = 
         return QPolynomial.zero()
     if datum.nsimple == 0:
         return QPolynomial.one()
-    coeffs = _table_for(datum, sum(rc), truncation).data.get(rc, ())
-    return QPolynomial.from_list(coeffs if truncation is None else coeffs[: truncation + 1])
-
-
-_weyl_on_labels_cache = new_memo()
+    height = sum(rc)
+    degree = height if truncation is None else min(height, truncation)
+    return QPolynomial.from_list(kernels.partition_table(datum.positive_root_coords, height, degree).get(rc, ()))
 
 
 def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
@@ -135,9 +51,6 @@ def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
     word less its last letter is an earlier word of the list, since the
     words are grown breadth-first by appending letters.
     """
-    cached = memo_get(_weyl_on_labels_cache, datum, None)
-    if cached is not None:
-        return cached
     n = datum.nsimple
     cartan = datum.cartan_matrix
     by_word: dict[tuple[int, ...], Matrix] = {(): tuple((0,) * n for _ in range(n))}
@@ -151,42 +64,65 @@ def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
                 for k, row in enumerate(prefix)
             )
         out.append((-1 if len(word) % 2 else 1, by_word[word]))
-    return memo_put(_weyl_on_labels_cache, datum, None, tuple(out))
+    return tuple(out)
+
+
+class LusztigSum:
+    """Lusztig's signed Weyl-group sum for one datum, for every lam - mu of
+    height <= `height`, exact through q^truncation (every degree when None).
+
+    Holds one partition table and the `weyl_on_labels` matrices, both built
+    here, so that a caller querying many weights builds each once.
+    """
+
+    __slots__ = ("datum", "height", "table", "on_labels")
+
+    def __init__(self, datum: RootDatum, height: int, truncation: int | None = None):
+        self.datum = datum
+        self.height = height
+        degree = height if truncation is None else min(height, truncation)
+        self.table = kernels.partition_table(datum.positive_root_coords, height, degree) if datum.nsimple else {}
+        self.on_labels = weyl_on_labels(datum)
+
+    def coeffs(self, lam: Weight, mu: Weight) -> list[int]:
+        """Coefficients of sum_w sign(w) P_q(w(lam + rho) - (mu + rho)), cut
+        after q^truncation of the constructor.
+
+        In simple-root coordinates the argument is rc(lam - mu) - D_w .
+        (labels(lam) + 1), since labels(rho) = 1: one lattice solve per
+        query, none per element. Every argument lies below lam - mu, so the
+        table covers them all when ht(lam - mu) <= `height`; a higher query
+        is a ValueError. A negative coordinate of lam - mu leaves no term.
+        """
+        datum = self.datum
+        labels = datum.labels(lam)
+        if any(v < 0 for v in labels):
+            raise ValueError(f"{lam} is not dominant")
+        rc = datum.root_coords_int(wsub(lam, mu))
+        if rc is None or any(v < 0 for v in rc):
+            return []
+        if sum(rc) > self.height:
+            raise ValueError(f"{lam} - {mu} has height {sum(rc)}, above this table's {self.height}")
+        if datum.nsimple == 0:
+            return [1]
+        shifted = tuple(v + 1 for v in labels)
+        acc: list[int] = []
+        for sign, d in self.on_labels:
+            coeffs = self.table.get(tuple([r - sum(map(mul, row, shifted)) for r, row in zip(rc, d)]))
+            if coeffs is None:
+                continue
+            if len(acc) < len(coeffs):
+                acc.extend([0] * (len(coeffs) - len(acc)))
+            for k, c in enumerate(coeffs):
+                acc[k] += sign * c
+        return acc
 
 
 def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None) -> list[int]:
-    """Coefficients of sum_w sign(w) P_q(w(lam + rho) - (mu + rho)), cut after
-    q^truncation (whole when None).
-
-    In simple-root coordinates the argument is rc(lam - mu) - D_w . (labels(lam)
-    + 1), since labels(rho) = 1: one lattice solve per call, none per element.
-    Every argument lies below lam - mu, so one table sized to ht(lam - mu)
-    covers them all, and a negative ht(lam - mu) or coordinate leaves none.
-    """
-    labels = datum.labels(lam)
-    if any(v < 0 for v in labels):
-        raise ValueError(f"{lam} is not dominant")
+    """One query, on a `LusztigSum` sized to ht(lam - mu)."""
     rc = datum.root_coords_int(wsub(lam, mu))
-    if rc is None or any(v < 0 for v in rc):
-        return []
-    if datum.nsimple == 0:
-        return [1]
-    shifted = tuple(v + 1 for v in labels)
-    data = _table_for(datum, sum(rc), truncation).data
-    top = None if truncation is None else truncation + 1
-    acc: list[int] = []
-    for sign, d in weyl_on_labels(datum):
-        arg = tuple([r - sum(map(mul, row, shifted)) for r, row in zip(rc, d)])
-        coeffs = data.get(arg)
-        if coeffs is None:
-            continue
-        if top is not None:
-            coeffs = coeffs[:top]
-        if len(acc) < len(coeffs):
-            acc.extend([0] * (len(coeffs) - len(acc)))
-        for k, c in enumerate(coeffs):
-            acc[k] += sign * c
-    return acc
+    height = sum(rc) if rc is not None and all(v >= 0 for v in rc) else 0
+    return LusztigSum(datum, height, truncation).coeffs(lam, mu)
 
 
 def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:

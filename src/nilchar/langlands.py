@@ -292,8 +292,14 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    contributors = contributor_polynomials(datum, truncation)
-    terms = []
+    # Each irreducible is built once, before the torus and positive-system
+    # loops that read its weights.
+    contributors = [
+        (mq, irrep_weight_multiset(datum, lam).items()) for lam, mq in contributor_polynomials(datum, truncation)
+    ]
+    # Coefficients are summed under plain keys, so that one parameter is
+    # built per distinct non-zero term, not one per product term.
+    sums: dict[tuple[str, Weight, str, int], int] = {}
     for torus in tori:
         s_k = k_weight_multiset(datum, torus, config.dims.dim_k)
         subs = []
@@ -303,8 +309,7 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
                 subs.append((n, sign, sigma, mult))
         for ps in torus.positive_systems:
             base_sign = -1 if ps.ell % 2 else 1
-            for lam, mq in contributors:
-                tau_weights = irrep_weight_multiset(datum, lam).items()
+            for mq, tau_weights in contributors:
                 for j, cj in mq.items():
                     for n, sign, sigma, mult_r in subs:
                         q_total = j + n
@@ -312,12 +317,10 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
                             continue
                         coeff = base_sign * sign * cj * mult_r
                         for mu, m_mu in tau_weights:
-                            terms.append(
-                                (
-                                    coeff * m_mu,
-                                    ContinuedParameter(torus.label, wadd(mu, sigma), True, ps.id),
-                                    q_total,
-                                )
-                            )
-    return FormalStandardSum(terms)
-
+                            key = (torus.label, wadd(mu, sigma), ps.id, q_total)
+                            sums[key] = sums.get(key, 0) + coeff * m_mu
+    return FormalStandardSum(
+        (c, ContinuedParameter(label, gamma0, True, ps_id), q)
+        for (label, gamma0, ps_id, q), c in sums.items()
+        if c
+    )

@@ -12,8 +12,9 @@ arithmetic that never subtracts.
 assigns to each dominant root-lattice weight the q^n coefficient of its
 q-analog multiplicity against the zero weight. Only weights expressible as
 sums of at most n positive roots can contribute at degree n, which bounds the
-enumeration domain by height. The scan builds one partition table, cut at
-q^n, and spends one lattice solve per scanned weight (in `lusztig_mq`).
+enumeration domain by height. The scan builds one `kostant.LusztigSum`: one
+partition table, cut at q^n, and one set of `D_w` matrices. It spends one
+lattice solve per scanned weight.
 It is an independent route to `nilcone_character`: `ktheta.lusztig_check`
 decomposes each closed-form layer into irreducibles and compares the labels.
 """
@@ -21,7 +22,8 @@ decomposes each closed-form layer into irreducibles and compares the labels.
 from __future__ import annotations
 
 from .charring import GradedCharacter, IrrepSeries, graded_mul, symmetric_series
-from .kostant import lusztig_mq, warm_partition_table
+from .kostant import LusztigSum
+from .qpoly import QPolynomial
 from .rootdata import RootDatum, dominant_weights_up_to_height, wneg
 
 
@@ -29,15 +31,14 @@ def contributor_polynomials(datum: RootDatum, truncation: int):
     """(lam, M_q(lam, 0) truncated) for every dominant root-lattice weight
     that can contribute a q-power <= truncation."""
     height_bound = truncation * datum.max_root_height
-    if datum.nsimple:
-        # One table for the whole scan: for dominant lam, every argument
-        # w(lam + rho) - rho of the Weyl-group sum lies below lam, so its
-        # height is at most ht(lam) <= height_bound.
-        warm_partition_table(datum, height_bound, truncation)
+    # One table for the whole scan: for dominant lam, every argument
+    # w(lam + rho) - rho of the Weyl-group sum lies below lam, so its height
+    # is at most ht(lam) <= height_bound.
+    lusztig = LusztigSum(datum, height_bound, truncation)
     zero = (0,) * datum.rank
     out = []
     for lam in dominant_weights_up_to_height(datum, height_bound):
-        mq = lusztig_mq(datum, lam, zero, truncation)
+        mq = QPolynomial.from_list(lusztig.coeffs(lam, zero))
         if mq:
             out.append((lam, mq))
     return out

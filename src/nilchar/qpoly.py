@@ -79,9 +79,6 @@ class QPolynomial:
     def truncate(self, max_deg: int) -> QPolynomial:
         return QPolynomial({d: c for d, c in self.coeffs.items() if d <= max_deg})
 
-    def eval_at_one(self) -> int:
-        return sum(self.coeffs.values())
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

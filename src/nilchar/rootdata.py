@@ -200,8 +200,7 @@ class RootDatum:
         self._key = (rank, roots, coroots)
         self._hash = hash(self._key)
 
-    # Equal (co)roots make equal data, so the per-datum caches keyed by a
-    # datum are shared between equal data built separately.
+    # Equal (co)roots make equal data, also when built separately.
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootDatum):

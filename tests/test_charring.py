@@ -66,7 +66,9 @@ def test_constructors_refuse_non_integers(bad):
     or matrix entry is refused, not rounded."""
     makers = [
         lambda: TorusCharacter(1, {(0,): bad}),
+        lambda: TorusCharacter(1, {(bad,): 1}),
         lambda: GradedCharacter(1, 0, [{(0,): bad}]),
+        lambda: GradedCharacter(1, 0, [{(bad,): 1}]),
         lambda: IrrepSeries(1, 0, [{(0,): bad}]),
         lambda: IrrepSeries(1, 0, [{(bad,): 1}]),
         lambda: QPolynomial({0: bad}),
@@ -78,6 +80,19 @@ def test_constructors_refuse_non_integers(bad):
     for make in makers:
         with pytest.raises(ValueError, match="integer"):
             make()
+
+
+def test_characters_name_a_non_integer_weight():
+    """The refusal names the weight that holds the stray entry, also when it
+    is one weight among many."""
+    with pytest.raises(ValueError, match=r"weight \(1\.5,\) has"):
+        TorusCharacter(1, {(1.5,): 1})
+    with pytest.raises(ValueError, match=r"weight \(True,\) in degree 0 has"):
+        GradedCharacter(1, 0, [{(True,): 1}])
+    many = {(k, -k): 1 for k in range(50)}
+    many[(7, 2.0)] = 1
+    with pytest.raises(ValueError, match=r"weight \(7, 2\.0\) in degree 1 has"):
+        GradedCharacter(2, 1, [{}, many])
 
 
 def test_irreducible_character_trivial():

@@ -7,20 +7,18 @@ enumeration oracle below, which never touches the dynamic program.
 
 import gc
 import itertools
-import sys
-import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, kernels
+from nilchar import kernels
 from nilchar.charring import irreducible_character
 from nilchar.kostant import (
-    clear_caches,
+    LusztigSum,
     kostant_partition_q,
     lusztig_mq,
-    warm_partition_table,
     weyl_multiplicity,
     weyl_on_labels,
 )
@@ -172,94 +170,66 @@ def test_three_way_multiplicity_agreement(datum):
     for lam in dominant_weights_up_to_height(datum, 4):
         for mu, m in irreducible_character(datum, lam).terms.items():
             mq = lusztig_mq(datum, lam, mu)
-            assert mq.eval_at_one() == weyl_multiplicity(datum, lam, mu)
-            assert mq.eval_at_one() == m
+            assert sum(mq.coeffs.values()) == weyl_multiplicity(datum, lam, mu)
+            assert sum(mq.coeffs.values()) == m
 
 
 def test_cache_transparency():
     lam = (2, 2)
-    clear_caches()
     cold = lusztig_mq(B2, lam, (0, 0))
     warm = lusztig_mq(B2, lam, (0, 0))
     assert cold == warm
-    clear_caches()
 
 
-def test_clear_caches_empties_irrep_cache():
-    irreducible_character(A2, (2, 1))
-    assert A2 in charring._irrep_cache
-    clear_caches()
-    assert A2 not in charring._irrep_cache
+def test_no_datum_outlives_its_computations():
+    """Nothing in the library holds a datum once its caller lets it go: no
+    process-wide table or memo is keyed by it."""
+    datum = build_root_datum([[2, -1], [-2, 2]])
+    nilcone_series(datum, 4)
+    lusztig_mq(datum, (2, 2), (0, 0))
+    irreducible_character(datum, (3, 2))
+    ref = weakref.ref(datum)
+    del datum
+    gc.collect()
+    assert ref() is None
 
 
-def test_equal_datum_keeps_table_after_first_is_collected(monkeypatch):
-    """The partition table and the per-datum memos serve every equal datum,
-    and stay while one of them is alive, even when the datum that stored
-    them is collected."""
+def test_warm_partition_table(monkeypatch):
+    """A `LusztigSum` builds its table up front, once, at its height and
+    truncation; every query of that height reads it."""
     builds = []
     real = kernels.partition_table
 
-    def counted(*args, **kwargs):
-        builds.append(args[1:])
-        return real(*args, **kwargs)
+    def counted(roots, height_bound, degree_bound=None):
+        builds.append((height_bound, degree_bound))
+        return real(roots, height_bound, degree_bound)
 
     monkeypatch.setattr(kernels, "partition_table", counted)
-    clear_caches()
-    first = build_root_datum([[2, -1], [-1, 2]])
-    second = build_root_datum([[2, -1], [-1, 2]])
-    assert nilcone_series(first, 4) == nilcone_series(second, 4)
-    assert len(builds) == 1
-    on_labels = weyl_on_labels(first)
-    del first
-    gc.collect()
-    nilcone_series(second, 4)
-    assert len(builds) == 1
-    assert weyl_on_labels(second) is on_labels
-    clear_caches()
+    warm = LusztigSum(B2, 6)
+    assert builds == [(6, 6)]
+    rc = B2.root_coords_int((0, 1))
+    assert QPolynomial.from_list(warm.table[rc]) == brute_partition_q(B2, (0, 1))
+    for lam in [(0, 1), (2, 0), (1, 1), (2, 1), (0, 2)]:
+        assert QPolynomial.from_list(warm.coeffs(lam, (0, 0))) == lusztig_mq(B2, lam, (0, 0))
 
 
-@pytest.mark.parametrize("memoized", [irreducible_character])
-def test_memo_is_safe_under_concurrent_use(memoized):
-    """Threads racing on a cold cache all get the one stored object; a lost
-    update (a later writer replacing an earlier one) would break that."""
-    datum = build_root_datum([[2, -1], [-2, 2]])
-    clear_caches()  # equal data share entries: start from a cold cache
-    lam = (3, 2)
-    results = []
-    start = threading.Barrier(8)
-
-    def work():
-        start.wait(timeout=10)
-        results.append(memoized(datum, lam))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old)
-    assert len(results) == 8
-    assert all(r is results[0] for r in results)
-    assert memoized(datum, lam) is results[0]
-
-
-def test_warm_partition_table():
-    clear_caches()
-    warm_partition_table(B2, 6)
-    assert kostant_partition_q(B2, (0, 1)) == brute_partition_q(B2, (0, 1))
+def test_lusztig_sum_refuses_a_query_above_its_height():
+    """A table too low for lam - mu would miss terms; the query is refused,
+    not answered with a partial sum or zero."""
+    lusztig = LusztigSum(A2, 3, 2)
+    assert QPolynomial.from_list(lusztig.coeffs((1, 1), (0, 0))) == QPolynomial({1: 1, 2: 1})
+    with pytest.raises(ValueError, match="height 4"):
+        lusztig.coeffs((2, 2), (0, 0))
+    with pytest.raises(ValueError, match="height 5"):
+        lusztig.coeffs((4, 1), (0, 0))
+    assert lusztig.coeffs((1, 1), (2, 2)) == []  # below zero: no term, at any height
 
 
 def test_truncated_lookups_match_whole_polynomials():
-    """Cut and whole queries share one table per datum in either order; each
-    must get its own exact answer."""
+    """Cut and whole queries, in either order, each get their own exact
+    answer."""
     lam = (4, 2)  # M_q = q^4 + 2q^6 + q^7 + 2q^8 + q^9 + q^10
     for first_cut in (True, False):
-        clear_caches()
         if first_cut:
             cut = [lusztig_mq(B2, lam, (0, 0), n) for n in range(11)]
             whole = lusztig_mq(B2, lam, (0, 0))

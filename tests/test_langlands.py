@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from nilchar import kernels, langlands
 from nilchar.catalog import load_catalog_config
 from nilchar.langlands import (
     ContinuedParameter,
@@ -184,6 +185,49 @@ def test_branching_mass_matches_three_factor_convolution():
     got = total.coefficient_mass_by_degree()
     for n in range(N + 1):
         assert got.get(n, 0) == expected[n], n
+
+
+def test_branching_builds_one_table_and_one_irreducible_per_contributor(monkeypatch):
+    """The scan builds one partition table, and each contributor's
+    irreducible is built once, however many tori and positive systems read
+    its weights."""
+    from nilchar.nilcone import contributor_polynomials
+
+    N = 6
+    contributors = [lam for lam, _ in contributor_polynomials(SL2.real_form.g_datum, N)]
+    tables, irreps = [], []
+    build_table, build_irrep = kernels.partition_table, langlands.irreducible_character
+
+    def counted_table(*args):
+        tables.append(args[1:])
+        return build_table(*args)
+
+    def counted_irrep(datum, lam):
+        irreps.append(lam)
+        return build_irrep(datum, lam)
+
+    monkeypatch.setattr(kernels, "partition_table", counted_table)
+    monkeypatch.setattr(langlands, "irreducible_character", counted_irrep)
+    graded_branching_sum(SL2.real_form, TORI, N)
+    assert sum(len(t.positive_systems) for t in TORI) > 1
+    assert tables == [(N, N)]
+    assert irreps == contributors
+
+
+def test_branching_builds_one_parameter_per_term(monkeypatch):
+    """Coefficients are summed before any parameter is built: one
+    `ContinuedParameter` per distinct non-zero term of the result."""
+    built = []
+    build = langlands.ContinuedParameter
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(langlands, "ContinuedParameter", counted)
+    total = graded_branching_sum(SL2.real_form, TORI, 10)
+    assert total.terms
+    assert len(built) == len(total.terms)
 
 
 def test_branching_requires_split():

@@ -4,7 +4,7 @@ import pytest
 
 from nilchar import kernels, nilcone
 from nilchar.charring import TorusCharacter, irreducible_character
-from nilchar.kostant import clear_caches, lusztig_mq
+from nilchar.kostant import lusztig_mq
 from nilchar.nilcone import nilcone_character, nilcone_series
 from nilchar.rootdata import (
     RootDatum,
@@ -79,30 +79,9 @@ def test_scan_builds_one_partition_table(monkeypatch):
         return build(roots, height_bound, degree_bound)
 
     monkeypatch.setattr(kernels, "partition_table", counted)
-    clear_caches()
     series = nilcone_series(A4, 3)
-    clear_caches()
     assert calls == [(12, 3)]
     assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
-
-
-def test_equal_data_share_one_partition_table(monkeypatch):
-    """Per-datum caches are keyed by value: two A4 data built separately
-    build one table between them."""
-    calls = []
-    build = kernels.partition_table
-
-    def counted(*args):
-        calls.append(args[1:])
-        return build(*args)
-
-    monkeypatch.setattr(kernels, "partition_table", counted)
-    first = build_root_datum(A4_CARTAN)
-    second = build_root_datum(A4_CARTAN)
-    clear_caches()
-    assert nilcone_series(first, 3) == nilcone_series(second, 3)
-    clear_caches()
-    assert calls == [(12, 3)]
 
 
 def test_scan_solves_once_per_weight(monkeypatch):

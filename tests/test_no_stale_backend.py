@@ -1,7 +1,8 @@
 """The compiled partition kernel, its backend switch, the on-disk table
 cache, the matrix-closed Weyl group, the general lattice solver, the
-invariant form, the records generated by `dataclasses` and the library
-copies of three test-only helpers are gone; no source file, README line or
+invariant form, the records generated by `dataclasses`, the library
+copies of three test-only helpers, the process-wide registry of per-datum
+caches and `QPolynomial.eval_at_one` are gone; no source file, README line or
 build setting may point back to them."""
 
 from pathlib import Path
@@ -24,6 +25,13 @@ STALE = (
     "weyl_dimension",
     "restrict_character",
     "kostant_partition(",
+    "clear_caches",
+    "warm_partition_table",
+    "new_memo",
+    "memo_get",
+    "_irrep_cache",
+    "import threading",
+    "eval_at_one",
 )
 
 

@@ -32,7 +32,7 @@ def test_shift_truncate_eval():
     p = QPolynomial({0: 1, 1: 1, 4: 2})
     assert p.shift(2).coeffs == {2: 1, 3: 1, 6: 2}
     assert p.truncate(1).coeffs == {0: 1, 1: 1}
-    assert p.eval_at_one() == 4
+    assert sum(p.coeffs.values()) == 4
     assert p.degree == 4 and p.min_degree == 0
     assert QPolynomial.zero().degree == -1
 
@@ -53,4 +53,4 @@ def test_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
     assert a * QPolynomial.one() == a
-    assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
+    assert sum((a * b).coeffs.values()) == sum(a.coeffs.values()) * sum(b.coeffs.values())
