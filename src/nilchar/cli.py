@@ -3,11 +3,15 @@
 Commands: catalog, cn, cntheta, checks, branching, oracle-check. Output is
 byte-stable across runs: fixed sort orders, no timestamps. Exit codes:
 0 success, 1 usage or configuration error, 2 check failure.
+
+Flags are read from one table, `COMMANDS`, by a small loop instead of
+`argparse`, whose import and parser construction cost more than a degree-0
+query. A flag is written in full, as `--flag value` or `--flag=value`; the
+last of repeated values wins. `-h`/`--help` prints the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -33,51 +37,6 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nilchar", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=True):
-        if group:
-            p.add_argument("--group", required=True, help="catalog name or path to a config file")
-        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help="truncation degree")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--allow-deep",
-            action="store_true",
-            help=f"permit truncation degrees above the cap of {DEGREE_CAP}",
-        )
-
-    p = sub.add_parser("catalog", help="list built-in configurations")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("cn", help="graded highest-weight decomposition of the cone functions")
-    common(p)
-
-    p = sub.add_parser("cntheta", help="graded K-torus character of the K-nilpotent cone")
-    common(p)
-    p.add_argument("--force", action="store_true", help="compute even when not split modulo center")
-    p.add_argument("--decompose-k", action="store_true", help="decompose layers into K-irreducible labels")
-
-    p = sub.add_parser("checks", help="run the Koszul, dimension, Lusztig-route, and cone-model checks")
-    common(p)
-    p.add_argument("--force", action="store_true", help="run the model comparison even when not split")
-
-    p = sub.add_parser("branching", help="the graded branching sum in standard-module classes")
-    common(p)
-
-    p = sub.add_parser("oracle-check", help="brute-force cone model versus the product formula")
-    common(p)
-    p.add_argument("--force", action="store_true", help="compare even when not split modulo center")
-
-    return parser
-
-
 def _load_group(name: str, require_split: bool = True) -> LoadedConfig:
     if name in catalog_names():
         return load_catalog_config(name)
@@ -86,11 +45,11 @@ def _load_group(name: str, require_split: bool = True) -> LoadedConfig:
     raise ConfigError(f"unknown group {name!r}: not a catalog name or readable file")
 
 
-def _check_degree(args) -> int:
-    n = args.degree
+def _check_degree(opts) -> int:
+    n = opts["--degree"]
     if n < 0:
         raise UsageError("--degree must be non-negative")
-    if n > DEGREE_CAP and not args.allow_deep:
+    if n > DEGREE_CAP and not opts["--allow-deep"]:
         raise UsageError(f"--degree {n} exceeds the cap of {DEGREE_CAP}; pass --allow-deep to override")
     return n
 
@@ -105,71 +64,69 @@ def _emit(payload: dict, rows: list[dict], columns: list[str], as_json: bool) ->
         print("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
 
 
-def _fmt_weight(w) -> str:
-    return "[" + ",".join(str(v) for v in w) + "]"
-
-
 def _weight_rows(records: list[dict], key: str, as_json: bool) -> list[dict]:
     """`to_records()` rows, passed through for JSON; for text, with the
     weight column `key` written compactly."""
     if as_json:
         return records
-    return [{**r, key: _fmt_weight(r[key])} for r in records]
+    return [{**r, key: "[" + ",".join(str(v) for v in r[key]) + "]"} for r in records]
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(opts) -> int:
+    """list built-in configurations"""
     rows = [{"name": n, "description": catalog_description(n)} for n in catalog_names()]
-    _emit({"command": "catalog"}, rows, ["name", "description"], args.json)
+    _emit({"command": "catalog"}, rows, ["name", "description"], opts["--json"])
     return 0
 
 
-def cmd_cn(args) -> int:
-    cfg = _load_group(args.group)
-    degree = _check_degree(args)
+def cmd_cn(opts) -> int:
+    """graded highest-weight decomposition of the cone functions"""
+    cfg = _load_group(opts["--group"])
+    degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
     _emit(
         {"command": "cn", "group": cfg.label, "degree": degree},
-        _weight_rows(series.to_records(), "highest_weight", args.json),
+        _weight_rows(series.to_records(), "highest_weight", opts["--json"]),
         ["degree", "highest_weight", "multiplicity"],
-        args.json,
+        opts["--json"],
     )
     return 0
 
 
-def cmd_cntheta(args) -> int:
-    cfg = _load_group(args.group)
-    degree = _check_degree(args)
-    if args.decompose_k:
-        records = theta_cone_ktypes(cfg.real_form, degree, force=args.force).to_records()
+def cmd_cntheta(opts) -> int:
+    """graded K-torus character of the K-nilpotent cone"""
+    cfg = _load_group(opts["--group"])
+    degree = _check_degree(opts)
+    if opts["--decompose-k"]:
+        records = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"]).to_records()
         key = "highest_weight"
     else:
-        records = theta_cone_character(cfg.real_form, degree, force=args.force).to_records()
+        records = theta_cone_character(cfg.real_form, degree, force=opts["--force"]).to_records()
         key = "weight"
     _emit(
         {"command": "cntheta", "group": cfg.label, "degree": degree},
-        _weight_rows(records, key, args.json),
+        _weight_rows(records, key, opts["--json"]),
         ["degree", key, "multiplicity"],
-        args.json,
+        opts["--json"],
     )
     return 0
 
 
-def cmd_checks(args) -> int:
+def cmd_checks(opts) -> int:
+    """run the Koszul, dimension, Lusztig-route, and cone-model checks"""
     # A config declared split but failing its dimension identities loads
     # here, so that the dimensions entry can report the failing lines.
-    cfg = _load_group(args.group, require_split=False)
-    degree = _check_degree(args)
+    cfg = _load_group(opts["--group"], require_split=False)
+    degree = _check_degree(opts)
     rf = cfg.real_form
     results = []
 
-    koszul = koszul_check(rf.k_weights, degree, rank=rf.k_torus_rank)
-    results.append(("koszul", koszul, None))
-    dims = dimension_check(rf)
-    results.append(("dimensions", dims, None))
+    results.append(("koszul", koszul_check(rf.k_weights, degree, rank=rf.k_torus_rank), None))
+    results.append(("dimensions", dimension_check(rf), None))
     results.append(("lusztig-vs-harmonics", lusztig_check(rf.g_datum, degree), None))
     if cfg.oracle_model is not None:
-        if rf.split_mod_center or args.force:
-            res = oracle.compare_with_formula(rf, cfg.oracle_model, degree, force=args.force)
+        if rf.split_mod_center or opts["--force"]:
+            res = oracle.compare_with_formula(rf, cfg.oracle_model, degree, force=opts["--force"])
             results.append(("oracle", res, None))
         else:
             results.append(("oracle", None, "skipped: config is not split modulo center"))
@@ -181,7 +138,7 @@ def cmd_checks(args) -> int:
             continue
         ok &= res.passed
         rows.append({"check": name, "passed": res.passed, "details": list(res.lines)})
-    if args.json:
+    if opts["--json"]:
         print(json.dumps({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows}, sort_keys=True))
     else:
         for r in rows:
@@ -192,9 +149,10 @@ def cmd_checks(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_branching(args) -> int:
-    cfg = _load_group(args.group)
-    degree = _check_degree(args)
+def cmd_branching(opts) -> int:
+    """the graded branching sum in standard-module classes"""
+    cfg = _load_group(opts["--group"])
+    degree = _check_degree(opts)
     if cfg.tori is None:
         raise ConfigError(f"config {cfg.label!r} has no `tori` section; branching needs the torus table")
     total = graded_branching_sum(cfg.real_form, cfg.tori, degree)
@@ -203,35 +161,23 @@ def cmd_branching(args) -> int:
         {"command": "branching", "group": cfg.label, "degree": degree},
         rows,
         ["q_power", "coefficient", "torus", "gamma", "positive_system"],
-        args.json,
+        opts["--json"],
     )
     return 0
 
 
-def cmd_oracle_check(args) -> int:
-    cfg = _load_group(args.group)
-    degree = _check_degree(args)
+def cmd_oracle_check(opts) -> int:
+    """brute-force cone model versus the product formula"""
+    cfg = _load_group(opts["--group"])
+    degree = _check_degree(opts)
     if cfg.oracle_model is None:
         raise ConfigError(f"config {cfg.label!r} has no `oracle_model` section")
     actual = oracle.graded_character_by_degree(cfg.oracle_model, degree)
     dims = actual.masses()
-    result = oracle.compare_with_formula(
-        cfg.real_form, cfg.oracle_model, degree, force=args.force, actual=actual
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "oracle-check",
-                    "group": cfg.label,
-                    "degree": degree,
-                    "hilbert": dims,
-                    "passed": result.passed,
-                    "details": list(result.lines),
-                },
-                sort_keys=True,
-            )
-        )
+    result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)
+    if opts["--json"]:
+        payload = {"command": "oracle-check", "group": cfg.label, "degree": degree, "hilbert": dims}
+        print(json.dumps({**payload, "passed": result.passed, "details": list(result.lines)}, sort_keys=True))
     else:
         print(f"hilbert function: {dims}")
         for line in result.lines:
@@ -240,21 +186,84 @@ def cmd_oracle_check(args) -> int:
     return 0 if result.passed else 2
 
 
-_COMMANDS = {
-    "catalog": cmd_catalog,
-    "cn": cmd_cn,
-    "cntheta": cmd_cntheta,
-    "checks": cmd_checks,
-    "branching": cmd_branching,
-    "oracle-check": cmd_oracle_check,
+_JSON = {"--json": ("flag", "machine-readable output")}
+_GROUP = {
+    "--group": ("text", "catalog name or path to a config file (required)"),
+    "--degree": ("int", f"truncation degree (default {DEFAULT_DEGREE})"),
+    **_JSON,
+    "--allow-deep": ("flag", f"permit truncation degrees above the cap of {DEGREE_CAP}"),
 }
+_FORCE = {"--force": ("flag", "run even when the form is not split modulo center")}
+
+# command: (function, {flag: (kind, help)}); a "text" flag has no default,
+# so it is required.
+COMMANDS = {
+    "catalog": (cmd_catalog, _JSON),
+    "cn": (cmd_cn, _GROUP),
+    "cntheta": (cmd_cntheta, {**_GROUP, **_FORCE, "--decompose-k": ("flag", "decompose layers into K-irreducible labels")}),
+    "checks": (cmd_checks, {**_GROUP, **_FORCE}),
+    "branching": (cmd_branching, _GROUP),
+    "oracle-check": (cmd_oracle_check, {**_GROUP, **_FORCE}),
+}
+_DEFAULTS = {"flag": False, "int": DEFAULT_DEGREE}
+_METAVARS = {"flag": "", "int": " N", "text": " TEXT"}
+
+
+def _help() -> str:
+    lines = ["usage: nilchar COMMAND [--flag VALUE | --flag=VALUE ...]", ""]
+    for command, (run, flags) in COMMANDS.items():
+        lines.append(f"{command:<14}{run.__doc__}")
+        lines += [f"  {flag + _METAVARS[kind]:<18}{text}" for flag, (kind, text) in flags.items()]
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict] | None:
+    """(command, {flag: value}) with every flag of the command present, or
+    None when help is asked for. Any other mistake is a UsageError."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise UsageError(f"{given}; expected one of {', '.join(COMMANDS)}")
+    command, rest = argv[0], argv[1:]
+    flags = COMMANDS[command][1]
+    opts = {flag: _DEFAULTS[kind] for flag, (kind, _) in flags.items() if kind in _DEFAULTS}
+    i = 0
+    while i < len(rest):
+        flag, eq, value = rest[i].partition("=")
+        i += 1
+        if flag not in flags:
+            raise UsageError(f"{command}: unrecognized argument {rest[i - 1]!r}")
+        kind = flags[flag][0]
+        if kind == "flag":
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            opts[flag] = True
+            continue
+        if not eq:
+            if i == len(rest):
+                raise UsageError(f"{flag} expects a value")
+            value, i = rest[i], i + 1
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+        opts[flag] = value
+    missing = [flag for flag in flags if flag not in opts]
+    if missing:
+        raise UsageError(f"{command} requires {', '.join(missing)}")
+    return command, opts
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        parsed = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            print(_help())
+            return 0
+        command, opts = parsed
+        return COMMANDS[command][0](opts)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

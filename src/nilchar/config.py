@@ -5,7 +5,7 @@ optional affine cone model. Validation failures name the offending field."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
 from .langlands import PositiveSystem, TorusDatum
@@ -157,7 +157,7 @@ def _load_model(obj, path) -> AffineConeModel:
         gpath = f"{path}.generators[{i}]"
         if not isinstance(g, list) or not g:
             raise ConfigError(f"{gpath}: expected a non-empty list of terms")
-        terms = {}
+        raw_terms = []
         for j, term in enumerate(g):
             tpath = f"{gpath}[{j}]"
             num = _int(_get(term, "num", tpath), f"{tpath}.num")
@@ -165,7 +165,13 @@ def _load_model(obj, path) -> AffineConeModel:
             if den == 0:
                 raise ConfigError(f"{tpath}.den: zero denominator")
             exps = _int_vector(_get(term, "exponents", tpath), f"{tpath}.exponents")
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
+            raw_terms.append((exps, num, den))
+        # The generator times the lcm of its denominators: the same ideal,
+        # with integer coefficients.
+        scale = lcm(*(den for _, _, den in raw_terms))
+        terms = {}
+        for exps, num, den in raw_terms:
+            terms[exps] = terms.get(exps, 0) + num * (scale // den)
         generators.append(terms)
     try:
         return AffineConeModel(tuple(variables), tuple(generators))

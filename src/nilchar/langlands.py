@@ -142,13 +142,10 @@ class FormalStandardSum:
         self.terms = {k: v for k, v in merged.items() if v}
 
     def items(self) -> list[tuple[int, ContinuedParameter, int]]:
-        """Terms sorted by (q-power, torus, positive system, gamma)."""
-        rows = [(q, p.torus, p.positive_system, p.gamma0, p.rho_imaginary, c) for (p, q), c in self.terms.items()]
-        rows.sort()
-        return [
-            (c, ContinuedParameter(t, g, rho, ps), q)
-            for q, t, ps, g, rho, c in rows
-        ]
+        """Terms sorted by (q-power, torus, positive system, gamma), each with
+        the parameter it holds."""
+        keys = sorted(self.terms, key=lambda k: (k[1], k[0].torus, k[0].positive_system, k[0].gamma0, k[0].rho_imaginary))
+        return [(self.terms[k], *k) for k in keys]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalStandardSum) and self.terms == other.terms

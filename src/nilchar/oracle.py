@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import add
 
 from .charring import GradedCharacter
@@ -65,10 +63,13 @@ class AffineConeModel(Record):
                     raise ValueError(f"{term}: exponents must be integers")
                 if any(e < 0 for e in exps):
                     raise ValueError("generator exponents must be non-negative")
-                if isinstance(c, bool) or not isinstance(c, Rational):
+                # An int or a Fraction, told by its integer denominator without
+                # importing `fractions`; a float or Decimal has none, and a bool
+                # (an int) is refused by name.
+                if isinstance(c, bool) or not is_int(getattr(c, "denominator", None)):
                     raise ValueError(f"{term}: coefficient {c!r} must be an int or a Fraction")
                 if c:
-                    terms[exps] = Fraction(c)
+                    terms[exps] = c
             if not terms:
                 raise ValueError("zero generator")
             gens.append(terms)
@@ -121,7 +122,7 @@ def _monomials(nvars: int, degree: int, order: str = "lex"):
 def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
     """The generator's terms scaled to integers by the lcm of its denominators."""
     denom = lcm(*(c.denominator for c in g.values()))
-    return [(exps, int(c * denom)) for exps, c in g.items()]
+    return [(exps, c.numerator * (denom // c.denominator)) for exps, c in g.items()]
 
 
 def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:

@@ -9,7 +9,6 @@ groups with central tori (e.g. GL2) and pure torus factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 Weight = tuple[int, ...]
@@ -82,69 +81,52 @@ def _validate_cartan_shape(cartan) -> list[list[int]]:
     return rows
 
 
-def _symmetrizer(cartan: list[list[int]]) -> list[Fraction]:
-    """Positive values d with d[i]*a[i][j] symmetric; short roots scaled to d=1
-    per connected component."""
+def _check_symmetrizable(cartan: list[list[int]]) -> None:
+    """Refuse a Cartan matrix with no positive diagonal d making d[i]*a[i][j]
+    symmetric. Along each edge d[j] = d[i]*a[i][j]/a[j][i], kept as an
+    integer pair (num, den). Both entries of an edge are negative (shape
+    check), so every d is positive, and D*A is positive definite exactly when
+    the leading principal minors of A are, which `adjugate` checks."""
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    comps: list[list[int]] = []
+    d: list[tuple[int, int] | None] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        comp = [start]
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         queue = [start]
         while queue:
             i = queue.pop()
+            num, den = d[i]
             for j in range(n):
                 if i == j or cartan[i][j] == 0:
                     continue
-                dj = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                dj = (num * cartan[i][j], den * cartan[j][i])
                 if d[j] is None:
                     d[j] = dj
-                    comp.append(j)
                     queue.append(j)
-                elif d[j] != dj:
+                elif d[j][0] * dj[1] != dj[0] * d[j][1]:
                     raise ValueError("Cartan matrix is not symmetrizable")
-        comps.append(comp)
-    for comp in comps:
-        m = min(d[i] for i in comp)
-        if m <= 0:
-            raise ValueError("Cartan symmetrizer is not positive")
-        for i in comp:
-            d[i] = d[i] / m
-    return [x for x in d]  # type: ignore[misc]
-
-
-def _check_positive_definite(g: list[list[Fraction]]) -> None:
-    """Leading-principal-minor test, exact arithmetic."""
-    n = len(g)
-    a = [row[:] for row in g]
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            raise ValueError(
-                "Cartan matrix is not of finite type (symmetrized form not positive definite)"
-            )
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
 
 
 def adjugate(matrix) -> tuple[Matrix, int]:
     """(adj(A), det(A)) for a square integer matrix A whose leading principal
-    minors are non-zero, as a finite-type Cartan matrix's are (Bareiss 1968).
+    minors are positive, as a finite-type Cartan matrix's are (Bareiss 1968).
 
     Integer Gauss-Jordan (Montante) on [A | I]: step k replaces each row
-    i != k by (p_k row_i - a_ik row_k) / p_(k-1), an exact division. At the
-    end the left block is det(A) I and the right block adj(A).
+    i != k by (p_k row_i - a_ik row_k) / p_(k-1), an exact division. The
+    pivot p_k is the leading principal minor of order k + 1; one that is not
+    positive is a ValueError. At the end the left block is det(A) I and the
+    right block adj(A).
     """
     n = len(matrix)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for k in range(n):
         piv = a[k][k]
+        if piv <= 0:
+            raise ValueError(
+                f"Cartan matrix is not of finite type (leading principal minor of order {k + 1} is {piv})"
+            )
         for i in range(n):
             if i != k:
                 f = a[i][k]
@@ -177,12 +159,12 @@ class RootDatum:
         self.simple_coroots = coroots
         self.nsimple = len(roots)
 
-        # Cartan matrix a[i][j] = <alpha_j, alpha_i^vee>, then finite-type checks.
+        # Cartan matrix a[i][j] = <alpha_j, alpha_i^vee>, then finite-type checks;
+        # the last, positive leading minors, comes with the adjugate.
         cartan = [[wdot(roots[j], coroots[i]) for j in range(self.nsimple)] for i in range(self.nsimple)]
         if self.nsimple:
             cartan = _validate_cartan_shape(cartan)
-            d = _symmetrizer(cartan)
-            _check_positive_definite([[d[i] * v for v in row] for i, row in enumerate(cartan)])
+            _check_symmetrizable(cartan)
         self.cartan_matrix = tuple(tuple(r) for r in cartan)
 
         adj, self._coord_den = adjugate(self.cartan_matrix)

@@ -423,3 +423,92 @@ def test_json_and_table_agree(capsys):
         for cells, (_, label, _), r in zip(table_lines, flat, rows)
     )
     assert len(table_lines) == len(rows)
+
+
+def test_halved_generator_gives_the_same_character(tmp_path, capsys):
+    """A generator written with `den` terms is scaled to integers by the lcm
+    of its denominators. sp4-split's first invariant, halved (one term as
+    -1/-2) and added next to itself, must leave the ideal, the character
+    and the `oracle-check` output as they are; any other scaling of its
+    terms is a second quadric of the same weight."""
+    doc = catalog_document("sp4-split")
+    with_half = copy.deepcopy(doc)
+    gens = with_half["oracle_model"]["generators"]
+    half = copy.deepcopy(gens[0])
+    assert [t["num"] for t in half] == [1, 1, 2]
+    half[0].update(num=1, den=2)
+    half[1].update(num=-1, den=-2)
+    half[2].update(num=1)
+    gens.append(half)
+    outputs = []
+    for d in (doc, with_half):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        code, out, _ = run(capsys, "oracle-check", "--group", str(path), "--degree", "6", "--json")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    chars = [oracle.graded_character_by_degree(config_from_dict(d).oracle_model, 6).layers for d in (doc, with_half)]
+    assert chars[0] == chars[1]
+
+
+@pytest.mark.parametrize("den, reason", [(0, "zero denominator"), (1.5, "expected an integer")])
+def test_bad_denominator_names_the_field(den, reason):
+    doc = catalog_document("sp4-split")
+    doc["oracle_model"]["generators"][0][1]["den"] = den
+    with pytest.raises(ConfigError, match=re.escape(f"oracle_model.generators[0][1].den: {reason}")):
+        config_from_dict(doc)
+
+
+# -- the flag parser -----------------------------------------------------------
+
+def test_flag_value_forms_agree(capsys):
+    spaced = run(capsys, "cn", "--group", "sl3-split", "--degree", "5")
+    joined = run(capsys, "cn", "--group=sl3-split", "--degree=5")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]
+
+
+def test_repeated_flag_last_value_wins(capsys):
+    once = run(capsys, "cntheta", "--group", "sp4-split", "--degree", "3", "--json")
+    repeated = run(capsys, "cntheta", "--group", "sl2-split", "--degree", "9", "--json", "--group=sp4-split", "--degree", "3")
+    assert once == repeated and json.loads(once[1])["group"] == "sp4-split"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["cn", "--group", "sl2-split", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    for command in ("catalog", "cn", "cntheta", "checks", "branching", "oracle-check"):
+        assert re.search(rf"^{command} ", out, re.M), command
+    for flag in ("--group", "--degree", "--json", "--allow-deep", "--force", "--decompose-k"):
+        assert flag in out, flag
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], "no command given"),
+        (["nilcone"], "unknown command 'nilcone'"),
+        (["catalog", "--bogus"], "unrecognized argument '--bogus'"),
+        (["cn", "--group", "sl2-split", "--deg", "3"], "unrecognized argument '--deg'"),
+        (["cn", "--group", "sl2-split", "extra"], "unrecognized argument 'extra'"),
+        (["cn", "--group", "sl2-split", "--degree"], "--degree expects a value"),
+        (["cn", "--group", "sl2-split", "--degree", "1.5"], "--degree expects an integer, got '1.5'"),
+        (["cn", "--group", "sl2-split", "--degree", "x"], "--degree expects an integer, got 'x'"),
+        (["cn", "--group", "sl2-split", "--json=1"], "--json takes no value"),
+        (["cn", "--degree", "3"], "cn requires --group"),
+        (["checks"], "checks requires --group"),
+    ],
+    ids=["none", "unknown-command", "bogus", "abbreviated", "positional", "no-value", "float", "word", "flag-value",
+         "no-group", "no-group-bare"],
+)
+def test_usage_errors(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and reason in err and "Traceback" not in err
+
+
+def test_negative_degree_reaches_the_range_check(capsys):
+    for argv in (["--degree", "-1"], ["--degree=-1"]):
+        code, out, err = run(capsys, "cn", "--group", "sl2-split", *argv)
+        assert (code, out, err) == (1, "", "usage error: --degree must be non-negative\n")

@@ -230,6 +230,24 @@ def test_branching_builds_one_parameter_per_term(monkeypatch):
     assert len(built) == len(total.terms)
 
 
+def test_formal_sum_items_return_the_held_parameters(monkeypatch):
+    """`items()` sorts the held (parameter, q) keys: `to_records()` and
+    `repr()` of the degree-30 sum build no `ContinuedParameter`."""
+    total = graded_branching_sum(SL2.real_form, TORI, 30)
+    built = []
+    build = langlands.ContinuedParameter
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(langlands, "ContinuedParameter", counted)
+    assert len(total.to_records()) == len(total.terms) == 183
+    assert repr(total).count("*I(") == 183
+    assert built == []
+    assert {id(p) for _, p, _ in total.items()} == {id(p) for p, _ in total.terms}
+
+
 def test_branching_requires_split():
     swap = load_catalog_config("sl2xsl2-swap")
     torus = TorusDatum("c", InvolutionData([[0, 1], [1, 0]]), (PositiveSystem("e", (), 0),))

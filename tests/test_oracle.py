@@ -1,6 +1,7 @@
 """Brute-force cone models: Hilbert functions, graded characters, and the
 comparison against the product formula."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -150,7 +151,7 @@ def test_non_integer_exponent_rejected(exps):
         AffineConeModel(XY_MODEL.variables, ({exps: 1},))
 
 
-@pytest.mark.parametrize("coeff", [0.1, 1.0, True])
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, Decimal("1")])
 def test_float_coefficient_rejected(coeff):
     with pytest.raises(ValueError, match=r"generator 0 term \(1, 1\): coefficient"):
         AffineConeModel(XY_MODEL.variables, ({(1, 1): coeff},))

@@ -32,6 +32,24 @@ def test_cold_import_loads_no_code_generation_modules(module):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_cold_cli_query_loads_no_parser_or_number_tower_modules():
+    """A cold degree-0 query through `cli.main` parses its flags without
+    `argparse` (and its `gettext` and `locale`) and reads exact rationals as
+    integer pairs, without `fractions` (and its `decimal` and `numbers`)."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        "from nilchar import cli; "
+        "code = cli.main(['cntheta', '--group', 'sl3-split', '--degree', '0', '--json']); "
+        "print(code, ' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    status, *loaded = out.stderr.split()
+    assert status == "0" and '"command": "cntheta"' in out.stdout
+    assert "nilchar.cli" in loaded
+    assert not set(loaded) & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+
+
 def _every_record():
     """One instance of each record type, from the catalog configs."""
     sl2 = load_catalog_config("sl2-split")

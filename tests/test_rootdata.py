@@ -117,17 +117,39 @@ def test_root_coords_int_refuses_non_integer_entries(bad):
 
 
 def test_bad_cartan_matrices_rejected():
-    with pytest.raises(ValueError):
+    """Each matrix is refused for its own reason."""
+    with pytest.raises(ValueError, match=r"diagonal entry \(0,0\) = 1"):
         build_root_datum([[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"off-diagonal entry \(0,1\) = 1 is positive"):
         build_root_datum([[2, 1], [1, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagree on zero"):
         build_root_datum([[2, -1], [0, 2]])
-    # affine A1: not finite type
-    with pytest.raises(ValueError):
+    # a 3-cycle whose ratios a[i][j]/a[j][i] multiply to 1/2 around it, not 1
+    with pytest.raises(ValueError, match="not symmetrizable"):
+        build_root_datum([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    # affine A1 and affine A2 (twisted): a zero leading minor
+    with pytest.raises(ValueError, match="not of finite type .*order 2 is 0"):
         build_root_datum([[2, -2], [-2, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not of finite type .*order 2 is 0"):
         build_root_datum([[2, -4], [-1, 2]])
+    # hyperbolic rank 2: a negative leading minor
+    with pytest.raises(ValueError, match="not of finite type .*order 2 is -5"):
+        build_root_datum([[2, -3], [-3, 2]])
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+C3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+
+
+@pytest.mark.parametrize(
+    "cartan, positive_roots",
+    [(A1, 1), (A2, 3), (A3, 6), (A4, 10), (B2, 4), (B3, 9), (C3, 9), (D4, 12), (G2, 6), (F4, 24)],
+    ids=["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"],
+)
+def test_finite_types_load(cartan, positive_roots):
+    """Every finite type passes the integer checks, with its number of positive roots."""
+    assert len(build_root_datum(cartan).positive_roots) == positive_roots
 
 
 def test_classify_split_involution():
