@@ -1,12 +1,13 @@
 """Graded characters of K-nilpotent cones for real forms split modulo center.
 
 The main entry points: `build_root_datum` for the ambient combinatorics,
-`nilcone_series`/`nilcone_character` for the graded functions on the full
-nilpotent cone, `theta_cone_character` for the K-side in the Kostant-Rallis
-form S(p) * prod_i (1 - q^{d_i}) (by the Koszul identity, the paper's
-restriction of C[N] times the signed exterior class of k),
-`graded_branching_sum` for the standard-module bookkeeping, and the `oracle`
-module for independent brute-force verification.
+`nilcone_series` for the graded functions on the full nilpotent cone by
+highest weight (Kostant's closed form on labels, checked against Lusztig's
+q-analogs in `lusztig_series`), `theta_cone_character` for the K-side in
+the Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (by the Koszul
+identity, the paper's restriction of C[N] times the signed exterior class
+of k), `graded_branching_sum` for the standard-module bookkeeping, and the
+`oracle` module for independent brute-force verification.
 """
 
 from .charring import (
@@ -48,7 +49,7 @@ from .langlands import (
     wedge_weight_multiset,
     zuckerman_expansion,
 )
-from .nilcone import nilcone_character, nilcone_series
+from .nilcone import lusztig_series, nilcone_series
 from .oracle import (
     AffineConeModel,
     ConeVariable,

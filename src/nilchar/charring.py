@@ -14,6 +14,7 @@ the typical inputs.
 from __future__ import annotations
 
 from itertools import chain
+from operator import add, mul
 
 from .rootdata import RootDatum, Weight, int_vector, is_int, wadd, wdot, wsub
 
@@ -52,10 +53,6 @@ class TorusCharacter:
     @classmethod
     def trivial(cls, rank: int) -> TorusCharacter:
         return cls(rank, {(0,) * rank: 1})
-
-    @classmethod
-    def from_weight(cls, w: Weight, mult: int = 1) -> TorusCharacter:
-        return cls(len(w), {tuple(w): mult})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -248,6 +245,93 @@ def symmetric_series(weights, truncation: int, rank: int | None = None) -> Grade
                 key = wadd(v, w)
                 layer[key] = layer.get(key, 0) + c
     return GradedCharacter(rank, truncation, layers)
+
+
+def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[Weight, int]]:
+    """Highest-weight layers h_0..h_truncation of the graded symmetric
+    algebra of a Weyl-invariant weight multiset, with no Weyl group and no
+    torus character.
+
+    Newton's identity n h_n = sum_{k=1..n} psi^k * h_{n-k}, where the Adams
+    operation psi^k = sum_w e^{k w} runs over the weights (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2), gives each layer from the
+    lower ones. Each product is taken by Brauer-Klimyk:
+    V_lam * sum_nu e^nu = sum_nu sign(w) V_{w.(lam + nu)}, straightened by
+    `_straighten`. A coefficient of n h_n that n does not divide is a
+    ValueError naming its weight; it shows a multiset that is not
+    Weyl-invariant.
+    """
+    weights = [tuple(w) for w in weights]
+    _refuse_non_int_entries(weights)
+    zero = (0,) * datum.rank
+    layers: list[dict[Weight, int]] = [{zero: 1}]
+    # strings[j] holds sum_{k=1..n} e^{k w_j} * h_{n-k} for the weight w_j, as
+    # unstraightened labels lam + k w_j: from degree n - 1 to n it is shifted
+    # by w_j after h_{n-1} is added, so each layer costs one shift per weight,
+    # not one per k.
+    strings: list[dict[Weight, int]] = [{} for _ in weights]
+    # weight -> `_straighten` of it; a weight recurs across the weights and
+    # the layers.
+    straightened: dict[Weight, tuple[Weight, int]] = {}
+    for n in range(1, truncation + 1):
+        raw: dict[Weight, int] = {}
+        for j, w in enumerate(weights):
+            string = strings[j]
+            for lam, c in layers[n - 1].items():
+                string[lam] = string.get(lam, 0) + c
+            string = strings[j] = {tuple(map(add, v, w)): c for v, c in string.items() if c}
+            for v, c in string.items():
+                raw[v] = raw.get(v, 0) + c
+        total: dict[Weight, int] = {}
+        for v, c in raw.items():
+            hit = straightened.get(v)
+            if hit is None:
+                hit = straightened[v] = _straighten(datum, v)
+            mu, sign = hit
+            if sign:
+                total[mu] = total.get(mu, 0) + sign * c
+        layer = {}
+        for mu, c in total.items():
+            h, r = divmod(c, n)
+            if r:
+                raise ValueError(
+                    f"highest weight {list(mu)} has multiplicity {c} in {n} * h_{n}, not divisible by {n}: "
+                    "the weights are not Weyl-invariant"
+                )
+            if h:
+                layer[mu] = h
+        layers.append(layer)
+    return layers
+
+
+def _straighten(datum: RootDatum, v: Weight) -> tuple[Weight, int]:
+    """(mu, sign) with V_v = sign * V_mu for the dominant mu in the dot orbit
+    w.v = w(v + rho) - rho; sign 0 when v + rho lies on a wall.
+
+    In Dynkin labels l: while some l_i < -1, the dot reflection
+    s_i.v = v - (l_i + 1) alpha_i moves v up by a positive multiple of
+    alpha_i and flips the sign; a label l_i = -1 means s_i fixes v, so the
+    term cancels. The labels are updated by columns of the Cartan matrix,
+    and v by the simple roots once at the end.
+    """
+    labels = [sum(map(mul, v, coroot)) for coroot in datum.simple_coroots]
+    up = [0] * datum.nsimple
+    sign = 1
+    while True:
+        low = min(labels, default=0)
+        if low >= 0:
+            break
+        if -1 in labels:
+            return v, 0
+        i = labels.index(low)
+        m = -1 - low
+        up[i] += m
+        labels = [l + m * row[i] for l, row in zip(labels, datum.cartan_matrix)]
+        sign = -sign
+    for m, alpha in zip(up, datum.simple_roots):
+        if m:
+            v = tuple([a + m * b for a, b in zip(v, alpha)])
+    return v, sign
 
 
 class IrrepSeries:

@@ -12,7 +12,6 @@ last of repeated values wins. `-h`/`--help` prints the table.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -54,9 +53,15 @@ def _check_degree(opts) -> int:
     return n
 
 
+def _print_json(payload: dict) -> None:
+    import json  # here, so that text output never loads it
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _emit(payload: dict, rows: list[dict], columns: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps({**payload, "rows": rows}, sort_keys=True))
+        _print_json({**payload, "rows": rows})
         return
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
@@ -139,7 +144,7 @@ def cmd_checks(opts) -> int:
         ok &= res.passed
         rows.append({"check": name, "passed": res.passed, "details": list(res.lines)})
     if opts["--json"]:
-        print(json.dumps({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows}, sort_keys=True))
+        _print_json({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows})
     else:
         for r in rows:
             tag = "SKIP" if r["passed"] is None else ("PASS" if r["passed"] else "FAIL")
@@ -177,7 +182,7 @@ def cmd_oracle_check(opts) -> int:
     result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)
     if opts["--json"]:
         payload = {"command": "oracle-check", "group": cfg.label, "degree": degree, "hilbert": dims}
-        print(json.dumps({**payload, "passed": result.passed, "details": list(result.lines)}, sort_keys=True))
+        _print_json({**payload, "passed": result.passed, "details": list(result.lines)})
     else:
         print(f"hilbert function: {dims}")
         for line in result.lines:

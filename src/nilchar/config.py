@@ -4,7 +4,6 @@ optional affine cone model. Validation failures name the offending field."""
 
 from __future__ import annotations
 
-import json
 from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
@@ -252,6 +251,8 @@ def config_from_dict(doc: dict, label: str | None = None, require_split: bool = 
 
 
 def load_config_file(path: str, require_split: bool = True) -> LoadedConfig:
+    import json  # here, so that a catalog query never loads it
+
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -113,12 +113,6 @@ class WeightMultiset:
     def items(self):
         return sorted(self.entries.items())
 
-    def union(self, other: WeightMultiset) -> WeightMultiset:
-        out = dict(self.entries)
-        for w, m in other.entries.items():
-            out[w] = out.get(w, 0) + m
-        return WeightMultiset(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightMultiset) and self.entries == other.entries
 
@@ -155,12 +149,6 @@ class FormalStandardSum:
             [(c, p, q) for (p, q), c in self.terms.items()]
             + [(c, p, q) for (p, q), c in other.terms.items()]
         )
-
-    def coefficient_mass_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (_, q), c in self.terms.items():
-            out[q] = out.get(q, 0) + c
-        return out
 
     def to_records(self) -> list[dict]:
         return [

@@ -1,27 +1,27 @@
-"""Graded character of the ring of functions on the nilpotent cone.
+"""Graded functions on the nilpotent cone, by highest weight and degree.
 
-`nilcone_character` is Kostant's harmonic closed form (Amer. J. Math. 85,
+`nilcone_series` is Kostant's harmonic closed form (Amer. J. Math. 85,
 1963): ch_q C[N] = ch_q S(g*) * prod_i (1 - q^{d_i}). The rank zero weights
 of g* give 1 / (1 - q)^rank, and grouping them with the invariant degrees
 d_i = e_i + 1 leaves prod_i (1 + q + ... + q^{e_i}) over the exponents;
-central torus directions have d = 1 and cancel exactly. So the character is
-the symmetric algebra on the roots times those q-strings, in integer
-arithmetic that never subtracts.
+central torus directions have d = 1 and cancel exactly. So C[N] is the
+symmetric algebra on the roots times those q-strings. The symmetric algebra
+is computed on highest-weight labels (`charring.symmetric_irreps`: Newton's
+identity, each product by Brauer-Klimyk), with no Weyl group, no partition
+function and no torus character; the q-strings only add layers.
 
-`nilcone_series` is the highest-weight decomposition: the degree-n layer
-assigns to each dominant root-lattice weight the q^n coefficient of its
-q-analog multiplicity against the zero weight. Only weights expressible as
-sums of at most n positive roots can contribute at degree n, which bounds the
-enumeration domain by height. The scan builds one `kostant.LusztigSum`: one
-partition table, cut at q^n, and one set of `D_w` matrices. It spends one
-lattice solve per scanned weight.
-It is an independent route to `nilcone_character`: `ktheta.lusztig_check`
-decomposes each closed-form layer into irreducibles and compares the labels.
+`lusztig_series` is the independent check (`ktheta.lusztig_check`): the
+degree-n layer assigns to each dominant root-lattice weight the q^n
+coefficient of its q-analog multiplicity against the zero weight. Only
+weights expressible as sums of at most n positive roots can contribute at
+degree n, which bounds the enumeration domain by height. The scan builds one
+`kostant.LusztigSum`: one partition table, cut at q^n, and one set of `D_w`
+matrices. It spends one lattice solve per scanned weight.
 """
 
 from __future__ import annotations
 
-from .charring import GradedCharacter, IrrepSeries, graded_mul, symmetric_series
+from .charring import IrrepSeries, symmetric_irreps
 from .kostant import LusztigSum
 from .qpoly import QPolynomial
 from .rootdata import RootDatum, dominant_weights_up_to_height, wneg
@@ -44,8 +44,9 @@ def contributor_polynomials(datum: RootDatum, truncation: int):
     return out
 
 
-def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
-    """Highest-weight decomposition of the graded cone functions, by degree."""
+def lusztig_series(datum: RootDatum, truncation: int) -> IrrepSeries:
+    """Highest-weight decomposition of the graded cone functions, by degree,
+    from Lusztig's q-analogs: the independent check on `nilcone_series`."""
     layers: list[dict] = [dict() for _ in range(truncation + 1)]
     for lam, mq in contributor_polynomials(datum, truncation):
         for deg, coeff in mq.items():
@@ -53,12 +54,18 @@ def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
     return IrrepSeries(datum.rank, truncation, layers)
 
 
-def nilcone_character(datum: RootDatum, truncation: int) -> GradedCharacter:
-    """Torus character of the graded cone functions, by the harmonic closed
-    form: S(roots) * prod over exponents e of (1 + q + ... + q^e)."""
+def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
+    """Highest-weight decomposition of the graded cone functions, by degree,
+    from the harmonic closed form on labels: S(roots) by
+    `symmetric_irreps`, times prod over exponents e of (1 + q + ... + q^e)."""
     roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
-    out = symmetric_series(roots, truncation, rank=datum.rank)
-    zero = (0,) * datum.rank
+    layers = symmetric_irreps(datum, roots, truncation)
     for e in datum.exponents:
-        out = graded_mul(out, GradedCharacter(datum.rank, truncation, [{zero: 1}] * (e + 1)))
-    return out
+        # Times 1 + q + ... + q^e, from the top down, so that each layer
+        # below n still holds the factor's input when layer n reads it.
+        for n in range(truncation, 0, -1):
+            layer = layers[n]
+            for j in range(max(n - e, 0), n):
+                for lam, c in layers[j].items():
+                    layer[lam] = layer.get(lam, 0) + c
+    return IrrepSeries(datum.rank, truncation, layers)

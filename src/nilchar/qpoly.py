@@ -72,10 +72,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, n: int) -> QPolynomial:
-        """Multiply by q^n."""
-        return QPolynomial({d + n: c for d, c in self.coeffs.items()})
-
     def truncate(self, max_deg: int) -> QPolynomial:
         return QPolynomial({d: c for d, c in self.coeffs.items() if d <= max_deg})
 
@@ -83,10 +79,6 @@ class QPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.coeffs) if self.coeffs else -1
 
     def items(self):
         return sorted(self.coeffs.items())

@@ -2,12 +2,25 @@
 G-torus character of C[N] restricted to the K-torus, times the signed
 exterior class of k. The library computes the same character in the
 Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (`theta_cone_character`);
-the two agree by the Koszul identity S(k) * Lambda(k) = 1."""
+the two agree by the Koszul identity S(k) * Lambda(k) = 1. The torus
+character of C[N] it restricts is Kostant's closed form, here on the torus;
+the library computes the same form on highest-weight labels
+(`nilcone_series`)."""
 
-from nilchar.charring import GradedCharacter, TorusCharacter, graded_mul
+from nilchar.charring import GradedCharacter, TorusCharacter, graded_mul, symmetric_series
 from nilchar.ktheta import RealFormConfig, wedge_class
-from nilchar.nilcone import nilcone_character
-from nilchar.rootdata import Weight, int_vector, mat_apply
+from nilchar.rootdata import RootDatum, Weight, int_vector, mat_apply, wneg
+
+
+def nilcone_character(datum: RootDatum, truncation: int) -> GradedCharacter:
+    """Torus character of the graded cone functions, by the harmonic closed
+    form: S(roots) * prod over exponents e of (1 + q + ... + q^e)."""
+    roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
+    out = symmetric_series(roots, truncation, rank=datum.rank)
+    zero = (0,) * datum.rank
+    for e in datum.exponents:
+        out = graded_mul(out, GradedCharacter(datum.rank, truncation, [{zero: 1}] * (e + 1)))
+    return out
 
 
 def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:

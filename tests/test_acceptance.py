@@ -16,9 +16,11 @@ from nilchar.charring import irreducible_character
 from nilchar.kostant import lusztig_mq, weyl_multiplicity
 from nilchar.ktheta import dimension_check, koszul_check, theta_cone_character
 from nilchar.langlands import graded_branching_sum, zuckerman_expansion
-from nilchar.nilcone import contributor_polynomials, nilcone_character
+from nilchar.nilcone import contributor_polynomials
 from nilchar.oracle import AffineConeModel, ConeVariable, compare_with_formula, graded_character_by_degree
 from nilchar.rootdata import build_root_datum, dominant_weights_up_to_height
+from paper_formula import nilcone_character
+from standard_sums import mass_by_degree
 from weyl_action import weyl_dimension
 
 SL2 = load_catalog_config("sl2-split")
@@ -154,5 +156,5 @@ def test_criterion_9_branching_bookkeeping():
             * sum(dim_series[j] * (-1) ** (n - j) * comb(dim_k, n - j) for j in range(n + 1) if n - j <= dim_k)
             for n in (0, 1)
         }
-        got = total.coefficient_mass_by_degree()
+        got = mass_by_degree(total)
         assert {n: got.get(n, 0) for n in (0, 1)} == expected

@@ -19,7 +19,7 @@ from nilchar.charring import (
 from nilchar.kostant import weyl_multiplicity
 from nilchar.ktheta import theta_cone_character, wedge_class
 from nilchar.langlands import WeightMultiset
-from nilchar.nilcone import nilcone_character, nilcone_series
+from nilchar.nilcone import nilcone_series
 from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import (
     RootDatum,
@@ -28,7 +28,7 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
-from paper_formula import restrict_character, restrict_graded
+from paper_formula import nilcone_character, restrict_character, restrict_graded
 from weyl_action import act, sign, weyl_dimension
 
 A1 = build_root_datum([[2]])
@@ -136,7 +136,7 @@ def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound)
     one = TorusCharacter.trivial(datum.rank)
     denominator = one
     for alpha in datum.positive_roots:
-        denominator = denominator * (one - TorusCharacter.from_weight(tuple(-v for v in alpha)))
+        denominator = denominator * (one - TorusCharacter(datum.rank, {tuple(-v for v in alpha): 1}))
     two_rho = datum.two_rho
     lams = dominant_box(datum, bound)
     assert len(lams) > bound
@@ -146,7 +146,7 @@ def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound)
         for word in datum.weyl_words():
             doubled = tuple(a - r for a, r in zip(act(datum, word, shifted), two_rho))
             assert all(v % 2 == 0 for v in doubled)
-            numerator = numerator + TorusCharacter.from_weight(tuple(v // 2 for v in doubled), sign(word))
+            numerator = numerator + TorusCharacter(datum.rank, {tuple(v // 2 for v in doubled): sign(word)})
         assert irreducible_character(datum, lam) * denominator == numerator, lam
 
 
@@ -183,8 +183,9 @@ def test_decompose_rejects_rank_mismatch():
     ids=["A1", "A2", "B2", "G2", "A3", "A4", "GL2", "T2"],
 )
 def test_decompose_nilcone_layers_match_lusztig(datum, truncation):
-    """The closed-form C[N], decomposed layer by layer, is the highest-weight
-    series of the independent Lusztig route."""
+    """The closed-form C[N] on the torus, decomposed layer by layer off the
+    Weyl denominator, is the same closed form computed on labels by Newton's
+    identity and Brauer-Klimyk straightening."""
     gc = nilcone_character(datum, truncation)
     layers = [decompose_into_irreducibles(datum, gc.layer(n)) for n in range(truncation + 1)]
     assert IrrepSeries(datum.rank, truncation, layers) == nilcone_series(datum, truncation)

@@ -22,7 +22,7 @@ from nilchar.kostant import (
     weyl_multiplicity,
     weyl_on_labels,
 )
-from nilchar.nilcone import nilcone_series
+from nilchar.nilcone import lusztig_series, nilcone_series
 from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
 from weyl_action import act, sign
@@ -88,7 +88,7 @@ def test_partition_degree_bounds():
             continue
         assert p.degree <= B2.height(lam)
         brute = brute_partition_q(B2, lam)
-        assert p.min_degree == brute.min_degree
+        assert min(p.coeffs) == min(brute.coeffs)
 
 
 def test_mq_diagonal_is_one():
@@ -186,6 +186,7 @@ def test_no_datum_outlives_its_computations():
     process-wide table or memo is keyed by it."""
     datum = build_root_datum([[2, -1], [-2, 2]])
     nilcone_series(datum, 4)
+    lusztig_series(datum, 4)
     lusztig_mq(datum, (2, 2), (0, 0))
     irreducible_character(datum, (3, 2))
     ref = weakref.ref(datum)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import ktheta, nilcone
+from nilchar import charring, ktheta, nilcone
 from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.charring import symmetric_series
 from nilchar.cli import main
@@ -194,9 +194,9 @@ def test_p_weights_catalog():
 
 
 def test_theta_cone_builds_no_g_torus_character(monkeypatch):
-    """The K side never builds C[N] on the G-torus or multiplies by the
-    exterior class of k. Restriction to the K-torus exists only in the test
-    helper `paper_formula`."""
+    """The K side never builds C[N] of G or multiplies by the exterior class
+    of k. The torus character of C[N] and its restriction to the K-torus
+    exist only in the test helper `paper_formula`."""
     rf = load_catalog_config("sp4-split").real_form
     calls = []
 
@@ -207,8 +207,8 @@ def test_theta_cone_builds_no_g_torus_character(monkeypatch):
 
         return wrapper
 
-    for module in (nilcone, ktheta):
-        monkeypatch.setattr(module, "nilcone_character", counted("nilcone", nilcone.nilcone_character))
+    for name in ("nilcone_series", "lusztig_series"):
+        monkeypatch.setattr(ktheta, name, counted(name, getattr(nilcone, name)))
     monkeypatch.setattr(ktheta, "wedge_class", counted("wedge", ktheta.wedge_class))
     monkeypatch.setattr(ktheta, "graded_mul", counted("graded_mul", ktheta.graded_mul))
     gc = theta_cone_character(rf, 8)
@@ -289,7 +289,7 @@ def test_lusztig_check_catalog():
         assert result.passed, (name, result.details)
 
 
-@pytest.mark.parametrize("side", ["nilcone_series", "nilcone_character"])
+@pytest.mark.parametrize("side", ["lusztig_series", "nilcone_series"])
 def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, side):
     real = getattr(ktheta, side)
 
@@ -309,28 +309,20 @@ def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, si
     assert "[FAIL] lusztig-vs-harmonics" in out
 
 
-def test_lusztig_check_fails_on_a_bumped_weyl_orbit(monkeypatch, capsys):
-    """One whole Weyl orbit raised by 1 on the closed-form side leaves the
-    layer Weyl-invariant, so the invariance guard passes it; the label
-    comparison must catch it. The orbit of the roots of sl3 is
-    V(1,1) - 2 V(0,0), and degree 2 holds no invariant."""
-    real = ktheta.nilcone_character
-    datum = load_catalog_config("sl3-split").real_form.g_datum
-    orbit = datum.weyl_orbit((1, 1))
+def test_lusztig_check_fails_on_straightening_without_the_sign(monkeypatch, capsys):
+    """A Brauer-Klimyk straightening that forgets to flip the sign at each
+    dot reflection breaks Newton's divisibility on sl3 at degree 3; the
+    check reports it as a failure (exit 2), not as an error."""
+    real = charring._straighten
 
-    def bumped(datum, truncation):
-        out = real(datum, truncation)
-        for w in orbit:
-            out.layers[2][w] += 1
-        return out
+    def unsigned(datum, v):
+        mu, sign = real(datum, v)
+        return mu, abs(sign)
 
-    monkeypatch.setattr(ktheta, "nilcone_character", bumped)
-    result = lusztig_check(datum, 4)
+    monkeypatch.setattr(charring, "_straighten", unsigned)
+    result = lusztig_check(load_catalog_config("sl3-split").real_form.g_datum, 3)
     assert not result.passed
-    assert result.lines == (
-        "Lusztig series and harmonic closed form differ first at degree 2: "
-        "highest weight [0, 0] has multiplicity 0 vs -2",
-    )
+    assert result.details.startswith("harmonic closed form fails: highest weight")
     code = main(["checks", "--group", "sl3-split", "--degree", "3"])
     out = capsys.readouterr().out
     assert code == 2

@@ -3,9 +3,9 @@
 import pytest
 
 from nilchar import kernels, nilcone
-from nilchar.charring import TorusCharacter, irreducible_character
+from nilchar.charring import TorusCharacter, irreducible_character, symmetric_irreps
 from nilchar.kostant import lusztig_mq
-from nilchar.nilcone import nilcone_character, nilcone_series
+from nilchar.nilcone import lusztig_series, nilcone_series
 from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
@@ -13,6 +13,7 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
+from paper_formula import nilcone_character
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -20,6 +21,10 @@ C2 = build_root_datum([[2, -1], [-2, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
 A4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 A4 = build_root_datum(A4_CARTAN)
+A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+B2 = build_root_datum([[2, -2], [-1, 2]])
+B3 = build_root_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+C3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
 GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
 
 
@@ -67,8 +72,65 @@ def test_no_contributors_beyond_height_bound():
         assert not lusztig_mq(A2, lam, (0, 0)).truncate(N)
 
 
+@pytest.mark.parametrize(
+    "datum, truncation",
+    [(A1, 24), (A2, 12), (A3, 8), (A4, 6), (B2, 12), (B3, 6), (C3, 6), (G2, 12), (GL2, 8), (torus_datum(2), 4)],
+    ids=["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "GL2", "T2"],
+)
+def test_label_route_equals_lusztig_series(datum, truncation):
+    """Newton's identity with Brauer-Klimyk straightening and Lusztig's
+    q-analogs give the same labels in every degree."""
+    series = nilcone_series(datum, truncation)
+    assert series == lusztig_series(datum, truncation)
+    assert all(series.layers) or not datum.positive_roots
+
+
+def test_label_route_builds_no_weyl_group_or_partition_table(monkeypatch):
+    """`nilcone_series` never walks the Weyl group and never builds a
+    partition table; `lusztig_series`, its check, does both."""
+    calls = []
+    build, words = kernels.partition_table, RootDatum.weyl_words
+
+    def counted_table(*args, **kwargs):
+        calls.append("partition_table")
+        return build(*args, **kwargs)
+
+    def counted_words(self):
+        calls.append("weyl_words")
+        return words(self)
+
+    monkeypatch.setattr(kernels, "partition_table", counted_table)
+    monkeypatch.setattr(RootDatum, "weyl_words", counted_words)
+    series = nilcone_series(A4, 4)
+    assert calls == []
+    assert series == lusztig_series(A4, 4)
+    assert sorted(set(calls)) == ["partition_table", "weyl_words"]
+
+
+def test_symmetric_irreps_of_the_standard_representation():
+    """S^n of the standard representation of SL2 and of SL3 is irreducible:
+    V(n) and V(n, 0)."""
+    assert symmetric_irreps(A1, [(1,), (-1,)], 5) == [{(n,): 1} for n in range(6)]
+    assert symmetric_irreps(A2, [(1, 0), (-1, 1), (0, -1)], 5) == [{(n, 0): 1} for n in range(6)]
+
+
+@pytest.mark.parametrize(
+    "datum, weights, named",
+    [
+        (A1, [(2,), (2,), (-2,)], "highest weight \\[2\\] has multiplicity -3 in 2 \\* h_2"),
+        (A2, [(1, 1), (-1, -1), (-1, 2), (1, -2)], "highest weight \\[1, 1\\] has multiplicity -1 in 2 \\* h_2"),
+    ],
+    ids=["A1", "A2"],
+)
+def test_symmetric_irreps_refuses_weights_that_are_not_weyl_invariant(datum, weights, named):
+    """Brauer-Klimyk needs a Weyl-invariant multiset; without one, some
+    coefficient of n h_n is not divisible by n, and the error names it."""
+    with pytest.raises(ValueError, match=named):
+        symmetric_irreps(datum, weights, 4)
+
+
 def test_scan_builds_one_partition_table(monkeypatch):
-    """The scan sizes its table once, from the truncation: height
+    """The Lusztig scan sizes its table once, from the truncation: height
     N * max_root_height, cut after q^N. A rebuild as the weights grow would
     show as a second call."""
     calls = []
@@ -79,7 +141,7 @@ def test_scan_builds_one_partition_table(monkeypatch):
         return build(roots, height_bound, degree_bound)
 
     monkeypatch.setattr(kernels, "partition_table", counted)
-    series = nilcone_series(A4, 3)
+    series = lusztig_series(A4, 3)
     assert calls == [(12, 3)]
     assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
 
@@ -104,7 +166,7 @@ def test_scan_solves_once_per_weight(monkeypatch):
 
     monkeypatch.setattr(nilcone, "dominant_weights_up_to_height", recorded)
     monkeypatch.setattr(RootDatum, "root_coords_int", counted)
-    series = nilcone_series(A4, 3)
+    series = lusztig_series(A4, 3)
     assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]
     assert scanned
     assert len(solves) <= len(scanned)

@@ -2,8 +2,10 @@
 cache, the matrix-closed Weyl group, the general lattice solver, the
 invariant form, the records generated by `dataclasses`, the library
 copies of three test-only helpers, the process-wide registry of per-datum
-caches and `QPolynomial.eval_at_one` are gone; no source file, README line or
-build setting may point back to them."""
+caches, `QPolynomial.eval_at_one`, the torus character of C[N] in the
+library (now `tests/paper_formula.py`) and five methods that only tests
+called are gone; no source file, README line or build setting may point
+back to them."""
 
 from pathlib import Path
 
@@ -32,6 +34,12 @@ STALE = (
     "_irrep_cache",
     "import threading",
     "eval_at_one",
+    "nilcone_character",
+    "def shift",
+    "min_degree",
+    "from_weight",
+    "def union",
+    "coefficient_mass_by_degree",
 )
 
 

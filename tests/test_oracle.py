@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar.catalog import load_catalog_config
-from nilchar.nilcone import nilcone_character
 from nilchar.oracle import (
     AffineConeModel,
     ConeVariable,
@@ -19,6 +18,7 @@ from nilchar.oracle import (
     graded_character_by_degree,
     hilbert_by_degree,
 )
+from paper_formula import nilcone_character
 
 SL2 = load_catalog_config("sl2-split")
 

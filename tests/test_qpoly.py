@@ -30,10 +30,10 @@ def test_arithmetic():
 
 def test_shift_truncate_eval():
     p = QPolynomial({0: 1, 1: 1, 4: 2})
-    assert p.shift(2).coeffs == {2: 1, 3: 1, 6: 2}
+    assert (p * QPolynomial({2: 1})).coeffs == {2: 1, 3: 1, 6: 2}
     assert p.truncate(1).coeffs == {0: 1, 1: 1}
     assert sum(p.coeffs.values()) == 4
-    assert p.degree == 4 and p.min_degree == 0
+    assert p.degree == 4
     assert QPolynomial.zero().degree == -1
 
 

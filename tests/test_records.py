@@ -32,22 +32,38 @@ def test_cold_import_loads_no_code_generation_modules(module):
     assert not loaded & {"dataclasses", "inspect"}
 
 
-def test_cold_cli_query_loads_no_parser_or_number_tower_modules():
-    """A cold degree-0 query through `cli.main` parses its flags without
-    `argparse` (and its `gettext` and `locale`) and reads exact rationals as
-    integer pairs, without `fractions` (and its `decimal` and `numbers`)."""
+def _cold_query(argv):
+    """Exit status, stdout and the modules newly loaded when a fresh
+    interpreter runs `cli.main(argv)`."""
     code = (
         "import sys; before = set(sys.modules); "
         "from nilchar import cli; "
-        "code = cli.main(['cntheta', '--group', 'sl3-split', '--degree', '0', '--json']); "
+        f"code = cli.main({argv!r}); "
         "print(code, ' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     status, *loaded = out.stderr.split()
-    assert status == "0" and '"command": "cntheta"' in out.stdout
+    return status, out.stdout, set(loaded)
+
+
+def test_cold_cli_query_loads_no_parser_or_number_tower_modules():
+    """A cold degree-0 query through `cli.main` parses its flags without
+    `argparse` (and its `gettext` and `locale`) and reads exact rationals as
+    integer pairs, without `fractions` (and its `decimal` and `numbers`)."""
+    status, stdout, loaded = _cold_query(["cntheta", "--group", "sl3-split", "--degree", "0", "--json"])
+    assert status == "0" and '"command": "cntheta"' in stdout
     assert "nilchar.cli" in loaded
-    assert not set(loaded) & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+    assert not loaded & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+
+
+def test_cold_text_query_loads_no_json():
+    """Only `--json` output and config files read JSON: a cold text query
+    of a catalog group loads no `json` module."""
+    status, stdout, loaded = _cold_query(["cntheta", "--group", "sl3-split", "--degree", "0"])
+    assert status == "0" and stdout.startswith("degree  weight")
+    assert "nilchar.cli" in loaded
+    assert not [m for m in loaded if m == "json" or m.startswith(("json.", "_json"))]
 
 
 def _every_record():
