@@ -55,7 +55,6 @@ from .oracle import (
     ConeVariable,
     compare_with_formula,
     graded_character_by_degree,
-    hilbert_by_degree,
 )
 from .qpoly import QPolynomial
 from .rootdata import (

@@ -173,9 +173,18 @@ def _load_model(obj, path) -> AffineConeModel:
             terms[exps] = terms.get(exps, 0) + num * (scale // den)
         generators.append(terms)
     try:
-        return AffineConeModel(tuple(variables), tuple(generators))
+        model = AffineConeModel(tuple(variables), tuple(generators))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    # The oracle splits its ideal along degrees and weights, so a generator
+    # must be homogeneous in both; it is refused here, where it can be named.
+    for i, g in enumerate(model.generators):
+        try:
+            model.generator_degree(g)
+            model.generator_weight(g)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.generators[{i}]: {exc}") from None
+    return model
 
 
 def config_from_dict(doc: dict, label: str | None = None, require_split: bool = True) -> LoadedConfig:

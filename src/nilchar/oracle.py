@@ -10,10 +10,8 @@ floating point.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .charring import GradedCharacter
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
@@ -100,25 +98,6 @@ class AffineConeModel(Record):
         return tuple(acc)
 
 
-def _monomials(nvars: int, degree: int, order: str = "lex"):
-    """Exponent vectors of total degree `degree`, in a deterministic order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for head in itertools.combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in head:
-            exps[i] += 1
-        out.append(tuple(exps))
-    if order == "lex":
-        out.sort()
-    elif order == "revlex":
-        out.sort(reverse=True)
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
-    return out
-
-
 def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
     """The generator's terms scaled to integers by the lcm of its denominators."""
     denom = lcm(*(c.denominator for c in g.values()))
@@ -150,48 +129,63 @@ def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
                 del row[c]
 
 
-def _quotient_layers(model: AffineConeModel, truncation: int, order: str, split: bool) -> list[dict]:
-    """Dimension of each block of each degree slice of the quotient ring.
+def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> list[dict]:
+    """Dimension of each weight block of each degree slice of the quotient
+    ring; the generators must be weight-homogeneous, so each ideal row lies in
+    one weight block and is reduced against that block's pivots only.
 
-    With `split` the blocks are the weights and the generators must be
-    weight-homogeneous, so each ideal row lies in one weight block and is
-    reduced against that block's pivots only; without it each degree is one
-    block keyed `()`."""
+    A monomial of degree at most `truncation` is one int: its exponents are
+    the digits in base `truncation + 1`, the first variable the most
+    significant. No digit exceeds the truncation, so a product of monomials
+    is the sum of their ints with no carry, and int order is lex order; the
+    int, negated for `revlex`, is the monomial's elimination column. The
+    degree-n monomials are grown from the degree-(n-1) ones block by block:
+    each is kept with the first variable it may still be multiplied by, so
+    that every monomial is made once, and a block's weight is its parent's
+    plus the variable's."""
+    if order not in ("lex", "revlex"):
+        raise ValueError(f"unknown monomial order {order!r}")
+    sign = 1 if order == "lex" else -1
     nvars = len(model.variables)
-    weight = model.monomial_weight if split else (lambda m: ())
-    gens = [
-        (model.generator_degree(g), model.generator_weight(g) if split else (), _integer_terms(g))
-        for g in model.generators
-    ]
-    graded = []  # graded[d]: the degree-d monomials in order, each with its block
+    base = truncation + 1
+    steps = [sign * base ** (nvars - 1 - i) for i in range(nvars)]
+    gens = []
+    for g in model.generators:
+        dg, gw = model.generator_degree(g), model.generator_weight(g)
+        if dg <= truncation:
+            terms = [(sum(map(mul, exps, steps)), c) for exps, c in _integer_terms(g)]
+            gens.append((dg, gw, terms))
+    variables = list(enumerate(zip(steps, (v.weight for v in model.variables))))
+    graded = [{(0,) * model.torus_rank: [(0, 0)]}]  # graded[d]: weight -> [(monomial, first)]
+    for _ in range(truncation):
+        grown: dict = {}
+        for w, block in graded[-1].items():
+            for i, (step, vw) in variables:
+                new = [(m + step, i) for m, first in block if first <= i]
+                if new:
+                    grown.setdefault(tuple(map(add, w, vw)), []).extend(new)
+        graded.append(grown)
     layers = []
-    for n in range(truncation + 1):
-        graded.append([(m, weight(m)) for m in _monomials(nvars, n, order)])
-        index = {m: i for i, (m, _) in enumerate(graded[n])}
-        sizes = Counter(w for _, w in graded[n])
-        pivots: dict = {w: {} for w in sizes}
+    for n, blocks in enumerate(graded):
+        pivots: dict = {w: {} for w in blocks}
         for dg, gw, terms in gens:
             if dg > n:
                 continue
-            for m, w in graded[n - dg]:
-                row = {index[tuple(map(add, m, exps))]: c for exps, c in terms}
-                _insert_row(pivots[tuple(map(add, w, gw))], row)
-        layers.append({w: size - len(pivots[w]) for w, size in sizes.items() if size > len(pivots[w])})
+            for w, block in graded[n - dg].items():
+                target = pivots[tuple(map(add, w, gw))]
+                for m, _ in block:
+                    _insert_row(target, {m + t: c for t, c in terms})
+        layers.append({w: len(b) - len(pivots[w]) for w, b in blocks.items() if len(b) > len(pivots[w])})
     return layers
-
-
-def hilbert_by_degree(model: AffineConeModel, truncation: int, order: str = "lex") -> list[int]:
-    """Dimension of each degree slice of the quotient ring, exactly."""
-    return [layer.get((), 0) for layer in _quotient_layers(model, truncation, order, split=False)]
 
 
 def graded_character_by_degree(
     model: AffineConeModel, truncation: int, order: str = "lex"
 ) -> GradedCharacter:
-    """Torus character of each degree slice of the quotient ring; generators
-    must be weight-homogeneous so the ideal splits along weights."""
-    layers = _quotient_layers(model, truncation, order, split=True)
-    return GradedCharacter(model.torus_rank, truncation, layers)
+    """Torus character of each degree slice of the quotient ring; its masses
+    are the Hilbert function. Generators must be weight-homogeneous so the
+    ideal splits along weights."""
+    return GradedCharacter(model.torus_rank, truncation, _quotient_layers(model, truncation, order))
 
 
 def compare_with_formula(

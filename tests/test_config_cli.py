@@ -10,6 +10,7 @@ from nilchar import oracle
 from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
 from nilchar.cli import main
 from nilchar.config import ConfigError, config_from_dict
+from oracle_reference import hilbert_by_degree
 
 
 def run(capsys, *argv):
@@ -378,7 +379,7 @@ def test_oracle_check_hilbert_is_model_character_masses(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     model = load_catalog_config("sp4-split").oracle_model
-    assert json.loads(out)["hilbert"] == oracle.hilbert_by_degree(model, 5)
+    assert json.loads(out)["hilbert"] == hilbert_by_degree(model, 5)
 
 
 def test_oracle_check_missing_model(capsys):
@@ -450,6 +451,30 @@ def test_halved_generator_gives_the_same_character(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     chars = [oracle.graded_character_by_degree(config_from_dict(d).oracle_model, 6).layers for d in (doc, with_half)]
     assert chars[0] == chars[1]
+
+
+@pytest.mark.parametrize(
+    "exponents, reason",
+    [
+        (([2, 0], [1, 0]), "generator is not degree-homogeneous: degrees [1, 2]"),
+        (([2, 0], [0, 2]), "generator is not weight-homogeneous: weights [(-4,), (4,)]"),
+    ],
+    ids=["degree", "weight"],
+)
+def test_inhomogeneous_generator_names_the_field(tmp_path, capsys, exponents, reason):
+    """x^2 + x and x^2 + y^2 added to sl2-split's model are refused at load,
+    naming the generator, by every command and not only by the oracle."""
+    doc = catalog_document("sl2-split")
+    doc["oracle_model"]["generators"].append([{"num": 1, "exponents": e} for e in exponents])
+    message = f"oracle_model.generators[1]: {reason}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(doc)
+    path = tmp_path / "inhomogeneous.json"
+    path.write_text(json.dumps(doc))
+    for command in ("cntheta", "oracle-check", "checks"):
+        code, out, err = run(capsys, command, "--group", str(path), "--degree", "3")
+        assert code == 1 and out == "", command
+        assert err == f"error: {message}\n", command
 
 
 @pytest.mark.parametrize("den, reason", [(0, "zero denominator"), (1.5, "expected an integer")])

@@ -3,8 +3,9 @@ cache, the matrix-closed Weyl group, the general lattice solver, the
 invariant form, the records generated by `dataclasses`, the library
 copies of three test-only helpers, the process-wide registry of per-datum
 caches, `QPolynomial.eval_at_one`, the torus character of C[N] in the
-library (now `tests/paper_formula.py`) and five methods that only tests
-called are gone; no source file, README line or build setting may point
+library (now `tests/paper_formula.py`), five methods that only tests
+called and the oracle's unsplit tuple route (now `tests/oracle_reference.py`)
+are gone; no source file, README line or build setting may point
 back to them."""
 
 from pathlib import Path
@@ -40,6 +41,8 @@ STALE = (
     "from_weight",
     "def union",
     "coefficient_mass_by_degree",
+    "hilbert_by_degree",
+    "_monomials",
 )
 
 

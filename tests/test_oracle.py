@@ -1,5 +1,6 @@
-"""Brute-force cone models: Hilbert functions, graded characters, and the
-comparison against the product formula."""
+"""Brute-force cone models: Hilbert functions, graded characters, the packed
+route held to the tuple route of `oracle_reference`, and the comparison
+against the product formula."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -16,8 +17,8 @@ from nilchar.oracle import (
     _insert_row,
     compare_with_formula,
     graded_character_by_degree,
-    hilbert_by_degree,
 )
+from oracle_reference import _monomials, hilbert_by_degree, reference_layers
 from paper_formula import nilcone_character
 
 SL2 = load_catalog_config("sl2-split")
@@ -69,6 +70,104 @@ def test_rank_independent_of_monomial_order():
         )
 
 
+# -- the packed route against the tuple route ----------------------------------
+
+ORDERS = ("lex", "revlex")
+PLANE = (ConeVariable("x", (0,)), ConeVariable("y", (0,)))
+
+
+def assert_matches_reference(model, truncation, order):
+    packed = graded_character_by_degree(model, truncation, order=order)
+    reference = reference_layers(model, truncation, order)
+    assert len(packed.layers) == len(reference) == truncation + 1
+    for n, (got, want) in enumerate(zip(packed.layers, reference)):
+        assert got == want, (n, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("model", [XY_MODEL, FULL_CONE], ids=["xy", "full-cone"])
+def test_packed_route_matches_reference_on_small_models(model, order):
+    assert_matches_reference(model, 8, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("group, truncation", [("sl2-split", 12), ("sl3-split", 8), ("sp4-split", 8)])
+def test_packed_route_matches_reference_on_catalog_models(group, truncation, order):
+    assert_matches_reference(load_catalog_config(group).oracle_model, truncation, order)
+
+
+@st.composite
+def weight_homogeneous_models(draw):
+    """Small models whose variables share few weights, so that a weight block
+    holds several monomials, with generators made homogeneous by drawing one
+    monomial and then terms among the monomials of its degree and weight."""
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 4))
+    weight = st.tuples(*[st.integers(-1, 1)] * rank)
+    variables = tuple(ConeVariable(f"x{i}", draw(weight)) for i in range(nvars))
+    bare = AffineConeModel(variables, ())
+    coefficient = st.integers(-3, 3).filter(bool) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    generators = []
+    for _ in range(draw(st.integers(0, 3))):
+        monomials = _monomials(nvars, draw(st.integers(1, 3)))
+        seed = bare.monomial_weight(draw(st.sampled_from(monomials)))
+        same = [m for m in monomials if bare.monomial_weight(m) == seed]
+        terms = draw(st.lists(st.sampled_from(same), min_size=1, max_size=4, unique=True))
+        generators.append({m: draw(coefficient) for m in terms})
+    return AffineConeModel(variables, tuple(generators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_homogeneous_models(), st.integers(0, 5), st.sampled_from(ORDERS))
+def test_packed_route_matches_reference_on_random_models(model, truncation, order):
+    assert_matches_reference(model, truncation, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_model_without_variables(order):
+    free = AffineConeModel((), ())
+    assert graded_character_by_degree(free, 3, order).layers == [{(): 1}, {}, {}, {}]
+    killed = AffineConeModel((), ({(): 2},))
+    assert graded_character_by_degree(killed, 3, order).layers == [{}, {}, {}, {}]
+    for model in (free, killed):
+        assert_matches_reference(model, 3, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_truncation_one_keeps_same_weight_variables_apart(order):
+    """At truncation 1 the digits are in base 2. Two weight-0 variables and
+    two independent linear forms leave nothing in degree 1; with base 1 both
+    variables would be one column and the rank would be 1."""
+    model = AffineConeModel(PLANE, ({(1, 0): 1, (0, 1): 2}, {(1, 0): 1, (0, 1): 1}))
+    assert graded_character_by_degree(model, 1, order).masses() == [1, 0]
+    assert_matches_reference(model, 1, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("truncation", [1, 2, 5])
+def test_exponent_at_the_truncation(truncation, order):
+    """x^N - y^N at truncation N: each exponent reaches the largest digit,
+    and the generator's degree is the truncation, so it cuts degree N only."""
+    n = truncation
+    model = AffineConeModel(PLANE, ({(n, 0): 1, (0, n): -1},))
+    assert graded_character_by_degree(model, n, order).masses() == list(range(1, n + 1)) + [n]
+    assert_matches_reference(model, n, order)
+    assert graded_character_by_degree(model, n - 1, order).masses() == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_generator_of_the_truncation_degree(order):
+    """A generator of degree N in one variable of a model with three: its
+    only row is in degree N, in its own weight block."""
+    variables = (ConeVariable("t", (1,)), ConeVariable("u", (-1,)), ConeVariable("v", (0,)))
+    model = AffineConeModel(variables, ({(0, 0, 4): 1},))
+    gc = graded_character_by_degree(model, 4, order)
+    free = graded_character_by_degree(AffineConeModel(variables, ()), 4, order)
+    assert gc.layers[:4] == free.layers[:4]
+    assert gc.layers[4] == {**free.layers[4], (0,): free.layers[4][(0,)] - 1}
+    assert_matches_reference(model, 4, order)
+
+
 def test_inhomogeneous_generator_rejected():
     model = AffineConeModel(
         (ConeVariable("x", (2,)), ConeVariable("y", (-2,))),
@@ -76,6 +175,8 @@ def test_inhomogeneous_generator_rejected():
     )
     with pytest.raises(ValueError, match="degree-homogeneous"):
         hilbert_by_degree(model, 2)
+    with pytest.raises(ValueError, match="degree-homogeneous"):
+        graded_character_by_degree(model, 2)
 
 
 def test_weight_inhomogeneous_generator_rejected():
