@@ -6,25 +6,21 @@ highest weight (Kostant's closed form on labels, checked against Lusztig's
 q-analogs in `lusztig_series`), `theta_cone_character` for the K-side in
 the Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (by the Koszul
 identity, the paper's restriction of C[N] times the signed exterior class
-of k), `graded_branching_sum` for the standard-module bookkeeping, and the
-`oracle` module for independent brute-force verification.
+of k) and `theta_cone_ktypes` for the same form by K-type,
+`graded_branching_sum` for the standard-module bookkeeping, and the
+`oracle` module for independent brute-force verification. Every answer by
+highest weight comes from one algorithm, `charring.symmetric_irreps`.
 """
 
 from .charring import (
     GradedCharacter,
     IrrepSeries,
     TorusCharacter,
-    decompose_into_irreducibles,
     graded_mul,
     irreducible_character,
 )
 from .config import ConfigError, LoadedConfig, config_from_dict, load_config_file
 from .catalog import catalog_names, load_catalog_config
-from .kostant import (
-    kostant_partition_q,
-    lusztig_mq,
-    weyl_multiplicity,
-)
 from .ktheta import (
     CheckResult,
     Dims,
@@ -45,9 +41,7 @@ from .langlands import (
     WeightMultiset,
     graded_branching_sum,
     k_weight_multiset,
-    tensor_standard,
     wedge_weight_multiset,
-    zuckerman_expansion,
 )
 from .nilcone import lusztig_series, nilcone_series
 from .oracle import (
@@ -56,7 +50,6 @@ from .oracle import (
     compare_with_formula,
     graded_character_by_degree,
 )
-from .qpoly import QPolynomial
 from .rootdata import (
     InvolutionData,
     RootDatum,

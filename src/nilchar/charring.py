@@ -1,11 +1,12 @@
 """Exact arithmetic on virtual torus characters and truncated q-graded
-character series, graded symmetric algebras, plus decomposition of
-Weyl-invariant characters into irreducibles.
+character series, graded symmetric algebras on the torus and on
+highest-weight labels, and irreducible characters.
 
 Irreducible characters come from Demazure's character formula; the
-Weyl-sum multiplicities (`kostant.weyl_multiplicity`) and the Weyl numerator
-remain tests of them. Decomposition reads multiplicities off the product
-with the Weyl denominator and builds no irreducible character.
+Weyl-sum multiplicities and the Weyl numerator remain tests of them. A
+graded symmetric algebra of a Weyl-invariant weight multiset is computed
+on highest-weight labels (`symmetric_irreps`), so no torus character is
+ever decomposed into irreducibles.
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import add, mul
 
-from .rootdata import RootDatum, Weight, int_vector, is_int, wadd, wdot, wsub
+from .rootdata import RootDatum, Weight, is_int, wadd, wdot
 
 
 def _refuse_non_int_entries(weights, where: str = "") -> None:
@@ -28,6 +29,30 @@ def _refuse_non_int_entries(weights, where: str = "") -> None:
         for w in weights:
             if not all(map(is_int, w)):
                 raise ValueError(f"weight {w}{where} has an entry that is not an integer")
+
+
+def _checked_layers(rank: int, truncation: int, layers) -> list[dict[Weight, int]]:
+    """`layers` as degrees 0..truncation (missing ones empty, later ones
+    dropped) with zero multiplicities dropped. A negative truncation, a
+    weight of another rank, or an entry or multiplicity that is not an int
+    is a ValueError."""
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    out: list[dict[Weight, int]] = []
+    for n in range(truncation + 1):
+        layer = {}
+        if layers is not None and n < len(layers):
+            given = dict(layers[n])
+            _refuse_non_int_entries(given, f" in degree {n}")
+            for w, c in given.items():
+                if len(w) != rank:
+                    raise ValueError(f"weight {w} does not have rank {rank}")
+                if not is_int(c):
+                    raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
+                if c:
+                    layer[tuple(w)] = c
+        out.append(layer)
+    return out
 
 
 class TorusCharacter:
@@ -125,24 +150,9 @@ class GradedCharacter:
     __slots__ = ("rank", "truncation", "layers")
 
     def __init__(self, rank: int, truncation: int, layers=None):
-        if truncation < 0:
-            raise ValueError("truncation must be non-negative")
         self.rank = rank
         self.truncation = truncation
-        self.layers: list[dict[Weight, int]] = []
-        for n in range(truncation + 1):
-            layer = {}
-            if layers is not None and n < len(layers):
-                given = dict(layers[n])
-                _refuse_non_int_entries(given, f" in degree {n}")
-                for w, c in given.items():
-                    if len(w) != rank:
-                        raise ValueError(f"weight {w} does not have rank {rank}")
-                    if not is_int(c):
-                        raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
-                    if c:
-                        layer[tuple(w)] = c
-            self.layers.append(layer)
+        self.layers = _checked_layers(rank, truncation, layers)
 
     @classmethod
     def trivial(cls, rank: int, truncation: int) -> GradedCharacter:
@@ -343,16 +353,7 @@ class IrrepSeries:
     def __init__(self, rank: int, truncation: int, layers=None):
         self.rank = rank
         self.truncation = truncation
-        self.layers: list[dict[Weight, int]] = []
-        for n in range(truncation + 1):
-            layer = {}
-            if layers is not None and n < len(layers):
-                for w, c in dict(layers[n]).items():
-                    if not is_int(c):
-                        raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
-                    if c:
-                        layer[int_vector(w, "highest_weight")] = c
-            self.layers.append(layer)
+        self.layers = _checked_layers(rank, truncation, layers)
 
     def __eq__(self, other) -> bool:
         return (
@@ -404,42 +405,3 @@ def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight
             key = tuple(m - k * a for m, a in zip(mu, alpha))
             out[key] = out.get(key, 0) + sign
     return {w: c for w, c in out.items() if c}
-
-
-def decompose_into_irreducibles(datum: RootDatum, ch: TorusCharacter) -> dict[Weight, int]:
-    """Write a Weyl-invariant virtual character as an integer combination of
-    irreducible characters, read off the Weyl denominator.
-
-    By the Weyl character formula, ch(V_lam) * prod_{alpha>0} (1 - e^{-alpha})
-    = sum_w sign(w) e^{w(lam+rho)-rho}, and only w = 1 gives a dominant weight
-    (w(lam+rho) is dominant regular only for w = 1). So the multiplicity of
-    V_lam in `ch` is the coefficient of e^lam in ch * prod_{alpha>0} (1 - e^{-alpha})."""
-    if ch.rank != datum.rank:
-        raise ValueError(f"torus rank mismatch: {ch.rank} vs {datum.rank}")
-    _validate_weyl_invariance(datum, ch)
-    acc = dict(ch.terms)
-    for alpha in datum.positive_roots:
-        shifted = dict(acc)
-        for w, c in acc.items():
-            key = wsub(w, alpha)
-            v = shifted.get(key, 0) - c
-            if v:
-                shifted[key] = v
-            else:
-                del shifted[key]
-        acc = shifted
-    return {w: c for w, c in acc.items() if datum.is_dominant(w)}
-
-
-def _validate_weyl_invariance(datum: RootDatum, ch: TorusCharacter) -> None:
-    checked: set[Weight] = set()
-    for w, c in ch.terms.items():
-        if w in checked:
-            continue
-        orbit = datum.weyl_orbit(w)
-        checked |= orbit
-        vals = {ch.terms.get(v, 0) for v in orbit}
-        if len(vals) != 1:
-            raise ValueError(
-                f"character is not Weyl-invariant on the orbit of {w}: multiplicities {sorted(vals)}"
-            )

@@ -1,11 +1,13 @@
-"""Kostant's partition function and Lusztig's q-analog of weight multiplicity.
+"""Lusztig's q-analog of weight multiplicity, from Kostant's partition
+function, for the `lusztig-vs-harmonics` check.
 
 The partition polynomial counts expressions of a root-lattice weight as sums
-of positive roots, graded by the number of summands. Its alternating
-Weyl-group sum gives the q-analog of a weight multiplicity; at q = 1 it is
-Kostant's multiplicity formula (`weyl_multiplicity`), kept as the reference
-that tests hold the Demazure-built irreducible characters
-(`charring.irreducible_character`) against.
+of positive roots, graded by the number of summands (`kernels`). Its
+alternating Weyl-group sum gives the q-analog of a weight multiplicity; at
+q = 1 it is Kostant's multiplicity formula. Single queries, and the
+multiplicity formula that tests hold the Demazure-built irreducible
+characters (`charring.irreducible_character`) against, live in the test
+helper `lusztig_reference`.
 
 The Weyl-group sum runs in integer simple-root coordinates: each Weyl element,
 taken as a reduced word from `RootDatum.weyl_words`, acts on Dynkin labels
@@ -13,8 +15,7 @@ through one integer matrix (`weyl_on_labels`), so a query solves for the
 coordinates of lam - mu once and reads every partition polynomial from one
 table, with no solve per element. A `LusztigSum` holds that table and those
 matrices for one datum, built once: a scan builds one and queries it for
-every weight; the single-query functions below build their own. Nothing is
-kept between calls.
+every weight. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -22,22 +23,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import kernels
-from .qpoly import QPolynomial
 from .rootdata import Matrix, RootDatum, Weight, wdot, wsub
-
-
-def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = None) -> QPolynomial:
-    """Counting polynomial of `lam` as graded sums of positive roots, cut
-    after q^truncation (whole when None); zero when `lam` is not a
-    non-negative root-lattice combination."""
-    rc = datum.root_coords_int(lam)
-    if rc is None or any(v < 0 for v in rc):
-        return QPolynomial.zero()
-    if datum.nsimple == 0:
-        return QPolynomial.one()
-    height = sum(rc)
-    degree = height if truncation is None else min(height, truncation)
-    return QPolynomial.from_list(kernels.partition_table(datum.positive_root_coords, height, degree).get(rc, ()))
 
 
 def weyl_on_labels(datum: RootDatum) -> tuple[tuple[int, Matrix], ...]:
@@ -116,23 +102,3 @@ class LusztigSum:
             for k, c in enumerate(coeffs):
                 acc[k] += sign * c
         return acc
-
-
-def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None) -> list[int]:
-    """One query, on a `LusztigSum` sized to ht(lam - mu)."""
-    rc = datum.root_coords_int(wsub(lam, mu))
-    height = sum(rc) if rc is not None and all(v >= 0 for v in rc) else 0
-    return LusztigSum(datum, height, truncation).coeffs(lam, mu)
-
-
-def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:
-    """q-analog of the weight multiplicity of `mu` in the irreducible of
-    highest weight `lam`: the signed Weyl-group sum of partition polynomials,
-    cut after q^truncation (whole when None)."""
-    return QPolynomial.from_list(_weyl_sum(datum, lam, mu, truncation))
-
-
-def weyl_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:
-    """Multiplicity of the weight `mu` in the irreducible of highest weight
-    `lam`, by the signed Weyl-group sum over plain partition counts."""
-    return sum(_weyl_sum(datum, lam, mu, None))

@@ -9,9 +9,13 @@ S(k) * Lambda(k) = 1 (the Koszul identity), that product equals
     ch_q C[N_theta] = S(p) * prod_i (1 - q^{d_i}),
 
 the Kostant-Rallis description of N_theta as the zero fibre of p -> p//K
-(Amer. J. Math. 93, 1971). This module computes the right-hand side on the
-K-torus alone, with the invariant degrees d_i of G, together with the Koszul
-sanity identity and the dimension bookkeeping that the hypothesis rests on.
+(Amer. J. Math. 93, 1971). This module computes the right-hand side with
+the invariant degrees d_i of G, in two forms that share one factor loop: on
+the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
+(`theta_cone_ktypes`: S(p) by Newton's identity with Brauer-Klimyk
+straightening, as for C[N]), which builds no torus character. Alongside are
+the Koszul sanity identity and the dimension bookkeeping that the hypothesis
+rests on.
 `lusztig_check` holds the two routes to C[N] of G against each other, label
 by label.
 """
@@ -21,8 +25,8 @@ from __future__ import annotations
 from .charring import (
     GradedCharacter,
     IrrepSeries,
-    decompose_into_irreducibles,
     graded_mul,
+    symmetric_irreps,
     symmetric_series,
 )
 from .nilcone import lusztig_series, nilcone_series
@@ -63,7 +67,8 @@ class RealFormConfig(Record):
     `p_weights` is derived: the restricted weights of g (both signs of every
     root, and `rank` zero weights) less the weights of k, as multisets. A k
     weight that the restricted weights of g do not cover is refused, and so
-    are k weights other than the adjoint weights of `k_datum` when given."""
+    are k weights other than the adjoint weights of `k_datum` when given, and
+    p weights that the Weyl group of `k_datum` does not preserve."""
 
     __slots__ = ("label", "g_datum", "involution", "k_torus_rank", "restriction", "k_weights", "dims",
                  "split_mod_center", "k_datum", "p_weights")
@@ -110,6 +115,15 @@ class RealFormConfig(Record):
                 raise ValueError(
                     f"k.datum: its adjoint weights {sorted(adjoint)} are not the k weights {sorted(kw)}"
                 )
+            # p is a K-module: its weights are invariant under every simple
+            # reflection of K, as `theta_cone_ktypes` needs.
+            p = _multiset(self.p_weights)
+            for i in range(self.k_datum.nsimple):
+                if _multiset(self.k_datum.reflect(i, w) for w in self.p_weights) != p:
+                    raise ValueError(
+                        f"k.datum: the p weights {sorted(p)} are not invariant under its simple reflection {i}, "
+                        "so p is not a K-module"
+                    )
 
 
 def _multiset(items):
@@ -202,38 +216,48 @@ def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:
     """Graded K-torus character of functions on the K-nilpotent cone, in the
     Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}): the symmetric algebra on
-    the p weights times one factor per invariant degree of G, d_i = e_i + 1
-    over the exponents and d = 1 for each central direction. By the Koszul
+    the p weights times one factor per invariant degree of G. By the Koszul
     identity this equals the paper's restriction of C[N] times the signed
     exterior class of k; it never builds the G-torus character."""
+    _require_split(config, force)
+    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank).layers
+    return GradedCharacter(config.k_torus_rank, truncation, _times_invariant_factors(config.g_datum, layers))
+
+
+def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:
+    """The same Kostant-Rallis form on K-irreducible labels: S(p) by
+    `symmetric_irreps` on the K root datum (p is a K-module, so its weights
+    are invariant under the Weyl group of K), times the same factors;
+    requires the K root datum. No torus character is built."""
+    if config.k_datum is None:
+        raise ValueError(f"config {config.label!r} carries no K root datum")
+    _require_split(config, force)
+    layers = symmetric_irreps(config.k_datum, config.p_weights, truncation)
+    return IrrepSeries(config.k_datum.rank, truncation, _times_invariant_factors(config.g_datum, layers))
+
+
+def _require_split(config: RealFormConfig, force: bool) -> None:
     if not config.split_mod_center and not force:
         raise SplitHypothesisError(
             f"config {config.label!r} is not split modulo center; the product formula is "
             "proved only under that hypothesis (pass force=True to compute it anyway)"
         )
-    g = config.g_datum
-    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank).layers
+
+
+def _times_invariant_factors(g: RootDatum, layers: list[dict]) -> list[dict]:
+    """`layers` (torus weights or labels, each mapped to its multiplicity)
+    times prod_i (1 - q^{d_i}) over the invariant degrees of G, in place:
+    d_i = e_i + 1 over the exponents and d = 1 for each central direction."""
+    truncation = len(layers) - 1
     degrees = [e + 1 for e in g.exponents] + [1] * (g.rank - len(g.exponents))
     for d in degrees:
-        # Times (1 - q^d) in place: from the top down, so that layer n - d
-        # still holds the factor's input when layer n subtracts it.
+        # From the top down, so that layer n - d still holds the factor's
+        # input when layer n subtracts it.
         for n in range(truncation, d - 1, -1):
             layer = layers[n]
             for w, c in layers[n - d].items():
                 layer[w] = layer.get(w, 0) - c
-    return GradedCharacter(config.k_torus_rank, truncation, layers)
-
-
-def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:
-    """Layerwise decomposition of `theta_cone_character` into K-irreducible
-    labels; requires the K root datum."""
-    if config.k_datum is None:
-        raise ValueError(f"config {config.label!r} carries no K root datum")
-    gc = theta_cone_character(config, truncation, force=force)
-    layers = []
-    for n in range(truncation + 1):
-        layers.append(decompose_into_irreducibles(config.k_datum, gc.layer(n)))
-    return IrrepSeries(config.k_datum.rank, truncation, layers)
+    return layers
 
 
 def dimension_check(config: RealFormConfig) -> CheckResult:

@@ -1,7 +1,7 @@
 """Formal bookkeeping for standard-module combinations: continued parameters
-on theta-stable tori, weight multisets for tensoring, the Zuckerman expansion
-of the trivial representation, and the graded branching sum for the
-K-nilpotent cone.
+on theta-stable tori, weight multisets for tensoring, and the graded
+branching sum for the K-nilpotent cone, whose degree-0 part is the Zuckerman
+expansion of the trivial representation.
 
 Torus conjugacy classes, their positive systems of imaginary roots, and the
 orbit codimensions are input data; this module materializes sums over them
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .charring import irreducible_character
 from .ktheta import RealFormConfig
-from .nilcone import contributor_polynomials
+from .nilcone import nilcone_series
 from .rootdata import (
     InvolutionData,
     Record,
@@ -237,33 +237,6 @@ def irrep_weight_multiset(datum: RootDatum, lam: Weight) -> WeightMultiset:
     return WeightMultiset(irreducible_character(datum, lam).terms)
 
 
-def tensor_standard(param: ContinuedParameter, s: WeightMultiset) -> FormalStandardSum:
-    """Tensoring a standard-module class by a finite character: one shifted
-    parameter per multiset entry."""
-    for w in s.entries:
-        if len(w) != len(param.gamma0):
-            raise ValueError("multiset weights do not live on the parameter's lattice")
-    return FormalStandardSum(
-        (m, ContinuedParameter(param.torus, wadd(param.gamma0, w), param.rho_imaginary, param.positive_system), 0)
-        for w, m in s.items()
-    )
-
-
-def zuckerman_expansion(tori) -> FormalStandardSum:
-    """The trivial representation as a signed sum of standard classes over
-    the supplied torus table."""
-    tori = list(tori)
-    if not tori:
-        raise ValueError("the torus table is empty")
-    terms = []
-    for torus in tori:
-        rank = torus.theta.rank
-        for ps in torus.positive_systems:
-            sign = -1 if ps.ell % 2 else 1
-            terms.append((sign, ContinuedParameter(torus.label, (0,) * rank, True, ps.id), 0))
-    return FormalStandardSum(terms)
-
-
 def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> FormalStandardSum:
     """The graded K-character of the K-nilpotent cone written as standard
     classes: the quintuple sum over (torus, positive system, highest weight,
@@ -277,11 +250,13 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    # Each irreducible is built once, before the torus and positive-system
-    # loops that read its weights.
-    contributors = [
-        (mq, irrep_weight_multiset(datum, lam).items()) for lam, mq in contributor_polynomials(datum, truncation)
-    ]
+    # C[N] as label -> {degree: multiplicity}. Each irreducible is built
+    # once, before the torus and positive-system loops that read its weights.
+    degrees_of: dict[Weight, dict[int, int]] = {}
+    for j, layer in enumerate(nilcone_series(datum, truncation).layers):
+        for lam, c in layer.items():
+            degrees_of.setdefault(lam, {})[j] = c
+    contributors = [(degrees, irrep_weight_multiset(datum, lam).items()) for lam, degrees in degrees_of.items()]
     # Coefficients are summed under plain keys, so that one parameter is
     # built per distinct non-zero term, not one per product term.
     sums: dict[tuple[str, Weight, str, int], int] = {}
@@ -294,8 +269,8 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
                 subs.append((n, sign, sigma, mult))
         for ps in torus.positive_systems:
             base_sign = -1 if ps.ell % 2 else 1
-            for mq, tau_weights in contributors:
-                for j, cj in mq.items():
+            for degrees, tau_weights in contributors:
+                for j, cj in degrees.items():
                     for n, sign, sigma, mult_r in subs:
                         q_total = j + n
                         if q_total > truncation:

@@ -8,7 +8,8 @@ central torus directions have d = 1 and cancel exactly. So C[N] is the
 symmetric algebra on the roots times those q-strings. The symmetric algebra
 is computed on highest-weight labels (`charring.symmetric_irreps`: Newton's
 identity, each product by Brauer-Klimyk), with no Weyl group, no partition
-function and no torus character; the q-strings only add layers.
+function and no torus character; the q-strings only add layers. It is the
+C[N] of both `cn` and `branching`.
 
 `lusztig_series` is the independent check (`ktheta.lusztig_check`): the
 degree-n layer assigns to each dominant root-lattice weight the q^n
@@ -23,33 +24,23 @@ from __future__ import annotations
 
 from .charring import IrrepSeries, symmetric_irreps
 from .kostant import LusztigSum
-from .qpoly import QPolynomial
 from .rootdata import RootDatum, dominant_weights_up_to_height, wneg
 
 
-def contributor_polynomials(datum: RootDatum, truncation: int):
-    """(lam, M_q(lam, 0) truncated) for every dominant root-lattice weight
-    that can contribute a q-power <= truncation."""
+def lusztig_series(datum: RootDatum, truncation: int) -> IrrepSeries:
+    """Highest-weight decomposition of the graded cone functions, by degree,
+    from Lusztig's q-analogs M_q(lam, 0) of every dominant root-lattice
+    weight that can contribute a q-power <= truncation: the independent
+    check on `nilcone_series`."""
     height_bound = truncation * datum.max_root_height
     # One table for the whole scan: for dominant lam, every argument
     # w(lam + rho) - rho of the Weyl-group sum lies below lam, so its height
     # is at most ht(lam) <= height_bound.
     lusztig = LusztigSum(datum, height_bound, truncation)
     zero = (0,) * datum.rank
-    out = []
-    for lam in dominant_weights_up_to_height(datum, height_bound):
-        mq = QPolynomial.from_list(lusztig.coeffs(lam, zero))
-        if mq:
-            out.append((lam, mq))
-    return out
-
-
-def lusztig_series(datum: RootDatum, truncation: int) -> IrrepSeries:
-    """Highest-weight decomposition of the graded cone functions, by degree,
-    from Lusztig's q-analogs: the independent check on `nilcone_series`."""
     layers: list[dict] = [dict() for _ in range(truncation + 1)]
-    for lam, mq in contributor_polynomials(datum, truncation):
-        for deg, coeff in mq.items():
+    for lam in dominant_weights_up_to_height(datum, height_bound):
+        for deg, coeff in enumerate(lusztig.coeffs(lam, zero)):
             layers[deg][lam] = coeff
     return IrrepSeries(datum.rank, truncation, layers)
 

@@ -285,20 +285,6 @@ class RootDatum:
             self._weyl_words = tuple(words)
         return self._weyl_words
 
-    def weyl_orbit(self, weight: Weight) -> set[Weight]:
-        orbit = {weight}
-        frontier = [weight]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.nsimple):
-                    im = self.reflect(i, w)
-                    if im not in orbit:
-                        orbit.add(im)
-                        nxt.append(im)
-            frontier = nxt
-        return orbit
-
     # -- internals ----------------------------------------------------------
 
     def _close_positive_roots(self):

@@ -1,8 +1,16 @@
-"""Integer polynomials in the grading variable q, exact arithmetic only."""
+"""Single queries of Kostant's partition function and Lusztig's q-analog,
+kept on the test side as references: `kostant_partition_q` reads one
+polynomial from a table of its own, `lusztig_mq` and `weyl_multiplicity`
+run the library's `LusztigSum` sized to one query. Kostant's multiplicity
+formula (`weyl_multiplicity`) is what the Demazure-built irreducible
+characters are held to. `QPolynomial` is the exact integer polynomial in q
+these answers are written in; the library itself reads coefficient lists."""
 
 from __future__ import annotations
 
-from .rootdata import is_int
+from nilchar import kernels
+from nilchar.kostant import LusztigSum
+from nilchar.rootdata import RootDatum, Weight, is_int, wsub
 
 
 class QPolynomial:
@@ -102,3 +110,37 @@ class QPolynomial:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = None) -> QPolynomial:
+    """Counting polynomial of `lam` as graded sums of positive roots, cut
+    after q^truncation (whole when None); zero when `lam` is not a
+    non-negative root-lattice combination."""
+    rc = datum.root_coords_int(lam)
+    if rc is None or any(v < 0 for v in rc):
+        return QPolynomial.zero()
+    if datum.nsimple == 0:
+        return QPolynomial.one()
+    height = sum(rc)
+    degree = height if truncation is None else min(height, truncation)
+    return QPolynomial.from_list(kernels.partition_table(datum.positive_root_coords, height, degree).get(rc, ()))
+
+
+def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None) -> list[int]:
+    """One query, on a `LusztigSum` sized to ht(lam - mu)."""
+    rc = datum.root_coords_int(wsub(lam, mu))
+    height = sum(rc) if rc is not None and all(v >= 0 for v in rc) else 0
+    return LusztigSum(datum, height, truncation).coeffs(lam, mu)
+
+
+def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:
+    """q-analog of the weight multiplicity of `mu` in the irreducible of
+    highest weight `lam`: the signed Weyl-group sum of partition polynomials,
+    cut after q^truncation (whole when None)."""
+    return QPolynomial.from_list(_weyl_sum(datum, lam, mu, truncation))
+
+
+def weyl_multiplicity(datum: RootDatum, lam: Weight, mu: Weight) -> int:
+    """Multiplicity of the weight `mu` in the irreducible of highest weight
+    `lam`, by the signed Weyl-group sum over plain partition counts."""
+    return sum(_weyl_sum(datum, lam, mu, None))

@@ -13,14 +13,14 @@ import pytest
 from nilchar.catalog import load_catalog_config
 from nilchar.cli import main
 from nilchar.charring import irreducible_character
-from nilchar.kostant import lusztig_mq, weyl_multiplicity
 from nilchar.ktheta import dimension_check, koszul_check, theta_cone_character
-from nilchar.langlands import graded_branching_sum, zuckerman_expansion
-from nilchar.nilcone import contributor_polynomials
+from nilchar.langlands import graded_branching_sum
+from nilchar.nilcone import lusztig_series
 from nilchar.oracle import AffineConeModel, ConeVariable, compare_with_formula, graded_character_by_degree
 from nilchar.rootdata import build_root_datum, dominant_weights_up_to_height
+from lusztig_reference import lusztig_mq, weyl_multiplicity
 from paper_formula import nilcone_character
-from standard_sums import mass_by_degree
+from standard_sums import mass_by_degree, zuckerman_expansion
 from weyl_action import weyl_dimension
 
 SL2 = load_catalog_config("sl2-split")
@@ -147,8 +147,8 @@ def test_criterion_9_branching_bookkeeping():
         datum = rf.g_datum
         z_mass = sum((-1) ** ps.ell for torus in tori for ps in torus.positive_systems)
         dim_series = [0, 0]
-        for lam, mq in contributor_polynomials(datum, 1):
-            for deg, c in mq.items():
+        for deg, layer in enumerate(lusztig_series(datum, 1).layers):
+            for lam, c in layer.items():
                 dim_series[deg] += weyl_dimension(datum, lam) * c
         dim_k = rf.dims.dim_k
         expected = {

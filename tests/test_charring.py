@@ -12,15 +12,12 @@ from nilchar.charring import (
     GradedCharacter,
     IrrepSeries,
     TorusCharacter,
-    decompose_into_irreducibles,
     graded_mul,
     irreducible_character,
 )
-from nilchar.kostant import weyl_multiplicity
 from nilchar.ktheta import theta_cone_character, wedge_class
 from nilchar.langlands import WeightMultiset
 from nilchar.nilcone import nilcone_series
-from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
@@ -28,8 +25,9 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
+from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import nilcone_character, restrict_character, restrict_graded
-from weyl_action import act, sign, weyl_dimension
+from weyl_action import act, decompose_into_irreducibles, sign, weyl_dimension
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -80,6 +78,18 @@ def test_constructors_refuse_non_integers(bad):
     for make in makers:
         with pytest.raises(ValueError, match="integer"):
             make()
+
+
+@pytest.mark.parametrize("cls", [GradedCharacter, IrrepSeries])
+def test_graded_constructors_refuse_bad_rank_and_truncation(cls):
+    """A label or weight of the wrong rank and a negative truncation are
+    refused, not kept or turned into an empty series."""
+    with pytest.raises(ValueError, match="does not have rank 2"):
+        cls(2, 0, [{(1,): 1, (1, 2, 3): 2}])
+    with pytest.raises(ValueError, match="non-negative"):
+        cls(1, -1)
+    with pytest.raises(ValueError, match=r"weight \(7, 2\.0\) in degree 1 has"):
+        cls(2, 1, [{}, {(k, -k): 1 for k in range(50)} | {(7, 2.0): 1}])
 
 
 def test_characters_name_a_non_integer_weight():

@@ -114,6 +114,22 @@ def test_config_error_k_datum_is_not_k(tmp_path, capsys):
     assert "k.datum" in err
 
 
+def test_config_error_p_is_not_a_k_module(tmp_path, capsys):
+    """sp4-split with a sheared restriction still covers the k weights, but
+    its p weights are not invariant under the swap that is K's Weyl group:
+    p would not be a K-module, and the K-types would be meaningless."""
+    doc = catalog_document("sp4-split")
+    doc["k"]["restriction"] = [[-1, -1], [-1, 1]]
+    with pytest.raises(ConfigError, match=r"k\.datum: the p weights .* not invariant"):
+        config_from_dict(doc)
+    path = tmp_path / "p_not_invariant.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1", "--decompose-k")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "k.datum" in err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -15,16 +15,10 @@ from hypothesis import strategies as st
 
 from nilchar import kernels
 from nilchar.charring import irreducible_character
-from nilchar.kostant import (
-    LusztigSum,
-    kostant_partition_q,
-    lusztig_mq,
-    weyl_multiplicity,
-    weyl_on_labels,
-)
+from nilchar.kostant import LusztigSum, weyl_on_labels
 from nilchar.nilcone import lusztig_series, nilcone_series
-from nilchar.qpoly import QPolynomial
 from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
+from lusztig_reference import QPolynomial, kostant_partition_q, lusztig_mq, weyl_multiplicity
 from weyl_action import act, sign
 
 A1 = build_root_datum([[2]])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilchar import charring, ktheta, nilcone
 from nilchar.catalog import catalog_names, load_catalog_config
-from nilchar.charring import symmetric_series
+from nilchar.charring import irreducible_character, symmetric_series
 from nilchar.cli import main
 from nilchar.ktheta import (
     Dims,
@@ -22,7 +22,7 @@ from nilchar.ktheta import (
 )
 from nilchar.rootdata import InvolutionData, build_root_datum, reductive_root_datum, torus_datum
 from paper_formula import restrict_times_wedge
-from weyl_action import weyl_dimension
+from weyl_action import decompose_into_irreducibles, weyl_dimension
 
 
 def test_wedge_single_zero_weight():
@@ -215,6 +215,94 @@ def test_theta_cone_builds_no_g_torus_character(monkeypatch):
     ktypes = theta_cone_ktypes(rf, 8)
     assert calls == []
     assert gc.masses()[8] > 0 and all(ktypes.layers)
+
+
+# Every catalog entry carries a K root datum.
+KTYPE_ENTRIES = ["sl2-split", "sl3-split", "sp4-split", "sl2xsl2-swap"]
+
+
+@pytest.mark.parametrize("name", KTYPE_ENTRIES)
+def test_ktypes_equal_the_decomposed_torus_character(name):
+    """The K-types on labels (Newton's identity on K) equal the
+    Kostant-Rallis torus character decomposed off K's Weyl denominator,
+    layer by layer; the non-split entry is forced."""
+    assert sorted(KTYPE_ENTRIES) == sorted(catalog_names())
+    rf = load_catalog_config(name).real_form
+    force = not rf.split_mod_center
+    N = 16
+    gc = theta_cone_character(rf, N, force=force)
+    series = theta_cone_ktypes(rf, N, force=force)
+    assert series.truncation == N
+    for n in range(N + 1):
+        assert series.layers[n] == decompose_into_irreducibles(rf.k_datum, gc.layer(n)), n
+    assert all(series.layers)
+
+
+def test_ktypes_build_no_torus_symmetric_algebra(monkeypatch):
+    """`theta_cone_ktypes` never builds S(p) on the K-torus; the counter
+    does see `theta_cone_character` build it."""
+    calls = []
+    real = ktheta.symmetric_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ktheta, "symmetric_series", counted)
+    monkeypatch.setattr(charring, "symmetric_series", counted)
+    for name in KTYPE_ENTRIES:
+        assert theta_cone_ktypes(load_catalog_config(name).real_form, 8, force=True).layers[8]
+    assert calls == []
+    theta_cone_character(SL2, 8)
+    assert len(calls) == 1
+
+
+def _totals(series) -> dict:
+    """Multiplicity of each label summed over all degrees."""
+    out: dict = {}
+    for layer in series.layers:
+        for lam, c in layer.items():
+            out[lam] = out.get(lam, 0) + c
+    return out
+
+
+# Kostant-Rallis: ungraded, C[N_theta] = Ind_M^K(1) with M = Z_K(a), so the
+# total of each K-type mu over all degrees is dim mu^M. The expected totals
+# below use no Newton's identity. A K-type's total is complete only once N
+# passes its top degree; each test stays well inside the top degrees seen.
+
+
+def test_ktype_totals_are_dim_mu_m_sl2():
+    """K = SO(2) and M = {+-1}: every even weight once, no odd weight."""
+    totals = _totals(theta_cone_ktypes(SL2, 24))
+    assert {k: totals.get((k,), 0) for k in range(-16, 17)} == {k: 1 - k % 2 for k in range(-16, 17)}
+    assert all(lam[0] % 2 == 0 for lam in totals)
+
+
+def test_ktype_totals_are_dim_mu_m_sl3():
+    """K = SO(3) and M = (Z/2)^2, whose three non-trivial elements are
+    rotations by pi: label 2j (spin j) has total (2j + 1 + 3(-1)^j) / 4."""
+    rf = load_catalog_config("sl3-split").real_form
+    totals = _totals(theta_cone_ktypes(rf, 24))
+    assert {j: totals.get((2 * j,), 0) for j in range(9)} == {j: (2 * j + 1 + 3 * (-1) ** j) // 4 for j in range(9)}
+    assert all(lam[0] % 2 == 0 for lam in totals)
+
+
+def test_ktype_totals_are_dim_mu_m_sp4():
+    """K = GL2 and M = {diag(+-1, +-1)} lies in the K-torus, so dim mu^M is
+    the number of weights of V_mu with both entries even, read off the
+    Demazure-built character. Every K-type (a, b) with
+    (a - b) + |a + b| / 2 <= 10 (its observed top degree) is complete at
+    N = 24; no label of non-zero total may be missing."""
+    rf = load_catalog_config("sp4-split").real_form
+    totals = _totals(theta_cone_ktypes(rf, 24))
+    region = [(a, b) for a in range(-20, 21) for b in range(-20, a + 1) if 2 * (a - b) + abs(a + b) <= 20]
+    expected = {
+        mu: sum(c for w, c in irreducible_character(rf.k_datum, mu).terms.items() if w[0] % 2 == 0 == w[1] % 2)
+        for mu in region
+    }
+    assert {mu: totals.get(mu, 0) for mu in region} == expected
+    assert sum(1 for c in expected.values() if c) == 56
 
 
 def test_dimension_check_catalog():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from nilchar import kernels, langlands
+from nilchar import kernels, kostant, langlands
 from nilchar.catalog import load_catalog_config
 from nilchar.langlands import (
     ContinuedParameter,
@@ -16,12 +16,11 @@ from nilchar.langlands import (
     graded_branching_sum,
     irrep_weight_multiset,
     k_weight_multiset,
-    tensor_standard,
     wedge_weight_multiset,
-    zuckerman_expansion,
 )
+from nilchar.nilcone import lusztig_series
 from nilchar.rootdata import InvolutionData, build_root_datum
-from standard_sums import mass_by_degree
+from standard_sums import mass_by_degree, tensor_standard, zuckerman_expansion
 from weyl_action import weyl_dimension
 
 A1 = build_root_datum([[2]])
@@ -160,21 +159,20 @@ def test_branching_degree_one_rows():
     assert got == expected
 
 
-def test_branching_mass_matches_three_factor_convolution():
-    from nilchar.nilcone import contributor_polynomials
-
-    N = 3
-    total = graded_branching_sum(SL2.real_form, TORI, N)
-    datum = SL2.real_form.g_datum
+def _assert_three_factor_masses(rf, tori, N):
+    """The mass of each q-power of the branching sum is the Zuckerman mass
+    times the convolution of dim C[N] (from Lusztig's q-analogs) with the
+    signed exterior algebra of k."""
+    total = graded_branching_sum(rf, tori, N)
+    datum = rf.g_datum
     z_mass = sum(
-        (-1) ** ps.ell for torus in TORI for ps in torus.positive_systems
+        (-1) ** ps.ell for torus in tori for ps in torus.positive_systems
     )
     dim_series = [0] * (N + 1)
-    for lam, mq in contributor_polynomials(datum, N):
-        d = weyl_dimension(datum, lam)
-        for deg, c in mq.items():
-            dim_series[deg] += d * c
-    dim_k = SL2.real_form.dims.dim_k
+    for deg, layer in enumerate(lusztig_series(datum, N).layers):
+        for lam, c in layer.items():
+            dim_series[deg] += weyl_dimension(datum, lam) * c
+    dim_k = rf.dims.dim_k
     expected = {}
     for n in range(N + 1):
         conv = sum(
@@ -189,31 +187,64 @@ def test_branching_mass_matches_three_factor_convolution():
         assert got.get(n, 0) == expected[n], n
 
 
-def test_branching_builds_one_table_and_one_irreducible_per_contributor(monkeypatch):
-    """The scan builds one partition table, and each contributor's
-    irreducible is built once, however many tori and positive systems read
-    its weights."""
-    from nilchar.nilcone import contributor_polynomials
+def test_branching_mass_matches_three_factor_convolution():
+    _assert_three_factor_masses(SL2.real_form, TORI, 3)
 
+
+# The split torus of split Sp4 on its own: every root is real, so k is four
+# zero weights there. C[N] of Sp4 has labels of multiplicity 2 from degree
+# 5 on, which sl2's cannot show.
+SP4_SPLIT_TORUS = (TorusDatum("split", InvolutionData([[-1, 0], [0, -1]]), (PositiveSystem("pos", (), 0),)),)
+
+
+def test_branching_mass_matches_three_factor_convolution_on_the_sp4_split_torus():
+    _assert_three_factor_masses(load_catalog_config("sp4-split").real_form, SP4_SPLIT_TORUS, 6)
+
+
+def test_branching_builds_no_table_and_one_irreducible_per_contributor(monkeypatch):
+    """C[N] comes from the label route: no partition table and no
+    `LusztigSum` is built. Each contributor's irreducible is built once,
+    however many tori and positive systems read its weights."""
     N = 6
-    contributors = [lam for lam, _ in contributor_polynomials(SL2.real_form.g_datum, N)]
-    tables, irreps = [], []
+    contributors = {lam for layer in lusztig_series(SL2.real_form.g_datum, N).layers for lam in layer}
+    tables, sums, irreps = [], [], []
     build_table, build_irrep = kernels.partition_table, langlands.irreducible_character
+    build_sum = kostant.LusztigSum.__init__
 
     def counted_table(*args):
         tables.append(args[1:])
         return build_table(*args)
+
+    def counted_sum(self, *args):
+        sums.append(args)
+        build_sum(self, *args)
 
     def counted_irrep(datum, lam):
         irreps.append(lam)
         return build_irrep(datum, lam)
 
     monkeypatch.setattr(kernels, "partition_table", counted_table)
+    monkeypatch.setattr(kostant.LusztigSum, "__init__", counted_sum)
     monkeypatch.setattr(langlands, "irreducible_character", counted_irrep)
     graded_branching_sum(SL2.real_form, TORI, N)
     assert sum(len(t.positive_systems) for t in TORI) > 1
-    assert tables == [(N, N)]
-    assert irreps == contributors
+    assert tables == [] and sums == []
+    assert sorted(irreps) == sorted(contributors)
+
+
+@pytest.mark.parametrize(
+    "name, tori, N",
+    [("sl2-split", TORI, n) for n in (0, 5, 30, 64)] + [("sp4-split", SP4_SPLIT_TORUS, 6)],
+    ids=["sl2-0", "sl2-5", "sl2-30", "sl2-64", "sp4-6"],
+)
+def test_branching_equals_the_sum_on_lusztig_contributors(monkeypatch, name, tori, N):
+    """The branching sum on C[N] from the label route equals the same sum
+    with its contributors read from Lusztig's q-analogs."""
+    rf = load_catalog_config(name).real_form
+    total = graded_branching_sum(rf, tori, N)
+    monkeypatch.setattr(langlands, "nilcone_series", lusztig_series)
+    assert total == graded_branching_sum(rf, tori, N)
+    assert total.terms
 
 
 def test_branching_builds_one_parameter_per_term(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from nilchar import kernels, nilcone
 from nilchar.charring import TorusCharacter, irreducible_character, symmetric_irreps
-from nilchar.kostant import lusztig_mq
 from nilchar.nilcone import lusztig_series, nilcone_series
 from nilchar.rootdata import (
     RootDatum,
@@ -13,6 +12,7 @@ from nilchar.rootdata import (
     reductive_root_datum,
     torus_datum,
 )
+from lusztig_reference import lusztig_mq
 from paper_formula import nilcone_character
 
 A1 = build_root_datum([[2]])

@@ -4,9 +4,13 @@ invariant form, the records generated by `dataclasses`, the library
 copies of three test-only helpers, the process-wide registry of per-datum
 caches, `QPolynomial.eval_at_one`, the torus character of C[N] in the
 library (now `tests/paper_formula.py`), five methods that only tests
-called and the oracle's unsplit tuple route (now `tests/oracle_reference.py`)
-are gone; no source file, README line or build setting may point
-back to them."""
+called, the oracle's unsplit tuple route (now `tests/oracle_reference.py`),
+the decomposition of torus characters into irreducibles with its Weyl-orbit
+check (now `tests/weyl_action.py`), the Lusztig scan's contributor list
+(folded into `lusztig_series`), the single-query partition and Weyl-sum
+functions with `QPolynomial` (now `tests/lusztig_reference.py`) and the
+tensoring and Zuckerman sums (now `tests/standard_sums.py`) are gone; no
+source file, README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -43,6 +47,17 @@ STALE = (
     "coefficient_mass_by_degree",
     "hilbert_by_degree",
     "_monomials",
+    "decompose_into_irreducibles",
+    "_validate_weyl_invariance",
+    "def weyl_orbit",
+    "contributor_polynomials",
+    "lusztig_mq(",
+    "weyl_multiplicity",
+    "kostant_partition_q",
+    "_weyl_sum",
+    "tensor_standard",
+    "zuckerman_expansion",
+    "QPolynomial",
 )
 
 

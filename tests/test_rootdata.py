@@ -16,7 +16,7 @@ from nilchar.rootdata import (
     torus_datum,
     wneg,
 )
-from weyl_action import act, weyl_dimension
+from weyl_action import act, weyl_dimension, weyl_orbit
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -252,7 +252,7 @@ def test_dominant_rep_and_orbit():
     """Each orbit holds exactly one dominant weight, its representative."""
     datum = build_root_datum(A2)
     for w in [(1, 0), (-1, 1), (0, -1)]:
-        orbit = datum.weyl_orbit(w)
+        orbit = weyl_orbit(datum, w)
         assert len(orbit) == 3
         assert [v for v in orbit if datum.is_dominant(v)] == [(1, 0)]
 

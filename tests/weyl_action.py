@@ -1,8 +1,12 @@
-"""The Weyl group acting on weights, and Weyl's dimension formula, kept on
-the test side: the element with reduced word (i_1, ..., i_k) is
-s_{i_1} ... s_{i_k}, so its simple reflections apply last letter first."""
+"""The Weyl group acting on weights, Weyl's dimension formula, and the
+decomposition of a Weyl-invariant character off the Weyl denominator, kept
+on the test side: the element with reduced word (i_1, ..., i_k) is
+s_{i_1} ... s_{i_k}, so its simple reflections apply last letter first. The
+decomposition is the reference that the K-types on highest-weight labels
+(`theta_cone_ktypes`) are held to."""
 
-from nilchar.rootdata import wadd, wdot, wscale
+from nilchar.charring import TorusCharacter
+from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
 
 
 def act(datum, word, weight):
@@ -14,6 +18,21 @@ def act(datum, word, weight):
 
 def sign(word) -> int:
     return -1 if len(word) % 2 else 1
+
+
+def weyl_orbit(datum, weight: Weight) -> set[Weight]:
+    orbit = {weight}
+    frontier = [weight]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(datum.nsimple):
+                im = datum.reflect(i, w)
+                if im not in orbit:
+                    orbit.add(im)
+                    nxt.append(im)
+        frontier = nxt
+    return orbit
 
 
 def weyl_dimension(datum, lam) -> int:
@@ -30,3 +49,42 @@ def weyl_dimension(datum, lam) -> int:
     if rem:
         raise ValueError(f"Weyl product for {lam} is not an integer: {num}/{den}")
     return dim
+
+
+def decompose_into_irreducibles(datum, ch: TorusCharacter) -> dict[Weight, int]:
+    """Write a Weyl-invariant virtual character as an integer combination of
+    irreducible characters, read off the Weyl denominator.
+
+    By the Weyl character formula, ch(V_lam) * prod_{alpha>0} (1 - e^{-alpha})
+    = sum_w sign(w) e^{w(lam+rho)-rho}, and only w = 1 gives a dominant weight
+    (w(lam+rho) is dominant regular only for w = 1). So the multiplicity of
+    V_lam in `ch` is the coefficient of e^lam in ch * prod_{alpha>0} (1 - e^{-alpha})."""
+    if ch.rank != datum.rank:
+        raise ValueError(f"torus rank mismatch: {ch.rank} vs {datum.rank}")
+    _validate_weyl_invariance(datum, ch)
+    acc = dict(ch.terms)
+    for alpha in datum.positive_roots:
+        shifted = dict(acc)
+        for w, c in acc.items():
+            key = wsub(w, alpha)
+            v = shifted.get(key, 0) - c
+            if v:
+                shifted[key] = v
+            else:
+                del shifted[key]
+        acc = shifted
+    return {w: c for w, c in acc.items() if datum.is_dominant(w)}
+
+
+def _validate_weyl_invariance(datum, ch: TorusCharacter) -> None:
+    checked: set[Weight] = set()
+    for w, c in ch.terms.items():
+        if w in checked:
+            continue
+        orbit = weyl_orbit(datum, w)
+        checked |= orbit
+        vals = {ch.terms.get(v, 0) for v in orbit}
+        if len(vals) != 1:
+            raise ValueError(
+                f"character is not Weyl-invariant on the orbit of {w}: multiplicities {sorted(vals)}"
+            )
