@@ -31,28 +31,36 @@ def _refuse_non_int_entries(weights, where: str = "") -> None:
                 raise ValueError(f"weight {w}{where} has an entry that is not an integer")
 
 
+def _checked_terms(rank: int, terms, where: str = "") -> dict[Weight, int]:
+    """A new dict of `terms` (weight -> multiplicity), keyed by tuples, with
+    zero multiplicities dropped. A weight of another rank, or an entry or
+    multiplicity that is not an int, is a ValueError naming it. As in
+    `_refuse_non_int_entries`, the ranks and the multiplicity types are
+    collected in one pass each; only a bad one leads to the search for the
+    item that holds it, and the dict is rebuilt only when it holds a zero or
+    a key that is not a tuple."""
+    terms = dict(terms)
+    _refuse_non_int_entries(terms, where)
+    if set(map(len, terms)) - {rank} or set(map(type, terms.values())) - {int}:
+        for w, c in terms.items():
+            if len(w) != rank:
+                raise ValueError(f"weight {w} does not have rank {rank}")
+            if not is_int(c):
+                raise ValueError(f"multiplicity of {w}{where} = {c!r} is not an integer")
+    if not all(terms.values()) or set(map(type, terms)) - {tuple}:
+        terms = {tuple(w): c for w, c in terms.items() if c}
+    return terms
+
+
 def _checked_layers(rank: int, truncation: int, layers) -> list[dict[Weight, int]]:
     """`layers` as degrees 0..truncation (missing ones empty, later ones
-    dropped) with zero multiplicities dropped. A negative truncation, a
-    weight of another rank, or an entry or multiplicity that is not an int
-    is a ValueError."""
+    dropped), each checked by `_checked_terms`. A negative truncation is a
+    ValueError."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
-    out: list[dict[Weight, int]] = []
-    for n in range(truncation + 1):
-        layer = {}
-        if layers is not None and n < len(layers):
-            given = dict(layers[n])
-            _refuse_non_int_entries(given, f" in degree {n}")
-            for w, c in given.items():
-                if len(w) != rank:
-                    raise ValueError(f"weight {w} does not have rank {rank}")
-                if not is_int(c):
-                    raise ValueError(f"multiplicity of {w} in degree {n} = {c!r} is not an integer")
-                if c:
-                    layer[tuple(w)] = c
-        out.append(layer)
-    return out
+    given = list(layers or ())[: truncation + 1]
+    given += [{}] * (truncation + 1 - len(given))
+    return [_checked_terms(rank, layer, f" in degree {n}") for n, layer in enumerate(given)]
 
 
 class TorusCharacter:
@@ -62,18 +70,7 @@ class TorusCharacter:
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
-        cleaned: dict[Weight, int] = {}
-        if terms:
-            terms = dict(terms)
-            _refuse_non_int_entries(terms)
-            for w, c in terms.items():
-                if len(w) != rank:
-                    raise ValueError(f"weight {w} does not have rank {rank}")
-                if not is_int(c):
-                    raise ValueError(f"multiplicity of {w} = {c!r} is not an integer")
-                if c:
-                    cleaned[tuple(w)] = c
-        self.terms = cleaned
+        self.terms = _checked_terms(rank, terms or {})
 
     @classmethod
     def trivial(cls, rank: int) -> TorusCharacter:

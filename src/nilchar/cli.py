@@ -2,7 +2,9 @@
 
 Commands: catalog, cn, cntheta, checks, branching, oracle-check. Output is
 byte-stable across runs: fixed sort orders, no timestamps. Exit codes:
-0 success, 1 usage or configuration error, 2 check failure.
+0 success, 1 usage or configuration error, 2 check failure, and, from a
+process run by `entry`, 141 when the reader of stdout went away. `main()` is
+the in-process API; `entry()` runs it as a whole process.
 
 Flags are read from one table, `COMMANDS`, by a small loop instead of
 `argparse`, whose import and parser construction cost more than a degree-0
@@ -278,7 +280,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run `main()` as a whole process: the one place a CLI process ends.
+
+    Once stdout and stderr are flushed, nothing is left for a one-shot command
+    to do, so the process leaves with `os._exit` and skips the interpreter's
+    teardown of every loaded module (about a tenth of a cold query). Nothing
+    in the package may rely on that teardown (`atexit`, `__del__`). A reader
+    of stdout that went away ends the process with status 141 (128 + SIGPIPE,
+    as a shell reports for a C tool cut off by `head`) and nothing on stderr.
+    Any other exception takes the normal exit, with its traceback."""
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except BrokenPipeError:
+        os._exit(141)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -105,6 +105,32 @@ def test_characters_name_a_non_integer_weight():
         GradedCharacter(2, 1, [{}, many])
 
 
+def test_constructors_name_a_bad_multiplicity_or_rank_among_many(monkeypatch):
+    """Plain-int input is checked in one pass per property, with no `is_int`
+    call per item; a bad multiplicity or rank among many is still named, the
+    first in the given order, zero multiplicities are dropped, and the stored
+    terms are a copy of the input."""
+    many = {(k, -k): k + 1 for k in range(50)}
+    calls = []
+    monkeypatch.setattr(charring, "is_int", lambda v: calls.append(v) or isinstance(v, int) and not isinstance(v, bool))
+    series = IrrepSeries(2, 1, [{}, many])
+    assert calls == [] and series.layers[1] == many
+    many[(0, 0)] = 0
+    assert series.layers[1][(0, 0)] == 1
+    assert IrrepSeries(2, 1, [{}, many]).layers[1] == {w: c for w, c in many.items() if w != (0, 0)}
+    assert (0, 0) not in TorusCharacter(2, many).terms
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match=rf"^multiplicity of \(7, -7\) in degree 1 = {bad!r} is not an integer$"):
+            GradedCharacter(2, 1, [{}, {**many, (7, -7): bad, (9, -9): 1.5}])
+        with pytest.raises(ValueError, match=rf"^multiplicity of \(7, -7\) = {bad!r} is not an integer$"):
+            TorusCharacter(2, {**many, (7, -7): bad})
+    for cls in (GradedCharacter, IrrepSeries):
+        with pytest.raises(ValueError, match=r"^weight \(1, 2, 3\) does not have rank 2$"):
+            cls(2, 1, [{}, {**many, (1, 2, 3): 1, (4,): 1}])
+    with pytest.raises(ValueError, match=r"^weight \(1, 2, 3\) does not have rank 2$"):
+        TorusCharacter(2, {**many, (1, 2, 3): 1})
+
+
 def test_irreducible_character_trivial():
     assert irreducible_character(A1, (0,)) == TorusCharacter.trivial(1)
 
