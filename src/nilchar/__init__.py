@@ -7,7 +7,8 @@ q-analogs in `lusztig_series`), `theta_cone_character` for the K-side in
 the Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (by the Koszul
 identity, the paper's restriction of C[N] times the signed exterior class
 of k) and `theta_cone_ktypes` for the same form by K-type,
-`graded_branching_sum` for the standard-module bookkeeping, and the
+`graded_branching_sum` for the standard-module bookkeeping (C[N] on the
+torus of G times `wedge_class` of k, one graded product per torus), and the
 `oracle` module for independent brute-force verification. Every answer by
 highest weight comes from one algorithm, `charring.symmetric_irreps`.
 """
@@ -38,10 +39,8 @@ from .langlands import (
     FormalStandardSum,
     PositiveSystem,
     TorusDatum,
-    WeightMultiset,
     graded_branching_sum,
     k_weight_multiset,
-    wedge_weight_multiset,
 )
 from .nilcone import lusztig_series, nilcone_series
 from .oracle import (

@@ -236,9 +236,11 @@ def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     return GradedCharacter(a.rank, n, out)
 
 
-def symmetric_series(weights, truncation: int, rank: int | None = None) -> GradedCharacter:
-    """Graded symmetric algebra of a weight multiset (weight w in degree 1):
-    the product over weights w of 1 / (1 - e^w q)."""
+def symmetric_series(weights, truncation: int, rank: int | None = None) -> list[dict[Weight, int]]:
+    """Torus layers s_0..s_truncation of the graded symmetric algebra of a
+    weight multiset (weight w in degree 1): the product over weights w of
+    1 / (1 - e^w q). The layers are unchecked, as `symmetric_irreps`
+    returns them; the caller builds the one `GradedCharacter` it needs."""
     weights = [tuple(w) for w in weights]
     if rank is None:
         if not weights:
@@ -251,7 +253,7 @@ def symmetric_series(weights, truncation: int, rank: int | None = None) -> Grade
             for v, c in layers[n - 1].items():
                 key = wadd(v, w)
                 layer[key] = layer.get(key, 0) + c
-    return GradedCharacter(rank, truncation, layers)
+    return layers
 
 
 def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[Weight, int]]:

@@ -167,10 +167,9 @@ def wedge_class(k_weights, truncation: int, rank: int | None = None) -> GradedCh
 def koszul_check(k_weights, truncation: int, rank: int | None = None) -> CheckResult:
     """Verify that functions on k* times the signed exterior class of k is the
     trivial class through the given degree."""
-    product = graded_mul(
-        symmetric_series(k_weights, truncation, rank),
-        wedge_class(k_weights, truncation, rank),
-    )
+    layers = symmetric_series(k_weights, truncation, rank)
+    (zero,) = layers[0]  # the weight of degree 0 has the series' rank
+    product = graded_mul(GradedCharacter(len(zero), truncation, layers), wedge_class(k_weights, truncation, rank))
     trivial = GradedCharacter.trivial(product.rank, truncation)
     for n in range(truncation + 1):
         if product.layers[n] != trivial.layers[n]:
@@ -220,7 +219,7 @@ def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = 
     identity this equals the paper's restriction of C[N] times the signed
     exterior class of k; it never builds the G-torus character."""
     _require_split(config, force)
-    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank).layers
+    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank)
     return GradedCharacter(config.k_torus_rank, truncation, _times_invariant_factors(config.g_datum, layers))
 
 

@@ -1,8 +1,12 @@
 """Formal bookkeeping for standard-module combinations: continued parameters
-on theta-stable tori, weight multisets for tensoring, and the graded
+on theta-stable tori, the weights of k on each torus, and the graded
 branching sum for the K-nilpotent cone, whose degree-0 part is the Zuckerman
 expansion of the trivial representation.
 
+The branching sum is the paper's product (C[N]|K) * Lambda_{-1}(k) taken
+on each torus with the library's ring operations: ch_q C[N] on the torus of
+G once, times `ktheta.wedge_class` of that torus's k weights by one
+`graded_mul`, then emitted with sign (-1)^ell for each positive system.
 Torus conjugacy classes, their positive systems of imaginary roots, and the
 orbit codimensions are input data; this module materializes sums over them
 without attempting any orbit geometry.
@@ -10,8 +14,8 @@ without attempting any orbit geometry.
 
 from __future__ import annotations
 
-from .charring import irreducible_character
-from .ktheta import RealFormConfig
+from .charring import GradedCharacter, graded_mul, irreducible_character
+from .ktheta import RealFormConfig, wedge_class
 from .nilcone import nilcone_series
 from .rootdata import (
     InvolutionData,
@@ -20,7 +24,6 @@ from .rootdata import (
     Weight,
     classify_roots,
     int_vector,
-    is_int,
     wadd,
     wneg,
 )
@@ -73,51 +76,20 @@ class TorusDatum(Record):
 
 
 class ContinuedParameter(Record):
-    """(torus, gamma, positive system) with gamma stored as a lattice part
-    plus a symbolic half-sum-of-imaginary-roots summand."""
+    """(torus, gamma, positive system) with gamma = rho_im + gamma0: a
+    lattice part plus the half-sum of the positive imaginary roots, kept
+    symbolic."""
 
-    __slots__ = ("torus", "gamma0", "rho_imaginary", "positive_system")
+    __slots__ = ("torus", "gamma0", "positive_system")
 
     torus: str
     gamma0: Weight
-    rho_imaginary: bool
     positive_system: str
 
     def describe(self) -> str:
-        body = "[" + ",".join(str(v) for v in self.gamma0) + "]"
-        if self.rho_imaginary:
-            return f"rho_im+{body}" if any(self.gamma0) else "rho_im"
-        return body
-
-
-class WeightMultiset:
-    """Finite multiset of lattice weights."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        cleaned: dict[Weight, int] = {}
-        if entries:
-            for w, m in dict(entries).items():
-                if not is_int(m):
-                    raise ValueError(f"multiplicity of {w} = {m!r} is not an integer")
-                if m < 0:
-                    raise ValueError("multiset multiplicities must be non-negative")
-                if m:
-                    cleaned[int_vector(w, "weight")] = m
-        self.entries = cleaned
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightMultiset) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(f"{list(w)}: {m}" for w, m in self.items()) + "}"
+        if not any(self.gamma0):
+            return "rho_im"
+        return "rho_im+[" + ",".join(str(v) for v in self.gamma0) + "]"
 
 
 class FormalStandardSum:
@@ -138,7 +110,7 @@ class FormalStandardSum:
     def items(self) -> list[tuple[int, ContinuedParameter, int]]:
         """Terms sorted by (q-power, torus, positive system, gamma), each with
         the parameter it holds."""
-        keys = sorted(self.terms, key=lambda k: (k[1], k[0].torus, k[0].positive_system, k[0].gamma0, k[0].rho_imaginary))
+        keys = sorted(self.terms, key=lambda k: (k[1], k[0].torus, k[0].positive_system, k[0].gamma0))
         return [(self.terms[k], *k) for k in keys]
 
     def __eq__(self, other) -> bool:
@@ -166,81 +138,27 @@ class FormalStandardSum:
         return " + ".join(f"{c}*I({p.torus},{p.describe()},{p.positive_system})q^{q}" for c, p, q in self.items()) or "0"
 
 
-def k_weight_multiset(datum: RootDatum, torus: TorusDatum, dim_k: int) -> WeightMultiset:
-    """Weights of k as recorded on a theta-stable torus: one entry per compact
-    imaginary root, one per complex theta-pair (lexicographically smaller
-    member), one zero per positive real root, and one zero per theta-fixed
-    torus direction. Validated against dim k."""
+def k_weight_multiset(datum: RootDatum, torus: TorusDatum, dim_k: int) -> tuple[Weight, ...]:
+    """Weights of k as recorded on a theta-stable torus, sorted: one per
+    compact imaginary root, one per complex theta-pair (lexicographically
+    smaller member), one zero per positive real root, and one zero per
+    theta-fixed torus direction. Validated against dim k."""
     cls = classify_roots(datum, torus.theta)
-    entries: dict[Weight, int] = {}
-
-    def bump(w: Weight, m: int = 1) -> None:
-        if m:
-            entries[w] = entries.get(w, 0) + m
-
-    for alpha in cls.imaginary_compact:
-        bump(alpha)
-    seen = set()
-    for alpha in cls.complex_:
-        pair = (alpha, torus.theta.act(alpha))
-        key = frozenset(pair)
-        if key in seen:
-            continue
-        seen.add(key)
-        bump(min(pair))
-    zero = (0,) * datum.rank
-    bump(zero, len(cls.real) // 2)
-    bump(zero, torus.theta.fixed_rank())
-
-    ms = WeightMultiset(entries)
-    if ms.total() != dim_k:
+    pairs = {frozenset((alpha, torus.theta.act(alpha))) for alpha in cls.complex_}
+    zeros = len(cls.real) // 2 + torus.theta.fixed_rank()
+    weights = list(cls.imaginary_compact) + [min(pair) for pair in pairs] + [(0,) * datum.rank] * zeros
+    if len(weights) != dim_k:
         raise ValueError(
-            f"k weight multiset on torus {torus.label!r} has size {ms.total()}, expected dim k = {dim_k}"
+            f"k weight multiset on torus {torus.label!r} has size {len(weights)}, expected dim k = {dim_k}"
         )
-    return ms
-
-
-def wedge_weight_multiset(s: WeightMultiset, n: int) -> WeightMultiset:
-    """Sums over all size-n sub-multisets of s, counted with multiplicity."""
-    if n < 0:
-        raise ValueError("subset size must be non-negative")
-    items = s.items()
-    acc: dict[tuple[int, Weight], int] = {}
-
-    def rec(idx: int, left: int, weight: Weight, mult: int) -> None:
-        if left == 0:
-            key = weight
-            acc[key] = acc.get(key, 0) + mult
-            return
-        if idx == len(items):
-            return
-        w, m = items[idx]
-        take_max = min(m, left)
-        c = 1
-        for k in range(0, take_max + 1):
-            if k > 0:
-                c = c * (m - k + 1) // k
-            shifted = weight
-            for _ in range(k):
-                shifted = wadd(shifted, w)
-            rec(idx + 1, left - k, shifted, mult * c)
-
-    rank = len(items[0][0]) if items else 0
-    rec(0, n, (0,) * rank, 1)
-    return WeightMultiset(acc)
-
-
-def irrep_weight_multiset(datum: RootDatum, lam: Weight) -> WeightMultiset:
-    """All torus weights of the irreducible with highest weight `lam`."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    return WeightMultiset(irreducible_character(datum, lam).terms)
+    return tuple(sorted(weights))
 
 
 def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> FormalStandardSum:
     """The graded K-character of the K-nilpotent cone written as standard
-    classes: the quintuple sum over (torus, positive system, highest weight,
-    weight, sub-multiset), truncated in total q-power."""
+    classes: on each torus, ch_q C[N] times the signed exterior class of the
+    k weights there, emitted once per positive system with sign (-1)^ell and
+    truncated in total q-power."""
     tori = list(tori)
     if not tori:
         raise ValueError("the torus table is empty")
@@ -250,37 +168,27 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    # C[N] as label -> {degree: multiplicity}. Each irreducible is built
-    # once, before the torus and positive-system loops that read its weights.
-    degrees_of: dict[Weight, dict[int, int]] = {}
-    for j, layer in enumerate(nilcone_series(datum, truncation).layers):
-        for lam, c in layer.items():
-            degrees_of.setdefault(lam, {})[j] = c
-    contributors = [(degrees, irrep_weight_multiset(datum, lam).items()) for lam, degrees in degrees_of.items()]
-    # Coefficients are summed under plain keys, so that one parameter is
-    # built per distinct non-zero term, not one per product term.
-    sums: dict[tuple[str, Weight, str, int], int] = {}
+    # ch_q C[N] on the torus of G, with each contributor's irreducible built
+    # once, however many degrees hold it.
+    irreps: dict[Weight, dict[Weight, int]] = {}
+    layers = []
+    for labels in nilcone_series(datum, truncation).layers:
+        layer: dict[Weight, int] = {}
+        for lam, c in labels.items():
+            if lam not in irreps:
+                irreps[lam] = irreducible_character(datum, lam).terms
+            for mu, m in irreps[lam].items():
+                layer[mu] = layer.get(mu, 0) + c * m
+        layers.append(layer)
+    cone = GradedCharacter(datum.rank, truncation, layers)
+
+    terms = []
     for torus in tori:
-        s_k = k_weight_multiset(datum, torus, config.dims.dim_k)
-        subs = []
-        for n in range(0, min(s_k.total(), truncation) + 1):
-            sign = -1 if n % 2 else 1
-            for sigma, mult in wedge_weight_multiset(s_k, n).items():
-                subs.append((n, sign, sigma, mult))
+        k_weights = k_weight_multiset(datum, torus, config.dims.dim_k)
+        product = graded_mul(cone, wedge_class(k_weights, truncation, datum.rank))
         for ps in torus.positive_systems:
-            base_sign = -1 if ps.ell % 2 else 1
-            for degrees, tau_weights in contributors:
-                for j, cj in degrees.items():
-                    for n, sign, sigma, mult_r in subs:
-                        q_total = j + n
-                        if q_total > truncation:
-                            continue
-                        coeff = base_sign * sign * cj * mult_r
-                        for mu, m_mu in tau_weights:
-                            key = (torus.label, wadd(mu, sigma), ps.id, q_total)
-                            sums[key] = sums.get(key, 0) + coeff * m_mu
-    return FormalStandardSum(
-        (c, ContinuedParameter(label, gamma0, True, ps_id), q)
-        for (label, gamma0, ps_id, q), c in sums.items()
-        if c
-    )
+            sign = -1 if ps.ell % 2 else 1
+            for q, layer in enumerate(product.layers):
+                for gamma0, c in layer.items():
+                    terms.append((sign * c, ContinuedParameter(torus.label, gamma0, ps.id), q))
+    return FormalStandardSum(terms)

@@ -16,7 +16,7 @@ def nilcone_character(datum: RootDatum, truncation: int) -> GradedCharacter:
     """Torus character of the graded cone functions, by the harmonic closed
     form: S(roots) * prod over exponents e of (1 + q + ... + q^e)."""
     roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
-    out = symmetric_series(roots, truncation, rank=datum.rank)
+    out = GradedCharacter(datum.rank, truncation, symmetric_series(roots, truncation, rank=datum.rank))
     zero = (0,) * datum.rank
     for e in datum.exponents:
         out = graded_mul(out, GradedCharacter(datum.rank, truncation, [{zero: 1}] * (e + 1)))

@@ -16,7 +16,6 @@ from nilchar.charring import (
     irreducible_character,
 )
 from nilchar.ktheta import theta_cone_character, wedge_class
-from nilchar.langlands import WeightMultiset
 from nilchar.nilcone import nilcone_series
 from nilchar.rootdata import (
     RootDatum,
@@ -71,8 +70,6 @@ def test_constructors_refuse_non_integers(bad):
         lambda: IrrepSeries(1, 0, [{(bad,): 1}]),
         lambda: QPolynomial({0: bad}),
         lambda: QPolynomial({bad: 1}),
-        lambda: WeightMultiset({(0,): bad}),
-        lambda: WeightMultiset({(bad,): 1}),
         lambda: restrict_character(chi(2), [[bad]]),
     ]
     for make in makers:

@@ -50,8 +50,7 @@ def test_wedge_vanishes_above_dimension():
 
 
 def test_symmetric_series_geometric():
-    s = symmetric_series([(2,)], 3)
-    assert s.layers == [{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]
+    assert symmetric_series([(2,)], 3) == [{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]
 
 
 def test_koszul_examples():
@@ -79,7 +78,7 @@ def test_koszul_failure_reported():
     # A wrong symmetric factor shows up as a clean first-failure report.
     from nilchar.charring import GradedCharacter, graded_mul
 
-    sym = symmetric_series([(2,)], 4)
+    sym = GradedCharacter(1, 4, symmetric_series([(2,)], 4))
     wedge = wedge_class([(1,)], 4)
     product = graded_mul(sym, wedge)
     trivial = GradedCharacter.trivial(1, 4)
@@ -255,6 +254,25 @@ def test_ktypes_build_no_torus_symmetric_algebra(monkeypatch):
     assert calls == []
     theta_cone_character(SL2, 8)
     assert len(calls) == 1
+
+
+def test_theta_character_checks_its_layers_once(monkeypatch):
+    """S(p) comes back as plain layers: the one `GradedCharacter` that
+    `theta_cone_character` returns is the only one it checks, and it still
+    drops the zeros that the factors leave (sl2: 1 - q^2 cancels the zero
+    weight of degree 2)."""
+    checks = []
+    real = charring._checked_layers
+
+    def counted(*args):
+        checks.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(charring, "_checked_layers", counted)
+    gc = theta_cone_character(SL2, 8)
+    assert checks == [(1, 8)]
+    assert gc.layers[2] == {(-4,): 1, (4,): 1}
+    assert all(all(layer.values()) for layer in gc.layers)
 
 
 def _totals(series) -> dict:

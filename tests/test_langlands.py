@@ -1,5 +1,5 @@
-"""Continued-parameter bookkeeping: multisets, tensoring, Zuckerman, the
-graded branching sum."""
+"""Continued-parameter bookkeeping: the k weights on a torus, tensoring,
+Zuckerman, the graded branching sum."""
 
 from math import comb
 
@@ -7,25 +7,28 @@ import pytest
 
 from nilchar import kernels, kostant, langlands
 from nilchar.catalog import load_catalog_config
+from nilchar.charring import TorusCharacter, irreducible_character
+from nilchar.ktheta import wedge_class
 from nilchar.langlands import (
     ContinuedParameter,
     FormalStandardSum,
     PositiveSystem,
     TorusDatum,
-    WeightMultiset,
     graded_branching_sum,
-    irrep_weight_multiset,
     k_weight_multiset,
-    wedge_weight_multiset,
 )
 from nilchar.nilcone import lusztig_series
 from nilchar.rootdata import InvolutionData, build_root_datum
-from standard_sums import mass_by_degree, tensor_standard, zuckerman_expansion
+from standard_sums import branching_reference, mass_by_degree, subset_sums, tensor_standard, zuckerman_expansion
 from weyl_action import weyl_dimension
 
 A1 = build_root_datum([[2]])
 SL2 = load_catalog_config("sl2-split")
 TORI = SL2.tori
+# The split torus of split Sp4 on its own: every root is real, so k is four
+# zero weights there. C[N] of Sp4 has labels of multiplicity 2 from degree
+# 5 on, which sl2's cannot show.
+SP4_SPLIT_TORUS = (TorusDatum("split", InvolutionData([[-1, 0], [0, -1]]), (PositiveSystem("pos", (), 0),)),)
 
 
 def test_torus_table_validates():
@@ -51,18 +54,16 @@ def test_positive_system_refuses_non_integer_roots(bad):
 
 def test_k_multiset_split_torus():
     # one zero from the single positive real root
-    ms = k_weight_multiset(A1, TORI[0], 1)
-    assert ms.entries == {(0,): 1}
+    assert k_weight_multiset(A1, TORI[0], 1) == ((0,),)
 
 
 def test_k_multiset_compact_torus():
     # no compact/complex/real contributions; one zero from the fixed torus line
-    ms = k_weight_multiset(A1, TORI[1], 1)
-    assert ms.entries == {(0,): 1}
+    assert k_weight_multiset(A1, TORI[1], 1) == ((0,),)
 
 
 def test_k_multiset_size_mismatch_rejected():
-    with pytest.raises(ValueError, match="dim k"):
+    with pytest.raises(ValueError, match=r"has size 1, expected dim k = 2"):
         k_weight_multiset(A1, TORI[0], 2)
 
 
@@ -70,67 +71,85 @@ def test_k_multiset_complex_pairs():
     swap = load_catalog_config("sl2xsl2-swap")
     datum = swap.real_form.g_datum
     torus = TorusDatum("swap", InvolutionData([[0, 1], [1, 0]]), (PositiveSystem("e", (), 0),))
-    ms = k_weight_multiset(datum, torus, 3)
-    # two complex pairs (lex-smaller members) plus one fixed direction
-    assert ms.entries == {(0, 0): 1, (-2, 0): 1, (0, 2): 1}
+    weights = k_weight_multiset(datum, torus, 3)
+    # two complex pairs (lex-smaller members) plus one fixed direction, sorted
+    assert weights == ((-2, 0), (0, 0), (0, 2))
     # restricted to the theta-fixed diagonal, that is the weight set of k
-    assert sorted(a + b for (a, b) in ms.entries) == [-2, 0, 2]
+    assert sorted(a + b for (a, b) in weights) == [-2, 0, 2]
+
+
+def test_k_multiset_repeats_a_weight():
+    """The four zero weights of k on the split torus of Sp4 (one per positive
+    real root) are kept with their multiplicity."""
+    rf = load_catalog_config("sp4-split").real_form
+    assert k_weight_multiset(rf.g_datum, SP4_SPLIT_TORUS[0], rf.dims.dim_k) == ((0, 0),) * 4
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[(1,), (2,)], [(0,)], [(1,), (1,), (-1,), (3,)], [(0, 0)] * 4, [(-2, 0), (0, 0), (0, 2)]],
+    ids=["distinct", "single", "repeated", "four-zeros", "rank-2"],
+)
+def test_wedge_class_layers_are_signed_subset_sums(weights):
+    """Layer n of `wedge_class` is (-1)^n times the sums over the size-n
+    sub-multisets, counted by recursion over the distinct weights."""
+    top = len(weights) + 1
+    wedge = wedge_class(weights, top)
+    for n in range(top + 1):
+        assert wedge.layers[n] == {w: (-1) ** n * c for w, c in subset_sums(weights, n).items()}, n
 
 
 def test_wedge_multiset_edges():
-    s = WeightMultiset({(1,): 1, (2,): 1})
-    assert wedge_weight_multiset(s, 0).entries == {(0,): 1}
-    assert wedge_weight_multiset(s, 2).entries == {(3,): 1}
-    assert wedge_weight_multiset(s, 3).entries == {}
-    single = WeightMultiset({(0,): 1})
-    assert wedge_weight_multiset(single, 1).entries == {(0,): 1}
+    assert wedge_class([(1,), (2,)], 3).layers == [{(0,): 1}, {(1,): -1, (2,): -1}, {(3,): 1}, {}]
+    assert wedge_class([(0,)], 1).layers == [{(0,): 1}, {(0,): -1}]
 
 
 def test_wedge_multiset_total_counts():
-    s = WeightMultiset({(1,): 2, (-1,): 1, (3,): 1})
+    weights = [(1,), (1,), (-1,), (3,)]
+    wedge = wedge_class(weights, 5)
     for n in range(5):
-        assert wedge_weight_multiset(s, n).total() == comb(4, n)
-    assert sum(wedge_weight_multiset(s, n).total() for n in range(5)) == 2 ** 4
+        assert wedge.mass(n) == (-1) ** n * comb(4, n)
+        assert sum(subset_sums(weights, n).values()) == comb(4, n)
+    assert wedge.layers[5] == {}
 
 
 def test_irrep_multiset_masses():
-    assert irrep_weight_multiset(A1, (0,)).entries == {(0,): 1}
-    assert irrep_weight_multiset(A1, (2,)).entries == {(-2,): 1, (0,): 1, (2,): 1}
+    assert irreducible_character(A1, (0,)).terms == {(0,): 1}
+    assert irreducible_character(A1, (2,)).terms == {(-2,): 1, (0,): 1, (2,): 1}
     a2 = build_root_datum([[2, -1], [-1, 2]])
-    adj = irrep_weight_multiset(a2, (1, 1))
-    assert adj.total() == 8
-    assert adj.entries[(0, 0)] == 2
+    adj = irreducible_character(a2, (1, 1))
+    assert adj.mass() == 8
+    assert adj.terms[(0, 0)] == 2
 
 
 def test_tensor_standard():
-    p = ContinuedParameter("split", (0,), True, "pos")
-    out = tensor_standard(p, WeightMultiset({(-2,): 1, (0,): 1, (2,): 1}))
+    p = ContinuedParameter("split", (0,), "pos")
+    out = tensor_standard(p, TorusCharacter(1, {(-2,): 1, (0,): 1, (2,): 1}))
     gammas = sorted(param.gamma0 for _, param, _ in out.items())
     assert gammas == [(-2,), (0,), (2,)]
     assert all(c == 1 and q == 0 for c, _, q in out.items())
-    doubled = tensor_standard(p, WeightMultiset({(4,): 2}))
+    doubled = tensor_standard(p, TorusCharacter(1, {(4,): 2}))
     assert doubled.items()[0][0] == 2
 
 
 def test_tensor_standard_rank_mismatch():
-    p = ContinuedParameter("split", (0,), True, "pos")
+    p = ContinuedParameter("split", (0,), "pos")
     with pytest.raises(ValueError):
-        tensor_standard(p, WeightMultiset({(1, 0): 1}))
+        tensor_standard(p, TorusCharacter(2, {(1, 0): 1}))
 
 
 def test_tensor_standard_additive_in_multiset():
-    p = ContinuedParameter("split", (1,), True, "pos")
-    s1 = WeightMultiset({(-2,): 1, (0,): 2})
-    s2 = WeightMultiset({(0,): 1, (4,): 1})
-    union = WeightMultiset({(-2,): 1, (0,): 3, (4,): 1})
-    assert tensor_standard(p, union) == tensor_standard(p, s1) + tensor_standard(p, s2)
+    p = ContinuedParameter("split", (1,), "pos")
+    s1 = TorusCharacter(1, {(-2,): 1, (0,): 2})
+    s2 = TorusCharacter(1, {(0,): 1, (4,): 1})
+    assert tensor_standard(p, s1 + s2) == tensor_standard(p, s1) + tensor_standard(p, s2)
 
 
 def test_zuckerman_signs():
     z = zuckerman_expansion(TORI)
     rows = {(p.torus, p.positive_system): c for c, p, q in z.items()}
     assert rows == {("split", "pos"): 1, ("compact", "plus"): -1, ("compact", "minus"): -1}
-    assert all(p.rho_imaginary and p.gamma0 == (0,) and q == 0 for _, p, q in z.items())
+    assert all(p.describe() == "rho_im" and p.gamma0 == (0,) and q == 0 for _, p, q in z.items())
 
 
 def test_zuckerman_rejects_empty_table():
@@ -191,12 +210,6 @@ def test_branching_mass_matches_three_factor_convolution():
     _assert_three_factor_masses(SL2.real_form, TORI, 3)
 
 
-# The split torus of split Sp4 on its own: every root is real, so k is four
-# zero weights there. C[N] of Sp4 has labels of multiplicity 2 from degree
-# 5 on, which sl2's cannot show.
-SP4_SPLIT_TORUS = (TorusDatum("split", InvolutionData([[-1, 0], [0, -1]]), (PositiveSystem("pos", (), 0),)),)
-
-
 def test_branching_mass_matches_three_factor_convolution_on_the_sp4_split_torus():
     _assert_three_factor_masses(load_catalog_config("sp4-split").real_form, SP4_SPLIT_TORUS, 6)
 
@@ -247,6 +260,45 @@ def test_branching_equals_the_sum_on_lusztig_contributors(monkeypatch, name, tor
     assert total.terms
 
 
+@pytest.mark.parametrize(
+    "name, tori, N",
+    [("sl2-split", TORI, n) for n in (0, 1, 5, 30, 64)] + [("sp4-split", SP4_SPLIT_TORUS, n) for n in (6, 10)],
+    ids=["sl2-0", "sl2-1", "sl2-5", "sl2-30", "sl2-64", "sp4-6", "sp4-10"],
+)
+def test_branching_equals_the_quintuple_sum(name, tori, N):
+    """One graded product per torus gives the same sum, and the same rows,
+    as adding every (torus, positive system, highest weight, weight,
+    sub-multiset) term on its own."""
+    rf = load_catalog_config(name).real_form
+    total = graded_branching_sum(rf, tori, N)
+    reference = branching_reference(rf, tori, N)
+    assert total == reference
+    assert total.to_records() == reference.to_records()
+    assert total.terms
+
+
+def test_branching_takes_one_product_per_torus(monkeypatch):
+    """The exterior class of k and its product with C[N] are taken once per
+    torus, not once per positive system: sl2's compact torus has two."""
+    wedges, products = [], []
+    build_wedge, multiply = langlands.wedge_class, langlands.graded_mul
+
+    def counted_wedge(weights, *args):
+        wedges.append(tuple(weights))
+        return build_wedge(weights, *args)
+
+    def counted_mul(a, b):
+        products.append(b.truncation)
+        return multiply(a, b)
+
+    monkeypatch.setattr(langlands, "wedge_class", counted_wedge)
+    monkeypatch.setattr(langlands, "graded_mul", counted_mul)
+    graded_branching_sum(SL2.real_form, TORI, 8)
+    assert [len(t.positive_systems) for t in TORI] == [1, 2]
+    assert wedges == [((0,),), ((0,),)]
+    assert products == [8, 8]
+
+
 def test_branching_builds_one_parameter_per_term(monkeypatch):
     """Coefficients are summed before any parameter is built: one
     `ContinuedParameter` per distinct non-zero term of the result."""
@@ -294,7 +346,7 @@ def test_branching_requires_tori():
 
 
 def test_formal_sum_merging():
-    p = ContinuedParameter("t", (0,), True, "e")
+    p = ContinuedParameter("t", (0,), "e")
     s = FormalStandardSum([(1, p, 0), (2, p, 0), (-3, p, 0)])
     assert s.terms == {}
     s2 = FormalStandardSum([(1, p, 0), (1, p, 1)])

@@ -9,8 +9,11 @@ the decomposition of torus characters into irreducibles with its Weyl-orbit
 check (now `tests/weyl_action.py`), the Lusztig scan's contributor list
 (folded into `lusztig_series`), the single-query partition and Weyl-sum
 functions with `QPolynomial` (now `tests/lusztig_reference.py`) and the
-tensoring and Zuckerman sums (now `tests/standard_sums.py`) are gone; no
-source file, README line or build setting may point back to them."""
+tensoring and Zuckerman sums (now `tests/standard_sums.py`), and the
+branching sum's own weight-multiset type, exterior algebra and irreducible
+weight multiset (the sum is one graded product per torus, with
+`ktheta.wedge_class`) are gone; no source file, README line or build
+setting may point back to them."""
 
 from pathlib import Path
 
@@ -58,6 +61,9 @@ STALE = (
     "tensor_standard",
     "zuckerman_expansion",
     "QPolynomial",
+    "WeightMultiset",
+    "wedge_weight_multiset",
+    "irrep_weight_multiset",
 )
 
 

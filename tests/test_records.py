@@ -81,7 +81,7 @@ def _every_record():
         dimension_check(rf),
         torus,
         torus.positive_systems[0],
-        ContinuedParameter("T", (1,), True, "ps"),
+        ContinuedParameter("T", (1,), "ps"),
         model,
         model.variables[0],
     ]
@@ -104,12 +104,12 @@ def test_records_are_read_only(record):
 
 
 def test_equal_parameters_hash_alike_and_merge():
-    p = ContinuedParameter("T", (1, 0), True, "ps")
-    q = ContinuedParameter("T", tuple([1, 0]), True, "ps")
+    p = ContinuedParameter("T", (1, 0), "ps")
+    q = ContinuedParameter("T", tuple([1, 0]), "ps")
     assert p is not q and p == q and hash(p) == hash(q)
     assert FormalStandardSum([(2, p, 0), (3, q, 0)]).terms == {(p, 0): 5}
     assert FormalStandardSum([(1, p, 1), (-1, q, 1)]).terms == {}
-    other = ContinuedParameter("T", (0, 1), True, "ps")
+    other = ContinuedParameter("T", (0, 1), "ps")
     assert p != other
     assert len(FormalStandardSum([(1, p, 0), (1, other, 0)]).terms) == 2
 
