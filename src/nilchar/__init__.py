@@ -11,52 +11,67 @@ of k) and `theta_cone_ktypes` for the same form by K-type,
 torus of G times `wedge_class` of k, one graded product per torus), and the
 `oracle` module for independent brute-force verification. Every answer by
 highest weight comes from one algorithm, `charring.symmetric_irreps`.
+
+The public names below are looked up in their home modules on first use
+(PEP 562), so importing the package, or `nilchar.cli` for one command,
+loads only the modules that are used.
 """
 
-from .charring import (
-    GradedCharacter,
-    IrrepSeries,
-    TorusCharacter,
-    graded_mul,
-    irreducible_character,
-)
-from .config import ConfigError, LoadedConfig, config_from_dict, load_config_file
-from .catalog import catalog_names, load_catalog_config
-from .ktheta import (
-    CheckResult,
-    Dims,
-    RealFormConfig,
-    SplitHypothesisError,
-    dimension_check,
-    koszul_check,
-    lusztig_check,
-    theta_cone_character,
-    theta_cone_ktypes,
-    wedge_class,
-)
-from .langlands import (
-    ContinuedParameter,
-    FormalStandardSum,
-    PositiveSystem,
-    TorusDatum,
-    graded_branching_sum,
-    k_weight_multiset,
-)
-from .nilcone import lusztig_series, nilcone_series
-from .oracle import (
-    AffineConeModel,
-    ConeVariable,
-    compare_with_formula,
-    graded_character_by_degree,
-)
-from .rootdata import (
-    InvolutionData,
-    RootDatum,
-    build_root_datum,
-    classify_roots,
-    dominant_weights_up_to_height,
-    reductive_root_datum,
-    torus_datum,
-)
+# public name: the module that defines it
+_HOMES = {
+    "GradedCharacter": "charring",
+    "IrrepSeries": "charring",
+    "TorusCharacter": "charring",
+    "graded_mul": "charring",
+    "irreducible_character": "charring",
+    "ConfigError": "config",
+    "LoadedConfig": "config",
+    "config_from_dict": "config",
+    "load_config_file": "config",
+    "catalog_names": "catalog",
+    "load_catalog_config": "catalog",
+    "CheckResult": "ktheta",
+    "Dims": "ktheta",
+    "RealFormConfig": "ktheta",
+    "SplitHypothesisError": "ktheta",
+    "dimension_check": "ktheta",
+    "koszul_check": "ktheta",
+    "theta_cone_character": "ktheta",
+    "theta_cone_ktypes": "ktheta",
+    "wedge_class": "ktheta",
+    "ContinuedParameter": "langlands",
+    "FormalStandardSum": "langlands",
+    "PositiveSystem": "langlands",
+    "TorusDatum": "langlands",
+    "graded_branching_sum": "langlands",
+    "k_weight_multiset": "langlands",
+    "lusztig_check": "nilcone",
+    "lusztig_series": "nilcone",
+    "nilcone_series": "nilcone",
+    "AffineConeModel": "oracle",
+    "ConeVariable": "oracle",
+    "compare_with_formula": "oracle",
+    "graded_character_by_degree": "oracle",
+    "InvolutionData": "rootdata",
+    "RootDatum": "rootdata",
+    "build_root_datum": "rootdata",
+    "classify_roots": "rootdata",
+    "dominant_weights_up_to_height": "rootdata",
+    "reductive_root_datum": "rootdata",
+    "torus_datum": "rootdata",
+}
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,16 +19,11 @@ import sys
 
 from .catalog import catalog_description, catalog_names, load_catalog_config
 from .config import ConfigError, LoadedConfig, load_config_file
-from .ktheta import (
-    dimension_check,
-    koszul_check,
-    lusztig_check,
-    theta_cone_character,
-    theta_cone_ktypes,
-)
-from .langlands import graded_branching_sum
-from .nilcone import nilcone_series
+from .ktheta import dimension_check, koszul_check, theta_cone_character, theta_cone_ktypes
 from . import oracle  # called as oracle.<name>, so a wrapper set on the module sees every call
+
+# `nilcone` and `langlands` are imported inside the commands that run them,
+# so that a cold `cntheta` or `oracle-check` loads neither.
 
 DEFAULT_DEGREE = 10
 DEGREE_CAP = 64
@@ -55,10 +50,69 @@ def _check_degree(opts) -> int:
     return n
 
 
-def _print_json(payload: dict) -> None:
-    import json  # here, so that text output never loads it
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
-    print(json.dumps(payload, sort_keys=True))
+
+def _escape(c: str) -> str:
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # outside the Basic Multilingual Plane: a surrogate pair
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+class _Keys(dict):
+    """Each dict key met, mapped to its JSON text and the ": " after it, so
+    that the keys every row repeats are escaped once."""
+
+    def __missing__(self, key):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        text = self[key] = _json_str(key) + ": "
+        return text
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, sort_keys=True)` for what a payload holds: dicts
+    with str keys, lists, tuples, str, int, bool and None; any other type is
+    a TypeError. Without `json`, whose import (it compiles the decoder's
+    regexes) costs a cold query more than this writer does."""
+    keys = _Keys()
+
+    def text(value) -> str:
+        # Ints, the bulk of every payload, are written inline, not by a call.
+        if isinstance(value, dict):
+            items = [keys[k] + (str(v) if type(v := value[k]) is int else text(v)) for k in sorted(value)]
+            return "{" + ", ".join(items) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ", ".join([str(v) if type(v) is int else text(v) for v in value]) + "]"
+        if isinstance(value, str):
+            return _json_str(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return text(value)
+
+
+def _print_json(payload: dict) -> None:
+    print(_json_text(payload))
 
 
 def _emit(payload: dict, rows: list[dict], columns: list[str], as_json: bool) -> None:
@@ -88,6 +142,8 @@ def cmd_catalog(opts) -> int:
 
 def cmd_cn(opts) -> int:
     """graded highest-weight decomposition of the cone functions"""
+    from .nilcone import nilcone_series
+
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
@@ -121,6 +177,8 @@ def cmd_cntheta(opts) -> int:
 
 def cmd_checks(opts) -> int:
     """run the Koszul, dimension, Lusztig-route, and cone-model checks"""
+    from .nilcone import lusztig_check
+
     # A config declared split but failing its dimension identities loads
     # here, so that the dimensions entry can report the failing lines.
     cfg = _load_group(opts["--group"], require_split=False)
@@ -158,6 +216,8 @@ def cmd_checks(opts) -> int:
 
 def cmd_branching(opts) -> int:
     """the graded branching sum in standard-module classes"""
+    from .langlands import graded_branching_sum
+
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if cfg.tori is None:
@@ -252,10 +312,12 @@ def parse_args(argv: list[str]) -> tuple[str, dict] | None:
                 raise UsageError(f"{flag} expects a value")
             value, i = rest[i], i + 1
         if kind == "int":
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+            # Only an optional "-" and ASCII digits: `int` would also take
+            # "1_0", " 3", "+2" and non-ASCII digits, and change them.
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                raise UsageError(f"{flag} expects an integer, got {value!r}")
+            value = int(value)
         opts[flag] = value
     missing = [flag for flag in flags if flag not in opts]
     if missing:

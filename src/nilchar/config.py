@@ -7,7 +7,6 @@ from __future__ import annotations
 from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
-from .langlands import PositiveSystem, TorusDatum
 from .oracle import AffineConeModel, ConeVariable
 from .rootdata import (
     InvolutionData,
@@ -104,6 +103,8 @@ def _load_involution(obj, path) -> InvolutionData:
 
 
 def _load_tori(value, path) -> tuple[TorusDatum, ...]:
+    from .langlands import PositiveSystem, TorusDatum  # here, so that a config without tori never loads it
+
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of torus tables")
     out = []
@@ -196,7 +197,9 @@ def config_from_dict(doc: dict, label: str | None = None, require_split: bool = 
     lines itself (the `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    name = label or str(doc.get("label", "unnamed"))
+    name = label or doc.get("label", "unnamed")
+    if not isinstance(name, str):
+        raise ConfigError(f"label: expected a string, got {name!r}")
     g_datum = _load_group(_get(doc, "group", "group"), "group")
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 

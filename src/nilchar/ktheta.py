@@ -16,8 +16,6 @@ the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
 straightening, as for C[N]), which builds no torus character. Alongside are
 the Koszul sanity identity and the dimension bookkeeping that the hypothesis
 rests on.
-`lusztig_check` holds the two routes to C[N] of G against each other, label
-by label.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .charring import (
     symmetric_irreps,
     symmetric_series,
 )
-from .nilcone import lusztig_series, nilcone_series
 from .rootdata import InvolutionData, Record, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
 
 
@@ -181,35 +178,6 @@ def koszul_check(k_weights, truncation: int, rank: int | None = None) -> CheckRe
                 ),
             )
     return CheckResult(True, (f"Koszul identity holds through degree {truncation}",))
-
-
-def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
-    """Compare Lusztig's highest-weight series with the harmonic closed form,
-    label by label. The two are independent: one is Lusztig's signed
-    Weyl-group sum over the partition function (`lusztig_series`), the other
-    Newton's identity on the roots with Brauer-Klimyk straightening
-    (`nilcone_series`). Both describe the complex group alone, so no
-    real-form hypothesis is needed. A closed-form coefficient that Newton's
-    identity cannot divide fails the check, naming the weight."""
-    lusztig = lusztig_series(datum, truncation)
-    try:
-        harmonic = nilcone_series(datum, truncation)
-    except ValueError as exc:
-        return CheckResult(False, (f"harmonic closed form fails: {exc}",))
-    for n in range(truncation + 1):
-        a, b = lusztig.layers[n], harmonic.layers[n]
-        if a != b:
-            lam = min(v for v in a.keys() | b.keys() if a.get(v, 0) != b.get(v, 0))
-            return CheckResult(
-                False,
-                (
-                    f"Lusztig series and harmonic closed form differ first at degree {n}: "
-                    f"highest weight {list(lam)} has multiplicity {a.get(lam, 0)} vs {b.get(lam, 0)}",
-                ),
-            )
-    return CheckResult(
-        True, (f"Lusztig expansion equals the harmonic closed form through degree {truncation}",)
-    )
 
 
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:

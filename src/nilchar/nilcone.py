@@ -11,11 +11,12 @@ identity, each product by Brauer-Klimyk), with no Weyl group, no partition
 function and no torus character; the q-strings only add layers. It is the
 C[N] of both `cn` and `branching`.
 
-`lusztig_series` is the independent check (`ktheta.lusztig_check`): the
-degree-n layer assigns to each dominant root-lattice weight the q^n
-coefficient of its q-analog multiplicity against the zero weight. Only
-weights expressible as sums of at most n positive roots can contribute at
-degree n, which bounds the enumeration domain by height. The scan builds one
+`lusztig_series` is the independent check, which `lusztig_check` holds
+against `nilcone_series` label by label. Its degree-n layer assigns to each
+dominant root-lattice weight the q^n coefficient of its q-analog
+multiplicity against the zero weight. Only weights expressible as sums of
+at most n positive roots can contribute at degree n, which bounds the
+enumeration domain by height. The scan builds one
 `kostant.LusztigSum`: one partition table, cut at q^n, and one set of `D_w`
 matrices. It spends one lattice solve per scanned weight.
 """
@@ -23,7 +24,7 @@ matrices. It spends one lattice solve per scanned weight.
 from __future__ import annotations
 
 from .charring import IrrepSeries, symmetric_irreps
-from .kostant import LusztigSum
+from .ktheta import CheckResult
 from .rootdata import RootDatum, dominant_weights_up_to_height, wneg
 
 
@@ -32,6 +33,8 @@ def lusztig_series(datum: RootDatum, truncation: int) -> IrrepSeries:
     from Lusztig's q-analogs M_q(lam, 0) of every dominant root-lattice
     weight that can contribute a q-power <= truncation: the independent
     check on `nilcone_series`."""
+    from .kostant import LusztigSum  # here, so that `cn` never loads the partition kernel
+
     height_bound = truncation * datum.max_root_height
     # One table for the whole scan: for dominant lam, every argument
     # w(lam + rho) - rho of the Weyl-group sum lies below lam, so its height
@@ -60,3 +63,32 @@ def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
                 for lam, c in layers[j].items():
                     layer[lam] = layer.get(lam, 0) + c
     return IrrepSeries(datum.rank, truncation, layers)
+
+
+def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
+    """Compare Lusztig's highest-weight series with the harmonic closed form,
+    label by label. The two are independent: one is Lusztig's signed
+    Weyl-group sum over the partition function (`lusztig_series`), the other
+    Newton's identity on the roots with Brauer-Klimyk straightening
+    (`nilcone_series`). Both describe the complex group alone, so no
+    real-form hypothesis is needed. A closed-form coefficient that Newton's
+    identity cannot divide fails the check, naming the weight."""
+    lusztig = lusztig_series(datum, truncation)
+    try:
+        harmonic = nilcone_series(datum, truncation)
+    except ValueError as exc:
+        return CheckResult(False, (f"harmonic closed form fails: {exc}",))
+    for n in range(truncation + 1):
+        a, b = lusztig.layers[n], harmonic.layers[n]
+        if a != b:
+            lam = min(v for v in a.keys() | b.keys() if a.get(v, 0) != b.get(v, 0))
+            return CheckResult(
+                False,
+                (
+                    f"Lusztig series and harmonic closed form differ first at degree {n}: "
+                    f"highest weight {list(lam)} has multiplicity {a.get(lam, 0)} vs {b.get(lam, 0)}",
+                ),
+            )
+    return CheckResult(
+        True, (f"Lusztig expansion equals the harmonic closed form through degree {truncation}",)
+    )

@@ -5,10 +5,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilchar import oracle
 from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
-from nilchar.cli import main
+from nilchar.cli import _json_text, main
 from nilchar.config import ConfigError, config_from_dict
 from oracle_reference import hilbert_by_degree
 
@@ -161,6 +163,26 @@ def test_config_refuses_non_integers(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [5, None, [1], True], ids=repr)
+def test_label_must_be_a_string(tmp_path, capsys, value):
+    """A label is taken as it is: 5, null, [1] or true is refused, not
+    turned into the group name "5", "None", "[1]" or "True"."""
+    doc = catalog_document("sl2-split")
+    doc["label"] = value
+    with pytest.raises(ConfigError, match=re.escape(f"label: expected a string, got {value!r}")):
+        config_from_dict(doc)
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+    assert (code, out) == (1, "") and err.startswith("error: label: ")
+
+
+def test_missing_label_is_unnamed():
+    doc = catalog_document("sl2-split")
+    del doc["label"]
+    assert config_from_dict(doc).label == "unnamed"
+
+
 @pytest.mark.parametrize("value", ["false", 0, None, "true"], ids=repr)
 def test_split_mod_center_must_be_boolean(value):
     """bool("false") is True: only JSON true/false may reach the split guard."""
@@ -219,6 +241,7 @@ def test_catalog_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [r["name"] for r in doc["rows"]] == list(catalog_names())
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -501,6 +524,62 @@ def test_bad_denominator_names_the_field(den, reason):
         config_from_dict(doc)
 
 
+# -- JSON output ---------------------------------------------------------------
+
+JSON_COMMANDS = [["cn"], ["cntheta"], ["cntheta", "--decompose-k"], ["checks"], ["branching"], ["oracle-check"]]
+
+
+@pytest.mark.parametrize("degree", ["0", "6"])
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
+def test_json_output_is_sorted_json_dumps(capsys, command, name, degree):
+    """Every `--json` document is byte for byte what `json.dumps(...,
+    sort_keys=True)` writes; a command the entry cannot run writes nothing."""
+    code, out, _ = run(capsys, *command, "--group", name, "--degree", degree, "--json")
+    if code == 1:
+        assert out == ""
+        return
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert json.loads(out)["group"] == name
+
+
+def test_non_ascii_label_round_trips_through_json_output(tmp_path, capsys):
+    label = "sl\u2082 \u201cx\u201d \U0001d524"  # sl₂ “x” 𝔤
+    doc = catalog_document("sl2-split")
+    doc["label"] = label
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "cntheta", "--group", str(path), "--degree", "2", "--json")
+    assert code == 0 and json.loads(out)["group"] == label
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert '"group": "sl\\u2082 \\u201cx\\u201d \\ud835\\udd24"' in out
+
+
+# Strings with every kind of character the escaping distinguishes: quotes,
+# backslashes, control characters, DEL, non-ASCII, outside the Basic
+# Multilingual Plane, and a lone surrogate.
+_TRICKY = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\b\f \x80\xe9\u2082\ud800\U0001d524'), st.characters())
+)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TRICKY,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TRICKY, inner),
+    max_leaves=20,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=100, deadline=None)
+def test_json_text_is_sorted_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {1}}, {1: 2}, b"x"], ids=repr)
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
 # -- the flag parser -----------------------------------------------------------
 
 def test_flag_value_forms_agree(capsys):
@@ -536,12 +615,16 @@ def test_help_lists_every_command(capsys, argv):
         (["cn", "--group", "sl2-split", "--degree"], "--degree expects a value"),
         (["cn", "--group", "sl2-split", "--degree", "1.5"], "--degree expects an integer, got '1.5'"),
         (["cn", "--group", "sl2-split", "--degree", "x"], "--degree expects an integer, got 'x'"),
+        (["cn", "--group", "sl2-split", "--degree", "1_0"], "--degree expects an integer, got '1_0'"),
+        (["cn", "--group", "sl2-split", "--degree", "\u0663"], "--degree expects an integer, got '\u0663'"),
+        (["cn", "--group", "sl2-split", "--degree", " 3"], "--degree expects an integer, got ' 3'"),
+        (["cn", "--group", "sl2-split", "--degree=+2"], "--degree expects an integer, got '+2'"),
         (["cn", "--group", "sl2-split", "--json=1"], "--json takes no value"),
         (["cn", "--degree", "3"], "cn requires --group"),
         (["checks"], "checks requires --group"),
     ],
-    ids=["none", "unknown-command", "bogus", "abbreviated", "positional", "no-value", "float", "word", "flag-value",
-         "no-group", "no-group-bare"],
+    ids=["none", "unknown-command", "bogus", "abbreviated", "positional", "no-value", "float", "word", "underscore",
+         "arabic-indic-digit", "space", "plus", "flag-value", "no-group", "no-group-bare"],
 )
 def test_usage_errors(capsys, argv, reason):
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
-"""The read-only value records (`rootdata.Record`) and the import cost they
-keep off every command."""
+"""The read-only value records (`rootdata.Record`), the import cost they
+keep off every command, and the lazily resolved package namespace."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import nilchar
 from nilchar.catalog import load_catalog_config
 from nilchar.ktheta import CheckResult, Dims, RealFormConfig, dimension_check
 from nilchar.langlands import ContinuedParameter, FormalStandardSum
@@ -64,6 +66,85 @@ def test_cold_text_query_loads_no_json():
     assert status == "0" and stdout.startswith("degree  weight")
     assert "nilchar.cli" in loaded
     assert not [m for m in loaded if m == "json" or m.startswith(("json.", "_json"))]
+
+
+def test_cold_json_query_loads_no_json():
+    """`--json` output is written without `json`: a cold `--json` query of a
+    catalog group loads no `json` module either."""
+    status, stdout, loaded = _cold_query(["cntheta", "--group", "sl3-split", "--degree", "0", "--json"])
+    assert status == "0" and stdout.startswith('{"command": "cntheta"')
+    assert "nilchar.cli" in loaded
+    assert not [m for m in loaded if m == "json" or m.startswith(("json.", "_json"))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cntheta", "--group", "sl3-split", "--degree", "0", "--json"],
+        ["cntheta", "--group", "sp4-split", "--degree", "0", "--decompose-k", "--json"],
+        ["oracle-check", "--group", "sp4-split", "--degree", "0", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_cold_query_loads_only_the_modules_it_runs(argv):
+    """A cold `cntheta` or `oracle-check` query loads neither the branching
+    sum (`langlands`) nor the G-side cone functions (`nilcone`, `kostant`,
+    `kernels`): only `cn`, `checks` and `branching` import them."""
+    status, _, loaded = _cold_query(argv)
+    assert status == "0" and {"nilchar.cli", "nilchar.ktheta"} <= loaded
+    assert not loaded & {"nilchar.langlands", "nilchar.nilcone", "nilchar.kostant", "nilchar.kernels"}
+
+
+def test_cold_cn_query_loads_no_partition_kernel():
+    """`cn` runs the closed form on labels: the Lusztig scan's partition
+    kernel (`kostant`, `kernels`) is loaded only by the check that runs it."""
+    status, _, loaded = _cold_query(["cn", "--group", "sl3-split", "--degree", "0", "--json"])
+    assert status == "0" and "nilchar.nilcone" in loaded
+    assert not loaded & {"nilchar.langlands", "nilchar.kostant", "nilchar.kernels"}
+
+
+# The package's public names, as `from nilchar import *` gives them.
+PUBLIC_NAMES = {
+    "AffineConeModel", "CheckResult", "ConeVariable", "ConfigError", "ContinuedParameter", "Dims",
+    "FormalStandardSum", "GradedCharacter", "InvolutionData", "IrrepSeries", "LoadedConfig", "PositiveSystem",
+    "RealFormConfig", "RootDatum", "SplitHypothesisError", "TorusCharacter", "TorusDatum", "build_root_datum",
+    "catalog_names", "classify_roots", "compare_with_formula", "config_from_dict", "dimension_check",
+    "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree", "graded_mul",
+    "irreducible_character", "k_weight_multiset", "koszul_check", "load_catalog_config", "load_config_file",
+    "lusztig_check", "lusztig_series", "nilcone_series", "reductive_root_datum", "theta_cone_character",
+    "theta_cone_ktypes", "torus_datum", "wedge_class",
+}
+
+
+def test_star_import_gives_the_public_names_from_their_home_modules():
+    """The package resolves its public names on first use, each to the object
+    its home module defines; the submodules are not among them."""
+    namespace = {}
+    exec("from nilchar import *", namespace)
+    del namespace["__builtins__"]
+    assert len(PUBLIC_NAMES) == 40 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
+    for name, value in namespace.items():
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+        assert getattr(nilchar, name) is value, name
+
+
+def test_unknown_package_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        nilchar.no_such_name
+
+
+def test_cold_package_imports_that_the_benchmark_uses():
+    """`from nilchar import <function>, <submodule>` and `import
+    nilchar.kernels`, in a fresh interpreter: the package loads a submodule
+    by name, and a function's home module on first use."""
+    code = (
+        "from nilchar import build_root_datum, cli, nilcone_series; "
+        "import nilchar.kernels; "
+        "print(nilchar.kernels.active_backend(), cli.__name__, nilcone_series(build_root_datum([[2]]), 2).layers)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "python nilchar.cli [{(0,): 1}, {(2,): 1}, {(4,): 1}]\n"
 
 
 def _every_record():
