@@ -231,7 +231,7 @@ def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
             layer = out[i + j]
             for w1, c1 in ai.items():
                 for w2, c2 in bj.items():
-                    key = wadd(w1, w2)
+                    key = tuple(map(add, w1, w2))
                     layer[key] = layer.get(key, 0) + c1 * c2
     return GradedCharacter(a.rank, n, out)
 
@@ -251,7 +251,7 @@ def symmetric_series(weights, truncation: int, rank: int | None = None) -> list[
         for n in range(1, truncation + 1):
             layer = layers[n]
             for v, c in layers[n - 1].items():
-                key = wadd(v, w)
+                key = tuple(map(add, v, w))
                 layer[key] = layer.get(key, 0) + c
     return layers
 

@@ -52,6 +52,14 @@ def _int(value, path) -> int:
     return value
 
 
+def _str(value, path) -> str:
+    """A JSON string, taken as it is: 5 or null is refused instead of being
+    turned into "5" or "None"."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def _bool(value, path) -> bool:
     """A JSON boolean, taken as it is: "false", 0 or null is refused instead
     of being read by its truth value."""
@@ -110,7 +118,7 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
     out = []
     for i, entry in enumerate(value):
         tpath = f"{path}[{i}]"
-        label = str(_get(entry, "label", tpath))
+        label = _str(_get(entry, "label", tpath), f"{tpath}.label")
         if any(other.label == label for other in out):
             raise ConfigError(f"{tpath}.label: duplicate torus label {label!r}")
         theta = _load_involution(
@@ -123,7 +131,7 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
             raise ConfigError(f"{tpath}.positive_systems: expected a non-empty list")
         for j, ps in enumerate(raw_systems):
             spath = f"{tpath}.positive_systems[{j}]"
-            ps_id = str(_get(ps, "id", spath))
+            ps_id = _str(_get(ps, "id", spath), f"{spath}.id")
             if any(other.id == ps_id for other in systems):
                 raise ConfigError(f"{spath}.id: duplicate positive-system id {ps_id!r}")
             imaginary = _weight_list(
@@ -146,7 +154,7 @@ def _load_model(obj, path) -> AffineConeModel:
     variables = []
     for i, v in enumerate(raw_vars):
         vpath = f"{path}.variables[{i}]"
-        name = str(_get(v, "name", vpath))
+        name = _str(_get(v, "name", vpath), f"{vpath}.name")
         weight = _int_vector(_get(v, "weight", vpath), f"{vpath}.weight")
         variables.append(ConeVariable(name, weight))
     raw_gens = _get(obj, "generators", path)
@@ -197,9 +205,7 @@ def config_from_dict(doc: dict, label: str | None = None, require_split: bool = 
     lines itself (the `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    name = label or doc.get("label", "unnamed")
-    if not isinstance(name, str):
-        raise ConfigError(f"label: expected a string, got {name!r}")
+    name = label or _str(doc.get("label", "unnamed"), "label")
     g_datum = _load_group(_get(doc, "group", "group"), "group")
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 

@@ -17,8 +17,8 @@ dominant root-lattice weight the q^n coefficient of its q-analog
 multiplicity against the zero weight. Only weights expressible as sums of
 at most n positive roots can contribute at degree n, which bounds the
 enumeration domain by height. The scan builds one
-`kostant.LusztigSum`: one partition table, cut at q^n, and one set of `D_w`
-matrices. It spends one lattice solve per scanned weight.
+`kostant.LusztigSum` (one partition table, cut at q^n) and spends one
+lattice solve and one pruned Weyl-orbit walk per scanned weight.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """Single queries of Kostant's partition function and Lusztig's q-analog,
 kept on the test side as references: `kostant_partition_q` reads one
 polynomial from a table of its own, `lusztig_mq` and `weyl_multiplicity`
-run the library's `LusztigSum` sized to one query. Kostant's multiplicity
-formula (`weyl_multiplicity`) is what the Demazure-built irreducible
-characters are held to. `QPolynomial` is the exact integer polynomial in q
-these answers are written in; the library itself reads coefficient lists."""
+run the library's `LusztigSum` sized to one query, and `brute_weyl_sum`
+adds up the Weyl-group sum one element at a time, without `LusztigSum`, as
+the reference for its pruned orbit walk. Kostant's multiplicity formula
+(`weyl_multiplicity`) is what the Demazure-built irreducible characters are
+held to. `QPolynomial` is the exact integer polynomial in q these answers
+are written in; the library itself reads coefficient lists."""
 
 from __future__ import annotations
 
 from nilchar import kernels
 from nilchar.kostant import LusztigSum
 from nilchar.rootdata import RootDatum, Weight, is_int, wsub
+from weyl_action import act, sign
 
 
 class QPolynomial:
@@ -124,6 +127,30 @@ def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = 
     height = sum(rc)
     degree = height if truncation is None else min(height, truncation)
     return QPolynomial.from_list(kernels.partition_table(datum.positive_root_coords, height, degree).get(rc, ()))
+
+
+def brute_weyl_sum(datum: RootDatum, lam: Weight, mu: Weight) -> QPolynomial:
+    """sum_w sign(w) P_q(w(lam + rho) - (mu + rho)) term by term, over every
+    word of `weyl_words()`, each acting by simple reflections
+    (`weyl_action.act`); the polynomials come from one `kernels.partition_table`
+    as high as the highest argument. rho may be a half-integral weight, so
+    w(rho) - rho is taken as (w(2 rho) - 2 rho) / 2, a sum of negative roots."""
+    two_rho = datum.two_rho
+    terms = []
+    for word in datum.weyl_words():
+        arg = tuple(
+            a + (r - t) // 2 - m
+            for a, r, t, m in zip(act(datum, word, lam), act(datum, word, two_rho), two_rho, mu)
+        )
+        rc = datum.root_coords_int(arg)
+        if rc is not None and all(v >= 0 for v in rc):
+            terms.append((sign(word), rc))
+    height = max((sum(rc) for _, rc in terms), default=0)
+    table = kernels.partition_table(datum.positive_root_coords, height)
+    total = QPolynomial.zero()
+    for s, rc in terms:
+        total += QPolynomial.from_list(table.get(rc, ())) * s
+    return total
 
 
 def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None) -> list[int]:

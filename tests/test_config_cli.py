@@ -177,6 +177,28 @@ def test_label_must_be_a_string(tmp_path, capsys, value):
     assert (code, out) == (1, "") and err.startswith("error: label: ")
 
 
+NAMED_FIELDS = {
+    "tori[0].label": lambda doc: doc["tori"][0],
+    "tori[1].positive_systems[0].id": lambda doc: doc["tori"][1]["positive_systems"][0],
+    "oracle_model.variables[1].name": lambda doc: doc["oracle_model"]["variables"][1],
+}
+
+
+@pytest.mark.parametrize("value", [5, None], ids=repr)
+@pytest.mark.parametrize("field", NAMED_FIELDS)
+def test_names_must_be_strings(tmp_path, capsys, field, value):
+    """A torus label, a positive-system id and an oracle variable name are
+    taken as they are: 5 or null is refused, naming the field, not turned
+    into "5" or "None"."""
+    doc = catalog_document("sl2-split")
+    NAMED_FIELDS[field](doc)[field.rsplit(".", 1)[1]] = value
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field}: expected a string, got {value!r}")
+
+
 def test_missing_label_is_unnamed():
     doc = catalog_document("sl2-split")
     del doc["label"]

@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from nilchar import kernels
 from nilchar.charring import irreducible_character
-from nilchar.kostant import LusztigSum, weyl_on_labels
+from nilchar.kostant import LusztigSum
 from nilchar.nilcone import lusztig_series, nilcone_series
-from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum
-from lusztig_reference import QPolynomial, kostant_partition_q, lusztig_mq, weyl_multiplicity
-from weyl_action import act, sign
+from nilchar.rootdata import build_root_datum, reductive_root_datum, torus_datum, wsub
+from lusztig_reference import QPolynomial, brute_weyl_sum, kostant_partition_q, lusztig_mq, weyl_multiplicity
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -109,20 +108,44 @@ def test_mq_rejects_non_dominant():
 @pytest.mark.parametrize(
     "datum", [A2, B2, G2, A3, GL2], ids=["A2", "B2", "G2", "A3", "GL2"]
 )
-def test_weyl_on_labels_is_x_minus_wx(datum):
-    """D_w . labels(x) is the root-coordinate vector of x - w(x), for every
-    Weyl element and every weight of a box (GL2 has a central torus, so
-    labels do not determine x there)."""
-    words = datum.weyl_words()
-    table = weyl_on_labels(datum)
-    assert len(table) == len(words)
-    box = list(itertools.product(range(-2, 3), repeat=datum.rank))
-    for word, (s, d) in zip(words, table):
-        assert s == sign(word)
-        for x in box:
-            labels = datum.labels(x)
-            image = tuple(sum(a * b for a, b in zip(row, labels)) for row in d)
-            assert image == datum.root_coords_int(tuple(a - b for a, b in zip(x, act(datum, word, x)))), (word, x)
+def test_lusztig_sum_equals_brute_force_weyl_sum(datum):
+    """The pruned orbit walk of `LusztigSum.coeffs` against the Weyl-group
+    sum taken one element at a time, whole and cut after q^2, for dominant
+    lam in a box and every mu in a box: dominant or not, and, except on G2,
+    whose roots span its weights, on lam's coset of the root lattice or off
+    it (GL2 has a central torus, so labels do not determine a weight
+    there)."""
+    side = 2 if datum.rank > 2 else 3
+    lams = [lam for lam in itertools.product(range(side), repeat=datum.rank) if datum.is_dominant(lam)]
+    pairs = [(lam, mu) for lam in lams for mu in itertools.product(range(-2, 3), repeat=datum.rank)]
+    heights = [sum(rc) for rc in (datum.root_coords_int(wsub(lam, mu)) for lam, mu in pairs) if rc is not None]
+    whole, cut = LusztigSum(datum, max(heights)), LusztigSum(datum, max(heights), 2)
+    hits = 0
+    for lam, mu in pairs:
+        expected = brute_weyl_sum(datum, lam, mu)
+        assert QPolynomial.from_list(whole.coeffs(lam, mu)) == expected, (lam, mu)
+        assert QPolynomial.from_list(cut.coeffs(lam, mu)) == expected.truncate(2), (lam, mu)
+        hits += bool(expected)
+    assert hits >= len(lams)
+
+
+def test_walk_at_the_zero_weight_makes_one_lookup():
+    """At lam = mu = 0 every first step would take the argument below zero,
+    so the walk reads the table once, at the identity, not once for each of
+    the 120 elements of W(A4)."""
+    a4 = build_root_datum([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    lusztig = LusztigSum(a4, 4)
+    keys = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return dict.get(self, key, default)
+
+    lusztig.table = Counted(lusztig.table)
+    assert lusztig.coeffs((0,) * 4, (0,) * 4) == [1]
+    assert keys == [(0, 0, 0, 0)]
+    assert len(a4.weyl_words()) == 120
 
 
 def test_mq_outside_root_lattice_is_zero():

@@ -12,8 +12,10 @@ functions with `QPolynomial` (now `tests/lusztig_reference.py`) and the
 tensoring and Zuckerman sums (now `tests/standard_sums.py`), and the
 branching sum's own weight-multiset type, exterior algebra and irreducible
 weight multiset (the sum is one graded product per torus, with
-`ktheta.wedge_class`) are gone; no source file, README line or build
-setting may point back to them."""
+`ktheta.wedge_class`), and the Lusztig sum's per-element `D_w` matrices
+with `weyl_on_labels`, which built them (the sum is one pruned walk over
+the Weyl orbit), are gone; no source file, README line or build setting may
+point back to them."""
 
 from pathlib import Path
 
@@ -64,6 +66,8 @@ STALE = (
     "WeightMultiset",
     "wedge_weight_multiset",
     "irrep_weight_multiset",
+    "weyl_on_labels",
+    "D_w",
 )
 
 
