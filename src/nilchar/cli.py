@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Commands: catalog, cn, cntheta, checks, branching, oracle-check. Output is
-byte-stable across runs: fixed sort orders, no timestamps. Exit codes:
+byte-stable across runs: fixed sort orders, no timestamps. `--json` output
+is `json.dumps(payload, sort_keys=True)`, written by CPython's C encoder
+(`_json`) without loading the `json` package. Exit codes:
 0 success, 1 usage or configuration error, 2 check failure, and, from a
 process run by `entry`, 141 when the reader of stdout went away. `main()` is
 the in-process API; `entry()` runs it as a whole process.
@@ -50,65 +52,19 @@ def _check_degree(opts) -> int:
     return n
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(c: str) -> str:
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # outside the Basic Multilingual Plane: a surrogate pair
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
-def _json_str(s: str) -> str:
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return f'"{s}"'
-    return '"' + "".join(map(_escape, s)) + '"'
-
-
-class _Keys(dict):
-    """Each dict key met, mapped to its JSON text and the ": " after it, so
-    that the keys every row repeats are escaped once."""
-
-    def __missing__(self, key):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        text = self[key] = _json_str(key) + ": "
-        return text
-
-
 def _json_text(value) -> str:
-    """`json.dumps(value, sort_keys=True)` for what a payload holds: dicts
-    with str keys, lists, tuples, str, int, bool and None; any other type is
-    a TypeError. Without `json`, whose import (it compiles the decoder's
-    regexes) costs a cold query more than this writer does."""
-    keys = _Keys()
+    """`json.dumps(value, sort_keys=True)`, written by the C encoder behind
+    it. `_json` loads without the `json` package, whose import (it compiles
+    the decoder's regexes) costs a cold query more than the encoding does."""
+    from _json import encode_basestring_ascii, make_encoder
 
-    def text(value) -> str:
-        # Ints, the bulk of every payload, are written inline, not by a call.
-        if isinstance(value, dict):
-            items = [keys[k] + (str(v) if type(v := value[k]) is int else text(v)) for k in sorted(value)]
-            return "{" + ", ".join(items) + "}"
-        if isinstance(value, (list, tuple)):
-            return "[" + ", ".join([str(v) if type(v) is int else text(v) for v in value]) + "]"
-        if isinstance(value, str):
-            return _json_str(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    def default(obj):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    return text(value)
+    # The arguments `json.dumps` passes with its defaults: a circular
+    # reference is a ValueError, and `default` refuses any other type.
+    encode = make_encoder({}, default, encode_basestring_ascii, None, ": ", ", ", True, False, True)
+    return "".join(encode(value, 0))
 
 
 def _print_json(payload: dict) -> None:

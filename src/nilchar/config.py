@@ -269,13 +269,28 @@ def config_from_dict(doc: dict, label: str | None = None, require_split: bool = 
 
 
 def load_config_file(path: str, require_split: bool = True) -> LoadedConfig:
+    """The config in the JSON file `path`, read as UTF-8 (RFC 8259) whatever
+    the locale. An object with a repeated key is refused, not resolved to
+    its last value."""
     import json  # here, so that a catalog query never loads it
 
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config file {path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deeply to read") from None
     return config_from_dict(doc, require_split=require_split)

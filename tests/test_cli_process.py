@@ -63,6 +63,22 @@ def test_process_unknown_group_is_exit_1_with_its_error_line(tmp_path):
     assert proc.stderr == "error: unknown group 'no-such-group': not a catalog name or readable file\n"
 
 
+def test_process_reads_config_files_as_utf8_in_any_locale(tmp_path):
+    """A UTF-8 config is read as UTF-8 under the C locale too, where the
+    locale's encoding is ASCII."""
+    doc = catalog_document("sl2-split")
+    doc["label"] = "sl₂-split"
+    path = tmp_path / "label.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    env = dict(ENV, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilchar.cli", "cntheta", "--group", str(path), "--degree", "1", "--json"],
+        env=env, cwd=tmp_path, stdin=subprocess.DEVNULL, capture_output=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["group"] == "sl₂-split"
+
+
 def test_process_failed_check_is_exit_2(tmp_path):
     doc = catalog_document("sl3-split")
     doc["dims"]["rank_split"] = 1

@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilchar import oracle
@@ -32,6 +32,46 @@ def test_catalog_round_trips_through_files(tmp_path):
 
         cfg = load_config_file(str(path))
         assert cfg.label == name
+
+
+def _refused_file(tmp_path, capsys, data: bytes) -> str:
+    """The error line `cntheta` gives for a config file holding `data`,
+    checked to be a config error naming the file, with no traceback."""
+    path = tmp_path / "refused.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+    assert (code, out) == (1, "") and err.startswith(f"error: config file {path}") and "Traceback" not in err
+    return err
+
+
+def test_deeply_nested_file_is_a_config_error(tmp_path, capsys):
+    """Nesting deeper than the JSON decoder's recursion limit is refused
+    like any other unreadable file, not ended in a RecursionError."""
+    err = _refused_file(tmp_path, capsys, b"[" * 100_000 + b"]" * 100_000)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [json.dumps(catalog_document("sl2-split")).encode("utf-16"), b'{"label": "sl\xe2-split"}'],
+    ids=["utf-16 with its byte order mark", "latin-1"],
+)
+def test_non_utf8_file_is_a_config_error(tmp_path, capsys, data):
+    assert "is not UTF-8" in _refused_file(tmp_path, capsys, data)
+
+
+@pytest.mark.parametrize("where", ["top", "nested"])
+def test_duplicate_key_is_a_config_error(tmp_path, capsys, where):
+    """A repeated key is refused, naming it, instead of resolving to its last
+    value (here, a form declared not split and then split)."""
+    text = json.dumps(catalog_document("sl2-split"))
+    if where == "top":
+        text = text.replace('"split_mod_center": true', '"split_mod_center": false, "split_mod_center": true')
+        key = "split_mod_center"
+    else:
+        text = text.replace('"g": 3', '"g": 3, "g": 3')
+        key = "g"
+    assert "duplicate key " + repr(key) in _refused_file(tmp_path, capsys, text.encode())
 
 
 def test_config_error_names_field():
@@ -584,19 +624,27 @@ _TRICKY = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\b\f \x80\xe9\u2082\ud800\U0001d524'), st.characters())
 )
 _PAYLOADS = st.recursive(
-    st.none() | st.booleans() | st.integers() | _TRICKY,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TRICKY, inner),
+    st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(_TRICKY, inner)
+        | st.dictionaries(st.integers(), inner)
+    ),
     max_leaves=20,
 )
 
 
 @given(_PAYLOADS)
 @settings(max_examples=100, deadline=None)
+@example(1.5)
+@example([1, 2.0])
+@example({1: 2})
 def test_json_text_is_sorted_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {1}}, {1: 2}, b"x"], ids=repr)
+@pytest.mark.parametrize("value", [{"a": {1}}, b"x"], ids=repr)
 def test_json_text_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value)
