@@ -57,8 +57,6 @@ _HOMES = {
     "build_root_datum": "rootdata",
     "classify_roots": "rootdata",
     "dominant_weights_up_to_height": "rootdata",
-    "reductive_root_datum": "rootdata",
-    "torus_datum": "rootdata",
 }
 __all__ = list(_HOMES)
 

@@ -43,7 +43,7 @@ _SL2_SPLIT = {
 }
 
 # Complex SL2 viewed as a real group: theta swaps the factors, K is the
-# diagonal copy. Not split modulo center; exploration only (use force).
+# diagonal copy. Not split modulo center; exploration only (use --force).
 _SL2XSL2_SWAP = {
     "label": "sl2xsl2-swap",
     "group": {"cartan_matrix": [[2, 0], [0, 2]]},

@@ -236,16 +236,11 @@ def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     return GradedCharacter(a.rank, n, out)
 
 
-def symmetric_series(weights, truncation: int, rank: int | None = None) -> list[dict[Weight, int]]:
+def symmetric_series(weights, truncation: int, rank: int) -> list[dict[Weight, int]]:
     """Torus layers s_0..s_truncation of the graded symmetric algebra of a
     weight multiset (weight w in degree 1): the product over weights w of
     1 / (1 - e^w q). The layers are unchecked, as `symmetric_irreps`
     returns them; the caller builds the one `GradedCharacter` it needs."""
-    weights = [tuple(w) for w in weights]
-    if rank is None:
-        if not weights:
-            raise ValueError("rank is required for an empty weight multiset")
-        rank = len(weights[0])
     layers = [{(0,) * rank: 1}] + [dict() for _ in range(truncation)]
     for w in weights:
         for n in range(1, truncation + 1):

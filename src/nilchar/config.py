@@ -8,13 +8,7 @@ from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
 from .oracle import AffineConeModel, ConeVariable
-from .rootdata import (
-    InvolutionData,
-    Record,
-    RootDatum,
-    build_root_datum,
-    reductive_root_datum,
-)
+from .rootdata import InvolutionData, Record, RootDatum, build_root_datum
 
 
 class ConfigError(ValueError):
@@ -94,7 +88,7 @@ def _load_group(obj, path) -> RootDatum:
         rank = _int(_get(obj, "rank", path), f"{path}.rank")
         roots = _weight_list(_get(obj, "simple_roots", path), f"{path}.simple_roots")
         coroots = _weight_list(_get(obj, "simple_coroots", path), f"{path}.simple_coroots")
-        return reductive_root_datum(rank, roots, coroots)
+        return RootDatum(rank, roots, coroots)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -196,7 +190,7 @@ def _load_model(obj, path) -> AffineConeModel:
     return model
 
 
-def config_from_dict(doc: dict, label: str | None = None, require_split: bool = True) -> LoadedConfig:
+def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     """Build and cross-validate a configuration from its object model.
 
     A document that declares `split_mod_center` must pass the split lines of
@@ -205,7 +199,7 @@ def config_from_dict(doc: dict, label: str | None = None, require_split: bool = 
     lines itself (the `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    name = label or _str(doc.get("label", "unnamed"), "label")
+    name = _str(doc.get("label", "unnamed"), "label")
     g_datum = _load_group(_get(doc, "group", "group"), "group")
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 

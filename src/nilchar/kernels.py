@@ -19,18 +19,18 @@ def active_backend() -> str:
     return "python"
 
 
-def partition_table(roots, height_bound: int, degree_bound: int | None = None):
+def partition_table(roots, height_bound: int, degree_bound: int):
     """q-graded vector partition counts over the points of height <= `height_bound`.
 
     `roots`: non-zero, non-negative integer tuples of one length (positive
     roots in simple-root coordinates). Returns a dict mapping each reachable
     lattice point m with sum(m) <= height_bound to the tuple of coefficients
     of its counting polynomial (index = number of parts), cut after
-    q^degree_bound. `degree_bound=None` keeps every degree; since each root
-    has height >= 1, a point of height h has at most h parts, so a
-    `degree_bound` of at least h leaves its polynomial exact.
+    q^degree_bound. Since each root has height >= 1, a point of height h has
+    at most h parts, so a `degree_bound` of at least h leaves its polynomial
+    exact.
     """
-    if height_bound < 0 or (degree_bound is not None and degree_bound < 0):
+    if height_bound < 0 or degree_bound < 0:
         raise ValueError("height and degree bounds must be non-negative")
     roots = [tuple(r) for r in roots]
     if not roots:
@@ -39,7 +39,7 @@ def partition_table(roots, height_bound: int, degree_bound: int | None = None):
     for r in roots:
         if len(r) != rank or any(v < 0 for v in r) or not any(r):
             raise ValueError(f"invalid root coordinates {r}")
-    top = height_bound if degree_bound is None else min(degree_bound, height_bound)
+    top = min(degree_bound, height_bound)
 
     zero = (0,) * rank
     table: dict[tuple[int, ...], list[int]] = {zero: [1]}

@@ -27,7 +27,8 @@ from .rootdata import RootDatum, Weight, wsub
 
 class LusztigSum:
     """Lusztig's signed Weyl-group sum for one datum, for every lam - mu of
-    height <= `height`, exact through q^truncation (every degree when None).
+    height <= `height`, exact through q^truncation (through every degree when
+    `truncation` >= `height`, since a weight of height h has at most h parts).
 
     Holds one partition table, built here, so that a caller querying many
     weights builds it once.
@@ -35,11 +36,10 @@ class LusztigSum:
 
     __slots__ = ("datum", "height", "table")
 
-    def __init__(self, datum: RootDatum, height: int, truncation: int | None = None):
+    def __init__(self, datum: RootDatum, height: int, truncation: int):
         self.datum = datum
         self.height = height
-        degree = height if truncation is None else min(height, truncation)
-        self.table = kernels.partition_table(datum.positive_root_coords, height, degree) if datum.nsimple else {}
+        self.table = kernels.partition_table(datum.positive_root_coords, height, truncation) if datum.nsimple else {}
 
     def coeffs(self, lam: Weight, mu: Weight) -> list[int]:
         """Coefficients of sum_w sign(w) P_q(w(lam + rho) - (mu + rho)), cut

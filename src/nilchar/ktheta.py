@@ -43,10 +43,6 @@ class CheckResult(Record):
     def __bool__(self) -> bool:
         return self.passed
 
-    @property
-    def details(self) -> str:
-        return "\n".join(self.lines)
-
 
 class Dims(Record):
     __slots__ = ("dim_g", "dim_k", "dim_p", "rank_split")
@@ -69,7 +65,6 @@ class RealFormConfig(Record):
 
     __slots__ = ("label", "g_datum", "involution", "k_torus_rank", "restriction", "k_weights", "dims",
                  "split_mod_center", "k_datum", "p_weights")
-    _defaults = {"k_datum": None}
     _derived = ("p_weights",)
 
     label: str
@@ -147,27 +142,21 @@ def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]
     return tuple(w for w, c in sorted(counts.items()) for _ in range(c))
 
 
-def wedge_class(k_weights, truncation: int, rank: int | None = None) -> GradedCharacter:
+def wedge_class(k_weights, truncation: int, rank: int) -> GradedCharacter:
     """Signed graded exterior algebra of a weight multiset: the expansion of
     the product over weights w of (1 - e^w q). Layer n carries sign (-1)^n."""
-    weights = [tuple(w) for w in k_weights]
-    if rank is None:
-        if not weights:
-            raise ValueError("rank is required for an empty weight multiset")
-        rank = len(weights[0])
     out = GradedCharacter.trivial(rank, truncation)
-    for w in weights:
-        out = graded_mul(out, GradedCharacter(rank, truncation, [{(0,) * rank: 1}, {w: -1}]))
+    for w in k_weights:
+        out = graded_mul(out, GradedCharacter(rank, truncation, [{(0,) * rank: 1}, {tuple(w): -1}]))
     return out
 
 
-def koszul_check(k_weights, truncation: int, rank: int | None = None) -> CheckResult:
+def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
     """Verify that functions on k* times the signed exterior class of k is the
     trivial class through the given degree."""
     layers = symmetric_series(k_weights, truncation, rank)
-    (zero,) = layers[0]  # the weight of degree 0 has the series' rank
-    product = graded_mul(GradedCharacter(len(zero), truncation, layers), wedge_class(k_weights, truncation, rank))
-    trivial = GradedCharacter.trivial(product.rank, truncation)
+    product = graded_mul(GradedCharacter(rank, truncation, layers), wedge_class(k_weights, truncation, rank))
+    trivial = GradedCharacter.trivial(rank, truncation)
     for n in range(truncation + 1):
         if product.layers[n] != trivial.layers[n]:
             return CheckResult(
@@ -207,7 +196,7 @@ def _require_split(config: RealFormConfig, force: bool) -> None:
     if not config.split_mod_center and not force:
         raise SplitHypothesisError(
             f"config {config.label!r} is not split modulo center; the product formula is "
-            "proved only under that hypothesis (pass force=True to compute it anyway)"
+            "proved only under that hypothesis (pass --force, or force=True, to compute it anyway)"
         )
 
 

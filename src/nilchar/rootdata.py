@@ -140,8 +140,9 @@ class RootDatum:
     derived structure (positive roots, 2*rho, Weyl group).
 
     Use :func:`build_root_datum` for the canonical fundamental-weight
-    realization of a Cartan matrix, or :func:`reductive_root_datum` for
-    explicit (co)roots on an arbitrary lattice.
+    realization of a Cartan matrix, or construct one directly from explicit
+    (co)roots on a rank-`rank` lattice; the root count may be smaller than
+    the rank (central torus directions), down to none for a pure torus.
     """
 
     def __init__(self, rank: int, simple_roots, simple_coroots):
@@ -328,32 +329,20 @@ def build_root_datum(cartan_matrix) -> RootDatum:
     return RootDatum(n, simple_roots, simple_coroots)
 
 
-def reductive_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
-    """Datum with explicit (co)roots on a rank-`rank` lattice; the root count
-    may be smaller than the rank (central torus directions)."""
-    return RootDatum(rank, simple_roots, simple_coroots)
-
-
-def torus_datum(rank: int) -> RootDatum:
-    """Pure torus: no roots at all."""
-    return RootDatum(rank, (), ())
-
-
 class Record:
     """Read-only value record. A subclass names its fields in `__slots__`,
     and its instances are equal, hashed and printed by those fields, in order.
 
-    The constructor binds the fields from positional or keyword arguments,
-    takes a missing one from the class's `_defaults`, then calls
-    `__post_init__` when the class has one; that hook may normalize a field
-    with `object.__setattr__`. A field named in `_derived` is set there
-    alone and takes no part in construction, equality, hashing or repr.
+    The constructor binds every field from positional or keyword arguments,
+    then calls `__post_init__` when the class has one; that hook may
+    normalize a field with `object.__setattr__`. A field named in `_derived`
+    is set there alone and takes no part in construction, equality, hashing
+    or repr.
     """
 
     __slots__ = ()
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
     _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -385,10 +374,10 @@ class Record:
             if key in values:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
             values[key] = value
-        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        missing = [f for f in fields if f not in values]
         if missing:
             raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return [values[f] if f in values else cls._defaults[f] for f in fields]
+        return [values[f] for f in fields]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set {name!r}")

@@ -146,7 +146,7 @@ def brute_weyl_sum(datum: RootDatum, lam: Weight, mu: Weight) -> QPolynomial:
         if rc is not None and all(v >= 0 for v in rc):
             terms.append((sign(word), rc))
     height = max((sum(rc) for _, rc in terms), default=0)
-    table = kernels.partition_table(datum.positive_root_coords, height)
+    table = kernels.partition_table(datum.positive_root_coords, height, height)
     total = QPolynomial.zero()
     for s, rc in terms:
         total += QPolynomial.from_list(table.get(rc, ())) * s
@@ -157,7 +157,7 @@ def _weyl_sum(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None)
     """One query, on a `LusztigSum` sized to ht(lam - mu)."""
     rc = datum.root_coords_int(wsub(lam, mu))
     height = sum(rc) if rc is not None and all(v >= 0 for v in rc) else 0
-    return LusztigSum(datum, height, truncation).coeffs(lam, mu)
+    return LusztigSum(datum, height, height if truncation is None else truncation).coeffs(lam, mu)
 
 
 def lusztig_mq(datum: RootDatum, lam: Weight, mu: Weight, truncation: int | None = None) -> QPolynomial:

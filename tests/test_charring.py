@@ -21,8 +21,6 @@ from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
     dominant_weights_up_to_height,
-    reductive_root_datum,
-    torus_datum,
 )
 from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import nilcone_character, restrict_character, restrict_graded
@@ -34,7 +32,7 @@ B2 = build_root_datum([[2, -2], [-1, 2]])
 G2 = build_root_datum([[2, -1], [-3, 2]])
 A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 A4 = build_root_datum([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
-GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
+GL2 = RootDatum(2, [(1, -1)], [(1, -1)])
 
 
 def chi(*coords, mult=1):
@@ -212,7 +210,7 @@ def test_decompose_rejects_rank_mismatch():
 
 @pytest.mark.parametrize(
     "datum, truncation",
-    [(A1, 20), (A2, 12), (B2, 8), (G2, 6), (A3, 4), (A4, 2), (GL2, 6), (torus_datum(2), 4)],
+    [(A1, 20), (A2, 12), (B2, 8), (G2, 6), (A3, 4), (A4, 2), (GL2, 6), (RootDatum(2, (), ()), 4)],
     ids=["A1", "A2", "B2", "G2", "A3", "A4", "GL2", "T2"],
 )
 def test_decompose_nilcone_layers_match_lusztig(datum, truncation):
@@ -275,7 +273,7 @@ def test_decompose_round_trip():
 
 
 def test_decompose_gl2_with_central_charge():
-    gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
+    gl2 = RootDatum(2, [(1, -1)], [(1, -1)])
     std = chi(1, 0) + chi(0, 1)
     sym2 = chi(2, 0) + chi(1, 1) + chi(0, 2)
     assert decompose_into_irreducibles(gl2, std) == {(1, 0): 1}
@@ -285,7 +283,7 @@ def test_decompose_gl2_with_central_charge():
 
 
 def test_decompose_torus_is_identity():
-    t = torus_datum(1)
+    t = RootDatum(1, (), ())
     ch = chi(3) + chi(-1, mult=2)
     assert decompose_into_irreducibles(t, ch) == {(3,): 1, (-1,): 2}
 

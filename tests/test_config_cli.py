@@ -349,9 +349,12 @@ def test_cntheta_rows(capsys):
 
 
 def test_cntheta_refuses_non_split(capsys):
-    code, _, err = run(capsys, "cntheta", "--group", "sl2xsl2-swap", "--degree", "2")
-    assert code == 1
-    assert "split" in err
+    """The refusal names the command-line flag that overrides it, not only
+    the library keyword."""
+    code, out, err = run(capsys, "cntheta", "--group", "sl2xsl2-swap", "--degree", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "split" in err and "--force" in err
 
 
 def test_cntheta_force(capsys):

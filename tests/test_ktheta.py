@@ -20,13 +20,13 @@ from nilchar.ktheta import (
     wedge_class,
 )
 from nilchar.nilcone import lusztig_check
-from nilchar.rootdata import InvolutionData, build_root_datum, reductive_root_datum, torus_datum
+from nilchar.rootdata import InvolutionData, RootDatum, build_root_datum
 from paper_formula import restrict_times_wedge
 from weyl_action import decompose_into_irreducibles, weyl_dimension
 
 
 def test_wedge_single_zero_weight():
-    w = wedge_class([(0,)], 4)
+    w = wedge_class([(0,)], 4, rank=1)
     assert w.layers == [{(0,): 1}, {(0,): -1}, {}, {}, {}]
 
 
@@ -36,7 +36,7 @@ def test_wedge_empty_is_trivial():
 
 
 def test_wedge_three_weights():
-    w = wedge_class([(-2,), (0,), (2,)], 4)
+    w = wedge_class([(-2,), (0,), (2,)], 4, rank=1)
     assert w.layers[0] == {(0,): 1}
     assert w.layers[1] == {(-2,): -1, (0,): -1, (2,): -1}
     assert w.layers[2] == {(-2,): 1, (0,): 1, (2,): 1}
@@ -45,18 +45,18 @@ def test_wedge_three_weights():
 
 
 def test_wedge_vanishes_above_dimension():
-    w = wedge_class([(1,), (-1,)], 5)
+    w = wedge_class([(1,), (-1,)], 5, rank=1)
     assert all(not w.layers[n] for n in range(3, 6))
 
 
 def test_symmetric_series_geometric():
-    assert symmetric_series([(2,)], 3) == [{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]
+    assert symmetric_series([(2,)], 3, rank=1) == [{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]
 
 
 def test_koszul_examples():
-    assert koszul_check([(0,)], 10).passed
+    assert koszul_check([(0,)], 10, rank=1).passed
     assert koszul_check([], 5, rank=1).passed
-    assert koszul_check([(-2,), (0,), (2,)], 8).passed
+    assert koszul_check([(-2,), (0,), (2,)], 8, rank=1).passed
 
 
 def test_koszul_catalog_k_weights():
@@ -78,8 +78,8 @@ def test_koszul_failure_reported():
     # A wrong symmetric factor shows up as a clean first-failure report.
     from nilchar.charring import GradedCharacter, graded_mul
 
-    sym = GradedCharacter(1, 4, symmetric_series([(2,)], 4))
-    wedge = wedge_class([(1,)], 4)
+    sym = GradedCharacter(1, 4, symmetric_series([(2,)], 4, rank=1))
+    wedge = wedge_class([(1,)], 4, rank=1)
     product = graded_mul(sym, wedge)
     trivial = GradedCharacter.trivial(1, 4)
     assert product != trivial  # mismatched multisets break the identity
@@ -136,24 +136,26 @@ SPLIT = [name for name in catalog_names() if load_catalog_config(name).real_form
 # G-torus weight (a, b) restricts to a - b. The centre of gl2 lies in p.
 GL2_SPLIT = RealFormConfig(
     label="gl2-split",
-    g_datum=reductive_root_datum(2, [(1, -1)], [(1, -1)]),
+    g_datum=RootDatum(2, [(1, -1)], [(1, -1)]),
     involution=InvolutionData([[-1, 0], [0, -1]]),
     k_torus_rank=1,
     restriction=[[1, -1]],
     k_weights=[(0,)],
     dims=Dims(dim_g=4, dim_k=1, dim_p=3, rank_split=2),
     split_mod_center=True,
+    k_datum=None,
 )
 # A one-dimensional compact torus: its only (central) direction lies in k.
 COMPACT_TORUS = RealFormConfig(
     label="u1",
-    g_datum=torus_datum(1),
+    g_datum=RootDatum(1, (), ()),
     involution=InvolutionData([[1]]),
     k_torus_rank=1,
     restriction=[[1]],
     k_weights=[(0,)],
     dims=Dims(dim_g=1, dim_k=1, dim_p=0, rank_split=0),
     split_mod_center=False,
+    k_datum=None,
 )
 
 
@@ -331,13 +333,14 @@ def test_dimension_check_catalog():
 def test_dimension_check_degenerate_torus():
     cfg = RealFormConfig(
         label="torus",
-        g_datum=torus_datum(1),
+        g_datum=RootDatum(1, (), ()),
         involution=InvolutionData([[-1]]),
         k_torus_rank=1,
         restriction=[[1]],
         k_weights=(),
         dims=Dims(dim_g=1, dim_k=0, dim_p=1, rank_split=1),
         split_mod_center=True,
+        k_datum=None,
     )
     assert dimension_check(cfg).passed
     gc = theta_cone_character(cfg, 3)
@@ -355,10 +358,11 @@ def test_dimension_check_rejects_bad_table():
         k_weights=[(0,), (2,), (-2,)],
         dims=Dims(dim_g=5, dim_k=3, dim_p=2, rank_split=1),
         split_mod_center=True,
+        k_datum=None,
     )
     result = dimension_check(bad)
     assert not result.passed
-    assert "FAIL" in result.details
+    assert "FAIL" in "\n".join(result.lines)
 
 
 def test_dimension_check_cone_line_can_fail():
@@ -392,7 +396,7 @@ def test_dimension_check_cone_line_skipped_when_not_split():
 def test_lusztig_check_catalog():
     for name in catalog_names():
         result = lusztig_check(load_catalog_config(name).real_form.g_datum, 6)
-        assert result.passed, (name, result.details)
+        assert result.passed, (name, result.lines)
 
 
 @pytest.mark.parametrize("side", ["lusztig_series", "nilcone_series"])
@@ -408,7 +412,7 @@ def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, si
     monkeypatch.setattr(nilcone, side, bumped)
     result = lusztig_check(load_catalog_config("sl3-split").real_form.g_datum, 4)
     assert not result.passed
-    assert "differ first at degree 2" in result.details
+    assert "differ first at degree 2" in "\n".join(result.lines)
     code = main(["checks", "--group", "sl3-split", "--degree", "3"])
     out = capsys.readouterr().out
     assert code == 2
@@ -428,7 +432,7 @@ def test_lusztig_check_fails_on_straightening_without_the_sign(monkeypatch, caps
     monkeypatch.setattr(charring, "_straighten", unsigned)
     result = lusztig_check(load_catalog_config("sl3-split").real_form.g_datum, 3)
     assert not result.passed
-    assert result.details.startswith("harmonic closed form fails: highest weight")
+    assert result.lines[0].startswith("harmonic closed form fails: highest weight")
     code = main(["checks", "--group", "sl3-split", "--degree", "3"])
     out = capsys.readouterr().out
     assert code == 2
@@ -441,19 +445,19 @@ def test_config_validation_errors():
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             k_torus_rank=1, restriction=[[1]], k_weights=[(0,), (0,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="negation"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             k_torus_rank=1, restriction=[[1]], k_weights=[(2,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="matrix"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             k_torus_rank=2, restriction=[[1]], k_weights=[(0, 0), (1, 1), (-1, -1)],
-            dims=Dims(3, 3, 0, 1), split_mod_center=True,
+            dims=Dims(3, 3, 0, 1), split_mod_center=True, k_datum=None,
         )
 
 
@@ -466,11 +470,11 @@ def test_config_refuses_non_integer_entries(bad):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             k_torus_rank=1, restriction=[[bad]], k_weights=[(0,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             k_torus_rank=1, restriction=[[1]], k_weights=[(bad,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True,
+            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )

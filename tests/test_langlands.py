@@ -94,19 +94,19 @@ def test_wedge_class_layers_are_signed_subset_sums(weights):
     """Layer n of `wedge_class` is (-1)^n times the sums over the size-n
     sub-multisets, counted by recursion over the distinct weights."""
     top = len(weights) + 1
-    wedge = wedge_class(weights, top)
+    wedge = wedge_class(weights, top, rank=len(weights[0]))
     for n in range(top + 1):
         assert wedge.layers[n] == {w: (-1) ** n * c for w, c in subset_sums(weights, n).items()}, n
 
 
 def test_wedge_multiset_edges():
-    assert wedge_class([(1,), (2,)], 3).layers == [{(0,): 1}, {(1,): -1, (2,): -1}, {(3,): 1}, {}]
-    assert wedge_class([(0,)], 1).layers == [{(0,): 1}, {(0,): -1}]
+    assert wedge_class([(1,), (2,)], 3, rank=1).layers == [{(0,): 1}, {(1,): -1, (2,): -1}, {(3,): 1}, {}]
+    assert wedge_class([(0,)], 1, rank=1).layers == [{(0,): 1}, {(0,): -1}]
 
 
 def test_wedge_multiset_total_counts():
     weights = [(1,), (1,), (-1,), (3,)]
-    wedge = wedge_class(weights, 5)
+    wedge = wedge_class(weights, 5, rank=1)
     for n in range(5):
         assert wedge.mass(n) == (-1) ** n * comb(4, n)
         assert sum(subset_sums(weights, n).values()) == comb(4, n)

@@ -9,8 +9,6 @@ from nilchar.rootdata import (
     RootDatum,
     build_root_datum,
     dominant_weights_up_to_height,
-    reductive_root_datum,
-    torus_datum,
 )
 from lusztig_reference import lusztig_mq
 from paper_formula import nilcone_character
@@ -25,7 +23,7 @@ A3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 B2 = build_root_datum([[2, -2], [-1, 2]])
 B3 = build_root_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
 C3 = build_root_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
-GL2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
+GL2 = RootDatum(2, [(1, -1)], [(1, -1)])
 
 
 def test_a1_series_single_string():
@@ -74,7 +72,7 @@ def test_no_contributors_beyond_height_bound():
 
 @pytest.mark.parametrize(
     "datum, truncation",
-    [(A1, 24), (A2, 12), (A3, 8), (A4, 6), (B2, 12), (B3, 6), (C3, 6), (G2, 12), (GL2, 8), (torus_datum(2), 4)],
+    [(A1, 24), (A2, 12), (A3, 8), (A4, 6), (B2, 12), (B3, 6), (C3, 6), (G2, 12), (GL2, 8), (RootDatum(2, (), ()), 4)],
     ids=["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "GL2", "T2"],
 )
 def test_label_route_equals_lusztig_series(datum, truncation):
@@ -137,7 +135,7 @@ def test_scan_builds_one_partition_table(monkeypatch):
     calls = []
     build = kernels.partition_table
 
-    def counted(roots, height_bound, degree_bound=None):
+    def counted(roots, height_bound, degree_bound):
         calls.append((height_bound, degree_bound))
         return build(roots, height_bound, degree_bound)
 
@@ -174,14 +172,14 @@ def test_scan_solves_once_per_weight(monkeypatch):
 
 
 def test_torus_cone_is_constants_only():
-    t = torus_datum(1)
+    t = RootDatum(1, (), ())
     gc = nilcone_character(t, 3)
     assert gc.masses() == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize(
     "datum, truncation",
-    [(A1, 20), (A2, 12), (C2, 8), (G2, 6), (A4, 2), (GL2, 6), (torus_datum(2), 4)],
+    [(A1, 20), (A2, 12), (C2, 8), (G2, 6), (A4, 2), (GL2, 6), (RootDatum(2, (), ()), 4)],
     ids=["A1", "A2", "C2", "G2", "A4", "GL2", "T2"],
 )
 def test_closed_form_equals_lusztig_expansion(datum, truncation):

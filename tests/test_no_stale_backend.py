@@ -14,8 +14,11 @@ branching sum's own weight-multiset type, exterior algebra and irreducible
 weight multiset (the sum is one graded product per torus, with
 `ktheta.wedge_class`), and the Lusztig sum's per-element `D_w` matrices
 with `weyl_on_labels`, which built them (the sum is one pruned walk over
-the Weyl orbit), are gone; no source file, README line or build setting may
-point back to them."""
+the Weyl orbit), and the defaults and aliases that only tests used (the
+`RootDatum` aliases `reductive_root_datum` and `torus_datum`, `Record`'s
+per-class defaults, the rank inferred from a weight multiset and
+`CheckResult.details`), are gone; no source file, README line or build
+setting may point back to them."""
 
 from pathlib import Path
 
@@ -68,6 +71,11 @@ STALE = (
     "irrep_weight_multiset",
     "weyl_on_labels",
     "D_w",
+    "reductive_root_datum",
+    "torus_datum",
+    "cls._defaults",
+    "rank is required for an empty weight multiset",
+    "def details",
 )
 
 

@@ -112,8 +112,8 @@ PUBLIC_NAMES = {
     "catalog_names", "classify_roots", "compare_with_formula", "config_from_dict", "dimension_check",
     "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree", "graded_mul",
     "irreducible_character", "k_weight_multiset", "koszul_check", "load_catalog_config", "load_config_file",
-    "lusztig_check", "lusztig_series", "nilcone_series", "reductive_root_datum", "theta_cone_character",
-    "theta_cone_ktypes", "torus_datum", "wedge_class",
+    "lusztig_check", "lusztig_series", "nilcone_series", "theta_cone_character", "theta_cone_ktypes",
+    "wedge_class",
 }
 
 
@@ -123,7 +123,7 @@ def test_star_import_gives_the_public_names_from_their_home_modules():
     namespace = {}
     exec("from nilchar import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC_NAMES) == 40 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
+    assert len(PUBLIC_NAMES) == 38 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
     for name, value in namespace.items():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert getattr(nilchar, name) is value, name
@@ -244,14 +244,6 @@ def test_real_form_config_leaves_out_derived_p_weights():
         _rebuild(rf, p_weights=rf.p_weights)
 
 
-def test_real_form_config_takes_k_datum_default():
-    rf = load_catalog_config("sp4-split").real_form
-    assert rf.k_datum is not None
-    fields = {f: getattr(rf, f) for f in rf._fields if f != "k_datum"}
-    assert RealFormConfig(**fields).k_datum is None
-
-
 def test_check_result_keeps_its_truth_value():
     assert not CheckResult(False, ("FAIL: x",))
     assert CheckResult(True, ())
-    assert CheckResult(False, ("a", "b")).details == "a\nb"

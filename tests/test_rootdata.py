@@ -7,13 +7,12 @@ import pytest
 
 from nilchar.rootdata import (
     InvolutionData,
+    RootDatum,
     adjugate,
     build_root_datum,
     classify_roots,
     dominant_weights_up_to_height,
     mat_mul,
-    reductive_root_datum,
-    torus_datum,
     wneg,
 )
 from weyl_action import act, weyl_dimension, weyl_orbit
@@ -44,8 +43,8 @@ def test_exponents():
     assert build_root_datum(A4).exponents == (1, 2, 3, 4)
     assert build_root_datum(A1A1).exponents == (1, 1)
     # central torus directions add no exponent
-    assert reductive_root_datum(2, [(1, -1)], [(1, -1)]).exponents == (1,)
-    assert torus_datum(2).exponents == ()
+    assert RootDatum(2, [(1, -1)], [(1, -1)]).exponents == (1,)
+    assert RootDatum(2, (), ()).exponents == ()
 
 
 def test_two_rho_is_sum_of_positive_roots():
@@ -96,9 +95,9 @@ def test_longest_element():
 def test_constructors_refuse_non_integer_entries(bad):
     """A float (even 2.0) or a bool is refused and named, not rounded."""
     with pytest.raises(ValueError, match=r"simple_roots\[0\]\[0\]"):
-        reductive_root_datum(2, [(bad, -1)], [(1, -1)])
+        RootDatum(2, [(bad, -1)], [(1, -1)])
     with pytest.raises(ValueError, match=r"simple_coroots\[0\]\[1\]"):
-        reductive_root_datum(2, [(1, -1)], [(1, bad)])
+        RootDatum(2, [(1, -1)], [(1, bad)])
     with pytest.raises(ValueError, match=r"cartan_matrix\[1\]\[1\]"):
         build_root_datum([[2, -1], [-1, bad]])
     with pytest.raises(ValueError, match=r"matrix\[0\]\[0\]"):
@@ -113,7 +112,7 @@ def test_root_coords_int_refuses_non_integer_entries(bad):
     with pytest.raises(ValueError, match=r"weight\[0\] = .* is not an integer"):
         build_root_datum(A1).root_coords_int((bad,))
     with pytest.raises(ValueError, match=r"weight\[1\]"):
-        reductive_root_datum(2, [(1, -1)], [(1, -1)]).root_coords_int((1, bad))
+        RootDatum(2, [(1, -1)], [(1, -1)]).root_coords_int((1, bad))
 
 
 def test_bad_cartan_matrices_rejected():
@@ -219,8 +218,8 @@ def test_dominant_weights_up_to_height():
         (build_root_datum(A1A1), 8),
         (build_root_datum(A4), 6),
         (build_root_datum(D4), 6),
-        (reductive_root_datum(2, [(1, -1)], [(1, -1)]), 8),
-        (torus_datum(2), 3),
+        (RootDatum(2, [(1, -1)], [(1, -1)]), 8),
+        (RootDatum(2, (), ()), 3),
     ],
     ids=["A2", "G2", "A1A1", "A4", "D4", "GL2", "T2"],
 )
@@ -243,8 +242,8 @@ def test_equal_data_are_equal_and_hash_alike():
     assert first == second and hash(first) == hash(second)
     assert build_root_datum(A2) != build_root_datum(A1A1)
     sl2 = build_root_datum(A1)
-    gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
-    assert sl2 != gl2 and gl2 == reductive_root_datum(2, [(1, -1)], [(1, -1)])
+    gl2 = RootDatum(2, [(1, -1)], [(1, -1)])
+    assert sl2 != gl2 and gl2 == RootDatum(2, [(1, -1)], [(1, -1)])
     assert sl2 != "A1"
 
 
@@ -258,14 +257,14 @@ def test_dominant_rep_and_orbit():
 
 
 def test_reductive_datum_gl2():
-    gl2 = reductive_root_datum(2, [(1, -1)], [(1, -1)])
+    gl2 = RootDatum(2, [(1, -1)], [(1, -1)])
     assert gl2.positive_roots == ((1, -1),)
     assert gl2.weyl_words() == ((), (0,))
     assert gl2.is_dominant((3, 1)) and not gl2.is_dominant((1, 3))
 
 
 def test_torus_datum():
-    t = torus_datum(2)
+    t = RootDatum(2, (), ())
     assert t.positive_roots == ()
     assert t.is_dominant((-5, 3))
     assert t.weyl_words() == ((),)
@@ -290,10 +289,10 @@ COORD_CASES = {
     "G2": (build_root_datum(G2), 1, 10, 2),
     "A1xA1": (build_root_datum(A1A1), 4, 3, 3),
     "F4": (build_root_datum(F4), 1, 2, 0),
-    "GL2": (reductive_root_datum(2, [(1, -1)], [(1, -1)]), 2, 3, 3),
-    "SO3": (reductive_root_datum(1, [(2,)], [(1,)]), 2, 3, 6),
-    "GL3": (reductive_root_datum(3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]), 3, 2, 2),
-    "T2": (torus_datum(2), 1, 0, 2),
+    "GL2": (RootDatum(2, [(1, -1)], [(1, -1)]), 2, 3, 3),
+    "SO3": (RootDatum(1, [(2,)], [(1,)]), 2, 3, 6),
+    "GL3": (RootDatum(3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)]), 3, 2, 2),
+    "T2": (RootDatum(2, (), ()), 1, 0, 2),
 }
 
 
