@@ -169,9 +169,3 @@ def load_catalog_config(name: str) -> LoadedConfig:
         raise KeyError(name)
     return config_from_dict(_CATALOG[name])
 
-
-def catalog_document(name: str) -> dict:
-    """The raw configuration document (useful for exporting to a file)."""
-    import copy
-
-    return copy.deepcopy(_CATALOG[name])

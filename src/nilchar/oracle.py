@@ -3,15 +3,19 @@ explicit affine cone models by fraction-free sparse integer elimination.
 
 A model is a polynomial ring with weighted degree-one variables and a list of
 homogeneous generators. Degree slices of the quotient are computed one at a
-time: the span of (monomial times generator) products is intersected with the
-degree-n monomial basis and its rank subtracted. No Groebner machinery, no
-floating point.
+time: the rows (monomial times generator) of degree n are eliminated over the
+degree-n monomials, and their rank is subtracted from the slice's size. A
+monomial is one int that holds its weight above its exponents, so rows of
+different weights share no column and one pivot table per degree splits
+along weights by itself. Rows that Faugere's F5 criterion shows to lie in the
+span of the others are skipped. No Groebner basis, no floating point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .charring import GradedCharacter
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
@@ -104,10 +108,11 @@ def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
     return [(exps, c.numerator * (denom // c.denominator)) for exps, c in g.items()]
 
 
-def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
     """Reduce the sparse integer row `row` against `pivots`, which are keyed by
     their leading (least) column, with fraction-free steps `row*p - pivot*f`;
-    what is left, divided by its gcd, becomes a new pivot. `row` is consumed.
+    what is left, divided by its gcd, becomes a new pivot, and its lead is
+    returned. A row that reduces to zero returns `None`. `row` is consumed.
     The rank of the rows inserted so far is `len(pivots)`."""
     while row:
         lead = min(row)
@@ -115,7 +120,7 @@ def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
         if pivot is None:
             g = gcd(*row.values())
             pivots[lead] = {c: v // g for c, v in row.items()} if g > 1 else row
-            return
+            return lead
         f, p = row[lead], pivot[lead]
         g = gcd(f, p)
         f, p = f // g, p // g
@@ -127,55 +132,101 @@ def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
                 row[c] = x
             else:
                 del row[c]
+    return None
 
 
 def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> list[dict]:
     """Dimension of each weight block of each degree slice of the quotient
-    ring; the generators must be weight-homogeneous, so each ideal row lies in
-    one weight block and is reduced against that block's pivots only.
+    ring; the generators must be weight-homogeneous.
 
-    A monomial of degree at most `truncation` is one int: its exponents are
-    the digits in base `truncation + 1`, the first variable the most
-    significant. No digit exceeds the truncation, so a product of monomials
-    is the sum of their ints with no carry, and int order is lex order; the
-    int, negated for `revlex`, is the monomial's elimination column. The
-    degree-n monomials are grown from the degree-(n-1) ones block by block:
-    each is kept with the first variable it may still be multiplied by, so
-    that every monomial is made once, and a block's weight is its parent's
-    plus the variable's."""
+    A monomial of degree at most N = `truncation` is one int, its column.
+    The low digits are its exponents in base `N + 1`, the first variable the
+    most significant, negated for `revlex`; their value lies within `half`
+    of 0. Above them, in units of `2*half`, sit its weight's coordinates as
+    signed digits in base `2*N*max|w| + 1`. No digit of a degree-N monomial
+    exceeds its bound, so a product of monomials is the sum of their ints
+    with no carry, and a column's weight block is `(col + half) // (2*half)`.
+    Different weights never share a column, so one pivot table per degree
+    splits along weights by itself; the sizes and ranks of the weight
+    blocks are counted at the end.
+
+    The degree-n monomials are grown from the degree-(n-1) ones in one list
+    per last variable: those ending in variable i are the degree-(n-1) ones
+    ending in a variable up to i, times variable i, so each is made once.
+
+    Two shortcuts leave the rank exact. The sum of ints keeps column order
+    under multiplication by a monomial, so the rows `m*f_1` of the first
+    generator have the distinct leads `m + lead(f_1)` and go in as pivots
+    unreduced. A later row `m*f_j` is skipped when `m` is the lead of a
+    pivot `g` that the rows of `f_1 ... f_{j-1}` made in degree `n - d_j`
+    (Faugere's F5 criterion): `g` lies in `(f_1, ..., f_{j-1})`, so
+    `g*f_j` is in the span of the earlier generators' rows, and `m - g/c`,
+    where `c` is `g`'s lead coefficient, holds only columns above `m`. So
+    `m*f_j` is in that span plus the rows `m'*f_j` with `m' > m`, and by
+    downward induction on `m` every skipped row is in the span of kept
+    rows, whatever the generators are. `owners[d]` maps each lead of a
+    degree-d pivot to the generator whose row made it."""
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown monomial order {order!r}")
     sign = 1 if order == "lex" else -1
-    nvars = len(model.variables)
+    nvars, rank = len(model.variables), model.torus_rank
     base = truncation + 1
-    steps = [sign * base ** (nvars - 1 - i) for i in range(nvars)]
+    half = base**nvars
+    width = 2 * half
+    bound = truncation * max((abs(x) for v in model.variables for x in v.weight), default=0)
+    digit = 2 * bound + 1
+    steps = [
+        sum(x * digit**k for k, x in enumerate(v.weight)) * width + sign * base ** (nvars - 1 - i)
+        for i, v in enumerate(model.variables)
+    ]
     gens = []
     for g in model.generators:
-        dg, gw = model.generator_degree(g), model.generator_weight(g)
+        dg = model.generator_degree(g)
+        model.generator_weight(g)  # refuses a weight-inhomogeneous generator
         if dg <= truncation:
-            terms = [(sum(map(mul, exps, steps)), c) for exps, c in _integer_terms(g)]
-            gens.append((dg, gw, terms))
-    variables = list(enumerate(zip(steps, (v.weight for v in model.variables))))
-    graded = [{(0,) * model.torus_rank: [(0, 0)]}]  # graded[d]: weight -> [(monomial, first)]
+            gens.append((dg, sorted((sum(map(mul, exps, steps)), c) for exps, c in _integer_terms(g))))
+    # ends[i]: the monomials whose last variable is i; 1 may take any, so it is in ends[0]
+    ends = [[0]] + [[] for _ in steps[1:]]
+    graded = [[0]]
     for _ in range(truncation):
-        grown: dict = {}
-        for w, block in graded[-1].items():
-            for i, (step, vw) in variables:
-                new = [(m + step, i) for m, first in block if first <= i]
-                if new:
-                    grown.setdefault(tuple(map(add, w, vw)), []).extend(new)
-        graded.append(grown)
+        lower, grown = [], []
+        for step, block in zip(steps, ends):
+            lower += block
+            grown.append([m + step for m in lower])
+        ends = grown
+        graded.append([m for block in ends for m in block])
+
+    def weight(w: int) -> Weight:
+        coords = []
+        for _ in range(rank):
+            x = (w + bound) % digit - bound
+            coords.append(x)
+            w = (w - x) // digit
+        return tuple(coords)
+
+    owners: list[dict[int, int]] = []
     layers = []
-    for n, blocks in enumerate(graded):
-        pivots: dict = {w: {} for w in blocks}
-        for dg, gw, terms in gens:
+    for n, monomials in enumerate(graded):
+        pivots: dict = {}
+        owners.append({})
+        for j, (dg, terms) in enumerate(gens):
             if dg > n:
                 continue
-            for w, block in graded[n - dg].items():
-                target = pivots[tuple(map(add, w, gw))]
-                for m, _ in block:
-                    _insert_row(target, {m + t: c for t, c in terms})
-        layers.append({w: len(b) - len(pivots[w]) for w, b in blocks.items() if len(b) > len(pivots[w])})
+            if j == 0:
+                lead = terms[0][0]
+                pivots = {m + lead: {m + t: c for t, c in terms} for m in graded[n - dg]}
+                owners[n] = dict.fromkeys(pivots, 0)
+                continue
+            earlier = owners[n - dg]
+            for m in graded[n - dg]:
+                if earlier.get(m, j) < j:
+                    continue
+                lead = _insert_row(pivots, {m + t: c for t, c in terms})
+                if lead is not None:
+                    owners[n][lead] = j
+        sizes = Counter((m + half) // width for m in monomials)
+        sizes.subtract((lead + half) // width for lead in pivots)
+        layers.append({weight(w): k for w, k in sizes.items() if k})
     return layers
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from catalog_documents import catalog_document
 from nilchar import cli
-from nilchar.catalog import catalog_document
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"

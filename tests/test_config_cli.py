@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catalog_documents import catalog_document
 from nilchar import oracle
-from nilchar.catalog import catalog_document, catalog_names, load_catalog_config
+from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.cli import _json_text, main
 from nilchar.config import ConfigError, config_from_dict
 from oracle_reference import hilbert_by_degree

@@ -16,8 +16,9 @@ weight multiset (the sum is one graded product per torus, with
 with `weyl_on_labels`, which built them (the sum is one pruned walk over
 the Weyl orbit), and the defaults and aliases that only tests used (the
 `RootDatum` aliases `reductive_root_datum` and `torus_datum`, `Record`'s
-per-class defaults, the rank inferred from a weight multiset and
-`CheckResult.details`), are gone; no source file, README line or build
+per-class defaults, the rank inferred from a weight multiset,
+`CheckResult.details` and the catalog's raw-document copy, now
+`tests/catalog_documents.py`), are gone; no source file, README line or build
 setting may point back to them."""
 
 from pathlib import Path
@@ -76,6 +77,7 @@ STALE = (
     "cls._defaults",
     "rank is required for an empty weight multiset",
     "def details",
+    "def catalog_document",
 )
 
 

@@ -4,12 +4,13 @@ against the product formula."""
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilchar import oracle
 from nilchar.catalog import load_catalog_config
 from nilchar.oracle import (
     AffineConeModel,
@@ -108,7 +109,7 @@ def weight_homogeneous_models(draw):
     bare = AffineConeModel(variables, ())
     coefficient = st.integers(-3, 3).filter(bool) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
     generators = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 4))):
         monomials = _monomials(nvars, draw(st.integers(1, 3)))
         seed = bare.monomial_weight(draw(st.sampled_from(monomials)))
         same = [m for m in monomials if bare.monomial_weight(m) == seed]
@@ -118,9 +119,90 @@ def weight_homogeneous_models(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(weight_homogeneous_models(), st.integers(0, 5), st.sampled_from(ORDERS))
+@given(weight_homogeneous_models(), st.integers(0, 7), st.sampled_from(ORDERS))
 def test_packed_route_matches_reference_on_random_models(model, truncation, order):
     assert_matches_reference(model, truncation, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_constant_generator_after_a_quadric(order):
+    """A degree-0 generator listed second: the F5 lookup for its rows is in
+    the degree being built, and it kills every degree."""
+    model = AffineConeModel(PLANE, ({(1, 1): 1}, {(0, 0): 3}))
+    assert graded_character_by_degree(model, 4, order).layers == [{}] * 5
+    assert_matches_reference(model, 4, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_generator_above_the_truncation_listed_first(order):
+    """The first kept generator, not the first listed, has its rows put in
+    as pivots unreduced."""
+    model = AffineConeModel(XY_MODEL.variables, ({(4, 0): 1}, {(1, 1): 1}, {(2, 0): 1}))
+    assert graded_character_by_degree(model, 3, order).masses() == [1, 2, 1, 1]
+    assert_matches_reference(model, 3, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_four_generators(order):
+    """Four generators of degrees 2, 2, 3 and 3; the third is `d*f_1 + c*f_2`,
+    so its rows reduce to zero, which the F5 criterion does not foresee."""
+    variables = (
+        ConeVariable("a", (1,)),
+        ConeVariable("b", (-1,)),
+        ConeVariable("c", (0,)),
+        ConeVariable("d", (0,)),
+    )
+    generators = (
+        {(1, 1, 0, 0): 1, (0, 0, 2, 0): -1},
+        {(0, 0, 1, 1): 2},
+        {(1, 1, 0, 1): 1, (0, 0, 2, 1): 1},
+        {(2, 1, 0, 0): 1, (1, 0, 2, 0): Fraction(-1, 2)},
+    )
+    assert_matches_reference(AffineConeModel(variables, generators), 8, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_weight_digits_at_their_bound(order):
+    """Weights with entries +-5 on rank 2 at truncation 6: the sixth powers
+    of the variables reach +-30 in each coordinate, the largest signed digit
+    in base 2*6*5 + 1."""
+    variables = (
+        ConeVariable("u", (5, -5)),
+        ConeVariable("v", (-5, 5)),
+        ConeVariable("s", (5, 5)),
+        ConeVariable("t", (-5, -5)),
+    )
+    generators = ({(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}, {(2, 1, 0, 0): 1, (1, 0, 1, 1): -1})
+    model = AffineConeModel(variables, generators)
+    top = graded_character_by_degree(model, 6, order).layers[6]
+    assert {(30, -30), (-30, 30), (30, 30), (-30, -30)} <= set(top)
+    assert_matches_reference(model, 6, order)
+
+
+@pytest.mark.parametrize("group, truncation", [("sp4-split", 7), ("sp4-split", 12), ("sl3-split", 12)])
+def test_f5_leaves_catalog_models_no_reduction_to_zero(monkeypatch, group, truncation):
+    """The catalog models' invariants form a regular sequence, so the F5
+    criterion leaves no row that reduces to zero, and every row that is
+    reduced makes a pivot. Without the criterion, sp4-split at N=12 had 924
+    zero reductions and sl3-split at N=12 had 792; at sp4 N=7 the rows
+    reduced fell from 546 to 77."""
+    leads = []
+
+    def counted(pivots, row):
+        leads.append(_insert_row(pivots, row))
+        return leads[-1]
+
+    monkeypatch.setattr(oracle, "_insert_row", counted)
+    model = load_catalog_config(group).oracle_model
+    masses = graded_character_by_degree(model, truncation).masses()
+    assert leads.count(None) == 0
+    nvars = len(model.variables)
+    first, *rest = (model.generator_degree(g) for g in model.generators)
+    free = sum(comb(nvars + n - 1, n) for n in range(truncation + 1))
+    first_rows = sum(comb(nvars + n - 1, n) for n in range(truncation + 1 - first))
+    rows = first_rows + sum(comb(nvars + n - 1, n) for d in rest for n in range(truncation + 1 - d))
+    assert len(leads) == free - sum(masses) - first_rows
+    assert 4 * len(leads) < rows
 
 
 @pytest.mark.parametrize("order", ORDERS)
