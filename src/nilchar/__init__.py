@@ -24,12 +24,14 @@ _HOMES = {
     "TorusCharacter": "charring",
     "graded_mul": "charring",
     "irreducible_character": "charring",
+    "AffineConeModel": "config",
+    "ConeVariable": "config",
     "ConfigError": "config",
     "LoadedConfig": "config",
+    "catalog_names": "config",
     "config_from_dict": "config",
+    "load_catalog_config": "config",
     "load_config_file": "config",
-    "catalog_names": "catalog",
-    "load_catalog_config": "catalog",
     "CheckResult": "ktheta",
     "Dims": "ktheta",
     "RealFormConfig": "ktheta",
@@ -48,8 +50,6 @@ _HOMES = {
     "lusztig_check": "nilcone",
     "lusztig_series": "nilcone",
     "nilcone_series": "nilcone",
-    "AffineConeModel": "oracle",
-    "ConeVariable": "oracle",
     "compare_with_formula": "oracle",
     "graded_character_by_degree": "oracle",
     "InvolutionData": "rootdata",

@@ -12,8 +12,6 @@ Negative multiplicities are first-class everywhere: alternating classes
 the typical inputs.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from operator import add, mul
 
@@ -73,7 +71,7 @@ class TorusCharacter:
         self.terms = _checked_terms(rank, terms or {})
 
     @classmethod
-    def trivial(cls, rank: int) -> TorusCharacter:
+    def trivial(cls, rank: int) -> "TorusCharacter":
         return cls(rank, {(0,) * rank: 1})
 
     def __bool__(self) -> bool:
@@ -89,21 +87,21 @@ class TorusCharacter:
     def __hash__(self):
         return hash((self.rank, frozenset(self.terms.items())))
 
-    def __add__(self, other: TorusCharacter) -> TorusCharacter:
+    def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
         return TorusCharacter(self.rank, out)
 
-    def __sub__(self, other: TorusCharacter) -> TorusCharacter:
+    def __sub__(self, other: "TorusCharacter") -> "TorusCharacter":
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) - c
         return TorusCharacter(self.rank, out)
 
-    def __neg__(self) -> TorusCharacter:
+    def __neg__(self) -> "TorusCharacter":
         return TorusCharacter(self.rank, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -126,7 +124,7 @@ class TorusCharacter:
     def items(self):
         return sorted(self.terms.items())
 
-    def _check(self, other: TorusCharacter) -> None:
+    def _check(self, other: "TorusCharacter") -> None:
         if self.rank != other.rank:
             raise ValueError(f"torus rank mismatch: {self.rank} vs {other.rank}")
 
@@ -152,7 +150,7 @@ class GradedCharacter:
         self.layers = _checked_layers(rank, truncation, layers)
 
     @classmethod
-    def trivial(cls, rank: int, truncation: int) -> GradedCharacter:
+    def trivial(cls, rank: int, truncation: int) -> "GradedCharacter":
         return cls(rank, truncation, [{(0,) * rank: 1}])
 
     def layer(self, n: int) -> TorusCharacter:
@@ -172,7 +170,7 @@ class GradedCharacter:
             and self.layers == other.layers
         )
 
-    def __add__(self, other: GradedCharacter) -> GradedCharacter:
+    def __add__(self, other: "GradedCharacter") -> "GradedCharacter":
         self._check(other)
         n = min(self.truncation, other.truncation)
         out = []
@@ -183,7 +181,7 @@ class GradedCharacter:
             out.append(layer)
         return GradedCharacter(self.rank, n, out)
 
-    def __sub__(self, other: GradedCharacter) -> GradedCharacter:
+    def __sub__(self, other: "GradedCharacter") -> "GradedCharacter":
         self._check(other)
         n = min(self.truncation, other.truncation)
         out = []
@@ -194,10 +192,10 @@ class GradedCharacter:
             out.append(layer)
         return GradedCharacter(self.rank, n, out)
 
-    def __mul__(self, other: GradedCharacter) -> GradedCharacter:
+    def __mul__(self, other: "GradedCharacter") -> "GradedCharacter":
         return graded_mul(self, other)
 
-    def _check(self, other: GradedCharacter) -> None:
+    def _check(self, other: "GradedCharacter") -> None:
         if self.rank != other.rank:
             raise ValueError(f"torus rank mismatch: {self.rank} vs {other.rank}")
 

@@ -14,18 +14,15 @@ query. A flag is written in full, as `--flag value` or `--flag=value`; the
 last of repeated values wins. `-h`/`--help` prints the table.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
-from .catalog import catalog_description, catalog_names, load_catalog_config
-from .config import ConfigError, LoadedConfig, load_config_file
-from .ktheta import dimension_check, koszul_check, theta_cone_character, theta_cone_ktypes
-from . import oracle  # called as oracle.<name>, so a wrapper set on the module sees every call
+from .config import ConfigError, LoadedConfig, catalog_description, catalog_names, load_catalog_config, load_config_file
+from .ktheta import dimension_check, koszul_check, require_split, theta_cone_character, theta_cone_ktypes
 
-# `nilcone` and `langlands` are imported inside the commands that run them,
-# so that a cold `cntheta` or `oracle-check` loads neither.
+# `nilcone`, `langlands` and `oracle` are imported inside the commands that
+# run them, so that a cold `cntheta` loads none of them. `oracle` is called
+# as `oracle.<name>`, so that a wrapper set on the module sees every call.
 
 DEFAULT_DEGREE = 10
 DEGREE_CAP = 64
@@ -133,6 +130,7 @@ def cmd_cntheta(opts) -> int:
 
 def cmd_checks(opts) -> int:
     """run the Koszul, dimension, Lusztig-route, and cone-model checks"""
+    from . import oracle
     from .nilcone import lusztig_check
 
     # A config declared split but failing its dimension identities loads
@@ -191,10 +189,15 @@ def cmd_branching(opts) -> int:
 
 def cmd_oracle_check(opts) -> int:
     """brute-force cone model versus the product formula"""
+    from . import oracle
+
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if cfg.oracle_model is None:
         raise ConfigError(f"config {cfg.label!r} has no `oracle_model` section")
+    # The comparison would refuse a non-split config; refuse it before the
+    # elimination, which is the costly part.
+    require_split(cfg.real_form, opts["--force"])
     actual = oracle.graded_character_by_degree(cfg.oracle_model, degree)
     dims = actual.masses()
     result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)

@@ -1,18 +1,99 @@
-"""Configuration loading: a JSON object model describing the group, the
+"""Configuration documents: a JSON object model describing the group, the
 involution, the K-side data, dimensions, optional torus tables, and an
-optional affine cone model. Validation failures name the offending field."""
+optional affine cone model. Validation failures name the offending field.
 
-from __future__ import annotations
+This module owns the format: it loads documents into records, defines the
+cone-model records the loader builds (`ConeVariable`, `AffineConeModel`),
+and holds the built-in groups (the catalog) as documents of the same kind."""
 
 from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
-from .oracle import AffineConeModel, ConeVariable
-from .rootdata import InvolutionData, Record, RootDatum, build_root_datum
+from .rootdata import InvolutionData, Record, RootDatum, Weight, build_root_datum, int_vector, is_int
 
 
 class ConfigError(ValueError):
     """A malformed or inconsistent configuration document."""
+
+
+class ConeVariable(Record):
+    __slots__ = ("name", "weight")
+
+    name: str
+    weight: Weight
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", int_vector(self.weight, f"variable {self.name!r}: weight"))
+
+
+class AffineConeModel(Record):
+    """Weighted polynomial ring modulo the ideal of the listed generators.
+
+    Generators map exponent tuples to rational coefficients (`int` or
+    `Fraction`) and must be homogeneous in total degree (and in weight for
+    character computations).
+    """
+
+    __slots__ = ("variables", "generators")
+
+    variables: tuple[ConeVariable, ...]
+    generators: tuple
+
+    def __post_init__(self):
+        variables = tuple(self.variables)
+        names = [v.name for v in variables]
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be unique")
+        ranks = {len(v.weight) for v in variables}
+        if len(ranks) > 1:
+            raise ValueError("variable weights must share one torus rank")
+        gens = []
+        for i, g in enumerate(self.generators):
+            terms = {}
+            for exps, c in dict(g).items():
+                exps = tuple(exps)
+                term = f"generator {i} term {exps!r}"
+                if len(exps) != len(variables):
+                    raise ValueError("generator exponent vector length mismatch")
+                if not all(is_int(e) for e in exps):
+                    raise ValueError(f"{term}: exponents must be integers")
+                if any(e < 0 for e in exps):
+                    raise ValueError("generator exponents must be non-negative")
+                # An int or a Fraction, told by its integer denominator without
+                # importing `fractions`; a float or Decimal has none, and a bool
+                # (an int) is refused by name.
+                if isinstance(c, bool) or not is_int(getattr(c, "denominator", None)):
+                    raise ValueError(f"{term}: coefficient {c!r} must be an int or a Fraction")
+                if c:
+                    terms[exps] = c
+            if not terms:
+                raise ValueError("zero generator")
+            gens.append(terms)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "generators", tuple(gens))
+
+    @property
+    def torus_rank(self) -> int:
+        return len(self.variables[0].weight) if self.variables else 0
+
+    def generator_degree(self, g) -> int:
+        degrees = {sum(exps) for exps in g}
+        if len(degrees) != 1:
+            raise ValueError(f"generator is not degree-homogeneous: degrees {sorted(degrees)}")
+        return degrees.pop()
+
+    def generator_weight(self, g) -> Weight:
+        weights = {self.monomial_weight(exps) for exps in g}
+        if len(weights) != 1:
+            raise ValueError(f"generator is not weight-homogeneous: weights {sorted(weights)}")
+        return weights.pop()
+
+    def monomial_weight(self, exps) -> Weight:
+        acc = [0] * self.torus_rank
+        for e, v in zip(exps, self.variables):
+            for i, w in enumerate(v.weight):
+                acc[i] += e * w
+        return tuple(acc)
 
 
 class LoadedConfig(Record):
@@ -20,7 +101,7 @@ class LoadedConfig(Record):
 
     label: str
     real_form: RealFormConfig
-    tori: tuple[TorusDatum, ...] | None
+    tori: "tuple[TorusDatum, ...] | None"
     oracle_model: AffineConeModel | None
 
 
@@ -104,7 +185,7 @@ def _load_involution(obj, path) -> InvolutionData:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_tori(value, path) -> tuple[TorusDatum, ...]:
+def _load_tori(value, path) -> "tuple[TorusDatum, ...]":
     from .langlands import PositiveSystem, TorusDatum  # here, so that a config without tori never loads it
 
     if not isinstance(value, list):
@@ -288,3 +369,169 @@ def load_config_file(path: str, require_split: bool = True) -> LoadedConfig:
     except RecursionError:
         raise ConfigError(f"config file {path} is nested too deeply to read") from None
     return config_from_dict(doc, require_split=require_split)
+
+
+# The catalog. Entries are plain configuration documents, loaded through the
+# same path as user-supplied JSON files, so the catalog also exercises the
+# loader. Torus tables for the branching command ship only with `sl2-split`.
+
+_SL2_SPLIT = {
+    "label": "sl2-split",
+    "group": {"cartan_matrix": [[2]]},
+    "involution": {"matrix": [[-1]]},
+    "k": {
+        "torus_rank": 1,
+        "restriction": [[1]],
+        "weights": [[0]],
+        "datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},
+    },
+    "dims": {"g": 3, "k": 1, "p": 2, "rank_split": 1},
+    "split_mod_center": True,
+    "tori": [
+        {
+            "label": "split",
+            "theta": [[-1]],
+            "positive_systems": [{"id": "pos", "imaginary_roots": [], "ell": 0}],
+        },
+        {
+            "label": "compact",
+            "theta": [[1]],
+            "positive_systems": [
+                {"id": "plus", "imaginary_roots": [[2]], "ell": 1},
+                {"id": "minus", "imaginary_roots": [[-2]], "ell": 1},
+            ],
+        },
+    ],
+    "oracle_model": {
+        "variables": [{"name": "x", "weight": [2]}, {"name": "y", "weight": [-2]}],
+        "generators": [[{"num": 1, "exponents": [1, 1]}]],
+    },
+}
+
+# Complex SL2 viewed as a real group: theta swaps the factors, K is the
+# diagonal copy. Not split modulo center; exploration only (use --force).
+_SL2XSL2_SWAP = {
+    "label": "sl2xsl2-swap",
+    "group": {"cartan_matrix": [[2, 0], [0, 2]]},
+    "involution": {"matrix": [[0, 1], [1, 0]]},
+    "k": {
+        "torus_rank": 1,
+        "restriction": [[1, 1]],
+        "weights": [[-2], [0], [2]],
+        "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    },
+    "dims": {"g": 6, "k": 3, "p": 3, "rank_split": 1},
+    "split_mod_center": False,
+}
+
+# Split SL3: K = SO(3). The K-torus coordinate is doubled so that every
+# lattice map stays integral; k has weights {-2, 0, 2} and p is the
+# five-dimensional piece {-4, -2, 0, 2, 4}. The cone model presents the
+# nilpotent symmetric traceless matrices via the quadratic and cubic trace
+# invariants in that weight basis.
+_SL3_SPLIT = {
+    "label": "sl3-split",
+    "group": {"cartan_matrix": [[2, -1], [-1, 2]]},
+    "involution": {"matrix": [[-1, 0], [0, -1]]},
+    "k": {
+        "torus_rank": 1,
+        "restriction": [[2, 0]],
+        "weights": [[-2], [0], [2]],
+        "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    },
+    "dims": {"g": 8, "k": 3, "p": 5, "rank_split": 2},
+    "split_mod_center": True,
+    "oracle_model": {
+        "variables": [
+            {"name": "v4", "weight": [4]},
+            {"name": "v2", "weight": [2]},
+            {"name": "v0", "weight": [0]},
+            {"name": "w2", "weight": [-2]},
+            {"name": "w4", "weight": [-4]},
+        ],
+        "generators": [
+            [
+                {"num": 4, "exponents": [1, 0, 0, 0, 1]},
+                {"num": 4, "exponents": [0, 1, 0, 1, 0]},
+                {"num": 3, "exponents": [0, 0, 2, 0, 0]},
+            ],
+            [
+                {"num": 2, "exponents": [0, 2, 0, 0, 1]},
+                {"num": -4, "exponents": [1, 0, 1, 0, 1]},
+                {"num": 2, "exponents": [1, 0, 0, 2, 0]},
+                {"num": 2, "exponents": [0, 1, 1, 1, 0]},
+                {"num": 1, "exponents": [0, 0, 3, 0, 0]},
+            ],
+        ],
+    },
+}
+
+# Split Sp4: K = GL2 (the Siegel Levi); the K-torus is a maximal torus of G,
+# so restriction is the change to epsilon coordinates. The cone model is a
+# pair (A, B) in S^2 plus its dual with tr(AB) and det(A)det(B) as the basic
+# invariants.
+_SP4_SPLIT = {
+    "label": "sp4-split",
+    "group": {"cartan_matrix": [[2, -2], [-1, 2]]},
+    "involution": {"matrix": [[-1, 0], [0, -1]]},
+    "k": {
+        "torus_rank": 2,
+        "restriction": [[1, 1], [0, 1]],
+        "weights": [[1, -1], [-1, 1], [0, 0], [0, 0]],
+        "datum": {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]},
+    },
+    "dims": {"g": 10, "k": 4, "p": 6, "rank_split": 2},
+    "split_mod_center": True,
+    "oracle_model": {
+        "variables": [
+            {"name": "a20", "weight": [2, 0]},
+            {"name": "a02", "weight": [0, 2]},
+            {"name": "a11", "weight": [1, 1]},
+            {"name": "b20", "weight": [-2, 0]},
+            {"name": "b02", "weight": [0, -2]},
+            {"name": "b11", "weight": [-1, -1]},
+        ],
+        "generators": [
+            [
+                {"num": 1, "exponents": [1, 0, 0, 1, 0, 0]},
+                {"num": 1, "exponents": [0, 1, 0, 0, 1, 0]},
+                {"num": 2, "exponents": [0, 0, 1, 0, 0, 1]},
+            ],
+            [
+                {"num": 1, "exponents": [1, 1, 0, 1, 1, 0]},
+                {"num": -1, "exponents": [1, 1, 0, 0, 0, 2]},
+                {"num": -1, "exponents": [0, 0, 2, 1, 1, 0]},
+                {"num": 1, "exponents": [0, 0, 2, 0, 0, 2]},
+            ],
+        ],
+    },
+}
+
+_CATALOG: dict[str, dict] = {
+    "sl2-split": _SL2_SPLIT,
+    "sl2xsl2-swap": _SL2XSL2_SWAP,
+    "sl3-split": _SL3_SPLIT,
+    "sp4-split": _SP4_SPLIT,
+}
+
+_DESCRIPTIONS = {
+    "sl2-split": "split SL2, K = SO(2); torus table and cone model included",
+    "sl2xsl2-swap": "complex SL2 as a real group (factor swap); not split, exploration only",
+    "sl3-split": "split SL3, K = SO(3); cone model included",
+    "sp4-split": "split Sp4, K = GL2; cone model included",
+}
+
+
+def catalog_names() -> list[str]:
+    return list(_CATALOG)
+
+
+def catalog_description(name: str) -> str:
+    return _DESCRIPTIONS[name]
+
+
+def load_catalog_config(name: str) -> LoadedConfig:
+    if name not in _CATALOG:
+        raise ConfigError(f"unknown catalog group {name!r}; expected one of {', '.join(_CATALOG)}")
+    return config_from_dict(_CATALOG[name])
+

@@ -11,8 +11,6 @@ most `degree_bound` roots appear. Counts are arbitrary-precision integers, so
 the table never overflows.
 """
 
-from __future__ import annotations
-
 
 def active_backend() -> str:
     """Name of the partition kernel, as the benchmark harness reports it."""

@@ -19,8 +19,6 @@ branch, and the Weyl elements whose terms are all zero are never visited. A
 and queries it for every weight. Nothing is kept between calls.
 """
 
-from __future__ import annotations
-
 from . import kernels
 from .rootdata import RootDatum, Weight, wsub
 

@@ -18,8 +18,6 @@ the Koszul sanity identity and the dimension bookkeeping that the hypothesis
 rests on.
 """
 
-from __future__ import annotations
-
 from .charring import (
     GradedCharacter,
     IrrepSeries,
@@ -175,7 +173,7 @@ def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = 
     the p weights times one factor per invariant degree of G. By the Koszul
     identity this equals the paper's restriction of C[N] times the signed
     exterior class of k; it never builds the G-torus character."""
-    _require_split(config, force)
+    require_split(config, force)
     layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank)
     return GradedCharacter(config.k_torus_rank, truncation, _times_invariant_factors(config.g_datum, layers))
 
@@ -187,12 +185,13 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
     requires the K root datum. No torus character is built."""
     if config.k_datum is None:
         raise ValueError(f"config {config.label!r} carries no K root datum")
-    _require_split(config, force)
+    require_split(config, force)
     layers = symmetric_irreps(config.k_datum, config.p_weights, truncation)
     return IrrepSeries(config.k_datum.rank, truncation, _times_invariant_factors(config.g_datum, layers))
 
 
-def _require_split(config: RealFormConfig, force: bool) -> None:
+def require_split(config: RealFormConfig, force: bool) -> None:
+    """Refuse a config that is not split modulo center, unless `force`."""
     if not config.split_mod_center and not force:
         raise SplitHypothesisError(
             f"config {config.label!r} is not split modulo center; the product formula is "

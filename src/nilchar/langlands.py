@@ -12,8 +12,6 @@ orbit codimensions are input data; this module materializes sums over them
 without attempting any orbit geometry.
 """
 
-from __future__ import annotations
-
 from .charring import GradedCharacter, graded_mul, irreducible_character
 from .ktheta import RealFormConfig, wedge_class
 from .nilcone import nilcone_series
@@ -116,7 +114,7 @@ class FormalStandardSum:
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalStandardSum) and self.terms == other.terms
 
-    def __add__(self, other: FormalStandardSum) -> FormalStandardSum:
+    def __add__(self, other: "FormalStandardSum") -> "FormalStandardSum":
         return FormalStandardSum(
             [(c, p, q) for (p, q), c in self.terms.items()]
             + [(c, p, q) for (p, q), c in other.terms.items()]

@@ -21,8 +21,6 @@ enumeration domain by height. The scan builds one
 lattice solve and one pruned Weyl-orbit walk per scanned weight.
 """
 
-from __future__ import annotations
-
 from .charring import IrrepSeries, symmetric_irreps
 from .ktheta import CheckResult
 from .rootdata import RootDatum, dominant_weights_up_to_height, wneg

@@ -1,8 +1,8 @@
 """Independent brute-force oracle: graded dimensions and torus characters of
 explicit affine cone models by fraction-free sparse integer elimination.
 
-A model is a polynomial ring with weighted degree-one variables and a list of
-homogeneous generators. Degree slices of the quotient are computed one at a
+A model (`config.AffineConeModel`) is a polynomial ring with weighted
+degree-one variables and a list of homogeneous generators. Degree slices of the quotient are computed one at a
 time: the rows (monomial times generator) of degree n are eliminated over the
 degree-n monomials, and their rank is subtracted from the slice's size. A
 monomial is one int that holds its weight above its exponents, so rows of
@@ -11,95 +11,14 @@ along weights by itself. Rows that Faugere's F5 criterion shows to lie in the
 span of the others are skipped. No Groebner basis, no floating point.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from math import gcd, lcm
 from operator import mul
 
 from .charring import GradedCharacter
+from .config import AffineConeModel
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
-from .rootdata import Record, Weight, int_vector, is_int
-
-
-class ConeVariable(Record):
-    __slots__ = ("name", "weight")
-
-    name: str
-    weight: Weight
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", int_vector(self.weight, f"variable {self.name!r}: weight"))
-
-
-class AffineConeModel(Record):
-    """Weighted polynomial ring modulo the ideal of the listed generators.
-
-    Generators map exponent tuples to rational coefficients (`int` or
-    `Fraction`) and must be homogeneous in total degree (and in weight for
-    character computations).
-    """
-
-    __slots__ = ("variables", "generators")
-
-    variables: tuple[ConeVariable, ...]
-    generators: tuple
-
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
-        ranks = {len(v.weight) for v in variables}
-        if len(ranks) > 1:
-            raise ValueError("variable weights must share one torus rank")
-        gens = []
-        for i, g in enumerate(self.generators):
-            terms = {}
-            for exps, c in dict(g).items():
-                exps = tuple(exps)
-                term = f"generator {i} term {exps!r}"
-                if len(exps) != len(variables):
-                    raise ValueError("generator exponent vector length mismatch")
-                if not all(is_int(e) for e in exps):
-                    raise ValueError(f"{term}: exponents must be integers")
-                if any(e < 0 for e in exps):
-                    raise ValueError("generator exponents must be non-negative")
-                # An int or a Fraction, told by its integer denominator without
-                # importing `fractions`; a float or Decimal has none, and a bool
-                # (an int) is refused by name.
-                if isinstance(c, bool) or not is_int(getattr(c, "denominator", None)):
-                    raise ValueError(f"{term}: coefficient {c!r} must be an int or a Fraction")
-                if c:
-                    terms[exps] = c
-            if not terms:
-                raise ValueError("zero generator")
-            gens.append(terms)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "generators", tuple(gens))
-
-    @property
-    def torus_rank(self) -> int:
-        return len(self.variables[0].weight) if self.variables else 0
-
-    def generator_degree(self, g) -> int:
-        degrees = {sum(exps) for exps in g}
-        if len(degrees) != 1:
-            raise ValueError(f"generator is not degree-homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    def generator_weight(self, g) -> Weight:
-        weights = {self.monomial_weight(exps) for exps in g}
-        if len(weights) != 1:
-            raise ValueError(f"generator is not weight-homogeneous: weights {sorted(weights)}")
-        return weights.pop()
-
-    def monomial_weight(self, exps) -> Weight:
-        acc = [0] * self.torus_rank
-        for e, v in zip(exps, self.variables):
-            for i, w in enumerate(v.weight):
-                acc[i] += e * w
-        return tuple(acc)
+from .rootdata import Weight
 
 
 def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:

@@ -7,8 +7,6 @@ explicit simple (co)roots on an arbitrary lattice, which covers reductive
 groups with central tori (e.g. GL2) and pure torus factors.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 Weight = tuple[int, ...]

@@ -3,7 +3,7 @@ files or edit them into malformed configs."""
 
 import copy
 
-from nilchar.catalog import _CATALOG
+from nilchar.config import _CATALOG
 
 
 def catalog_document(name: str) -> dict:

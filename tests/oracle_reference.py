@@ -8,7 +8,8 @@ import itertools
 from collections import Counter
 from operator import add
 
-from nilchar.oracle import AffineConeModel, _insert_row, _integer_terms
+from nilchar.config import AffineConeModel
+from nilchar.oracle import _insert_row, _integer_terms
 
 
 def _monomials(nvars: int, degree: int, order: str = "lex"):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring
-from nilchar.catalog import load_catalog_config
 from nilchar.charring import (
     GradedCharacter,
     IrrepSeries,
@@ -15,6 +14,7 @@ from nilchar.charring import (
     graded_mul,
     irreducible_character,
 )
+from nilchar.config import load_catalog_config
 from nilchar.ktheta import theta_cone_character, wedge_class
 from nilchar.nilcone import nilcone_series
 from nilchar.rootdata import (

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from catalog_documents import catalog_document
 from nilchar import oracle
-from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.cli import _json_text, main
-from nilchar.config import ConfigError, config_from_dict
+from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
+from nilchar.ktheta import SplitHypothesisError, theta_cone_character
 from oracle_reference import hilbert_by_degree
 
 
@@ -485,6 +485,34 @@ def test_oracle_check_hilbert_is_model_character_masses(capsys, monkeypatch):
     assert len(calls) == 1
     model = load_catalog_config("sp4-split").oracle_model
     assert json.loads(out)["hilbert"] == hilbert_by_degree(model, 5)
+
+
+def test_oracle_check_refuses_non_split_before_the_elimination(tmp_path, capsys, monkeypatch):
+    """A config that is not split modulo center is refused before the
+    model's elimination, the costly part (seconds at degree 40), with the
+    comparison's own message and exit status 1."""
+    doc = catalog_document("sl2xsl2-swap")
+    doc["oracle_model"] = catalog_document("sl3-split")["oracle_model"]
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(doc))
+
+    def refused(*args, **kwargs):
+        pytest.fail("oracle-check ran the elimination for a non-split config")
+
+    monkeypatch.setattr(oracle, "graded_character_by_degree", refused)
+    code, out, err = run(capsys, "oracle-check", "--group", str(path), "--degree", "40")
+    with pytest.raises(SplitHypothesisError) as refusal:
+        theta_cone_character(config_from_dict(doc).real_form, 40)
+    assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+
+
+def test_unknown_catalog_name_is_a_config_error():
+    """Like every other config failure, an unknown catalog name is a
+    ConfigError (it was a bare KeyError), naming the known groups."""
+    expected = "unknown catalog group 'sl4-split'; expected one of sl2-split, sl2xsl2-swap, sl3-split, sp4-split"
+    with pytest.raises(ConfigError) as exc:
+        load_catalog_config("sl4-split")
+    assert str(exc.value) == expected
 
 
 def test_oracle_check_missing_model(capsys):

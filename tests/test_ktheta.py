@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring, ktheta, nilcone
-from nilchar.catalog import catalog_names, load_catalog_config
 from nilchar.charring import irreducible_character, symmetric_series
 from nilchar.cli import main
+from nilchar.config import catalog_names, load_catalog_config
 from nilchar.ktheta import (
     Dims,
     RealFormConfig,

@@ -6,8 +6,8 @@ from math import comb
 import pytest
 
 from nilchar import kernels, kostant, langlands
-from nilchar.catalog import load_catalog_config
 from nilchar.charring import TorusCharacter, irreducible_character
+from nilchar.config import load_catalog_config
 from nilchar.ktheta import wedge_class
 from nilchar.langlands import (
     ContinuedParameter,

@@ -18,8 +18,10 @@ the Weyl orbit), and the defaults and aliases that only tests used (the
 `RootDatum` aliases `reductive_root_datum` and `torus_datum`, `Record`'s
 per-class defaults, the rank inferred from a weight multiset,
 `CheckResult.details` and the catalog's raw-document copy, now
-`tests/catalog_documents.py`), are gone; no source file, README line or build
-setting may point back to them."""
+`tests/catalog_documents.py`), and the catalog module (its documents and
+names are in `config`, with the cone-model records) and the `__future__`
+imports (annotations evaluate as written from Python 3.10 on), are gone; no
+source file, README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -78,6 +80,10 @@ STALE = (
     "rank is required for an empty weight multiset",
     "def details",
     "def catalog_document",
+    "nilchar.catalog",
+    "from .catalog",
+    "catalog.py",
+    "from __future__",
 )
 
 

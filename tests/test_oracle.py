@@ -11,14 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import oracle
-from nilchar.catalog import load_catalog_config
-from nilchar.oracle import (
-    AffineConeModel,
-    ConeVariable,
-    _insert_row,
-    compare_with_formula,
-    graded_character_by_degree,
-)
+from nilchar.config import AffineConeModel, ConeVariable, load_catalog_config
+from nilchar.oracle import _insert_row, compare_with_formula, graded_character_by_degree
 from oracle_reference import _monomials, hilbert_by_degree, reference_layers
 from paper_formula import nilcone_character
 

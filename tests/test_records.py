@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nilchar
-from nilchar.catalog import load_catalog_config
+from nilchar.config import load_catalog_config
 from nilchar.ktheta import CheckResult, Dims, RealFormConfig, dimension_check
 from nilchar.langlands import ContinuedParameter, FormalStandardSum
 from nilchar.rootdata import Record, classify_roots
@@ -78,30 +78,54 @@ def test_cold_json_query_loads_no_json():
     assert not loaded & {"json", "json.decoder", "json.scanner", "json.encoder"}
 
 
+# The nilchar modules every command loads: the command line, the config
+# format with the catalog, and the K-side formula with what it stands on.
+CORE_MODULES = {
+    "nilchar", "nilchar.cli", "nilchar.config", "nilchar.ktheta", "nilchar.charring", "nilchar.rootdata",
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, extra",
     [
-        ["cntheta", "--group", "sl3-split", "--degree", "0", "--json"],
-        ["cntheta", "--group", "sp4-split", "--degree", "0", "--decompose-k", "--json"],
-        ["oracle-check", "--group", "sp4-split", "--degree", "0", "--json"],
+        pytest.param(
+            ["cntheta", "--group", "sl3-split", "--degree", "0", "--json"],
+            set(),
+            id="cntheta --group sl3-split",
+        ),
+        pytest.param(
+            ["cntheta", "--group", "sl3-split", "--degree", "0", "--decompose-k", "--json"],
+            set(),
+            id="cntheta --group sl3-split --decompose-k",
+        ),
+        pytest.param(
+            ["cntheta", "--group", "sp4-split", "--degree", "0", "--decompose-k", "--json"],
+            set(),
+            id="cntheta --group sp4-split",
+        ),
+        pytest.param(
+            ["oracle-check", "--group", "sp4-split", "--degree", "0", "--json"],
+            {"nilchar.oracle"},
+            id="oracle-check --group sp4-split",
+        ),
+        pytest.param(
+            ["cn", "--group", "sl3-split", "--degree", "0", "--json"],
+            {"nilchar.nilcone"},
+            id="cn --group sl3-split",
+        ),
     ],
-    ids=lambda argv: " ".join(argv[:3]),
 )
-def test_cold_query_loads_only_the_modules_it_runs(argv):
-    """A cold `cntheta` or `oracle-check` query loads neither the branching
-    sum (`langlands`) nor the G-side cone functions (`nilcone`, `kostant`,
-    `kernels`): only `cn`, `checks` and `branching` import them."""
+def test_cold_query_loads_only_the_modules_it_runs(argv, extra):
+    """A cold query loads exactly the nilchar modules its command runs: the
+    catalog lives in `config`, the cone model's elimination (`oracle`) is
+    loaded by `oracle-check` and `checks` alone, the G-side cone functions
+    (`nilcone`) by `cn`, `checks` and `branching`, and the partition kernel
+    (`kostant`, `kernels`) and the branching sum (`langlands`) by none of
+    these. No module asks for `__future__`."""
     status, _, loaded = _cold_query(argv)
-    assert status == "0" and {"nilchar.cli", "nilchar.ktheta"} <= loaded
-    assert not loaded & {"nilchar.langlands", "nilchar.nilcone", "nilchar.kostant", "nilchar.kernels"}
-
-
-def test_cold_cn_query_loads_no_partition_kernel():
-    """`cn` runs the closed form on labels: the Lusztig scan's partition
-    kernel (`kostant`, `kernels`) is loaded only by the check that runs it."""
-    status, _, loaded = _cold_query(["cn", "--group", "sl3-split", "--degree", "0", "--json"])
-    assert status == "0" and "nilchar.nilcone" in loaded
-    assert not loaded & {"nilchar.langlands", "nilchar.kostant", "nilchar.kernels"}
+    assert status == "0"
+    assert {m for m in loaded if m.partition(".")[0] == "nilchar"} == CORE_MODULES | extra
+    assert "__future__" not in loaded
 
 
 # The package's public names, as `from nilchar import *` gives them.
