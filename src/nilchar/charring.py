@@ -373,14 +373,26 @@ class IrrepSeries:
 def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
     """Full torus character of the irreducible with highest weight `lam`, by
     Demazure's character formula ch V_lam = D_{w0}(e^lam) (Bull. Sci. Math.
-    98, 1974): one Demazure operator per letter of a reduced word of the
-    longest Weyl element w0, the last of `RootDatum.weyl_words()`."""
+    98, 1974): one Demazure operator per letter of w0's word (`_w0_word`)."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     terms = {tuple(lam): 1}
-    for i in reversed(datum.weyl_words()[-1]):
+    for i in reversed(_w0_word(datum)):
         terms = _demazure(datum, i, terms)
     return TorusCharacter(datum.rank, terms)
+
+
+def _w0_word(datum: RootDatum) -> tuple[int, ...]:
+    """The least reduced word of w0. The Dynkin labels of w^-1(rho) identify
+    w; letter i lengthens w exactly when label i is positive, and takes away
+    label i times the labels of alpha_i, column i of the Cartan matrix. Each
+    element lies below w0, so the least such letter |Phi+| times reaches w0."""
+    labels, word = (1,) * datum.nsimple, []
+    for _ in datum.positive_roots:
+        i = next(k for k, v in enumerate(labels) if v > 0)
+        word.append(i)
+        labels = tuple(v - labels[i] * row[i] for v, row in zip(labels, datum.cartan_matrix))
+    return tuple(word)
 
 
 def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight, int]:

@@ -1,4 +1,4 @@
-"""Root data, Weyl groups as reduced words, and Cartan-involution bookkeeping.
+"""Root data and Cartan-involution bookkeeping.
 
 Weights are plain integer tuples. For a datum built from a Cartan matrix the
 coordinates are taken in the basis of fundamental weights, so dominance and
@@ -135,7 +135,7 @@ def adjugate(matrix) -> tuple[Matrix, int]:
 
 class RootDatum:
     """Immutable root datum: simple (co)roots on a fixed lattice plus every
-    derived structure (positive roots, 2*rho, Weyl group).
+    derived structure (positive roots, 2*rho).
 
     Use :func:`build_root_datum` for the canonical fundamental-weight
     realization of a Cartan matrix, or construct one directly from explicit
@@ -177,7 +177,6 @@ class RootDatum:
             two_rho = wadd(two_rho, r)
         self.two_rho = two_rho
 
-        self._weyl_words: tuple[tuple[int, ...], ...] | None = None
         self._key = (rank, roots, coroots)
         self._hash = hash(self._key)
 
@@ -247,42 +246,9 @@ class RootDatum:
             out.extend([k] * (counts.get(k, 0) - counts.get(k + 1, 0)))
         return tuple(out)
 
-    # -- reflections and the Weyl group ------------------------------------
-
     def reflect(self, i: int, weight: Weight) -> Weight:
         p = wdot(weight, self.simple_coroots[i])
         return wsub(weight, wscale(p, self.simple_roots[i]))
-
-    def weyl_words(self) -> tuple[tuple[int, ...], ...]:
-        """One reduced word per Weyl group element, the least of its
-        element's reduced words, in (length, word) order; the last is w0.
-
-        A breadth-first walk on the orbit of rho in Dynkin labels: W acts
-        simply transitively on the chambers, so the labels mu of w^-1(rho)
-        identify w. Appending i to the word of w takes mu to mu - mu_i C e_i
-        (column i of the Cartan matrix holds the labels of alpha_i), and is
-        longer exactly when mu_i > 0. Each level is expanded in word order,
-        letters ascending, so an element is first reached by its least word.
-        """
-        if self._weyl_words is None:
-            columns = tuple(zip(*self.cartan_matrix))
-            start = (1,) * self.nsimple
-            seen = {start}
-            words: list[tuple[int, ...]] = [()]
-            frontier = [((), start)]
-            while frontier:
-                nxt = []
-                for word, mu in frontier:
-                    for i, column in enumerate(columns):
-                        if mu[i] > 0:
-                            nu = tuple(m - mu[i] * c for m, c in zip(mu, column))
-                            if nu not in seen:
-                                seen.add(nu)
-                                words.append(word + (i,))
-                                nxt.append((words[-1], nu))
-                frontier = nxt
-            self._weyl_words = tuple(words)
-        return self._weyl_words
 
     # -- internals ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from nilchar import kernels
 from nilchar.kostant import LusztigSum
 from nilchar.rootdata import RootDatum, Weight, is_int, wsub
-from weyl_action import act, sign
+from weyl_action import act, sign, weyl_words
 
 
 class QPolynomial:
@@ -131,13 +131,13 @@ def kostant_partition_q(datum: RootDatum, lam: Weight, truncation: int | None = 
 
 def brute_weyl_sum(datum: RootDatum, lam: Weight, mu: Weight) -> QPolynomial:
     """sum_w sign(w) P_q(w(lam + rho) - (mu + rho)) term by term, over every
-    word of `weyl_words()`, each acting by simple reflections
+    word of `weyl_action.weyl_words`, each acting by simple reflections
     (`weyl_action.act`); the polynomials come from one `kernels.partition_table`
     as high as the highest argument. rho may be a half-integral weight, so
     w(rho) - rho is taken as (w(2 rho) - 2 rho) / 2, a sum of negative roots."""
     two_rho = datum.two_rho
     terms = []
-    for word in datum.weyl_words():
+    for word in weyl_words(datum):
         arg = tuple(
             a + (r - t) // 2 - m
             for a, r, t, m in zip(act(datum, word, lam), act(datum, word, two_rho), two_rho, mu)

@@ -24,7 +24,7 @@ from nilchar.rootdata import (
 )
 from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import nilcone_character, restrict_character, restrict_graded
-from weyl_action import act, decompose_into_irreducibles, sign, weyl_dimension
+from weyl_action import act, decompose_into_irreducibles, sign, weyl_dimension, weyl_words
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -145,6 +145,31 @@ def test_irreducible_character_mass_is_weyl_dimension():
         assert irreducible_character(A2, lam).mass() == weyl_dimension(A2, lam)
 
 
+def simply_laced(n, edges):
+    """The Cartan matrix of the simply laced Dynkin diagram on n nodes."""
+    return [[2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(n)] for i in range(n)]
+
+
+E7_EDGES = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)]  # Bourbaki's numbering, from 0
+
+
+@pytest.mark.parametrize(
+    "n, edges, dim, zero", [(7, E7_EDGES, 56, 0), (8, E7_EDGES + [(6, 7)], 248, 8)], ids=["E7", "E8"]
+)
+def test_irreducible_character_reaches_e7_and_e8(n, edges, dim, zero):
+    """E7's minuscule omega_7 and E8's adjoint omega_8, whose Weyl groups have
+    2,903,040 and 696,729,600 elements: the right dimension, the zero weight
+    as often as the adjoint's rank (never for a minuscule weight), and
+    invariance under every simple reflection."""
+    datum = build_root_datum(simply_laced(n, edges))
+    lam = (0,) * (n - 1) + (1,)
+    ch = irreducible_character(datum, lam)
+    assert ch.mass() == weyl_dimension(datum, lam) == dim
+    assert ch.terms.get((0,) * n, 0) == zero
+    for i in range(n):
+        assert {datum.reflect(i, w): c for w, c in ch.terms.items()} == ch.terms
+
+
 def test_irreducible_character_rejects_non_dominant():
     with pytest.raises(ValueError):
         irreducible_character(A2, (-1, 0))
@@ -174,7 +199,7 @@ def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound)
     for lam in lams:
         numerator = TorusCharacter(datum.rank)
         shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
-        for word in datum.weyl_words():
+        for word in weyl_words(datum):
             doubled = tuple(a - r for a, r in zip(act(datum, word, shifted), two_rho))
             assert all(v % 2 == 0 for v in doubled)
             numerator = numerator + TorusCharacter(datum.rank, {tuple(v // 2 for v in doubled): sign(word)})

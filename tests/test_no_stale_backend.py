@@ -19,9 +19,12 @@ the Weyl orbit), and the defaults and aliases that only tests used (the
 per-class defaults, the rank inferred from a weight multiset,
 `CheckResult.details` and the catalog's raw-document copy, now
 `tests/catalog_documents.py`), and the catalog module (its documents and
-names are in `config`, with the cone-model records) and the `__future__`
-imports (annotations evaluate as written from Python 3.10 on), are gone; no
-source file, README line or build setting may point back to them."""
+names are in `config`, with the cone-model records), the `__future__`
+imports (annotations evaluate as written from Python 3.10 on) and
+`RootDatum.weyl_words` with its `_weyl_words` memo, the library's last
+cache (the listing is now `tests/weyl_action.py`'s, and
+`irreducible_character` reads w0's word off rho), are gone; no source file,
+README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -84,6 +87,8 @@ STALE = (
     "from .catalog",
     "catalog.py",
     "from __future__",
+    "weyl_words",
+    "_weyl_words",
 )
 
 

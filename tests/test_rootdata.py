@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from nilchar import charring
 from nilchar.rootdata import (
     InvolutionData,
     RootDatum,
@@ -15,7 +16,7 @@ from nilchar.rootdata import (
     mat_mul,
     wneg,
 )
-from weyl_action import act, weyl_dimension, weyl_orbit
+from weyl_action import act, weyl_dimension, weyl_orbit, weyl_words
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -62,11 +63,11 @@ WEYL_ORDERS = [(A1, 2), (A2, 6), (B2, 8), (A1A1, 4), (G2, 12), (A4, 120), (D4, 1
 
 
 def test_weyl_group_orders():
-    """weyl_words() gives |W| words in (length, word) order, with distinct
+    """weyl_words gives |W| words in (length, word) order, with distinct
     images of rho."""
     for cartan, order in WEYL_ORDERS:
         datum = build_root_datum(cartan)
-        words = datum.weyl_words()
+        words = weyl_words(datum)
         assert len(words) == order, cartan
         assert list(words) == sorted(words, key=lambda w: (len(w), w)), cartan
         assert len({act(datum, w, datum.two_rho) for w in words}) == order, cartan
@@ -77,7 +78,7 @@ def test_weyl_lengths_match_inversions():
     for cartan, _ in WEYL_ORDERS:
         datum = build_root_datum(cartan)
         positive = set(datum.positive_roots)
-        for w in datum.weyl_words():
+        for w in weyl_words(datum):
             inversions = sum(wneg(act(datum, w, r)) in positive for r in datum.positive_roots)
             assert len(w) == inversions, (cartan, w)
 
@@ -86,9 +87,21 @@ def test_longest_element():
     """Only the last word, w0, has length |positive roots|."""
     for cartan, _ in WEYL_ORDERS:
         datum = build_root_datum(cartan)
-        words = datum.weyl_words()
+        words = weyl_words(datum)
         assert max(len(w) for w in words[:-1]) < len(words[-1]) == len(datum.positive_roots), cartan
-    assert [len(w) for w in build_root_datum(A2).weyl_words()] == [0, 1, 1, 2, 2, 3]
+    assert [len(w) for w in weyl_words(build_root_datum(A2))] == [0, 1, 1, 2, 2, 3]
+
+
+def test_w0_word_is_the_last_listed_word():
+    """The word `irreducible_character` reads off rho is w0's least reduced
+    word, the last of the listing, so its Demazure operators run in the
+    listing's order; it has one letter per positive root."""
+    data = [build_root_datum(cartan) for cartan, _ in WEYL_ORDERS]
+    data += [RootDatum(2, [(1, -1)], [(1, -1)]), RootDatum(1, (), ())]
+    for datum in data:
+        word = charring._w0_word(datum)
+        assert word == weyl_words(datum)[-1], datum
+        assert len(word) == len(datum.positive_roots), datum
 
 
 @pytest.mark.parametrize("bad", [1.5, True, 2.0])
@@ -259,7 +272,7 @@ def test_dominant_rep_and_orbit():
 def test_reductive_datum_gl2():
     gl2 = RootDatum(2, [(1, -1)], [(1, -1)])
     assert gl2.positive_roots == ((1, -1),)
-    assert gl2.weyl_words() == ((), (0,))
+    assert weyl_words(gl2) == ((), (0,))
     assert gl2.is_dominant((3, 1)) and not gl2.is_dominant((1, 3))
 
 
@@ -267,7 +280,7 @@ def test_torus_datum():
     t = RootDatum(2, (), ())
     assert t.positive_roots == ()
     assert t.is_dominant((-5, 3))
-    assert t.weyl_words() == ((),)
+    assert weyl_words(t) == ((),)
 
 
 def test_weyl_dimension():

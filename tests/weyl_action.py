@@ -1,9 +1,9 @@
-"""The Weyl group acting on weights, Weyl's dimension formula, and the
-decomposition of a Weyl-invariant character off the Weyl denominator, kept
-on the test side: the element with reduced word (i_1, ..., i_k) is
-s_{i_1} ... s_{i_k}, so its simple reflections apply last letter first. The
-decomposition is the reference that the K-types on highest-weight labels
-(`theta_cone_ktypes`) are held to."""
+"""The Weyl group listed as reduced words and acting on weights, Weyl's
+dimension formula, and the decomposition of a Weyl-invariant character off
+the Weyl denominator, kept on the test side: the element with reduced word
+(i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple reflections apply last
+letter first. The decomposition is the reference that the K-types on
+highest-weight labels (`theta_cone_ktypes`) are held to."""
 
 from nilchar.charring import TorusCharacter
 from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
@@ -18,6 +18,36 @@ def act(datum, word, weight):
 
 def sign(word) -> int:
     return -1 if len(word) % 2 else 1
+
+
+def weyl_words(datum) -> tuple[tuple[int, ...], ...]:
+    """One reduced word per Weyl group element, the least of its element's
+    reduced words, in (length, word) order; the last is w0.
+
+    A breadth-first walk on the orbit of rho in Dynkin labels: W acts simply
+    transitively on the chambers, so the labels mu of w^-1(rho) identify w.
+    Appending i to the word of w takes mu to mu - mu_i C e_i (column i of the
+    Cartan matrix holds the labels of alpha_i), and is longer exactly when
+    mu_i > 0. Each level is expanded in word order, letters ascending, so an
+    element is first reached by its least word.
+    """
+    columns = tuple(zip(*datum.cartan_matrix))
+    start = (1,) * datum.nsimple
+    seen = {start}
+    words: list[tuple[int, ...]] = [()]
+    frontier = [((), start)]
+    while frontier:
+        nxt = []
+        for word, mu in frontier:
+            for i, column in enumerate(columns):
+                if mu[i] > 0:
+                    nu = tuple(m - mu[i] * c for m, c in zip(mu, column))
+                    if nu not in seen:
+                        seen.add(nu)
+                        words.append(word + (i,))
+                        nxt.append((words[-1], nu))
+        frontier = nxt
+    return tuple(words)
 
 
 def weyl_orbit(datum, weight: Weight) -> set[Weight]:
