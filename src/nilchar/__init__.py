@@ -37,6 +37,7 @@ _HOMES = {
     "RealFormConfig": "ktheta",
     "SplitHypothesisError": "ktheta",
     "dimension_check": "ktheta",
+    "k_invariant_check": "ktheta",
     "koszul_check": "ktheta",
     "theta_cone_character": "ktheta",
     "theta_cone_ktypes": "ktheta",

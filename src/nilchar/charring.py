@@ -18,31 +18,33 @@ from operator import add, mul
 from .rootdata import RootDatum, Weight, is_int, wadd, wdot
 
 
-def _refuse_non_int_entries(weights, where: str = "") -> None:
-    """A weight with an entry that is not an int (`is_int`) is a ValueError
-    naming it. The types of all entries are collected in one pass, so weights
-    of plain ints cost no Python call per entry; only a stray type leads to
-    the search for the weight that holds it."""
+def _refuse_bad_weights(weights, rank: int, where: str = "") -> None:
+    """A weight with an entry that is not an int (`is_int`), or whose length
+    is not `rank`, is a ValueError naming it. The types of all entries and
+    the lengths are collected in one pass each, so weights of plain ints of
+    the right length cost no Python call per entry; only a stray type or
+    length leads to the search for the weight that has it."""
     if set(map(type, chain.from_iterable(weights))) - {int}:
         for w in weights:
             if not all(map(is_int, w)):
                 raise ValueError(f"weight {w}{where} has an entry that is not an integer")
+    if set(map(len, weights)) - {rank}:
+        for w in weights:
+            if len(w) != rank:
+                raise ValueError(f"weight {w} does not have rank {rank}")
 
 
 def _checked_terms(rank: int, terms, where: str = "") -> dict[Weight, int]:
     """A new dict of `terms` (weight -> multiplicity), keyed by tuples, with
     zero multiplicities dropped. A weight of another rank, or an entry or
     multiplicity that is not an int, is a ValueError naming it. As in
-    `_refuse_non_int_entries`, the ranks and the multiplicity types are
-    collected in one pass each; only a bad one leads to the search for the
-    item that holds it, and the dict is rebuilt only when it holds a zero or
-    a key that is not a tuple."""
+    `_refuse_bad_weights`, the multiplicity types are collected in one pass;
+    only a bad one leads to the search for the item that holds it, and the
+    dict is rebuilt only when it holds a zero or a key that is not a tuple."""
     terms = dict(terms)
-    _refuse_non_int_entries(terms, where)
-    if set(map(len, terms)) - {rank} or set(map(type, terms.values())) - {int}:
+    _refuse_bad_weights(terms, rank, where)
+    if set(map(type, terms.values())) - {int}:
         for w, c in terms.items():
-            if len(w) != rank:
-                raise ValueError(f"weight {w} does not have rank {rank}")
             if not is_int(c):
                 raise ValueError(f"multiplicity of {w}{where} = {c!r} is not an integer")
     if not all(terms.values()) or set(map(type, terms)) - {tuple}:
@@ -234,19 +236,61 @@ def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
     return GradedCharacter(a.rank, n, out)
 
 
-def symmetric_series(weights, truncation: int, rank: int) -> list[dict[Weight, int]]:
-    """Torus layers s_0..s_truncation of the graded symmetric algebra of a
-    weight multiset (weight w in degree 1): the product over weights w of
-    1 / (1 - e^w q). The layers are unchecked, as `symmetric_irreps`
-    returns them; the caller builds the one `GradedCharacter` it needs."""
-    layers = [{(0,) * rank: 1}] + [dict() for _ in range(truncation)]
-    for w in weights:
+def weight_codec(weights, truncation: int, rank: int):
+    """Each weight as one int, and the function that turns layers keyed by
+    sums of at most `truncation` of those ints back into layers keyed by
+    weight tuples, with zero multiplicities dropped.
+
+    The coordinates are signed digits in base 2 * bound + 1, the first
+    coordinate the least significant, with bound = truncation * max|w|. No
+    coordinate of a sum of at most `truncation` weights exceeds the bound,
+    so the int of such a sum is the sum of the ints, with no carry. A weight
+    whose length is not `rank`, or with an entry that is not an int, is a
+    ValueError naming it."""
+    _refuse_bad_weights(weights, rank)
+    bound = truncation * max(map(abs, chain.from_iterable(weights)), default=0)
+    digit = 2 * bound + 1
+    scales = [digit**k for k in range(rank)]
+    offset = bound * sum(scales)
+
+    def unpack(layers: list[dict[int, int]]) -> list[dict[Weight, int]]:
+        # Each int once, however many layers hold it.
+        weight = {}
+        for v in set().union(*layers):
+            u, coords = v + offset, []
+            for _ in scales:
+                u, x = divmod(u, digit)
+                coords.append(x - bound)
+            weight[v] = tuple(coords)
+        return [{weight[v]: c for v, c in layer.items() if c} for layer in layers]
+
+    return [sum(map(mul, w, scales)) for w in weights], unpack
+
+
+def packed_symmetric_series(weights, truncation: int, rank: int):
+    """The layers s_0..s_truncation of `symmetric_series`, keyed by the ints
+    of `weight_codec`, and its function that unpacks them. One weight times
+    one layer is one int sum per entry, with no weight tuple built."""
+    weights = [tuple(w) for w in weights]
+    packed, unpack = weight_codec(weights, truncation, rank)
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(truncation)]
+    for w in packed:
         for n in range(1, truncation + 1):
             layer = layers[n]
             for v, c in layers[n - 1].items():
-                key = tuple(map(add, v, w))
+                key = v + w
                 layer[key] = layer.get(key, 0) + c
-    return layers
+    return layers, unpack
+
+
+def symmetric_series(weights, truncation: int, rank: int) -> list[dict[Weight, int]]:
+    """Torus layers s_0..s_truncation of the graded symmetric algebra of a
+    weight multiset (weight w in degree 1): the product over weights w of
+    1 / (1 - e^w q), computed on packed weights (`packed_symmetric_series`).
+    The layers are plain dicts, as `symmetric_irreps` returns them; the
+    caller builds the one `GradedCharacter` it needs."""
+    layers, unpack = packed_symmetric_series(weights, truncation, rank)
+    return unpack(layers)
 
 
 def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[Weight, int]]:
@@ -264,7 +308,7 @@ def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[We
     Weyl-invariant.
     """
     weights = [tuple(w) for w in weights]
-    _refuse_non_int_entries(weights)
+    _refuse_bad_weights(weights, datum.rank)
     zero = (0,) * datum.rank
     layers: list[dict[Weight, int]] = [{zero: 1}]
     # strings[j] holds sum_{k=1..n} e^{k w_j} * h_{n-k} for the weight w_j, as

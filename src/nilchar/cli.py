@@ -2,8 +2,9 @@
 
 Commands: catalog, cn, cntheta, checks, branching, oracle-check. Output is
 byte-stable across runs: fixed sort orders, no timestamps. `--json` output
-is `json.dumps(payload, sort_keys=True)`, written by CPython's C encoder
-(`_json`) without loading the `json` package. Exit codes:
+is `json.dumps(payload, sort_keys=True)`, written without loading the `json`
+package: the series rows of `cn` and `cntheta` straight from the layers
+(`_json_rows`), everything else by CPython's C encoder (`_json`). Exit codes:
 0 success, 1 usage or configuration error, 2 check failure, and, from a
 process run by `entry`, 141 when the reader of stdout went away. `main()` is
 the in-process API; `entry()` runs it as a whole process.
@@ -18,7 +19,14 @@ import os
 import sys
 
 from .config import ConfigError, LoadedConfig, catalog_description, catalog_names, load_catalog_config, load_config_file
-from .ktheta import dimension_check, koszul_check, require_split, theta_cone_character, theta_cone_ktypes
+from .ktheta import (
+    dimension_check,
+    k_invariant_check,
+    koszul_check,
+    require_split,
+    theta_cone_character,
+    theta_cone_ktypes,
+)
 
 # `nilcone`, `langlands` and `oracle` are imported inside the commands that
 # run them, so that a cold `cntheta` loads none of them. `oracle` is called
@@ -78,12 +86,31 @@ def _emit(payload: dict, rows: list[dict], columns: list[str], as_json: bool) ->
         print("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
 
 
-def _weight_rows(records: list[dict], key: str, as_json: bool) -> list[dict]:
-    """`to_records()` rows, passed through for JSON; for text, with the
-    weight column `key` written compactly."""
+def _json_rows(layers: list[dict], key: str) -> str:
+    """`_json_text(rows)` of the `to_records()` rows of a series with these
+    `layers`, its weights under `key`, written straight from the layers:
+    each row is one format string with its keys in sorted order, and each
+    weight is written once (`str` of a list of ints is its JSON)."""
+    weight_first = key < "multiplicity"
+    text = {w: str(list(w)) for w in set().union(*layers)}
+    rows = []
+    for n, layer in enumerate(layers):
+        if weight_first:
+            rows += [f'{{"degree": {n}, "{key}": {text[w]}, "multiplicity": {layer[w]}}}' for w in sorted(layer)]
+        else:
+            rows += [f'{{"degree": {n}, "multiplicity": {layer[w]}, "{key}": {text[w]}}}' for w in sorted(layer)]
+    return "[" + ", ".join(rows) + "]"
+
+
+def _emit_series(payload: dict, series, key: str, as_json: bool) -> None:
+    """`_emit` of `series.to_records()`, its weights under `key`. For JSON the
+    rows come from `_json_rows` and are spliced in after the header, where
+    `"rows"` sorts; for text the weights are written compactly."""
     if as_json:
-        return records
-    return [{**r, key: "[" + ",".join(str(v) for v in r[key]) + "]"} for r in records]
+        print(_json_text(payload)[:-1] + ', "rows": ' + _json_rows(series.layers, key) + "}")
+        return
+    rows = [{**r, key: "[" + ",".join(str(v) for v in r[key]) + "]"} for r in series.to_records()]
+    _emit(payload, rows, ["degree", key, "multiplicity"], False)
 
 
 def cmd_catalog(opts) -> int:
@@ -100,12 +127,7 @@ def cmd_cn(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
-    _emit(
-        {"command": "cn", "group": cfg.label, "degree": degree},
-        _weight_rows(series.to_records(), "highest_weight", opts["--json"]),
-        ["degree", "highest_weight", "multiplicity"],
-        opts["--json"],
-    )
+    _emit_series({"command": "cn", "group": cfg.label, "degree": degree}, series, "highest_weight", opts["--json"])
     return 0
 
 
@@ -114,22 +136,15 @@ def cmd_cntheta(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if opts["--decompose-k"]:
-        records = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"]).to_records()
-        key = "highest_weight"
+        series, key = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"]), "highest_weight"
     else:
-        records = theta_cone_character(cfg.real_form, degree, force=opts["--force"]).to_records()
-        key = "weight"
-    _emit(
-        {"command": "cntheta", "group": cfg.label, "degree": degree},
-        _weight_rows(records, key, opts["--json"]),
-        ["degree", key, "multiplicity"],
-        opts["--json"],
-    )
+        series, key = theta_cone_character(cfg.real_form, degree, force=opts["--force"]), "weight"
+    _emit_series({"command": "cntheta", "group": cfg.label, "degree": degree}, series, key, opts["--json"])
     return 0
 
 
 def cmd_checks(opts) -> int:
-    """run the Koszul, dimension, Lusztig-route, and cone-model checks"""
+    """run the Koszul, dimension, Lusztig-route, K-invariant and cone-model checks"""
     from . import oracle
     from .nilcone import lusztig_check
 
@@ -143,12 +158,20 @@ def cmd_checks(opts) -> int:
     results.append(("koszul", koszul_check(rf.k_weights, degree, rank=rf.k_torus_rank), None))
     results.append(("dimensions", dimension_check(rf), None))
     results.append(("lusztig-vs-harmonics", lusztig_check(rf.g_datum, degree), None))
+    split = rf.split_mod_center or opts["--force"]
+    not_split = "skipped: config is not split modulo center"
+    if rf.k_datum is None:
+        results.append(("k-invariants", None, "skipped: config carries no K root datum"))
+    elif split:
+        results.append(("k-invariants", k_invariant_check(rf, degree, opts["--force"]), None))
+    else:
+        results.append(("k-invariants", None, not_split))
     if cfg.oracle_model is not None:
-        if rf.split_mod_center or opts["--force"]:
+        if split:
             res = oracle.compare_with_formula(rf, cfg.oracle_model, degree, force=opts["--force"])
             results.append(("oracle", res, None))
         else:
-            results.append(("oracle", None, "skipped: config is not split modulo center"))
+            results.append(("oracle", None, not_split))
     rows = []
     ok = True
     for name, res, note in results:

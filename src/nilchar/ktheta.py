@@ -14,14 +14,15 @@ the invariant degrees d_i of G, in two forms that share one factor loop: on
 the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
 (`theta_cone_ktypes`: S(p) by Newton's identity with Brauer-Klimyk
 straightening, as for C[N]), which builds no torus character. Alongside are
-the Koszul sanity identity and the dimension bookkeeping that the hypothesis
-rests on.
+the Koszul sanity identity, the dimension bookkeeping that the hypothesis
+rests on, and the check that the trivial K-type occurs in degree 0 only.
 """
 
 from .charring import (
     GradedCharacter,
     IrrepSeries,
     graded_mul,
+    packed_symmetric_series,
     symmetric_irreps,
     symmetric_series,
 )
@@ -172,10 +173,13 @@ def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = 
     Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}): the symmetric algebra on
     the p weights times one factor per invariant degree of G. By the Koszul
     identity this equals the paper's restriction of C[N] times the signed
-    exterior class of k; it never builds the G-torus character."""
+    exterior class of k; it never builds the G-torus character. S(p) and
+    the factors run on packed weights (`charring.packed_symmetric_series`),
+    unpacked once at the end."""
     require_split(config, force)
-    layers = symmetric_series(config.p_weights, truncation, rank=config.k_torus_rank)
-    return GradedCharacter(config.k_torus_rank, truncation, _times_invariant_factors(config.g_datum, layers))
+    layers, unpack = packed_symmetric_series(config.p_weights, truncation, config.k_torus_rank)
+    layers = unpack(_times_invariant_factors(config.g_datum, layers))
+    return GradedCharacter(config.k_torus_rank, truncation, layers)
 
 
 def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:
@@ -190,6 +194,25 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
     return IrrepSeries(config.k_datum.rank, truncation, _times_invariant_factors(config.g_datum, layers))
 
 
+def k_invariant_check(config: RealFormConfig, truncation: int, force: bool) -> CheckResult:
+    """The trivial K-type occurs in C[N_theta] in degree 0 only, once.
+
+    K has finitely many orbits on N_theta, each with 0 in its closure
+    (Kostant-Rallis), so a K-invariant function on N_theta is constant;
+    equivalently S(p)^K is a polynomial ring with generators in the degrees
+    d_i. The product formula does not make this true: the check holds the
+    invariant degrees of G against p, on K's labels (`theta_cone_ktypes`)."""
+    series = theta_cone_ktypes(config, truncation, force)
+    zero = (0,) * series.rank
+    for n, layer in enumerate(series.layers):
+        m = layer.get(zero, 0)
+        if m != (n == 0):
+            return CheckResult(
+                False, (f"trivial K-type has multiplicity {m} in degree {n}, expected {int(n == 0)}",)
+            )
+    return CheckResult(True, (f"trivial K-type occurs once, in degree 0, through degree {truncation}",))
+
+
 def require_split(config: RealFormConfig, force: bool) -> None:
     """Refuse a config that is not split modulo center, unless `force`."""
     if not config.split_mod_center and not force:
@@ -200,8 +223,8 @@ def require_split(config: RealFormConfig, force: bool) -> None:
 
 
 def _times_invariant_factors(g: RootDatum, layers: list[dict]) -> list[dict]:
-    """`layers` (torus weights or labels, each mapped to its multiplicity)
-    times prod_i (1 - q^{d_i}) over the invariant degrees of G, in place:
+    """`layers` (packed torus weights or labels, each mapped to its
+    multiplicity) times prod_i (1 - q^{d_i}) over the invariant degrees of G, in place:
     d_i = e_i + 1 over the exponents and d = 1 for each central direction."""
     truncation = len(layers) - 1
     degrees = [e + 1 for e in g.exponents] + [1] * (g.rank - len(g.exponents))

@@ -15,10 +15,9 @@ from collections import Counter
 from math import gcd, lcm
 from operator import mul
 
-from .charring import GradedCharacter
+from .charring import GradedCharacter, weight_codec
 from .config import AffineConeModel
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
-from .rootdata import Weight
 
 
 def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
@@ -61,8 +60,8 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
     A monomial of degree at most N = `truncation` is one int, its column.
     The low digits are its exponents in base `N + 1`, the first variable the
     most significant, negated for `revlex`; their value lies within `half`
-    of 0. Above them, in units of `2*half`, sit its weight's coordinates as
-    signed digits in base `2*N*max|w| + 1`. No digit of a degree-N monomial
+    of 0. Above them, in units of `2*half`, sits its weight's int from
+    `charring.weight_codec`: signed digits in base `2*N*max|w| + 1`. No digit of a degree-N monomial
     exceeds its bound, so a product of monomials is the sum of their ints
     with no carry, and a column's weight block is `(col + half) // (2*half)`.
     Different weights never share a column, so one pivot table per degree
@@ -88,16 +87,12 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown monomial order {order!r}")
     sign = 1 if order == "lex" else -1
-    nvars, rank = len(model.variables), model.torus_rank
+    nvars = len(model.variables)
     base = truncation + 1
     half = base**nvars
     width = 2 * half
-    bound = truncation * max((abs(x) for v in model.variables for x in v.weight), default=0)
-    digit = 2 * bound + 1
-    steps = [
-        sum(x * digit**k for k, x in enumerate(v.weight)) * width + sign * base ** (nvars - 1 - i)
-        for i, v in enumerate(model.variables)
-    ]
+    packed, unpack = weight_codec([v.weight for v in model.variables], truncation, model.torus_rank)
+    steps = [w * width + sign * base ** (nvars - 1 - i) for i, w in enumerate(packed)]
     gens = []
     for g in model.generators:
         dg = model.generator_degree(g)
@@ -114,14 +109,6 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
             grown.append([m + step for m in lower])
         ends = grown
         graded.append([m for block in ends for m in block])
-
-    def weight(w: int) -> Weight:
-        coords = []
-        for _ in range(rank):
-            x = (w + bound) % digit - bound
-            coords.append(x)
-            w = (w - x) // digit
-        return tuple(coords)
 
     owners: list[dict[int, int]] = []
     layers = []
@@ -145,8 +132,8 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
                     owners[n][lead] = j
         sizes = Counter((m + half) // width for m in monomials)
         sizes.subtract((lead + half) // width for lead in pivots)
-        layers.append({weight(w): k for w, k in sizes.items() if k})
-    return layers
+        layers.append(sizes)
+    return unpack(layers)
 
 
 def graded_character_by_degree(

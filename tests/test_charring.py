@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring
@@ -13,6 +13,8 @@ from nilchar.charring import (
     TorusCharacter,
     graded_mul,
     irreducible_character,
+    symmetric_irreps,
+    symmetric_series,
 )
 from nilchar.config import load_catalog_config
 from nilchar.ktheta import theta_cone_character, wedge_class
@@ -427,3 +429,54 @@ def test_irreducible_character_matches_weyl_sums():
                 assert weyl_multiplicity(datum, lam, mu) == m, (lam, mu)
                 checked += 1
     assert checked > 250
+
+
+def tuple_symmetric_series(weights, truncation, rank):
+    """The reference for `symmetric_series`: the product of the factors
+    1 / (1 - e^w q), one weight at a time, on weight tuples."""
+    layers = [{(0,) * rank: 1}] + [{} for _ in range(truncation)]
+    for w in weights:
+        for n in range(1, truncation + 1):
+            for v, c in layers[n - 1].items():
+                key = tuple(a + b for a, b in zip(v, w))
+                layers[n][key] = layers[n].get(key, 0) + c
+    return layers
+
+
+@st.composite
+def weight_multisets(draw):
+    """(rank, weights): ranks 0-3, entries within a drawn top, often at
+    +-top (the digit bound of the packed route), drawn from a small pool so
+    that weights repeat, with the zero weight in the pool."""
+    rank = draw(st.integers(0, 3))
+    top = draw(st.integers(0, 3))
+    entry = st.sampled_from([-top, top]) | st.integers(-top, top)
+    pool = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=4)) + [(0,) * rank]
+    return rank, draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_multisets(), st.integers(0, 8))
+@example((2, [(3, -3), (3, -3), (-3, 3), (-3, -3)]), 8)
+@example((3, [(-2, 2, -2)] * 3 + [(2, -2, 2)] * 3), 8)
+@example((0, [(), (), ()]), 5)
+@example((1, []), 4)
+def test_symmetric_series_is_the_tuple_product(multiset, truncation):
+    """The packed series against the plain product, weight tuples keyed;
+    each degree-n coordinate may reach n * top, with no carry between
+    digits."""
+    rank, weights = multiset
+    assert symmetric_series(weights, truncation, rank) == tuple_symmetric_series(weights, truncation, rank)
+
+
+def test_series_refuse_a_weight_of_the_wrong_length():
+    """A weight that is longer or shorter than the rank is named, not cut or
+    read as a weight of the rank."""
+    with pytest.raises(ValueError, match=r"^weight \(1, 2, 3\) does not have rank 2$"):
+        symmetric_series([(1, 2, 3)], 2, rank=2)
+    with pytest.raises(ValueError, match=r"^weight \(1,\) does not have rank 2$"):
+        symmetric_series([(1, 2), (1,)], 2, rank=2)
+    with pytest.raises(ValueError, match=r"^weight \(2, 5\) does not have rank 1$"):
+        symmetric_irreps(A1, [(2, 5), (-2, 5), (0, 5)], 3)
+    with pytest.raises(ValueError, match=r"^weight \(\) does not have rank 2$"):
+        symmetric_irreps(A2, [(1, 0), (-1, 1), ()], 3)

@@ -4,6 +4,7 @@ skipping the interpreter's teardown. Every test here runs a child process;
 none calls `entry()` in process, since that would end the test run."""
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -54,6 +55,36 @@ def test_process_stdout_is_the_in_process_output(args, tmp_path, capsys):
     proc = run_process(args, tmp_path, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["cntheta", "--group", "sl3-split", "--degree", "15", "--json"],
+            "eadbd1ae59ade319bab4deaa8dc84d48a9dd14dac2f27b4d1e95f990b8ea8853",
+        ),
+        (
+            ["cntheta", "--group", "sp4-split", "--degree", "8", "--decompose-k", "--json"],
+            "aca1f09753d9292f761c02d15d343ce730efa4e7dae9937ca0d808716f90d508",
+        ),
+        (
+            ["oracle-check", "--group", "sp4-split", "--degree", "7", "--json"],
+            "234bf338a80ac104cdc4b9bd269bc33126fd85fa4d198267c1393afee313dd74",
+        ),
+        (
+            ["cn", "--group", "sp4-split", "--degree", "20", "--json"],
+            "dff84b757c124d1904d7c53dc7e62521a16675c7848e3f4a0fa6c11ed2351040",
+        ),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value[:8],
+)
+def test_process_stdout_digest_is_pinned(args, digest, tmp_path):
+    """The stdout of these commands has kept the same sha256 through every
+    change of how it is computed and written."""
+    proc = run_process(args, tmp_path, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_process_unknown_group_is_exit_1_with_its_error_line(tmp_path):

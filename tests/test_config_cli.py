@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from catalog_documents import catalog_document
 from nilchar import oracle
-from nilchar.cli import _json_text, main
+from nilchar.charring import GradedCharacter, IrrepSeries
+from nilchar.cli import _json_rows, _json_text, main
 from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
-from nilchar.ktheta import SplitHypothesisError, theta_cone_character
+from nilchar.ktheta import SplitHypothesisError, theta_cone_character, theta_cone_ktypes
+from nilchar.nilcone import nilcone_series
 from oracle_reference import hilbert_by_degree
 
 
@@ -378,8 +380,9 @@ def test_cntheta_decompose_k(capsys):
 def test_checks_pass(capsys):
     code, out, _ = run(capsys, "checks", "--group", "sl2-split", "--degree", "10")
     assert code == 0
-    assert out.count("[PASS]") == 4
+    assert out.count("[PASS]") == 5
     assert "[PASS] lusztig-vs-harmonics" in out
+    assert "[PASS] k-invariants" in out
 
 
 def test_checks_degree_zero_vacuous(capsys):
@@ -409,6 +412,27 @@ def test_checks_skips_oracle_when_not_split(tmp_path, capsys):
     code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "4")
     assert code == 0
     assert "[SKIP] oracle" in out
+
+
+def test_checks_k_invariants_skip_unforced_and_fail_forced_on_swap(capsys):
+    code, out, _ = run(capsys, "checks", "--group", "sl2xsl2-swap", "--degree", "4")
+    assert code == 0
+    assert "[SKIP] k-invariants\n    skipped: config is not split modulo center\n" in out
+    code, out, _ = run(capsys, "checks", "--group", "sl2xsl2-swap", "--degree", "4", "--force")
+    assert code == 2
+    assert "[FAIL] k-invariants\n    trivial K-type has multiplicity -1 in degree 2, expected 0\n" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_checks_k_invariants_skip_without_k_datum(tmp_path, capsys):
+    doc = catalog_document("sl3-split")
+    del doc["k"]["datum"]
+    path = tmp_path / "no-k-datum.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "3")
+    assert code == 0
+    assert "[SKIP] k-invariants\n    skipped: config carries no K root datum\n" in out
+    assert out.count("[PASS]") == 4
 
 
 def _flipped_swap(tmp_path):
@@ -620,7 +644,8 @@ def test_bad_denominator_names_the_field(den, reason):
 
 # -- JSON output ---------------------------------------------------------------
 
-JSON_COMMANDS = [["cn"], ["cntheta"], ["cntheta", "--decompose-k"], ["checks"], ["branching"], ["oracle-check"]]
+SERIES_COMMANDS = [["cn"], ["cntheta"], ["cntheta", "--decompose-k"]]
+JSON_COMMANDS = SERIES_COMMANDS + [["checks"], ["branching"], ["oracle-check"]]
 
 
 @pytest.mark.parametrize("degree", ["0", "6"])
@@ -635,6 +660,55 @@ def test_json_output_is_sorted_json_dumps(capsys, command, name, degree):
         return
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
     assert json.loads(out)["group"] == name
+
+
+def _series(command, rf, degree):
+    if command == ["cn"]:
+        return nilcone_series(rf.g_datum, degree)
+    if command == ["cntheta"]:
+        return theta_cone_character(rf, degree)
+    return theta_cone_ktypes(rf, degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7])
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("command", SERIES_COMMANDS, ids=" ".join)
+def test_series_json_is_the_dumped_records(capsys, command, name, degree):
+    """`cn` and `cntheta` write their rows straight from the layers; the
+    document is still `json.dumps` of the header and `to_records()`. An
+    entry the command refuses writes nothing."""
+    rf = load_catalog_config(name).real_form
+    code, out, _ = run(capsys, *command, "--group", name, "--degree", str(degree), "--json")
+    try:
+        series = _series(command, rf, degree)
+    except ValueError:
+        assert (code, out) == (1, "")
+        return
+    header = {"command": command[0], "group": name, "degree": degree}
+    assert code == 0
+    assert out == json.dumps({**header, "rows": series.to_records()}, sort_keys=True) + "\n"
+
+
+def _random_layers(rank):
+    weights = st.tuples(*[st.integers(-40, 40)] * rank)
+    multiplicities = st.integers(-(10**20), 10**20)
+    return st.lists(st.dictionaries(weights, multiplicities, max_size=8), min_size=1, max_size=5)
+
+
+_RANKED_LAYERS = st.integers(0, 3).flatmap(lambda rank: st.tuples(st.just(rank), _random_layers(rank)))
+
+
+@given(_RANKED_LAYERS, st.sampled_from([GradedCharacter, IrrepSeries]))
+@settings(max_examples=150, deadline=None)
+@example((0, [{(): -3}, {}, {(): 2}]), GradedCharacter)
+@example((2, [{}, {}]), IrrepSeries)
+def test_json_rows_are_the_dumped_records(ranked, cls):
+    """The row writer on random series, negative multiplicities, empty
+    layers and rank-0 weights included, against `json.dumps` of the rows."""
+    rank, layers = ranked
+    series = cls(rank, len(layers) - 1, layers)
+    key = "weight" if cls is GradedCharacter else "highest_weight"
+    assert _json_rows(series.layers, key) == json.dumps(series.to_records(), sort_keys=True)
 
 
 def test_non_ascii_label_round_trips_through_json_output(tmp_path, capsys):

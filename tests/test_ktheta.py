@@ -14,6 +14,7 @@ from nilchar.ktheta import (
     RealFormConfig,
     SplitHypothesisError,
     dimension_check,
+    k_invariant_check,
     koszul_check,
     theta_cone_character,
     theta_cone_ktypes,
@@ -243,14 +244,14 @@ def test_ktypes_build_no_torus_symmetric_algebra(monkeypatch):
     """`theta_cone_ktypes` never builds S(p) on the K-torus; the counter
     does see `theta_cone_character` build it."""
     calls = []
-    real = ktheta.symmetric_series
+    real = charring.packed_symmetric_series
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ktheta, "symmetric_series", counted)
-    monkeypatch.setattr(charring, "symmetric_series", counted)
+    monkeypatch.setattr(ktheta, "packed_symmetric_series", counted)
+    monkeypatch.setattr(charring, "packed_symmetric_series", counted)
     for name in KTYPE_ENTRIES:
         assert theta_cone_ktypes(load_catalog_config(name).real_form, 8, force=True).layers[8]
     assert calls == []
@@ -437,6 +438,45 @@ def test_lusztig_check_fails_on_straightening_without_the_sign(monkeypatch, caps
     out = capsys.readouterr().out
     assert code == 2
     assert "[FAIL] lusztig-vs-harmonics" in out
+
+
+@pytest.mark.parametrize("name", ["sl2-split", "sl3-split", "sp4-split"])
+def test_k_invariant_check_catalog(name):
+    result = k_invariant_check(load_catalog_config(name).real_form, 12, False)
+    assert result.passed and result.lines == ("trivial K-type occurs once, in degree 0, through degree 12",)
+
+
+def test_k_invariant_check_fails_on_the_forced_swap():
+    """On sl2 x sl2 with the swap, p is the adjoint module of K = SL2, so
+    S(p)^K has one generator, of degree 2, but G has two invariants of
+    degree 2: the forced formula gives the trivial K-type multiplicity -1 in
+    degree 2. Unforced, the check refuses the config."""
+    swap = load_catalog_config("sl2xsl2-swap").real_form
+    result = k_invariant_check(swap, 6, True)
+    assert not result.passed
+    assert result.lines == ("trivial K-type has multiplicity -1 in degree 2, expected 0",)
+    with pytest.raises(SplitHypothesisError):
+        k_invariant_check(swap, 6, False)
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_k_invariant_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, degree):
+    real = ktheta.theta_cone_ktypes
+
+    def bumped(config, truncation, force):
+        out = real(config, truncation, force)
+        zero = (0,) * out.rank
+        out.layers[degree][zero] = out.layers[degree].get(zero, 0) + 1
+        return out
+
+    monkeypatch.setattr(ktheta, "theta_cone_ktypes", bumped)
+    result = k_invariant_check(load_catalog_config("sp4-split").real_form, 5, False)
+    expected = 2 if degree == 0 else 1
+    assert result.lines == (f"trivial K-type has multiplicity {expected} in degree {degree}, expected {int(degree == 0)}",)
+    code = main(["checks", "--group", "sp4-split", "--degree", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[FAIL] k-invariants" in out and out.count("[FAIL]") == 1
 
 
 def test_config_validation_errors():

@@ -23,8 +23,12 @@ names are in `config`, with the cone-model records), the `__future__`
 imports (annotations evaluate as written from Python 3.10 on) and
 `RootDatum.weyl_words` with its `_weyl_words` memo, the library's last
 cache (the listing is now `tests/weyl_action.py`'s, and
-`irreducible_character` reads w0's word off rho), are gone; no source file,
-README line or build setting may point back to them."""
+`irreducible_character` reads w0's word off rho), and the check of weight
+entries alone (`_refuse_non_int_entries`; a weight's length is checked with
+its entries, so no symmetric algebra cuts a weight to the rank) and the
+`--json` pass-through of `to_records()` rows (`_weight_rows`; series rows
+are written from the layers), are gone; no source file, README line or
+build setting may point back to them."""
 
 from pathlib import Path
 
@@ -89,6 +93,8 @@ STALE = (
     "from __future__",
     "weyl_words",
     "_weyl_words",
+    "_refuse_non_int_entries",
+    "_weight_rows",
 )
 
 

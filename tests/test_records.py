@@ -135,7 +135,7 @@ PUBLIC_NAMES = {
     "RealFormConfig", "RootDatum", "SplitHypothesisError", "TorusCharacter", "TorusDatum", "build_root_datum",
     "catalog_names", "classify_roots", "compare_with_formula", "config_from_dict", "dimension_check",
     "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree", "graded_mul",
-    "irreducible_character", "k_weight_multiset", "koszul_check", "load_catalog_config", "load_config_file",
+    "irreducible_character", "k_invariant_check", "k_weight_multiset", "koszul_check", "load_catalog_config", "load_config_file",
     "lusztig_check", "lusztig_series", "nilcone_series", "theta_cone_character", "theta_cone_ktypes",
     "wedge_class",
 }
@@ -147,7 +147,7 @@ def test_star_import_gives_the_public_names_from_their_home_modules():
     namespace = {}
     exec("from nilchar import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC_NAMES) == 38 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
+    assert len(PUBLIC_NAMES) == 39 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
     for name, value in namespace.items():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert getattr(nilchar, name) is value, name
