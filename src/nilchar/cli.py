@@ -23,14 +23,16 @@ from .ktheta import (
     dimension_check,
     k_invariant_check,
     koszul_check,
+    nilcone_series,
     require_split,
     theta_cone_character,
     theta_cone_ktypes,
 )
 
-# `nilcone`, `langlands` and `oracle` are imported inside the commands that
-# run them, so that a cold `cntheta` loads none of them. `oracle` is called
-# as `oracle.<name>`, so that a wrapper set on the module sees every call.
+# `kernels`, `langlands` and `oracle` are imported inside the commands that
+# run them, so that a cold `cn` or `cntheta` loads none of them. `oracle` is
+# called as `oracle.<name>`, so that a wrapper set on the module sees every
+# call.
 
 DEFAULT_DEGREE = 10
 DEGREE_CAP = 64
@@ -122,8 +124,6 @@ def cmd_catalog(opts) -> int:
 
 def cmd_cn(opts) -> int:
     """graded highest-weight decomposition of the cone functions"""
-    from .nilcone import nilcone_series
-
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
@@ -146,7 +146,7 @@ def cmd_cntheta(opts) -> int:
 def cmd_checks(opts) -> int:
     """run the Koszul, dimension, Lusztig-route, K-invariant and cone-model checks"""
     from . import oracle
-    from .nilcone import lusztig_check
+    from .kernels import lusztig_check
 
     # A config declared split but failing its dimension identities loads
     # here, so that the dimensions entry can report the failing lines.

@@ -1,10 +1,23 @@
-"""Graded character of the K-nilpotent cone in the Kostant-Rallis form.
+"""Graded characters of the nilpotent cones in the Kostant form and its
+Kostant-Rallis analogue: both are a symmetric algebra times one factor per
+invariant degree of G.
+
+Kostant's closed form (Amer. J. Math. 85, 1963) is ch_q C[N] = S(g) *
+prod_i (1 - q^{d_i}). The rank zero weights of g give 1 / (1 - q)^rank, and
+grouping them with the invariant degrees d_i = e_i + 1 leaves prod_i (1 + q
++ ... + q^{e_i}) over the exponents; central torus directions have d = 1
+and cancel exactly. So C[N] is the symmetric algebra on the roots times
+those q-strings, which `nilcone_series` computes on highest-weight labels
+(`charring.symmetric_irreps`: Newton's identity, each product by
+Brauer-Klimyk), with no Weyl group, no partition function and no torus
+character; the q-strings only add layers. Its independent check is
+Lusztig's series (`kernels.lusztig_check`).
 
 For a real form split modulo center, the paper computes the graded
 K-character of functions on the theta-fixed part N_theta of the nilpotent
 cone as the restriction of the full cone character times the signed graded
-exterior algebra of k. Since C[N] = S(g) * prod_i (1 - q^{d_i}) and
-S(k) * Lambda(k) = 1 (the Koszul identity), that product equals
+exterior algebra of k. Since S(k) * Lambda(k) = 1 (the Koszul identity),
+that product equals
 
     ch_q C[N_theta] = S(p) * prod_i (1 - q^{d_i}),
 
@@ -13,9 +26,11 @@ the Kostant-Rallis description of N_theta as the zero fibre of p -> p//K
 the invariant degrees d_i of G, in two forms that share one factor loop: on
 the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
 (`theta_cone_ktypes`: S(p) by Newton's identity with Brauer-Klimyk
-straightening, as for C[N]), which builds no torus character. Alongside are
-the Koszul sanity identity, the dimension bookkeeping that the hypothesis
-rests on, and the check that the trivial K-type occurs in degree 0 only.
+straightening, as for C[N]), which builds no torus character. The torus
+form is `cone_torus_character`, which also gives C[N] on the torus of G
+for `langlands.graded_branching_sum`. Alongside are the Koszul sanity
+identity, the dimension bookkeeping that the hypothesis rests on, and the
+check that the trivial K-type occurs in degree 0 only.
 """
 
 from .charring import (
@@ -168,18 +183,25 @@ def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
     return CheckResult(True, (f"Koszul identity holds through degree {truncation}",))
 
 
+def cone_torus_character(g: RootDatum, weights, truncation: int, rank: int) -> GradedCharacter:
+    """Graded torus character of S(weights) * prod_i (1 - q^{d_i}) over the
+    invariant degrees of G: the symmetric algebra on the weight multiset
+    and the factors run on packed weights
+    (`charring.packed_symmetric_series`), unpacked once at the end. On g's
+    weights it is C[N] on the torus of G, on p's weights C[N_theta]."""
+    layers, unpack = packed_symmetric_series(weights, truncation, rank)
+    return GradedCharacter(rank, truncation, unpack(_times_invariant_factors(g, layers)))
+
+
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:
     """Graded K-torus character of functions on the K-nilpotent cone, in the
     Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}): the symmetric algebra on
-    the p weights times one factor per invariant degree of G. By the Koszul
-    identity this equals the paper's restriction of C[N] times the signed
-    exterior class of k; it never builds the G-torus character. S(p) and
-    the factors run on packed weights (`charring.packed_symmetric_series`),
-    unpacked once at the end."""
+    the p weights times one factor per invariant degree of G
+    (`cone_torus_character`). By the Koszul identity this equals the paper's
+    restriction of C[N] times the signed exterior class of k; it never
+    builds the G-torus character."""
     require_split(config, force)
-    layers, unpack = packed_symmetric_series(config.p_weights, truncation, config.k_torus_rank)
-    layers = unpack(_times_invariant_factors(config.g_datum, layers))
-    return GradedCharacter(config.k_torus_rank, truncation, layers)
+    return cone_torus_character(config.g_datum, config.p_weights, truncation, config.k_torus_rank)
 
 
 def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:
@@ -192,6 +214,23 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
     require_split(config, force)
     layers = symmetric_irreps(config.k_datum, config.p_weights, truncation)
     return IrrepSeries(config.k_datum.rank, truncation, _times_invariant_factors(config.g_datum, layers))
+
+
+def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
+    """Highest-weight decomposition of the graded cone functions, by degree,
+    from the harmonic closed form on labels: S(roots) by
+    `symmetric_irreps`, times prod over exponents e of (1 + q + ... + q^e)."""
+    roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
+    layers = symmetric_irreps(datum, roots, truncation)
+    for e in datum.exponents:
+        # Times 1 + q + ... + q^e, from the top down, so that each layer
+        # below n still holds the factor's input when layer n reads it.
+        for n in range(truncation, 0, -1):
+            layer = layers[n]
+            for j in range(max(n - e, 0), n):
+                for lam, c in layers[j].items():
+                    layer[lam] = layer.get(lam, 0) + c
+    return IrrepSeries(datum.rank, truncation, layers)
 
 
 def k_invariant_check(config: RealFormConfig, truncation: int, force: bool) -> CheckResult:

@@ -5,16 +5,17 @@ expansion of the trivial representation.
 
 The branching sum is the paper's product (C[N]|K) * Lambda_{-1}(k) taken
 on each torus with the library's ring operations: ch_q C[N] on the torus of
-G once, times `ktheta.wedge_class` of that torus's k weights by one
-`graded_mul`, then emitted with sign (-1)^ell for each positive system.
+G once, in Kostant's form S(g) * prod_i (1 - q^{d_i})
+(`ktheta.cone_torus_character` on g's weights), times `ktheta.wedge_class`
+of that torus's k weights by one `graded_mul`, then emitted with sign
+(-1)^ell for each positive system.
 Torus conjugacy classes, their positive systems of imaginary roots, and the
 orbit codimensions are input data; this module materializes sums over them
 without attempting any orbit geometry.
 """
 
-from .charring import GradedCharacter, graded_mul, irreducible_character
-from .ktheta import RealFormConfig, wedge_class
-from .nilcone import nilcone_series
+from .charring import graded_mul
+from .ktheta import RealFormConfig, cone_torus_character, wedge_class
 from .rootdata import (
     InvolutionData,
     Record,
@@ -166,19 +167,10 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    # ch_q C[N] on the torus of G, with each contributor's irreducible built
-    # once, however many degrees hold it.
-    irreps: dict[Weight, dict[Weight, int]] = {}
-    layers = []
-    for labels in nilcone_series(datum, truncation).layers:
-        layer: dict[Weight, int] = {}
-        for lam, c in labels.items():
-            if lam not in irreps:
-                irreps[lam] = irreducible_character(datum, lam).terms
-            for mu, m in irreps[lam].items():
-                layer[mu] = layer.get(mu, 0) + c * m
-        layers.append(layer)
-    cone = GradedCharacter(datum.rank, truncation, layers)
+    # ch_q C[N] on the torus of G: S(g) on both signs of every root and
+    # `rank` zero weights, times the invariant-degree factors.
+    g_weights = [*datum.positive_roots, *map(wneg, datum.positive_roots), *[(0,) * datum.rank] * datum.rank]
+    cone = cone_torus_character(datum, g_weights, truncation, datum.rank)
 
     terms = []
     for torus in tori:

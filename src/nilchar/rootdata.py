@@ -437,39 +437,3 @@ def classify_roots(datum: RootDatum, inv: InvolutionData) -> RootClassification:
     if stray:
         raise ValueError(f"compact marks are not imaginary roots: {sorted(stray)}")
     return RootClassification(tuple(comp), tuple(noncomp), tuple(real), tuple(cplx))
-
-
-def dominant_weights_up_to_height(datum: RootDatum, bound: int) -> list[Weight]:
-    """Dominant root-lattice weights of height <= bound, sorted by (height, lex).
-
-    The weight sum_j m_j alpha_j has Dynkin labels C.m (C the Cartan matrix),
-    so dominance is tested on the composition m, and a weight is built only
-    for a dominant m. The coordinates of m are chosen in turn; off the
-    diagonal C is <= 0, so once label i is negative with m_0..m_k fixed
-    (i <= k), no choice of the later coordinates makes it non-negative, and
-    that branch is cut. Distinct m give distinct weights, the simple roots
-    being independent, so no weight repeats.
-    """
-    n = datum.nsimple
-    columns = [tuple(row[k] for row in datum.cartan_matrix) for k in range(n)]
-    found: list[tuple[int, Weight]] = []
-
-    def extend(k: int, m: tuple[int, ...], labels: tuple[int, ...], left: int) -> None:
-        if k == n:
-            w = (0,) * datum.rank
-            for mj, alpha in zip(m, datum.simple_roots):
-                if mj:
-                    w = wadd(w, wscale(mj, alpha))
-            found.append((bound - left, w))
-            return
-        column = columns[k]
-        for mk in range(left + 1):
-            now = tuple(v + mk * c for v, c in zip(labels, column))
-            if any(v < 0 for v in now[:k]):
-                break  # labels before k only fall as m_k grows
-            if now[k] >= 0:
-                extend(k + 1, m + (mk,), now, left - mk)
-
-    if bound >= 0:
-        extend(0, (), (0,) * n, bound)
-    return [w for _, w in sorted(found)]

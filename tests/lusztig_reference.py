@@ -11,7 +11,7 @@ are written in; the library itself reads coefficient lists."""
 from __future__ import annotations
 
 from nilchar import kernels
-from nilchar.kostant import LusztigSum
+from nilchar.kernels import LusztigSum
 from nilchar.rootdata import RootDatum, Weight, is_int, wsub
 from weyl_action import act, sign, weyl_words
 

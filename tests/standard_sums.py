@@ -4,11 +4,12 @@ Zuckerman expansion of the trivial representation, which the degree-0 part
 of `graded_branching_sum` is held to, and the branching sum by its
 quintuple sum over (torus, positive system, highest weight, weight,
 sub-multiset of the k weights), which the library's one graded product per
-torus is held to."""
+torus is held to, with the highest weights of C[N] from either of its two
+label routes (`nilcone_series` or `lusztig_series`), each expanded by
+Demazure's formula."""
 
 from nilchar.charring import TorusCharacter, irreducible_character
 from nilchar.langlands import ContinuedParameter, FormalStandardSum, k_weight_multiset
-from nilchar.nilcone import nilcone_series
 from nilchar.rootdata import Weight, wadd
 
 
@@ -77,15 +78,17 @@ def subset_sums(weights, n: int) -> dict[Weight, int]:
     return acc
 
 
-def branching_reference(config, tori, truncation: int) -> FormalStandardSum:
+def branching_reference(config, tori, truncation: int, cone_labels) -> FormalStandardSum:
     """The graded branching sum as the quintuple sum over (torus, positive
     system, highest weight of C[N], weight of its irreducible, sub-multiset
-    of the k weights), truncated in total q-power. Every product term is
-    added on its own; no graded product is taken."""
+    of the k weights), truncated in total q-power. The highest weights come
+    from `cone_labels(datum, truncation)`, an `IrrepSeries` of C[N], and each
+    irreducible from `irreducible_character`. Every product term is added on
+    its own; no graded product is taken."""
     datum = config.g_datum
     contributors = [
         (j, c, irreducible_character(datum, lam).items())
-        for j, layer in enumerate(nilcone_series(datum, truncation).layers)
+        for j, layer in enumerate(cone_labels(datum, truncation).layers)
         for lam, c in layer.items()
     ]
     terms = []

@@ -13,11 +13,11 @@ import pytest
 from nilchar.cli import main
 from nilchar.config import AffineConeModel, ConeVariable, load_catalog_config
 from nilchar.charring import irreducible_character
+from nilchar.kernels import dominant_weights_up_to_height, lusztig_series
 from nilchar.ktheta import dimension_check, koszul_check, theta_cone_character
 from nilchar.langlands import graded_branching_sum
-from nilchar.nilcone import lusztig_series
 from nilchar.oracle import compare_with_formula, graded_character_by_degree
-from nilchar.rootdata import build_root_datum, dominant_weights_up_to_height
+from nilchar.rootdata import build_root_datum
 from lusztig_reference import lusztig_mq, weyl_multiplicity
 from paper_formula import nilcone_character
 from standard_sums import mass_by_degree, zuckerman_expansion

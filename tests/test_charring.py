@@ -17,13 +17,9 @@ from nilchar.charring import (
     symmetric_series,
 )
 from nilchar.config import load_catalog_config
-from nilchar.ktheta import theta_cone_character, wedge_class
-from nilchar.nilcone import nilcone_series
-from nilchar.rootdata import (
-    RootDatum,
-    build_root_datum,
-    dominant_weights_up_to_height,
-)
+from nilchar.kernels import dominant_weights_up_to_height
+from nilchar.ktheta import nilcone_series, theta_cone_character, wedge_class
+from nilchar.rootdata import RootDatum, build_root_datum
 from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import nilcone_character, restrict_character, restrict_graded
 from weyl_action import act, decompose_into_irreducibles, sign, weyl_dimension, weyl_words

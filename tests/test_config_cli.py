@@ -14,7 +14,7 @@ from nilchar.charring import GradedCharacter, IrrepSeries
 from nilchar.cli import _json_rows, _json_text, main
 from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
 from nilchar.ktheta import SplitHypothesisError, theta_cone_character, theta_cone_ktypes
-from nilchar.nilcone import nilcone_series
+from nilchar.ktheta import nilcone_series
 from oracle_reference import hilbert_by_degree
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from nilchar import kernels
 from nilchar.charring import irreducible_character
-from nilchar.kostant import LusztigSum
-from nilchar.nilcone import lusztig_series, nilcone_series
+from nilchar.kernels import LusztigSum, dominant_weights_up_to_height, lusztig_series
+from nilchar.ktheta import nilcone_series
 from nilchar.rootdata import RootDatum, build_root_datum, wsub
 from lusztig_reference import QPolynomial, brute_weyl_sum, kostant_partition_q, lusztig_mq, weyl_multiplicity
 from weyl_action import weyl_words
@@ -183,8 +183,6 @@ def test_irreducible_character_examples():
 def test_three_way_multiplicity_agreement(datum):
     """Lusztig's q-analog at q = 1, the Weyl-group sum and the Demazure-built
     character agree on every weight of every irreducible scanned."""
-    from nilchar.rootdata import dominant_weights_up_to_height
-
     for lam in dominant_weights_up_to_height(datum, 4):
         for mu, m in irreducible_character(datum, lam).terms.items():
             mq = lusztig_mq(datum, lam, mu)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, ktheta, nilcone
+from nilchar import charring, kernels, ktheta
 from nilchar.charring import irreducible_character, symmetric_series
 from nilchar.cli import main
 from nilchar.config import catalog_names, load_catalog_config
@@ -20,7 +20,7 @@ from nilchar.ktheta import (
     theta_cone_ktypes,
     wedge_class,
 )
-from nilchar.nilcone import lusztig_check
+from nilchar.kernels import lusztig_check
 from nilchar.rootdata import InvolutionData, RootDatum, build_root_datum
 from paper_formula import restrict_times_wedge
 from weyl_action import decompose_into_irreducibles, weyl_dimension
@@ -209,8 +209,8 @@ def test_theta_cone_builds_no_g_torus_character(monkeypatch):
 
         return wrapper
 
-    for name in ("nilcone_series", "lusztig_series"):
-        monkeypatch.setattr(nilcone, name, counted(name, getattr(nilcone, name)))
+    monkeypatch.setattr(ktheta, "nilcone_series", counted("nilcone_series", ktheta.nilcone_series))
+    monkeypatch.setattr(kernels, "lusztig_series", counted("lusztig_series", kernels.lusztig_series))
     monkeypatch.setattr(ktheta, "wedge_class", counted("wedge", ktheta.wedge_class))
     monkeypatch.setattr(ktheta, "graded_mul", counted("graded_mul", ktheta.graded_mul))
     gc = theta_cone_character(rf, 8)
@@ -402,7 +402,7 @@ def test_lusztig_check_catalog():
 
 @pytest.mark.parametrize("side", ["lusztig_series", "nilcone_series"])
 def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, side):
-    real = getattr(nilcone, side)
+    real = getattr(kernels, side)
 
     def bumped(datum, truncation):
         out = real(datum, truncation)
@@ -410,7 +410,7 @@ def test_lusztig_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, si
         out.layers[2][key] += 1
         return out
 
-    monkeypatch.setattr(nilcone, side, bumped)
+    monkeypatch.setattr(kernels, side, bumped)
     result = lusztig_check(load_catalog_config("sl3-split").real_form.g_datum, 4)
     assert not result.passed
     assert "differ first at degree 2" in "\n".join(result.lines)

@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
-from nilchar import kernels, kostant, langlands
+from nilchar import charring, kernels, ktheta, langlands
 from nilchar.charring import TorusCharacter, irreducible_character
 from nilchar.config import load_catalog_config
-from nilchar.ktheta import wedge_class
+from nilchar.kernels import lusztig_series
+from nilchar.ktheta import nilcone_series, wedge_class
 from nilchar.langlands import (
     ContinuedParameter,
     FormalStandardSum,
@@ -17,7 +18,6 @@ from nilchar.langlands import (
     graded_branching_sum,
     k_weight_multiset,
 )
-from nilchar.nilcone import lusztig_series
 from nilchar.rootdata import InvolutionData, build_root_datum
 from standard_sums import branching_reference, mass_by_degree, subset_sums, tensor_standard, zuckerman_expansion
 from weyl_action import weyl_dimension
@@ -214,35 +214,27 @@ def test_branching_mass_matches_three_factor_convolution_on_the_sp4_split_torus(
     _assert_three_factor_masses(load_catalog_config("sp4-split").real_form, SP4_SPLIT_TORUS, 6)
 
 
-def test_branching_builds_no_table_and_one_irreducible_per_contributor(monkeypatch):
-    """C[N] comes from the label route: no partition table and no
-    `LusztigSum` is built. Each contributor's irreducible is built once,
-    however many tori and positive systems read its weights."""
-    N = 6
-    contributors = {lam for layer in lusztig_series(SL2.real_form.g_datum, N).layers for lam in layer}
-    tables, sums, irreps = [], [], []
-    build_table, build_irrep = kernels.partition_table, langlands.irreducible_character
-    build_sum = kostant.LusztigSum.__init__
+def test_branching_builds_one_symmetric_series_and_no_irreducible_or_table(monkeypatch):
+    """C[N] on the torus of G comes from Kostant's form on packed weights:
+    one packed symmetric series, S(g), however many tori and positive
+    systems read it. No highest-weight label, irreducible character or
+    partition table is built."""
+    calls = []
 
-    def counted_table(*args):
-        tables.append(args[1:])
-        return build_table(*args)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    def counted_sum(self, *args):
-        sums.append(args)
-        build_sum(self, *args)
+        return wrapper
 
-    def counted_irrep(datum, lam):
-        irreps.append(lam)
-        return build_irrep(datum, lam)
-
-    monkeypatch.setattr(kernels, "partition_table", counted_table)
-    monkeypatch.setattr(kostant.LusztigSum, "__init__", counted_sum)
-    monkeypatch.setattr(langlands, "irreducible_character", counted_irrep)
-    graded_branching_sum(SL2.real_form, TORI, N)
+    monkeypatch.setattr(charring, "_w0_word", counted("irreducible", charring._w0_word))
+    monkeypatch.setattr(kernels, "partition_table", counted("partition_table", kernels.partition_table))
+    monkeypatch.setattr(ktheta, "symmetric_irreps", counted("labels", ktheta.symmetric_irreps))
+    monkeypatch.setattr(ktheta, "packed_symmetric_series", counted("symmetric", ktheta.packed_symmetric_series))
+    graded_branching_sum(SL2.real_form, TORI, 6)
     assert sum(len(t.positive_systems) for t in TORI) > 1
-    assert tables == [] and sums == []
-    assert sorted(irreps) == sorted(contributors)
+    assert calls == ["symmetric"]
 
 
 @pytest.mark.parametrize(
@@ -250,13 +242,13 @@ def test_branching_builds_no_table_and_one_irreducible_per_contributor(monkeypat
     [("sl2-split", TORI, n) for n in (0, 5, 30, 64)] + [("sp4-split", SP4_SPLIT_TORUS, 6)],
     ids=["sl2-0", "sl2-5", "sl2-30", "sl2-64", "sp4-6"],
 )
-def test_branching_equals_the_sum_on_lusztig_contributors(monkeypatch, name, tori, N):
-    """The branching sum on C[N] from the label route equals the same sum
-    with its contributors read from Lusztig's q-analogs."""
+def test_branching_equals_the_sum_on_lusztig_contributors(name, tori, N):
+    """The branching sum equals the quintuple sum with the highest weights
+    of C[N] read from Lusztig's q-analogs, a route that shares no step with
+    Kostant's form on packed torus weights."""
     rf = load_catalog_config(name).real_form
     total = graded_branching_sum(rf, tori, N)
-    monkeypatch.setattr(langlands, "nilcone_series", lusztig_series)
-    assert total == graded_branching_sum(rf, tori, N)
+    assert total == branching_reference(rf, tori, N, lusztig_series)
     assert total.terms
 
 
@@ -268,10 +260,11 @@ def test_branching_equals_the_sum_on_lusztig_contributors(monkeypatch, name, tor
 def test_branching_equals_the_quintuple_sum(name, tori, N):
     """One graded product per torus gives the same sum, and the same rows,
     as adding every (torus, positive system, highest weight, weight,
-    sub-multiset) term on its own."""
+    sub-multiset) term on its own, with the highest weights of C[N] from
+    Newton's identity on labels (`nilcone_series`)."""
     rf = load_catalog_config(name).real_form
     total = graded_branching_sum(rf, tori, N)
-    reference = branching_reference(rf, tori, N)
+    reference = branching_reference(rf, tori, N, nilcone_series)
     assert total == reference
     assert total.to_records() == reference.to_records()
     assert total.terms

@@ -2,14 +2,11 @@
 
 import pytest
 
-from nilchar import kernels, nilcone
+from nilchar import kernels
 from nilchar.charring import TorusCharacter, irreducible_character, symmetric_irreps
-from nilchar.nilcone import lusztig_series, nilcone_series
-from nilchar.rootdata import (
-    RootDatum,
-    build_root_datum,
-    dominant_weights_up_to_height,
-)
+from nilchar.kernels import dominant_weights_up_to_height, lusztig_series
+from nilchar.ktheta import nilcone_series
+from nilchar.rootdata import RootDatum, build_root_datum
 from lusztig_reference import lusztig_mq
 from paper_formula import nilcone_character
 
@@ -162,7 +159,7 @@ def test_scan_solves_once_per_weight(monkeypatch):
     """Lusztig's sum acts on Dynkin labels in simple-root coordinates: one
     lattice solve per scanned weight (for lam - 0), none per Weyl element."""
     scanned = []
-    enumerate_weights = nilcone.dominant_weights_up_to_height
+    enumerate_weights = kernels.dominant_weights_up_to_height
 
     def recorded(datum, bound):
         out = enumerate_weights(datum, bound)
@@ -176,7 +173,7 @@ def test_scan_solves_once_per_weight(monkeypatch):
         solves.append(weight)
         return solve(self, weight)
 
-    monkeypatch.setattr(nilcone, "dominant_weights_up_to_height", recorded)
+    monkeypatch.setattr(kernels, "dominant_weights_up_to_height", recorded)
     monkeypatch.setattr(RootDatum, "root_coords_int", counted)
     series = lusztig_series(A4, 3)
     assert [len(layer) for layer in series.layers] == [1, 1, 3, 7]

@@ -27,8 +27,10 @@ cache (the listing is now `tests/weyl_action.py`'s, and
 entries alone (`_refuse_non_int_entries`; a weight's length is checked with
 its entries, so no symmetric algebra cuts a weight to the rank) and the
 `--json` pass-through of `to_records()` rows (`_weight_rows`; series rows
-are written from the layers), are gone; no source file, README line or
-build setting may point back to them."""
+are written from the layers), and the `nilcone` and `kostant` modules (the
+production cones are in `ktheta`, and the Lusztig check with its scan
+domain, orbit walk and partition table in `kernels`), are gone; no source
+file, README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -95,6 +97,11 @@ STALE = (
     "_weyl_words",
     "_refuse_non_int_entries",
     "_weight_rows",
+    "from .nilcone",
+    "from .kostant",
+    "nilchar.kostant",
+    "kostant.py",
+    "nilcone.py",
 )
 
 
@@ -109,3 +116,14 @@ def test_no_reference_to_removed_backend_or_cache():
         if pattern in path.name or pattern in path.read_text(errors="replace")
     ]
     assert not hits
+
+
+def test_readme_layout_lists_exactly_the_modules():
+    """The README's "Library layout" table has one row per module of the
+    package other than `__init__`, so a module that leaves or arrives
+    cannot leave the table stale."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+    modules = {p.stem for p in (ROOT / "src" / "nilchar").glob("*.py")} - {"__init__"}
+    assert len(rows) == len(set(rows)) and set(rows) == modules

@@ -79,7 +79,7 @@ def test_cold_json_query_loads_no_json():
 
 
 # The nilchar modules every command loads: the command line, the config
-# format with the catalog, and the K-side formula with what it stands on.
+# format with the catalog, and the cone formulas with what they stand on.
 CORE_MODULES = {
     "nilchar", "nilchar.cli", "nilchar.config", "nilchar.ktheta", "nilchar.charring", "nilchar.rootdata",
 }
@@ -110,18 +110,30 @@ CORE_MODULES = {
         ),
         pytest.param(
             ["cn", "--group", "sl3-split", "--degree", "0", "--json"],
-            {"nilchar.nilcone"},
+            set(),
             id="cn --group sl3-split",
+        ),
+        pytest.param(
+            ["branching", "--group", "sl2-split", "--degree", "0", "--json"],
+            {"nilchar.langlands"},
+            id="branching --group sl2-split",
+        ),
+        pytest.param(
+            ["checks", "--group", "sl2-split", "--degree", "0", "--json"],
+            {"nilchar.oracle", "nilchar.kernels", "nilchar.langlands"},
+            id="checks --group sl2-split",
         ),
     ],
 )
 def test_cold_query_loads_only_the_modules_it_runs(argv, extra):
     """A cold query loads exactly the nilchar modules its command runs: the
-    catalog lives in `config`, the cone model's elimination (`oracle`) is
-    loaded by `oracle-check` and `checks` alone, the G-side cone functions
-    (`nilcone`) by `cn`, `checks` and `branching`, and the partition kernel
-    (`kostant`, `kernels`) and the branching sum (`langlands`) by none of
-    these. No module asks for `__future__`."""
+    catalog lives in `config`, and the cone forms of both C[N] and
+    C[N_theta] in `ktheta`, so `cn` and `cntheta` load nothing more. The
+    cone model's elimination (`oracle`) is loaded by `oracle-check` and
+    `checks` alone, the Lusztig route with its partition table (`kernels`)
+    by `checks` alone, and the branching sum (`langlands`) by `branching`
+    and by loading a config with a torus table (sl2-split's), whose tori
+    `langlands` builds. No module asks for `__future__`."""
     status, _, loaded = _cold_query(argv)
     assert status == "0"
     assert {m for m in loaded if m.partition(".")[0] == "nilchar"} == CORE_MODULES | extra

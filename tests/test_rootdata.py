@@ -1,18 +1,19 @@
-"""Root datum construction, Weyl groups as reduced words, involutions,
-weight enumeration."""
+"""Root datum construction, Weyl groups as reduced words, involutions, and
+the enumeration of dominant weights that the Lusztig scan runs over
+(`kernels`)."""
 
 import itertools
 
 import pytest
 
 from nilchar import charring
+from nilchar.kernels import dominant_weights_up_to_height
 from nilchar.rootdata import (
     InvolutionData,
     RootDatum,
     adjugate,
     build_root_datum,
     classify_roots,
-    dominant_weights_up_to_height,
     mat_mul,
     wneg,
 )
