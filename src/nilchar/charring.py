@@ -86,9 +86,6 @@ class TorusCharacter:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
         self._check(other)
         out = dict(self.terms)
@@ -102,9 +99,6 @@ class TorusCharacter:
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) - c
         return TorusCharacter(self.rank, out)
-
-    def __neg__(self) -> "TorusCharacter":
-        return TorusCharacter(self.rank, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,13 +130,11 @@ class TorusCharacter:
         return " + ".join(f"{c}*e{list(w)}" for w, c in self.items())
 
 
-class GradedCharacter:
-    """Truncated q-series of virtual torus characters.
-
-    `layers[n]` is the weight->multiplicity map in q-degree n; all layers
-    above `truncation` are absent by construction and ring operations
-    re-truncate to the smaller operand.
-    """
+class _Series:
+    """Truncated q-series: `layers[n]` is the multiplicity map in q-degree n
+    for n = 0..truncation, keyed by weights; `to_records()` names the key
+    by the class attribute `key`. A series equals only a series of its own
+    class."""
 
     __slots__ = ("rank", "truncation", "layers")
 
@@ -150,6 +142,30 @@ class GradedCharacter:
         self.rank = rank
         self.truncation = truncation
         self.layers = _checked_layers(rank, truncation, layers)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.rank == other.rank
+            and self.truncation == other.truncation
+            and self.layers == other.layers
+        )
+
+    def to_records(self) -> list[dict]:
+        """Stable machine-readable rows: one per (degree, weight) pair."""
+        rows = []
+        for n in range(self.truncation + 1):
+            for w, c in sorted(self.layers[n].items()):
+                rows.append({"degree": n, self.key: list(w), "multiplicity": c})
+        return rows
+
+
+class GradedCharacter(_Series):
+    """Truncated q-series of virtual torus characters. Products are
+    `graded_mul`, truncated to the smaller operand."""
+
+    __slots__ = ()
+    key = "weight"
 
     @classmethod
     def trivial(cls, rank: int, truncation: int) -> "GradedCharacter":
@@ -163,51 +179,6 @@ class GradedCharacter:
 
     def masses(self) -> list[int]:
         return [self.mass(n) for n in range(self.truncation + 1)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedCharacter)
-            and self.rank == other.rank
-            and self.truncation == other.truncation
-            and self.layers == other.layers
-        )
-
-    def __add__(self, other: "GradedCharacter") -> "GradedCharacter":
-        self._check(other)
-        n = min(self.truncation, other.truncation)
-        out = []
-        for d in range(n + 1):
-            layer = dict(self.layers[d])
-            for w, c in other.layers[d].items():
-                layer[w] = layer.get(w, 0) + c
-            out.append(layer)
-        return GradedCharacter(self.rank, n, out)
-
-    def __sub__(self, other: "GradedCharacter") -> "GradedCharacter":
-        self._check(other)
-        n = min(self.truncation, other.truncation)
-        out = []
-        for d in range(n + 1):
-            layer = dict(self.layers[d])
-            for w, c in other.layers[d].items():
-                layer[w] = layer.get(w, 0) - c
-            out.append(layer)
-        return GradedCharacter(self.rank, n, out)
-
-    def __mul__(self, other: "GradedCharacter") -> "GradedCharacter":
-        return graded_mul(self, other)
-
-    def _check(self, other: "GradedCharacter") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"torus rank mismatch: {self.rank} vs {other.rank}")
-
-    def to_records(self) -> list[dict]:
-        """Stable machine-readable rows: one per (degree, weight) pair."""
-        rows = []
-        for n in range(self.truncation + 1):
-            for w, c in sorted(self.layers[n].items()):
-                rows.append({"degree": n, "weight": list(w), "multiplicity": c})
-        return rows
 
     def __repr__(self) -> str:
         parts = [f"q^{n}:({self.layer(n)!r})" for n in range(self.truncation + 1) if self.layers[n]]
@@ -380,31 +351,12 @@ def _straighten(datum: RootDatum, v: Weight) -> tuple[Weight, int]:
     return v, sign
 
 
-class IrrepSeries:
+class IrrepSeries(_Series):
     """Truncated q-series whose layers are multiplicity maps on dominant
     highest-weight labels."""
 
-    __slots__ = ("rank", "truncation", "layers")
-
-    def __init__(self, rank: int, truncation: int, layers=None):
-        self.rank = rank
-        self.truncation = truncation
-        self.layers = _checked_layers(rank, truncation, layers)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IrrepSeries)
-            and self.rank == other.rank
-            and self.truncation == other.truncation
-            and self.layers == other.layers
-        )
-
-    def to_records(self) -> list[dict]:
-        rows = []
-        for n in range(self.truncation + 1):
-            for w, c in sorted(self.layers[n].items()):
-                rows.append({"degree": n, "highest_weight": list(w), "multiplicity": c})
-        return rows
+    __slots__ = ()
+    key = "highest_weight"
 
     def __repr__(self) -> str:
         parts = []

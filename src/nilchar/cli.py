@@ -74,13 +74,9 @@ def _json_text(value) -> str:
     return "".join(encode(value, 0))
 
 
-def _print_json(payload: dict) -> None:
-    print(_json_text(payload))
-
-
 def _emit(payload: dict, rows: list[dict], columns: list[str], as_json: bool) -> None:
     if as_json:
-        _print_json({**payload, "rows": rows})
+        print(_json_text({**payload, "rows": rows}))
         return
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
@@ -104,10 +100,11 @@ def _json_rows(layers: list[dict], key: str) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _emit_series(payload: dict, series, key: str, as_json: bool) -> None:
-    """`_emit` of `series.to_records()`, its weights under `key`. For JSON the
-    rows come from `_json_rows` and are spliced in after the header, where
-    `"rows"` sorts; for text the weights are written compactly."""
+def _emit_series(payload: dict, series, as_json: bool) -> None:
+    """`_emit` of `series.to_records()`, its weights under `series.key`. For
+    JSON the rows come from `_json_rows` and are spliced in after the header,
+    where `"rows"` sorts; for text the weights are written compactly."""
+    key = series.key
     if as_json:
         print(_json_text(payload)[:-1] + ', "rows": ' + _json_rows(series.layers, key) + "}")
         return
@@ -127,7 +124,7 @@ def cmd_cn(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
-    _emit_series({"command": "cn", "group": cfg.label, "degree": degree}, series, "highest_weight", opts["--json"])
+    _emit_series({"command": "cn", "group": cfg.label, "degree": degree}, series, opts["--json"])
     return 0
 
 
@@ -136,10 +133,10 @@ def cmd_cntheta(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if opts["--decompose-k"]:
-        series, key = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"]), "highest_weight"
+        series = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"])
     else:
-        series, key = theta_cone_character(cfg.real_form, degree, force=opts["--force"]), "weight"
-    _emit_series({"command": "cntheta", "group": cfg.label, "degree": degree}, series, key, opts["--json"])
+        series = theta_cone_character(cfg.real_form, degree, force=opts["--force"])
+    _emit_series({"command": "cntheta", "group": cfg.label, "degree": degree}, series, opts["--json"])
     return 0
 
 
@@ -181,7 +178,7 @@ def cmd_checks(opts) -> int:
         ok &= res.passed
         rows.append({"check": name, "passed": res.passed, "details": list(res.lines)})
     if opts["--json"]:
-        _print_json({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows})
+        print(_json_text({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows}))
     else:
         for r in rows:
             tag = "SKIP" if r["passed"] is None else ("PASS" if r["passed"] else "FAIL")
@@ -226,7 +223,7 @@ def cmd_oracle_check(opts) -> int:
     result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)
     if opts["--json"]:
         payload = {"command": "oracle-check", "group": cfg.label, "degree": degree, "hilbert": dims}
-        _print_json({**payload, "passed": result.passed, "details": list(result.lines)})
+        print(_json_text({**payload, "passed": result.passed, "details": list(result.lines)}))
     else:
         print(f"hilbert function: {dims}")
         for line in result.lines:

@@ -33,6 +33,8 @@ identity, the dimension bookkeeping that the hypothesis rests on, and the
 check that the trivial K-type occurs in degree 0 only.
 """
 
+from collections import Counter
+
 from .charring import (
     GradedCharacter,
     IrrepSeries,
@@ -108,7 +110,7 @@ class RealFormConfig(Record):
             raise ValueError(f"|k_weights| = {len(kw)} but dim k = {self.dims.dim_k}")
         if self.dims.dim_g != self.dims.dim_k + self.dims.dim_p:
             raise ValueError("dimension table violates dim g = dim k + dim p")
-        if _multiset(kw) != _multiset(map(wneg, kw)):
+        if Counter(kw) != Counter(map(wneg, kw)):
             raise ValueError("k weights must be symmetric under negation")
         object.__setattr__(self, "p_weights", _p_weights(self.g_datum, rows, kw))
         if self.k_datum is not None:
@@ -117,26 +119,19 @@ class RealFormConfig(Record):
             roots = self.k_datum.positive_roots
             zeros = [(0,) * self.k_torus_rank] * self.k_torus_rank
             adjoint = list(roots) + [wneg(r) for r in roots] + zeros
-            if _multiset(kw) != _multiset(adjoint):
+            if Counter(kw) != Counter(adjoint):
                 raise ValueError(
                     f"k.datum: its adjoint weights {sorted(adjoint)} are not the k weights {sorted(kw)}"
                 )
             # p is a K-module: its weights are invariant under every simple
             # reflection of K, as `theta_cone_ktypes` needs.
-            p = _multiset(self.p_weights)
+            p = Counter(self.p_weights)
             for i in range(self.k_datum.nsimple):
-                if _multiset(self.k_datum.reflect(i, w) for w in self.p_weights) != p:
+                if Counter(self.k_datum.reflect(i, w) for w in self.p_weights) != p:
                     raise ValueError(
                         f"k.datum: the p weights {sorted(p)} are not invariant under its simple reflection {i}, "
                         "so p is not a K-module"
                     )
-
-
-def _multiset(items):
-    out: dict = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
 
 
 def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]:
@@ -144,8 +139,8 @@ def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]
     multiset; a k weight they do not cover is a ValueError naming k.weights."""
     roots = [mat_apply(restriction, r) for r in g_datum.positive_roots]
     zeros = [(0,) * len(restriction)] * g_datum.rank
-    counts = _multiset(roots + [wneg(w) for w in roots] + zeros)
-    for w, c in sorted(_multiset(k_weights).items()):
+    counts = Counter(roots + [wneg(w) for w in roots] + zeros)
+    for w, c in sorted(Counter(k_weights).items()):
         if c > counts.get(w, 0):
             raise ValueError(
                 f"k.weights: weight {list(w)} occurs {c} times in k but "

@@ -85,6 +85,23 @@ def test_graded_constructors_refuse_bad_rank_and_truncation(cls):
         cls(2, 1, [{}, {(k, -k): 1 for k in range(50)} | {(7, 2.0): 1}])
 
 
+@pytest.mark.parametrize("cls", [GradedCharacter, IrrepSeries])
+def test_series_equal_only_their_own_class_and_name_their_row_key(cls):
+    """A torus series and a label series with the same rank, truncation and
+    layers are unequal, in both directions, and the rows of each carry the
+    key of its class: `weight` on the torus, `highest_weight` on labels."""
+    other = IrrepSeries if cls is GradedCharacter else GradedCharacter
+    key = "weight" if cls is GradedCharacter else "highest_weight"
+    layers = [{(0,): 1}, {(2,): 3}]
+    series = cls(1, 1, layers)
+    assert series == cls(1, 1, layers)
+    assert series != other(1, 1, layers) and other(1, 1, layers) != series
+    assert series.to_records() == [
+        {"degree": 0, key: [0], "multiplicity": 1},
+        {"degree": 1, key: [2], "multiplicity": 3},
+    ]
+
+
 def test_characters_name_a_non_integer_weight():
     """The refusal names the weight that holds the stray entry, also when it
     is one weight among many."""

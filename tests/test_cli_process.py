@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from catalog_documents import catalog_document
-from nilchar import cli
+from nilchar import build_root_datum, cli, nilcone_series
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -85,6 +85,17 @@ def test_process_stdout_digest_is_pinned(args, digest, tmp_path):
     proc = run_process(args, tmp_path, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_library_cn_stdout_digest_is_pinned():
+    """The benchmark's library `cn` output (A4, N=3), built as its child
+    process builds it: JSON of the `IrrepSeries.to_records()` rows of
+    `nilcone_series`, plus the newline of `print`."""
+    a4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    rows = nilcone_series(build_root_datum(a4), 3).to_records()
+    text = json.dumps({"command": "cn", "cartan_matrix": a4, "degree": 3, "rows": rows}, sort_keys=True) + "\n"
+    digest = "eca9815f054f0bd0ecc8616d2b67974ec55e4850c84c075303f5fd7b806bbc98"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_process_unknown_group_is_exit_1_with_its_error_line(tmp_path):

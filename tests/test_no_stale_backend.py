@@ -29,8 +29,10 @@ its entries, so no symmetric algebra cuts a weight to the rank) and the
 `--json` pass-through of `to_records()` rows (`_weight_rows`; series rows
 are written from the layers), and the `nilcone` and `kostant` modules (the
 production cones are in `ktheta`, and the Lusztig check with its scan
-domain, orbit walk and partition table in `kernels`), are gone; no source
-file, README line or build setting may point back to them."""
+domain, orbit walk and partition table in `kernels`), and `ktheta._multiset`
+(now `collections.Counter`) and `cli._print_json` (its callers print
+`_json_text` directly), are gone; no source file, README line or build
+setting may point back to them."""
 
 from pathlib import Path
 
@@ -102,6 +104,8 @@ STALE = (
     "nilchar.kostant",
     "kostant.py",
     "nilcone.py",
+    "def _multiset",
+    "_print_json",
 )
 
 
