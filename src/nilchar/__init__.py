@@ -9,9 +9,10 @@ Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (by the Koszul identity,
 the paper's restriction of C[N] times the signed exterior class of k) and
 `theta_cone_ktypes` for the same form by K-type, `graded_branching_sum`
 for the standard-module bookkeeping (Kostant's form of C[N] on the torus
-of G times `wedge_class` of k, one graded product per torus), and the
-`oracle` module for independent brute-force verification. The cone forms
-live together in `ktheta`. Every answer by highest weight comes from one
+of G times the signed exterior class of k on each torus, all on packed
+weights under one codec, `ktheta.exterior_products`), and the `oracle`
+module for independent brute-force verification. The cone forms and the
+exterior class live together in `ktheta`. Every answer by highest weight comes from one
 algorithm, `charring.symmetric_irreps`.
 
 The public names below are looked up in their home modules on first use
@@ -24,12 +25,13 @@ _HOMES = {
     "GradedCharacter": "charring",
     "IrrepSeries": "charring",
     "TorusCharacter": "charring",
-    "graded_mul": "charring",
     "irreducible_character": "charring",
     "AffineConeModel": "config",
     "ConeVariable": "config",
     "ConfigError": "config",
     "LoadedConfig": "config",
+    "PositiveSystem": "config",
+    "TorusDatum": "config",
     "catalog_names": "config",
     "config_from_dict": "config",
     "load_catalog_config": "config",
@@ -50,8 +52,6 @@ _HOMES = {
     "wedge_class": "ktheta",
     "ContinuedParameter": "langlands",
     "FormalStandardSum": "langlands",
-    "PositiveSystem": "langlands",
-    "TorusDatum": "langlands",
     "graded_branching_sum": "langlands",
     "k_weight_multiset": "langlands",
     "compare_with_formula": "oracle",

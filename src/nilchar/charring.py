@@ -1,6 +1,6 @@
-"""Exact arithmetic on virtual torus characters and truncated q-graded
-character series, graded symmetric algebras on the torus and on
-highest-weight labels, and irreducible characters.
+"""Virtual torus characters and truncated q-graded character series, the
+packed-int weight codec with the graded symmetric algebra on it, the graded
+symmetric algebra on highest-weight labels, and irreducible characters.
 
 Irreducible characters come from Demazure's character formula; the
 Weyl-sum multiplicities and the Weyl numerator remain tests of them. A
@@ -15,7 +15,7 @@ the typical inputs.
 from itertools import chain
 from operator import add, mul
 
-from .rootdata import RootDatum, Weight, is_int, wadd, wdot
+from .rootdata import RootDatum, Weight, is_int, wdot
 
 
 def _refuse_bad_weights(weights, rank: int, where: str = "") -> None:
@@ -64,7 +64,9 @@ def _checked_layers(rank: int, truncation: int, layers) -> list[dict[Weight, int
 
 
 class TorusCharacter:
-    """Finite formal integer combination of torus weights (a virtual character)."""
+    """Finite formal integer combination of torus weights (a virtual
+    character), to compare and print; products are taken on packed weights
+    (`weight_codec`)."""
 
     __slots__ = ("rank", "terms")
 
@@ -86,43 +88,12 @@ class TorusCharacter:
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "TorusCharacter") -> "TorusCharacter":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return TorusCharacter(self.rank, out)
-
-    def __sub__(self, other: "TorusCharacter") -> "TorusCharacter":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return TorusCharacter(self.rank, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TorusCharacter(self.rank, {w: c * other for w, c in self.terms.items()})
-        self._check(other)
-        out: dict[Weight, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = wadd(w1, w2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return TorusCharacter(self.rank, out)
-
-    __rmul__ = __mul__
-
     def mass(self) -> int:
         """Sum of multiplicities (the virtual dimension)."""
         return sum(self.terms.values())
 
     def items(self):
         return sorted(self.terms.items())
-
-    def _check(self, other: "TorusCharacter") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"torus rank mismatch: {self.rank} vs {other.rank}")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -161,8 +132,8 @@ class _Series:
 
 
 class GradedCharacter(_Series):
-    """Truncated q-series of virtual torus characters. Products are
-    `graded_mul`, truncated to the smaller operand."""
+    """Truncated q-series of virtual torus characters, built from layers
+    whose products were taken on packed weights (`weight_codec`)."""
 
     __slots__ = ()
     key = "weight"
@@ -185,28 +156,6 @@ class GradedCharacter(_Series):
         return " + ".join(parts) if parts else "0"
 
 
-def graded_mul(a: GradedCharacter, b: GradedCharacter) -> GradedCharacter:
-    """Cauchy product of graded characters, truncated to the smaller operand."""
-    if a.rank != b.rank:
-        raise ValueError(f"torus rank mismatch: {a.rank} vs {b.rank}")
-    n = min(a.truncation, b.truncation)
-    out = [dict() for _ in range(n + 1)]
-    for i in range(n + 1):
-        ai = a.layers[i]
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.layers[j]
-            if not bj:
-                continue
-            layer = out[i + j]
-            for w1, c1 in ai.items():
-                for w2, c2 in bj.items():
-                    key = tuple(map(add, w1, w2))
-                    layer[key] = layer.get(key, 0) + c1 * c2
-    return GradedCharacter(a.rank, n, out)
-
-
 def weight_codec(weights, truncation: int, rank: int):
     """Each weight as one int, and the function that turns layers keyed by
     sums of at most `truncation` of those ints back into layers keyed by
@@ -218,6 +167,7 @@ def weight_codec(weights, truncation: int, rank: int):
     so the int of such a sum is the sum of the ints, with no carry. A weight
     whose length is not `rank`, or with an entry that is not an int, is a
     ValueError naming it."""
+    weights = [tuple(w) for w in weights]
     _refuse_bad_weights(weights, rank)
     bound = truncation * max(map(abs, chain.from_iterable(weights)), default=0)
     digit = 2 * bound + 1
@@ -238,12 +188,11 @@ def weight_codec(weights, truncation: int, rank: int):
     return [sum(map(mul, w, scales)) for w in weights], unpack
 
 
-def packed_symmetric_series(weights, truncation: int, rank: int):
-    """The layers s_0..s_truncation of `symmetric_series`, keyed by the ints
-    of `weight_codec`, and its function that unpacks them. One weight times
-    one layer is one int sum per entry, with no weight tuple built."""
-    weights = [tuple(w) for w in weights]
-    packed, unpack = weight_codec(weights, truncation, rank)
+def packed_symmetric_series(packed, truncation: int) -> list[dict[int, int]]:
+    """Torus layers s_0..s_truncation of the graded symmetric algebra of a
+    weight multiset (weight w in degree 1), the product over weights w of
+    1 / (1 - e^w q), on the ints of `weight_codec`: one weight times one
+    layer is one int sum per entry, with no weight tuple built."""
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(truncation)]
     for w in packed:
         for n in range(1, truncation + 1):
@@ -251,17 +200,7 @@ def packed_symmetric_series(weights, truncation: int, rank: int):
             for v, c in layers[n - 1].items():
                 key = v + w
                 layer[key] = layer.get(key, 0) + c
-    return layers, unpack
-
-
-def symmetric_series(weights, truncation: int, rank: int) -> list[dict[Weight, int]]:
-    """Torus layers s_0..s_truncation of the graded symmetric algebra of a
-    weight multiset (weight w in degree 1): the product over weights w of
-    1 / (1 - e^w q), computed on packed weights (`packed_symmetric_series`).
-    The layers are plain dicts, as `symmetric_irreps` returns them; the
-    caller builds the one `GradedCharacter` it needs."""
-    layers, unpack = packed_symmetric_series(weights, truncation, rank)
-    return unpack(layers)
+    return layers
 
 
 def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[Weight, int]]:

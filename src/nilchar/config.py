@@ -3,17 +3,66 @@ involution, the K-side data, dimensions, optional torus tables, and an
 optional affine cone model. Validation failures name the offending field.
 
 This module owns the format: it loads documents into records, defines the
-cone-model records the loader builds (`ConeVariable`, `AffineConeModel`),
-and holds the built-in groups (the catalog) as documents of the same kind."""
+records the loader builds for torus tables (`PositiveSystem`, `TorusDatum`)
+and cone models (`ConeVariable`, `AffineConeModel`), and holds the built-in
+groups (the catalog) as documents of the same kind."""
 
 from math import lcm
 
 from .ktheta import Dims, RealFormConfig, dimension_check
-from .rootdata import InvolutionData, Record, RootDatum, Weight, build_root_datum, int_vector, is_int
+from .rootdata import (
+    InvolutionData, Record, RootDatum, Weight, build_root_datum, classify_roots, int_vector, is_int, wadd, wneg,
+)
 
 
 class ConfigError(ValueError):
     """A malformed or inconsistent configuration document."""
+
+
+class PositiveSystem(Record):
+    """A positive system of imaginary roots with its orbit codimension."""
+
+    __slots__ = ("id", "imaginary_roots", "ell")
+
+    id: str
+    imaginary_roots: tuple[Weight, ...]
+    ell: int
+
+    def __post_init__(self):
+        roots = tuple(int_vector(r, f"imaginary_roots[{i}]") for i, r in enumerate(self.imaginary_roots))
+        object.__setattr__(self, "imaginary_roots", roots)
+        if self.ell < 0:
+            raise ValueError("orbit codimension must be non-negative")
+
+
+class TorusDatum(Record):
+    """A theta-stable maximal torus: its involution on the weight lattice and
+    the supplied positive systems of imaginary roots."""
+
+    __slots__ = ("label", "theta", "positive_systems")
+
+    label: str
+    theta: InvolutionData
+    positive_systems: tuple[PositiveSystem, ...]
+
+    def validate(self, datum: RootDatum) -> None:
+        cls = classify_roots(datum, self.theta)
+        imaginary = set(cls.imaginary)
+        for ps in self.positive_systems:
+            pos = set(ps.imaginary_roots)
+            if len(pos) != len(ps.imaginary_roots):
+                raise ValueError(f"positive system {ps.id!r} lists a root twice")
+            if pos & {wneg(r) for r in pos}:
+                raise ValueError(f"positive system {ps.id!r} contains a root and its negative")
+            if pos | {wneg(r) for r in pos} != imaginary:
+                raise ValueError(
+                    f"positive system {ps.id!r} does not partition the imaginary roots of torus {self.label!r}"
+                )
+            for a in pos:
+                for b in pos:
+                    s = wadd(a, b)
+                    if s in imaginary and s not in pos:
+                        raise ValueError(f"positive system {ps.id!r} is not closed under addition")
 
 
 class ConeVariable(Record):
@@ -101,7 +150,7 @@ class LoadedConfig(Record):
 
     label: str
     real_form: RealFormConfig
-    tori: "tuple[TorusDatum, ...] | None"
+    tori: tuple[TorusDatum, ...] | None
     oracle_model: AffineConeModel | None
 
 
@@ -185,9 +234,7 @@ def _load_involution(obj, path) -> InvolutionData:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_tori(value, path) -> "tuple[TorusDatum, ...]":
-    from .langlands import PositiveSystem, TorusDatum  # here, so that a config without tori never loads it
-
+def _load_tori(value, path) -> tuple[TorusDatum, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of torus tables")
     out = []

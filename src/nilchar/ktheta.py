@@ -27,22 +27,20 @@ the invariant degrees d_i of G, in two forms that share one factor loop: on
 the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
 (`theta_cone_ktypes`: S(p) by Newton's identity with Brauer-Klimyk
 straightening, as for C[N]), which builds no torus character. The torus
-form is `cone_torus_character`, which also gives C[N] on the torus of G
-for `langlands.graded_branching_sum`. Alongside are the Koszul sanity
-identity, the dimension bookkeeping that the hypothesis rests on, and the
-check that the trivial K-type occurs in degree 0 only.
+form runs on packed weights (`charring.weight_codec`), and so does every
+product with an exterior class: `exterior_products` takes S of one weight
+multiset times the signed exterior class of each of several others, under
+one codec, for the Koszul sanity identity S(k) * Lambda(k) = 1, for
+`wedge_class` and for the per-torus products of
+`langlands.graded_branching_sum`. Alongside are the dimension bookkeeping
+that the hypothesis rests on and the check that the trivial K-type occurs
+in degree 0 only.
 """
 
 from collections import Counter
+from itertools import chain, islice
 
-from .charring import (
-    GradedCharacter,
-    IrrepSeries,
-    graded_mul,
-    packed_symmetric_series,
-    symmetric_irreps,
-    symmetric_series,
-)
+from .charring import GradedCharacter, IrrepSeries, packed_symmetric_series, symmetric_irreps, weight_codec
 from .rootdata import InvolutionData, Record, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
 
 
@@ -151,20 +149,29 @@ def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]
     return tuple(w for w, c in sorted(counts.items()) for _ in range(c))
 
 
+def exterior_products(weights, exteriors, truncation: int, rank: int) -> list[list[dict[Weight, int]]]:
+    """For each weight multiset b in `exteriors`, the torus layers of
+    S(weights) times the signed exterior class of b. One `weight_codec` is
+    built on every weight the products add, `weights` and each b, so no
+    coordinate of a degree-n sum exceeds its bound; S(weights) is taken
+    once, and each class multiplies a copy of it (`times_exterior`)."""
+    packed, unpack = weight_codec([*weights, *chain.from_iterable(exteriors)], truncation, rank)
+    ints = iter(packed)
+    base = packed_symmetric_series(list(islice(ints, len(weights))), truncation)
+    return [unpack(times_exterior(list(islice(ints, len(b))), [dict(layer) for layer in base])) for b in exteriors]
+
+
 def wedge_class(k_weights, truncation: int, rank: int) -> GradedCharacter:
     """Signed graded exterior algebra of a weight multiset: the expansion of
-    the product over weights w of (1 - e^w q). Layer n carries sign (-1)^n."""
-    out = GradedCharacter.trivial(rank, truncation)
-    for w in k_weights:
-        out = graded_mul(out, GradedCharacter(rank, truncation, [{(0,) * rank: 1}, {tuple(w): -1}]))
-    return out
+    the product over weights w of (1 - e^w q), `times_exterior` applied to
+    1. Layer n carries sign (-1)^n."""
+    return GradedCharacter(rank, truncation, exterior_products([], [k_weights], truncation, rank)[0])
 
 
 def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
     """Verify that functions on k* times the signed exterior class of k is the
-    trivial class through the given degree."""
-    layers = symmetric_series(k_weights, truncation, rank)
-    product = graded_mul(GradedCharacter(rank, truncation, layers), wedge_class(k_weights, truncation, rank))
+    trivial class through the given degree (`exterior_products`)."""
+    product = GradedCharacter(rank, truncation, exterior_products(k_weights, [k_weights], truncation, rank)[0])
     trivial = GradedCharacter.trivial(rank, truncation)
     for n in range(truncation + 1):
         if product.layers[n] != trivial.layers[n]:
@@ -178,25 +185,18 @@ def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
     return CheckResult(True, (f"Koszul identity holds through degree {truncation}",))
 
 
-def cone_torus_character(g: RootDatum, weights, truncation: int, rank: int) -> GradedCharacter:
-    """Graded torus character of S(weights) * prod_i (1 - q^{d_i}) over the
-    invariant degrees of G: the symmetric algebra on the weight multiset
-    and the factors run on packed weights
-    (`charring.packed_symmetric_series`), unpacked once at the end. On g's
-    weights it is C[N] on the torus of G, on p's weights C[N_theta]."""
-    layers, unpack = packed_symmetric_series(weights, truncation, rank)
-    return GradedCharacter(rank, truncation, unpack(_times_invariant_factors(g, layers)))
-
-
 def theta_cone_character(config: RealFormConfig, truncation: int, force: bool = False) -> GradedCharacter:
     """Graded K-torus character of functions on the K-nilpotent cone, in the
     Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}): the symmetric algebra on
-    the p weights times one factor per invariant degree of G
-    (`cone_torus_character`). By the Koszul identity this equals the paper's
-    restriction of C[N] times the signed exterior class of k; it never
-    builds the G-torus character."""
+    the p weights times one factor per invariant degree of G, on packed
+    weights (`charring.packed_symmetric_series`), unpacked once at the end.
+    By the Koszul identity this equals the paper's restriction of C[N] times
+    the signed exterior class of k; it never builds the G-torus character."""
     require_split(config, force)
-    return cone_torus_character(config.g_datum, config.p_weights, truncation, config.k_torus_rank)
+    rank = config.k_torus_rank
+    packed, unpack = weight_codec(config.p_weights, truncation, rank)
+    layers = times_invariant_factors(config.g_datum, packed_symmetric_series(packed, truncation))
+    return GradedCharacter(rank, truncation, unpack(layers))
 
 
 def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = False) -> IrrepSeries:
@@ -208,7 +208,7 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
         raise ValueError(f"config {config.label!r} carries no K root datum")
     require_split(config, force)
     layers = symmetric_irreps(config.k_datum, config.p_weights, truncation)
-    return IrrepSeries(config.k_datum.rank, truncation, _times_invariant_factors(config.g_datum, layers))
+    return IrrepSeries(config.k_datum.rank, truncation, times_invariant_factors(config.g_datum, layers))
 
 
 def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
@@ -256,8 +256,8 @@ def require_split(config: RealFormConfig, force: bool) -> None:
         )
 
 
-def _times_invariant_factors(g: RootDatum, layers: list[dict]) -> list[dict]:
-    """`layers` (packed torus weights or labels, each mapped to its
+def times_invariant_factors(g: RootDatum, layers: list[dict]) -> list[dict]:
+    """`layers` (torus weights, packed or not, or labels, each mapped to its
     multiplicity) times prod_i (1 - q^{d_i}) over the invariant degrees of G, in place:
     d_i = e_i + 1 over the exponents and d = 1 for each central direction."""
     truncation = len(layers) - 1
@@ -269,6 +269,22 @@ def _times_invariant_factors(g: RootDatum, layers: list[dict]) -> list[dict]:
             layer = layers[n]
             for w, c in layers[n - d].items():
                 layer[w] = layer.get(w, 0) - c
+    return layers
+
+
+def times_exterior(packed, layers: list[dict[int, int]]) -> list[dict[int, int]]:
+    """`layers` (keyed by the ints of `charring.weight_codec`) times the
+    signed exterior class of the packed weights, the product over them of
+    (1 - e^w q), in place; the library's one loop for the exterior algebra."""
+    truncation = len(layers) - 1
+    for w in packed:
+        # From the top down, so that layer n - 1 still holds the factor's
+        # input when layer n subtracts it.
+        for n in range(truncation, 0, -1):
+            layer = layers[n]
+            for v, c in layers[n - 1].items():
+                key = v + w
+                layer[key] = layer.get(key, 0) - c
     return layers
 
 

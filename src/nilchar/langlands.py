@@ -4,74 +4,21 @@ branching sum for the K-nilpotent cone, whose degree-0 part is the Zuckerman
 expansion of the trivial representation.
 
 The branching sum is the paper's product (C[N]|K) * Lambda_{-1}(k) taken
-on each torus with the library's ring operations: ch_q C[N] on the torus of
-G once, in Kostant's form S(g) * prod_i (1 - q^{d_i})
-(`ktheta.cone_torus_character` on g's weights), times `ktheta.wedge_class`
-of that torus's k weights by one `graded_mul`, then emitted with sign
-(-1)^ell for each positive system.
-Torus conjugacy classes, their positive systems of imaginary roots, and the
-orbit codimensions are input data; this module materializes sums over them
+on each torus, with ch_q C[N] on the torus of G in Kostant's form
+S(g) * prod_i (1 - q^{d_i}): `ktheta.exterior_products` takes S(g) once on
+packed weights and multiplies a copy by the signed exterior class of each
+torus's k weights, under one codec built on g's weights and every torus's
+k weights; each product, unpacked once, takes the invariant-degree factors
+and is emitted with sign (-1)^ell for each positive system.
+Torus conjugacy classes, their positive systems of imaginary roots (the
+records `config.TorusDatum` and `config.PositiveSystem`), and the orbit
+codimensions are input data; this module materializes sums over them
 without attempting any orbit geometry.
 """
 
-from .charring import graded_mul
-from .ktheta import RealFormConfig, cone_torus_character, wedge_class
-from .rootdata import (
-    InvolutionData,
-    Record,
-    RootDatum,
-    Weight,
-    classify_roots,
-    int_vector,
-    wadd,
-    wneg,
-)
-
-
-class PositiveSystem(Record):
-    """A positive system of imaginary roots with its orbit codimension."""
-
-    __slots__ = ("id", "imaginary_roots", "ell")
-
-    id: str
-    imaginary_roots: tuple[Weight, ...]
-    ell: int
-
-    def __post_init__(self):
-        roots = tuple(int_vector(r, f"imaginary_roots[{i}]") for i, r in enumerate(self.imaginary_roots))
-        object.__setattr__(self, "imaginary_roots", roots)
-        if self.ell < 0:
-            raise ValueError("orbit codimension must be non-negative")
-
-
-class TorusDatum(Record):
-    """A theta-stable maximal torus: its involution on the weight lattice and
-    the supplied positive systems of imaginary roots."""
-
-    __slots__ = ("label", "theta", "positive_systems")
-
-    label: str
-    theta: InvolutionData
-    positive_systems: tuple[PositiveSystem, ...]
-
-    def validate(self, datum: RootDatum) -> None:
-        cls = classify_roots(datum, self.theta)
-        imaginary = set(cls.imaginary)
-        for ps in self.positive_systems:
-            pos = set(ps.imaginary_roots)
-            if len(pos) != len(ps.imaginary_roots):
-                raise ValueError(f"positive system {ps.id!r} lists a root twice")
-            if pos & {wneg(r) for r in pos}:
-                raise ValueError(f"positive system {ps.id!r} contains a root and its negative")
-            if pos | {wneg(r) for r in pos} != imaginary:
-                raise ValueError(
-                    f"positive system {ps.id!r} does not partition the imaginary roots of torus {self.label!r}"
-                )
-            for a in pos:
-                for b in pos:
-                    s = wadd(a, b)
-                    if s in imaginary and s not in pos:
-                        raise ValueError(f"positive system {ps.id!r} is not closed under addition")
+from .config import TorusDatum
+from .ktheta import RealFormConfig, exterior_products, times_invariant_factors
+from .rootdata import Record, RootDatum, Weight, classify_roots, wneg
 
 
 class ContinuedParameter(Record):
@@ -114,12 +61,6 @@ class FormalStandardSum:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalStandardSum) and self.terms == other.terms
-
-    def __add__(self, other: "FormalStandardSum") -> "FormalStandardSum":
-        return FormalStandardSum(
-            [(c, p, q) for (p, q), c in self.terms.items()]
-            + [(c, p, q) for (p, q), c in other.terms.items()]
-        )
 
     def to_records(self) -> list[dict]:
         return [
@@ -167,18 +108,19 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    # ch_q C[N] on the torus of G: S(g) on both signs of every root and
-    # `rank` zero weights, times the invariant-degree factors.
+    # S(g) on both signs of every root and `rank` zero weights, times the
+    # exterior class of each torus's k weights, then the invariant-degree
+    # factors that make S(g) into ch_q C[N].
     g_weights = [*datum.positive_roots, *map(wneg, datum.positive_roots), *[(0,) * datum.rank] * datum.rank]
-    cone = cone_torus_character(datum, g_weights, truncation, datum.rank)
+    k_sets = [k_weight_multiset(datum, torus, config.dims.dim_k) for torus in tori]
 
     terms = []
-    for torus in tori:
-        k_weights = k_weight_multiset(datum, torus, config.dims.dim_k)
-        product = graded_mul(cone, wedge_class(k_weights, truncation, datum.rank))
+    for torus, product in zip(tori, exterior_products(g_weights, k_sets, truncation, datum.rank)):
+        times_invariant_factors(datum, product)
         for ps in torus.positive_systems:
             sign = -1 if ps.ell % 2 else 1
-            for q, layer in enumerate(product.layers):
+            for q, layer in enumerate(product):
                 for gamma0, c in layer.items():
-                    terms.append((sign * c, ContinuedParameter(torus.label, gamma0, ps.id), q))
+                    if c:  # the factors can cancel a term
+                        terms.append((sign * c, ContinuedParameter(torus.label, gamma0, ps.id), q))
     return FormalStandardSum(terms)

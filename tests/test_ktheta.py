@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring, kernels, ktheta
-from nilchar.charring import irreducible_character, symmetric_series
+from nilchar.charring import irreducible_character
 from nilchar.cli import main
 from nilchar.config import catalog_names, load_catalog_config
 from nilchar.ktheta import (
@@ -14,6 +14,7 @@ from nilchar.ktheta import (
     RealFormConfig,
     SplitHypothesisError,
     dimension_check,
+    exterior_products,
     k_invariant_check,
     koszul_check,
     theta_cone_character,
@@ -51,7 +52,7 @@ def test_wedge_vanishes_above_dimension():
 
 
 def test_symmetric_series_geometric():
-    assert symmetric_series([(2,)], 3, rank=1) == [{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]
+    assert exterior_products([(2,)], [()], 3, rank=1) == [[{(0,): 1}, {(2,): 1}, {(4,): 1}, {(6,): 1}]]
 
 
 def test_koszul_examples():
@@ -75,15 +76,28 @@ def test_koszul_identity_any_multiset(weights, truncation):
     assert koszul_check(weights, truncation, rank=1).passed
 
 
-def test_koszul_failure_reported():
-    # A wrong symmetric factor shows up as a clean first-failure report.
-    from nilchar.charring import GradedCharacter, graded_mul
+def test_koszul_failure_reported(monkeypatch, capsys):
+    """An exterior factor with one sign flipped, 1 + e^w q for sl3's first k
+    weight w = -2, breaks the Koszul identity: the report names the first
+    failing degree with both layers, and `checks` fails that entry alone
+    (exit 2)."""
+    real = ktheta.times_exterior
 
-    sym = GradedCharacter(1, 4, symmetric_series([(2,)], 4, rank=1))
-    wedge = wedge_class([(1,)], 4, rank=1)
-    product = graded_mul(sym, wedge)
-    trivial = GradedCharacter.trivial(1, 4)
-    assert product != trivial  # mismatched multisets break the identity
+    def flipped(packed, layers):
+        w = packed[0]
+        for n in range(len(layers) - 1, 0, -1):
+            for v, c in layers[n - 1].items():
+                layers[n][v + w] = layers[n].get(v + w, 0) + c
+        return real(packed[1:], layers)
+
+    monkeypatch.setattr(ktheta, "times_exterior", flipped)
+    line = "Koszul identity fails first at degree 1: got 2*e[-2], expected 0"
+    sl3 = load_catalog_config("sl3-split").real_form
+    assert koszul_check(sl3.k_weights, 4, rank=1).lines == (line,)
+    code = main(["checks", "--group", "sl3-split", "--degree", "3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert f"[FAIL] koszul\n    {line}\n" in out and out.count("[FAIL]") == 1
 
 
 SL2 = load_catalog_config("sl2-split").real_form
@@ -196,9 +210,10 @@ def test_p_weights_catalog():
 
 
 def test_theta_cone_builds_no_g_torus_character(monkeypatch):
-    """The K side never builds C[N] of G or multiplies by the exterior class
-    of k. The torus character of C[N] and its restriction to the K-torus
-    exist only in the test helper `paper_formula`."""
+    """The K side never builds C[N] of G or multiplies by an exterior class
+    (`exterior_products`, `times_exterior`). The torus character of C[N]
+    and its restriction to the K-torus exist only in the test helper
+    `paper_formula`."""
     rf = load_catalog_config("sp4-split").real_form
     calls = []
 
@@ -211,8 +226,8 @@ def test_theta_cone_builds_no_g_torus_character(monkeypatch):
 
     monkeypatch.setattr(ktheta, "nilcone_series", counted("nilcone_series", ktheta.nilcone_series))
     monkeypatch.setattr(kernels, "lusztig_series", counted("lusztig_series", kernels.lusztig_series))
-    monkeypatch.setattr(ktheta, "wedge_class", counted("wedge", ktheta.wedge_class))
-    monkeypatch.setattr(ktheta, "graded_mul", counted("graded_mul", ktheta.graded_mul))
+    monkeypatch.setattr(ktheta, "exterior_products", counted("exterior_products", ktheta.exterior_products))
+    monkeypatch.setattr(ktheta, "times_exterior", counted("times_exterior", ktheta.times_exterior))
     gc = theta_cone_character(rf, 8)
     ktypes = theta_cone_ktypes(rf, 8)
     assert calls == []

@@ -7,17 +7,10 @@ import pytest
 
 from nilchar import charring, kernels, ktheta, langlands
 from nilchar.charring import TorusCharacter, irreducible_character
-from nilchar.config import load_catalog_config
+from nilchar.config import PositiveSystem, TorusDatum, load_catalog_config
 from nilchar.kernels import lusztig_series
 from nilchar.ktheta import nilcone_series, wedge_class
-from nilchar.langlands import (
-    ContinuedParameter,
-    FormalStandardSum,
-    PositiveSystem,
-    TorusDatum,
-    graded_branching_sum,
-    k_weight_multiset,
-)
+from nilchar.langlands import ContinuedParameter, FormalStandardSum, graded_branching_sum, k_weight_multiset
 from nilchar.rootdata import InvolutionData, build_root_datum
 from standard_sums import branching_reference, mass_by_degree, subset_sums, tensor_standard, zuckerman_expansion
 from weyl_action import weyl_dimension
@@ -142,7 +135,8 @@ def test_tensor_standard_additive_in_multiset():
     p = ContinuedParameter("split", (1,), "pos")
     s1 = TorusCharacter(1, {(-2,): 1, (0,): 2})
     s2 = TorusCharacter(1, {(0,): 1, (4,): 1})
-    assert tensor_standard(p, s1 + s2) == tensor_standard(p, s1) + tensor_standard(p, s2)
+    total = tensor_standard(p, TorusCharacter(1, {(-2,): 1, (0,): 3, (4,): 1}))
+    assert total == FormalStandardSum(t for s in (s1, s2) for t in tensor_standard(p, s).items())
 
 
 def test_zuckerman_signs():
@@ -271,25 +265,26 @@ def test_branching_equals_the_quintuple_sum(name, tori, N):
 
 
 def test_branching_takes_one_product_per_torus(monkeypatch):
-    """The exterior class of k and its product with C[N] are taken once per
-    torus, not once per positive system: sl2's compact torus has two."""
-    wedges, products = [], []
-    build_wedge, multiply = langlands.wedge_class, langlands.graded_mul
+    """The exterior class of k multiplies S(g) once per torus, not once per
+    positive system (sl2's compact torus has two), all from one call of
+    `exterior_products` on g's weights."""
+    calls, products = [], []
+    take, multiply = ktheta.exterior_products, ktheta.times_exterior
 
-    def counted_wedge(weights, *args):
-        wedges.append(tuple(weights))
-        return build_wedge(weights, *args)
+    def counted_products(weights, exteriors, *args):
+        calls.append((len(weights), [tuple(b) for b in exteriors]))
+        return take(weights, exteriors, *args)
 
-    def counted_mul(a, b):
-        products.append(b.truncation)
-        return multiply(a, b)
+    def counted_exterior(packed, layers):
+        products.append((len(packed), len(layers) - 1))
+        return multiply(packed, layers)
 
-    monkeypatch.setattr(langlands, "wedge_class", counted_wedge)
-    monkeypatch.setattr(langlands, "graded_mul", counted_mul)
+    monkeypatch.setattr(langlands, "exterior_products", counted_products)
+    monkeypatch.setattr(ktheta, "times_exterior", counted_exterior)
     graded_branching_sum(SL2.real_form, TORI, 8)
     assert [len(t.positive_systems) for t in TORI] == [1, 2]
-    assert wedges == [((0,),), ((0,),)]
-    assert products == [8, 8]
+    assert calls == [(3, [((0,),), ((0,),)])]
+    assert products == [(1, 8), (1, 8)]
 
 
 def test_branching_builds_one_parameter_per_term(monkeypatch):

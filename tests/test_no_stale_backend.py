@@ -31,8 +31,11 @@ are written from the layers), and the `nilcone` and `kostant` modules (the
 production cones are in `ktheta`, and the Lusztig check with its scan
 domain, orbit walk and partition table in `kernels`), and `ktheta._multiset`
 (now `collections.Counter`) and `cli._print_json` (its callers print
-`_json_text` directly), are gone; no source file, README line or build
-setting may point back to them."""
+`_json_text` directly), and `graded_mul` with the ring operators of
+`TorusCharacter` and their rank check `_check` (every torus product is
+taken on packed weights, `ktheta.exterior_products`; the tests' reference
+product is `tests/paper_formula.py`'s `tuple_product`), are gone; no source
+file, README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -106,6 +109,8 @@ STALE = (
     "nilcone.py",
     "def _multiset",
     "_print_json",
+    "graded_mul",
+    "def _check(",
 )
 
 

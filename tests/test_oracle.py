@@ -280,7 +280,7 @@ def test_compare_detects_perturbed_model():
     )
     result = compare_with_formula(SL2.real_form, bad, 4)
     assert not result.passed
-    assert "degree 2" in result.lines[-1]
+    assert result.lines[-1] == "FAIL: degree 2 disagrees: formula 1*e[-4] + 1*e[4], model 1*e[-4] + 1*e[0]"
 
 
 def test_compare_degree_zero_trivial():

@@ -114,13 +114,23 @@ CORE_MODULES = {
             id="cn --group sl3-split",
         ),
         pytest.param(
+            ["cn", "--group", "sl2-split", "--degree", "0", "--json"],
+            set(),
+            id="cn --group sl2-split",
+        ),
+        pytest.param(
+            ["cntheta", "--group", "sl2-split", "--degree", "0", "--json"],
+            set(),
+            id="cntheta --group sl2-split",
+        ),
+        pytest.param(
             ["branching", "--group", "sl2-split", "--degree", "0", "--json"],
             {"nilchar.langlands"},
             id="branching --group sl2-split",
         ),
         pytest.param(
             ["checks", "--group", "sl2-split", "--degree", "0", "--json"],
-            {"nilchar.oracle", "nilchar.kernels", "nilchar.langlands"},
+            {"nilchar.oracle", "nilchar.kernels"},
             id="checks --group sl2-split",
         ),
     ],
@@ -132,8 +142,8 @@ def test_cold_query_loads_only_the_modules_it_runs(argv, extra):
     cone model's elimination (`oracle`) is loaded by `oracle-check` and
     `checks` alone, the Lusztig route with its partition table (`kernels`)
     by `checks` alone, and the branching sum (`langlands`) by `branching`
-    and by loading a config with a torus table (sl2-split's), whose tori
-    `langlands` builds. No module asks for `__future__`."""
+    alone: the torus-table records that a config such as sl2-split's holds
+    live in `config`. No module asks for `__future__`."""
     status, _, loaded = _cold_query(argv)
     assert status == "0"
     assert {m for m in loaded if m.partition(".")[0] == "nilchar"} == CORE_MODULES | extra
@@ -146,7 +156,7 @@ PUBLIC_NAMES = {
     "FormalStandardSum", "GradedCharacter", "InvolutionData", "IrrepSeries", "LoadedConfig", "PositiveSystem",
     "RealFormConfig", "RootDatum", "SplitHypothesisError", "TorusCharacter", "TorusDatum", "build_root_datum",
     "catalog_names", "classify_roots", "compare_with_formula", "config_from_dict", "dimension_check",
-    "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree", "graded_mul",
+    "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree",
     "irreducible_character", "k_invariant_check", "k_weight_multiset", "koszul_check", "load_catalog_config", "load_config_file",
     "lusztig_check", "lusztig_series", "nilcone_series", "theta_cone_character", "theta_cone_ktypes",
     "wedge_class",
@@ -159,7 +169,7 @@ def test_star_import_gives_the_public_names_from_their_home_modules():
     namespace = {}
     exec("from nilchar import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC_NAMES) == 39 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
+    assert len(PUBLIC_NAMES) == 38 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
     for name, value in namespace.items():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert getattr(nilchar, name) is value, name

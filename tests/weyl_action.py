@@ -3,9 +3,10 @@ dimension formula, and the decomposition of a Weyl-invariant character off
 the Weyl denominator, kept on the test side: the element with reduced word
 (i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple reflections apply last
 letter first. The decomposition is the reference that the K-types on
-highest-weight labels (`theta_cone_ktypes`) are held to."""
+highest-weight labels (`theta_cone_ktypes`) are held to, and its inverse,
+the expansion of labels onto the torus by Demazure's formula."""
 
-from nilchar.charring import TorusCharacter
+from nilchar.charring import TorusCharacter, irreducible_character
 from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
 
 
@@ -104,6 +105,16 @@ def decompose_into_irreducibles(datum, ch: TorusCharacter) -> dict[Weight, int]:
                 del shifted[key]
         acc = shifted
     return {w: c for w, c in acc.items() if datum.is_dominant(w)}
+
+
+def expand_labels(datum, labels: dict[Weight, int]) -> TorusCharacter:
+    """The torus character sum_lam c_lam ch V_lam of a label combination,
+    each irreducible by `irreducible_character`."""
+    out: dict[Weight, int] = {}
+    for lam, c in labels.items():
+        for w, m in irreducible_character(datum, lam).terms.items():
+            out[w] = out.get(w, 0) + c * m
+    return TorusCharacter(datum.rank, out)
 
 
 def _validate_weyl_invariance(datum, ch: TorusCharacter) -> None:
