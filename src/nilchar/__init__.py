@@ -1,19 +1,16 @@
 """Graded characters of K-nilpotent cones for real forms split modulo center.
 
 The main entry points: `build_root_datum` for the ambient combinatorics,
-`nilcone_series` for the graded functions on the full nilpotent cone by
-highest weight (Kostant's closed form S(g) * prod_i (1 - q^{d_i}) on
-labels, checked against Lusztig's q-analogs in `lusztig_series`, whose
-route is all in `kernels`), `theta_cone_character` for the K-side in the
-Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) (by the Koszul identity,
-the paper's restriction of C[N] times the signed exterior class of k) and
-`theta_cone_ktypes` for the same form by K-type, `graded_branching_sum`
-for the standard-module bookkeeping (Kostant's form of C[N] on the torus
-of G times the signed exterior class of k on each torus, all on packed
-weights under one codec, `ktheta.exterior_products`), and the `oracle`
-module for independent brute-force verification. The cone forms and the
-exterior class live together in `ktheta`. Every answer by highest weight comes from one
-algorithm, `charring.symmetric_irreps`.
+`nilcone_series` for C[N] by highest weight (Kostant's closed form
+S(g) * prod_i (1 - q^{d_i}), checked against Lusztig's q-analogs,
+`kernels.lusztig_series`), `theta_cone_character` and `theta_cone_ktypes`
+for C[N_theta] in the Kostant-Rallis form S(p) * prod_i (1 - q^{d_i}) on
+the K-torus and by K-type (by the Koszul identity, the paper's restriction
+of C[N] times the signed exterior class of k), `graded_branching_sum` for
+the standard-module bookkeeping, and the `oracle` module for independent
+brute-force verification. The cone forms and the exterior class live in
+`ktheta`; every answer by highest weight comes from one algorithm,
+`charring.symmetric_irreps`.
 
 The public names below are looked up in their home modules on first use
 (PEP 562), so importing the package, or `nilchar.cli` for one command,
@@ -24,7 +21,6 @@ loads only the modules that are used.
 _HOMES = {
     "GradedCharacter": "charring",
     "IrrepSeries": "charring",
-    "TorusCharacter": "charring",
     "irreducible_character": "charring",
     "AffineConeModel": "config",
     "ConeVariable": "config",

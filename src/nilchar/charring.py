@@ -1,12 +1,13 @@
-"""Virtual torus characters and truncated q-graded character series, the
-packed-int weight codec with the graded symmetric algebra on it, the graded
-symmetric algebra on highest-weight labels, and irreducible characters.
+"""Truncated q-graded character series, the packed-int weight codec with
+the graded symmetric algebra on it, the graded symmetric algebra on
+highest-weight labels, and irreducible characters. A character is a plain
+{weight: multiplicity} dict, written as text by `format_terms`.
 
 Irreducible characters come from Demazure's character formula; the
 Weyl-sum multiplicities and the Weyl numerator remain tests of them. A
 graded symmetric algebra of a Weyl-invariant weight multiset is computed
-on highest-weight labels (`symmetric_irreps`), so no torus character is
-ever decomposed into irreducibles.
+on highest-weight labels (`symmetric_irreps`), so no production route
+decomposes a torus character into irreducibles.
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -63,42 +64,9 @@ def _checked_layers(rank: int, truncation: int, layers) -> list[dict[Weight, int
     return [_checked_terms(rank, layer, f" in degree {n}") for n, layer in enumerate(given)]
 
 
-class TorusCharacter:
-    """Finite formal integer combination of torus weights (a virtual
-    character), to compare and print; products are taken on packed weights
-    (`weight_codec`)."""
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms=None):
-        self.rank = rank
-        self.terms = _checked_terms(rank, terms or {})
-
-    @classmethod
-    def trivial(cls, rank: int) -> "TorusCharacter":
-        return cls(rank, {(0,) * rank: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorusCharacter)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def mass(self) -> int:
-        """Sum of multiplicities (the virtual dimension)."""
-        return sum(self.terms.values())
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*e{list(w)}" for w, c in self.items())
+def format_terms(terms) -> str:
+    """A weight -> multiplicity map as text: `0`, or `c*e[w] + ...` in weight order."""
+    return " + ".join(f"{c}*e{list(w)}" for w, c in sorted(terms.items())) or "0"
 
 
 class _Series:
@@ -138,13 +106,6 @@ class GradedCharacter(_Series):
     __slots__ = ()
     key = "weight"
 
-    @classmethod
-    def trivial(cls, rank: int, truncation: int) -> "GradedCharacter":
-        return cls(rank, truncation, [{(0,) * rank: 1}])
-
-    def layer(self, n: int) -> TorusCharacter:
-        return TorusCharacter(self.rank, self.layers[n])
-
     def mass(self, n: int) -> int:
         return sum(self.layers[n].values())
 
@@ -152,7 +113,7 @@ class GradedCharacter(_Series):
         return [self.mass(n) for n in range(self.truncation + 1)]
 
     def __repr__(self) -> str:
-        parts = [f"q^{n}:({self.layer(n)!r})" for n in range(self.truncation + 1) if self.layers[n]]
+        parts = [f"q^{n}:({format_terms(layer)})" for n, layer in enumerate(self.layers) if layer]
         return " + ".join(parts) if parts else "0"
 
 
@@ -305,16 +266,16 @@ class IrrepSeries(_Series):
         return " + ".join(parts) if parts else "0"
 
 
-def irreducible_character(datum: RootDatum, lam: Weight) -> TorusCharacter:
-    """Full torus character of the irreducible with highest weight `lam`, by
-    Demazure's character formula ch V_lam = D_{w0}(e^lam) (Bull. Sci. Math.
-    98, 1974): one Demazure operator per letter of w0's word (`_w0_word`)."""
+def irreducible_character(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """Torus character {weight: multiplicity} of the irreducible with highest
+    weight `lam`, by Demazure's formula ch V_lam = D_{w0}(e^lam) (Bull. Sci.
+    Math. 98, 1974): one Demazure operator per letter of w0's word."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     terms = {tuple(lam): 1}
     for i in reversed(_w0_word(datum)):
         terms = _demazure(datum, i, terms)
-    return TorusCharacter(datum.rank, terms)
+    return _checked_terms(datum.rank, terms)
 
 
 def _w0_word(datum: RootDatum) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from .ktheta import (
     dimension_check,
     k_invariant_check,
     koszul_check,
+    ktypes_vs_torus_check,
     nilcone_series,
     require_split,
     theta_cone_character,
@@ -124,7 +125,7 @@ def cmd_cn(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     series = nilcone_series(cfg.real_form.g_datum, degree)
-    _emit_series({"command": "cn", "group": cfg.label, "degree": degree}, series, opts["--json"])
+    _emit_series({"command": "cn", "group": cfg.real_form.label, "degree": degree}, series, opts["--json"])
     return 0
 
 
@@ -136,12 +137,12 @@ def cmd_cntheta(opts) -> int:
         series = theta_cone_ktypes(cfg.real_form, degree, force=opts["--force"])
     else:
         series = theta_cone_character(cfg.real_form, degree, force=opts["--force"])
-    _emit_series({"command": "cntheta", "group": cfg.label, "degree": degree}, series, opts["--json"])
+    _emit_series({"command": "cntheta", "group": cfg.real_form.label, "degree": degree}, series, opts["--json"])
     return 0
 
 
 def cmd_checks(opts) -> int:
-    """run the Koszul, dimension, Lusztig-route, K-invariant and cone-model checks"""
+    """run the Koszul, dimension, Lusztig-route, K-invariant, K-types-vs-torus and cone-model checks"""
     from . import oracle
     from .kernels import lusztig_check
 
@@ -155,20 +156,21 @@ def cmd_checks(opts) -> int:
     results.append(("koszul", koszul_check(rf.k_weights, degree, rank=rf.k_torus_rank), None))
     results.append(("dimensions", dimension_check(rf), None))
     results.append(("lusztig-vs-harmonics", lusztig_check(rf.g_datum, degree), None))
-    split = rf.split_mod_center or opts["--force"]
-    not_split = "skipped: config is not split modulo center"
-    if rf.k_datum is None:
-        results.append(("k-invariants", None, "skipped: config carries no K root datum"))
-    elif split:
-        results.append(("k-invariants", k_invariant_check(rf, degree, opts["--force"]), None))
+    force = opts["--force"]
+    not_split = None if rf.split_mod_center or force else "skipped: config is not split modulo center"
+    no_ktypes = "skipped: config carries no K root datum" if rf.k_datum is None else not_split
+    # Each cone form is built once, for every entry that reads it.
+    torus = None
+    if no_ktypes:
+        results += [("k-invariants", None, no_ktypes), ("ktypes-vs-torus", None, no_ktypes)]
     else:
-        results.append(("k-invariants", None, not_split))
+        ktypes = theta_cone_ktypes(rf, degree, force=force)
+        torus = theta_cone_character(rf, degree, force=force)
+        results.append(("k-invariants", k_invariant_check(ktypes), None))
+        results.append(("ktypes-vs-torus", ktypes_vs_torus_check(rf.k_datum, ktypes, torus), None))
     if cfg.oracle_model is not None:
-        if split:
-            res = oracle.compare_with_formula(rf, cfg.oracle_model, degree, force=opts["--force"])
-            results.append(("oracle", res, None))
-        else:
-            results.append(("oracle", None, not_split))
+        res = None if not_split else oracle.compare_with_formula(rf, cfg.oracle_model, degree, force, formula=torus)
+        results.append(("oracle", res, not_split))
     rows = []
     ok = True
     for name, res, note in results:
@@ -178,7 +180,7 @@ def cmd_checks(opts) -> int:
         ok &= res.passed
         rows.append({"check": name, "passed": res.passed, "details": list(res.lines)})
     if opts["--json"]:
-        print(_json_text({"command": "checks", "group": cfg.label, "degree": degree, "rows": rows}))
+        print(_json_text({"command": "checks", "group": cfg.real_form.label, "degree": degree, "rows": rows}))
     else:
         for r in rows:
             tag = "SKIP" if r["passed"] is None else ("PASS" if r["passed"] else "FAIL")
@@ -195,11 +197,11 @@ def cmd_branching(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if cfg.tori is None:
-        raise ConfigError(f"config {cfg.label!r} has no `tori` section; branching needs the torus table")
+        raise ConfigError(f"config {cfg.real_form.label!r} has no `tori` section; branching needs the torus table")
     total = graded_branching_sum(cfg.real_form, cfg.tori, degree)
     rows = total.to_records()
     _emit(
-        {"command": "branching", "group": cfg.label, "degree": degree},
+        {"command": "branching", "group": cfg.real_form.label, "degree": degree},
         rows,
         ["q_power", "coefficient", "torus", "gamma", "positive_system"],
         opts["--json"],
@@ -214,7 +216,7 @@ def cmd_oracle_check(opts) -> int:
     cfg = _load_group(opts["--group"])
     degree = _check_degree(opts)
     if cfg.oracle_model is None:
-        raise ConfigError(f"config {cfg.label!r} has no `oracle_model` section")
+        raise ConfigError(f"config {cfg.real_form.label!r} has no `oracle_model` section")
     # The comparison would refuse a non-split config; refuse it before the
     # elimination, which is the costly part.
     require_split(cfg.real_form, opts["--force"])
@@ -222,7 +224,7 @@ def cmd_oracle_check(opts) -> int:
     dims = actual.masses()
     result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)
     if opts["--json"]:
-        payload = {"command": "oracle-check", "group": cfg.label, "degree": degree, "hilbert": dims}
+        payload = {"command": "oracle-check", "group": cfg.real_form.label, "degree": degree, "hilbert": dims}
         print(_json_text({**payload, "passed": result.passed, "details": list(result.lines)}))
     else:
         print(f"hilbert function: {dims}")

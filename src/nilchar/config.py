@@ -146,9 +146,8 @@ class AffineConeModel(Record):
 
 
 class LoadedConfig(Record):
-    __slots__ = ("label", "real_form", "tori", "oracle_model")
+    __slots__ = ("real_form", "tori", "oracle_model")
 
-    label: str
     real_form: RealFormConfig
     tori: tuple[TorusDatum, ...] | None
     oracle_model: AffineConeModel | None
@@ -349,10 +348,13 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     split = _bool(_get(doc, "split_mod_center", "split_mod_center"), "split_mod_center")
 
     try:
+        classify_roots(g_datum, involution)
+    except ValueError as exc:
+        raise ConfigError(f"involution: {exc}") from None
+    try:
         real_form = RealFormConfig(
             label=name,
             g_datum=g_datum,
-            involution=involution,
             k_torus_rank=torus_rank,
             restriction=restriction,
             k_weights=k_weights,
@@ -387,7 +389,7 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
                 f"oracle_model: torus rank {model.torus_rank} does not match k.torus_rank {torus_rank}"
             )
 
-    return LoadedConfig(name, real_form, tori, model)
+    return LoadedConfig(real_form, tori, model)
 
 
 def load_config_file(path: str, require_split: bool = True) -> LoadedConfig:

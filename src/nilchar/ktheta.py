@@ -24,24 +24,24 @@ that product equals
 the Kostant-Rallis description of N_theta as the zero fibre of p -> p//K
 (Amer. J. Math. 93, 1971). This module computes the right-hand side with
 the invariant degrees d_i of G, in two forms that share one factor loop: on
-the K-torus alone (`theta_cone_character`), and on K's highest-weight labels
-(`theta_cone_ktypes`: S(p) by Newton's identity with Brauer-Klimyk
-straightening, as for C[N]), which builds no torus character. The torus
-form runs on packed weights (`charring.weight_codec`), and so does every
-product with an exterior class: `exterior_products` takes S of one weight
-multiset times the signed exterior class of each of several others, under
-one codec, for the Koszul sanity identity S(k) * Lambda(k) = 1, for
-`wedge_class` and for the per-torus products of
-`langlands.graded_branching_sum`. Alongside are the dimension bookkeeping
-that the hypothesis rests on and the check that the trivial K-type occurs
-in degree 0 only.
+the K-torus, on packed weights (`theta_cone_character`), and on K's
+highest-weight labels (`theta_cone_ktypes`: S(p) by Newton's identity with
+Brauer-Klimyk straightening, as for C[N]). Every product with an exterior
+class is packed too (`exterior_products`): the Koszul identity
+S(k) * Lambda(k) = 1, `wedge_class` and `langlands.graded_branching_sum`.
+Alongside are the dimension bookkeeping that the hypothesis rests on and
+two checks: the trivial K-type occurs in degree 0 only, and each torus
+layer read off K's Weyl denominator (`labels_off_torus`) is that degree's
+K-types.
 """
 
 from collections import Counter
 from itertools import chain, islice
 
-from .charring import GradedCharacter, IrrepSeries, packed_symmetric_series, symmetric_irreps, weight_codec
-from .rootdata import InvolutionData, Record, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg
+from .charring import (
+    GradedCharacter, IrrepSeries, format_terms, packed_symmetric_series, symmetric_irreps, weight_codec,
+)
+from .rootdata import Record, RootDatum, Weight, int_vector, mat_apply, wneg, wsub
 
 
 class SplitHypothesisError(ValueError):
@@ -68,8 +68,8 @@ class Dims(Record):
 
 
 class RealFormConfig(Record):
-    """The (G, theta, K) package: ambient root datum, involution, torus-level
-    restriction to K, the weights of k, and the dimension table.
+    """The (G, K) package: ambient root datum, torus-level restriction to K,
+    the weights of k, and the dimension table.
 
     `p_weights` is derived: the restricted weights of g (both signs of every
     root, and `rank` zero weights) less the weights of k, as multisets. A k
@@ -77,13 +77,12 @@ class RealFormConfig(Record):
     are k weights other than the adjoint weights of `k_datum` when given, and
     p weights that the Weyl group of `k_datum` does not preserve."""
 
-    __slots__ = ("label", "g_datum", "involution", "k_torus_rank", "restriction", "k_weights", "dims",
-                 "split_mod_center", "k_datum", "p_weights")
+    __slots__ = ("label", "g_datum", "k_torus_rank", "restriction", "k_weights", "dims", "split_mod_center",
+                 "k_datum", "p_weights")
     _derived = ("p_weights",)
 
     label: str
     g_datum: RootDatum
-    involution: InvolutionData
     k_torus_rank: int
     restriction: tuple[tuple[int, ...], ...]
     k_weights: tuple[Weight, ...]
@@ -93,7 +92,6 @@ class RealFormConfig(Record):
     p_weights: tuple[Weight, ...]
 
     def __post_init__(self):
-        classify_roots(self.g_datum, self.involution)
         rows = tuple(int_vector(row, f"restriction[{i}]") for i, row in enumerate(self.restriction))
         object.__setattr__(self, "restriction", rows)
         if len(rows) != self.k_torus_rank or any(len(r) != self.g_datum.rank for r in rows):
@@ -171,17 +169,12 @@ def wedge_class(k_weights, truncation: int, rank: int) -> GradedCharacter:
 def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
     """Verify that functions on k* times the signed exterior class of k is the
     trivial class through the given degree (`exterior_products`)."""
-    product = GradedCharacter(rank, truncation, exterior_products(k_weights, [k_weights], truncation, rank)[0])
-    trivial = GradedCharacter.trivial(rank, truncation)
-    for n in range(truncation + 1):
-        if product.layers[n] != trivial.layers[n]:
-            return CheckResult(
-                False,
-                (
-                    f"Koszul identity fails first at degree {n}: "
-                    f"got {product.layer(n)!r}, expected {trivial.layer(n)!r}",
-                ),
-            )
+    product = exterior_products(k_weights, [k_weights], truncation, rank)[0]
+    trivial = [{(0,) * rank: 1}] + [{}] * truncation
+    for n, (got, expected) in enumerate(zip(product, trivial)):
+        if got != expected:
+            got, expected = format_terms(got), format_terms(expected)
+            return CheckResult(False, (f"Koszul identity fails first at degree {n}: got {got}, expected {expected}",))
     return CheckResult(True, (f"Koszul identity holds through degree {truncation}",))
 
 
@@ -228,23 +221,68 @@ def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
     return IrrepSeries(datum.rank, truncation, layers)
 
 
-def k_invariant_check(config: RealFormConfig, truncation: int, force: bool) -> CheckResult:
+def k_invariant_check(ktypes: IrrepSeries) -> CheckResult:
     """The trivial K-type occurs in C[N_theta] in degree 0 only, once.
 
     K has finitely many orbits on N_theta, each with 0 in its closure
     (Kostant-Rallis), so a K-invariant function on N_theta is constant;
     equivalently S(p)^K is a polynomial ring with generators in the degrees
     d_i. The product formula does not make this true: the check holds the
-    invariant degrees of G against p, on K's labels (`theta_cone_ktypes`)."""
-    series = theta_cone_ktypes(config, truncation, force)
-    zero = (0,) * series.rank
-    for n, layer in enumerate(series.layers):
+    invariant degrees of G against p, on K's labels: `ktypes` is
+    `theta_cone_ktypes`."""
+    zero = (0,) * ktypes.rank
+    for n, layer in enumerate(ktypes.layers):
         m = layer.get(zero, 0)
         if m != (n == 0):
             return CheckResult(
                 False, (f"trivial K-type has multiplicity {m} in degree {n}, expected {int(n == 0)}",)
             )
-    return CheckResult(True, (f"trivial K-type occurs once, in degree 0, through degree {truncation}",))
+    return CheckResult(True, (f"trivial K-type occurs once, in degree 0, through degree {ktypes.truncation}",))
+
+
+def labels_off_torus(datum: RootDatum, terms) -> dict[Weight, int]:
+    """The highest-weight labels of a Weyl-invariant virtual torus character
+    (weight -> multiplicity), read off the Weyl denominator: in ch(V_lam) *
+    prod_{alpha>0} (1 - e^{-alpha}) = sum_w sign(w) e^{w(lam+rho)-rho} only
+    w = 1 gives a dominant weight, so the multiplicity of V_lam is the
+    coefficient of e^lam in the whole product, also where the character has
+    no term. A character that a simple reflection does not preserve is a
+    ValueError naming a weight where it is not."""
+    for w, c in terms.items():
+        if len(w) != datum.rank:
+            raise ValueError(f"torus rank mismatch: weight {w} against rank {datum.rank}")
+        for i in range(datum.nsimple):
+            image = datum.reflect(i, w)
+            if terms.get(image, 0) != c:
+                raise ValueError(
+                    f"character is not Weyl-invariant: e{list(w)} has multiplicity {c}, "
+                    f"its image e{list(image)} under simple reflection {i} has {terms.get(image, 0)}"
+                )
+    acc = dict(terms)
+    for alpha in datum.positive_roots:
+        shifted = dict(acc)
+        for w, c in acc.items():
+            key = wsub(w, alpha)
+            shifted[key] = shifted.get(key, 0) - c
+        acc = {w: c for w, c in shifted.items() if c}
+    return {w: c for w, c in acc.items() if c and datum.is_dominant(w)}
+
+
+def ktypes_vs_torus_check(k_datum: RootDatum, ktypes: IrrepSeries, torus: GradedCharacter) -> CheckResult:
+    """The K-types (`theta_cone_ktypes`, on K's labels) and the K-torus
+    series (`theta_cone_character`, packed) are one character: each torus
+    layer read off K's Weyl denominator (`labels_off_torus`) is that
+    degree's K-types."""
+    for n, (labels, layer) in enumerate(zip(ktypes.layers, torus.layers)):
+        try:
+            read = labels_off_torus(k_datum, layer)
+        except ValueError as exc:
+            return CheckResult(False, (f"degree {n}: the torus layer cannot be read as K-types: {exc}",))
+        if read != labels:
+            line = f"degree {n}: K-types {format_terms(labels)}, but the torus layer reads {format_terms(read)}"
+            return CheckResult(False, (line,))
+    line = f"K-types equal the torus series read off K's Weyl denominator through degree {ktypes.truncation}"
+    return CheckResult(True, (line,))
 
 
 def require_split(config: RealFormConfig, force: bool) -> None:

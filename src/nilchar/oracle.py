@@ -15,7 +15,7 @@ from collections import Counter
 from math import gcd, lcm
 from operator import mul
 
-from .charring import GradedCharacter, weight_codec
+from .charring import GradedCharacter, format_terms, weight_codec
 from .config import AffineConeModel
 from .ktheta import CheckResult, RealFormConfig, theta_cone_character
 
@@ -151,15 +151,17 @@ def compare_with_formula(
     truncation: int,
     force: bool = False,
     actual: GradedCharacter | None = None,
+    formula: GradedCharacter | None = None,
 ) -> CheckResult:
-    """Layer-by-layer comparison of the product-formula character against the
-    model's brute-force character; `actual` is that character when the caller
-    has already computed it with `graded_character_by_degree`."""
+    """Layer-by-layer comparison of the product-formula character (`formula`,
+    when the caller has it from `theta_cone_character`) against the model's
+    brute-force character (`actual`, from `graded_character_by_degree`)."""
     if model.torus_rank != config.k_torus_rank:
         raise ValueError(
             f"model torus rank {model.torus_rank} does not match config rank {config.k_torus_rank}"
         )
-    formula = theta_cone_character(config, truncation, force=force)
+    if formula is None:
+        formula = theta_cone_character(config, truncation, force=force)
     if actual is None:
         actual = graded_character_by_degree(model, truncation)
     lines = []
@@ -170,7 +172,8 @@ def compare_with_formula(
         else:
             ok = False
             lines.append(
-                f"FAIL: degree {n} disagrees: formula {formula.layer(n)!r}, model {actual.layer(n)!r}"
+                f"FAIL: degree {n} disagrees: formula {format_terms(formula.layers[n])}, "
+                f"model {format_terms(actual.layers[n])}"
             )
             break
     return CheckResult(ok, tuple(lines))

@@ -7,18 +7,18 @@ explicit simple (co)roots on an arbitrary lattice, which covers reductive
 groups with central tori (e.g. GL2) and pure torus factors.
 """
 
-from operator import attrgetter
+from operator import add, attrgetter, mul, sub
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def wneg(a: Weight) -> Weight:
@@ -30,7 +30,7 @@ def wscale(k: int, a: Weight) -> Weight:
 
 
 def wdot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def mat_apply(m: Matrix, w: Weight) -> Weight:
@@ -169,9 +169,7 @@ class RootDatum:
         adj, self._coord_den = adjugate(self.cartan_matrix)
         self._coord_rows = mat_mul(adj, coroots)
 
-        self.positive_roots, self.positive_coroots = self._close_positive_roots()
-        # Simple-root coordinates of the positive roots, solved once here.
-        self.positive_root_coords = tuple(self.root_coords_int(r) for r in self.positive_roots)
+        self.positive_roots, self.positive_coroots, self.positive_root_coords = self._close_positive_roots()
         two_rho = (0,) * rank
         for r in self.positive_roots:
             two_rho = wadd(two_rho, r)
@@ -221,12 +219,6 @@ class RootDatum:
                     return None
         return tuple(m)
 
-    def height(self, weight: Weight) -> int:
-        rc = self.root_coords_int(weight)
-        if rc is None:
-            raise ValueError(f"weight {weight} is not in the root lattice")
-        return sum(rc)
-
     @property
     def max_root_height(self) -> int:
         return max((sum(rc) for rc in self.positive_root_coords), default=0)
@@ -248,14 +240,18 @@ class RootDatum:
 
     def reflect(self, i: int, weight: Weight) -> Weight:
         p = wdot(weight, self.simple_coroots[i])
-        return wsub(weight, wscale(p, self.simple_roots[i]))
+        return tuple([x - p * a for x, a in zip(weight, self.simple_roots[i])])
 
     # -- internals ----------------------------------------------------------
 
     def _close_positive_roots(self):
+        """(roots, coroots, simple-root coordinates) of the positive roots in (height, root)
+        order; each root is solved once, when met, and a simple root's are a unit vector."""
         pos: dict[Weight, Weight] = {}
-        for r, c in zip(self.simple_roots, self.simple_coroots):
+        coords: dict[Weight, tuple[int, ...]] = {}
+        for j, (r, c) in enumerate(zip(self.simple_roots, self.simple_coroots)):
             pos[r] = c
+            coords[r] = tuple(int(k == j) for k in range(self.nsimple))
         frontier = list(self.simple_roots)
         while frontier:
             nxt = []
@@ -272,12 +268,13 @@ class RootDatum:
                         raise ValueError("positive-root closure escaped the positive cone")
                     imcov = wsub(cov, wscale(wdot(self.simple_roots[i], cov), self.simple_coroots[i]))
                     pos[im] = imcov
+                    coords[im] = rc
                     nxt.append(im)
                     if len(pos) > 100_000:
                         raise ValueError("positive-root closure did not terminate; not finite type")
             frontier = nxt
-        ordered = sorted(pos, key=lambda r: (self.height(r), r))
-        return tuple(ordered), tuple(pos[r] for r in ordered)
+        ordered = sorted(pos, key=lambda r: (sum(coords[r]), r))
+        return tuple(ordered), tuple(pos[r] for r in ordered), tuple(coords[r] for r in ordered)
 
     def __repr__(self) -> str:
         return f"RootDatum(rank={self.rank}, positive_roots={len(self.positive_roots)})"

@@ -12,7 +12,7 @@ are held to."""
 from functools import reduce
 from operator import add
 
-from nilchar.charring import GradedCharacter, TorusCharacter
+from nilchar.charring import GradedCharacter
 from nilchar.ktheta import RealFormConfig
 from nilchar.rootdata import RootDatum, Weight, int_vector, mat_apply, wneg
 
@@ -59,26 +59,25 @@ def nilcone_character(datum: RootDatum, truncation: int) -> GradedCharacter:
     return GradedCharacter(datum.rank, truncation, out)
 
 
-def restrict_character(ch: TorusCharacter, rmatrix) -> TorusCharacter:
-    """Push a character forward along an integer lattice map (rows index the
-    target coordinates); colliding weights add."""
+def restrict_character(ch: dict[Weight, int], rmatrix) -> dict[Weight, int]:
+    """Push a character (weight -> multiplicity) forward along an integer
+    lattice map (rows index the target coordinates); colliding weights add,
+    and zero multiplicities are dropped."""
     rows = tuple(int_vector(row, f"rmatrix[{i}]") for i, row in enumerate(rmatrix))
-    for row in rows:
-        if len(row) != ch.rank:
-            raise ValueError(
-                f"restriction matrix expects source rank {len(row)}, character has rank {ch.rank}"
-            )
     out: dict[Weight, int] = {}
-    for w, c in ch.terms.items():
+    for w, c in ch.items():
+        for row in rows:
+            if len(row) != len(w):
+                raise ValueError(f"restriction matrix expects source rank {len(row)}, weight {w} has rank {len(w)}")
         key = mat_apply(rows, w)
         out[key] = out.get(key, 0) + c
-    return TorusCharacter(len(rows), out)
+    return {w: c for w, c in out.items() if c}
 
 
 def restrict_graded(gc: GradedCharacter, rmatrix) -> GradedCharacter:
     """`restrict_character` applied to every layer."""
     rows = tuple(tuple(int(v) for v in row) for row in rmatrix)
-    layers = [restrict_character(gc.layer(n), rows).terms for n in range(gc.truncation + 1)]
+    layers = [restrict_character(layer, rows) for layer in gc.layers]
     return GradedCharacter(len(rows), gc.truncation, layers)
 
 

@@ -8,7 +8,7 @@ torus is held to, with the highest weights of C[N] from either of its two
 label routes (`nilcone_series` or `lusztig_series`), each expanded by
 Demazure's formula."""
 
-from nilchar.charring import TorusCharacter, irreducible_character
+from nilchar.charring import irreducible_character
 from nilchar.langlands import ContinuedParameter, FormalStandardSum, k_weight_multiset
 from nilchar.rootdata import Weight, wadd
 
@@ -21,14 +21,14 @@ def mass_by_degree(total: FormalStandardSum) -> dict[int, int]:
     return out
 
 
-def tensor_standard(param: ContinuedParameter, ch: TorusCharacter) -> FormalStandardSum:
-    """Tensoring a standard-module class by a finite character: one shifted
-    parameter per weight, with its multiplicity."""
-    if ch.rank != len(param.gamma0):
+def tensor_standard(param: ContinuedParameter, ch: dict[Weight, int]) -> FormalStandardSum:
+    """Tensoring a standard-module class by a finite character (weight ->
+    multiplicity): one shifted parameter per weight, with its multiplicity."""
+    if any(len(w) != len(param.gamma0) for w in ch):
         raise ValueError("character weights do not live on the parameter's lattice")
     return FormalStandardSum(
         (m, ContinuedParameter(param.torus, wadd(param.gamma0, w), param.positive_system), 0)
-        for w, m in ch.items()
+        for w, m in sorted(ch.items())
     )
 
 
@@ -87,7 +87,7 @@ def branching_reference(config, tori, truncation: int, cone_labels) -> FormalSta
     its own; no graded product is taken."""
     datum = config.g_datum
     contributors = [
-        (j, c, irreducible_character(datum, lam).items())
+        (j, c, sorted(irreducible_character(datum, lam).items()))
         for j, layer in enumerate(cone_labels(datum, truncation).layers)
         for lam, c in layer.items()
     ]

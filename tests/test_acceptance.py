@@ -106,7 +106,7 @@ def test_criterion_5_q1_consistency():
     with Budget("criterion 5: q->1 consistency (A2 and B2, height <= 6)", 10.0):
         checked = 0
         for datum, lam in SCAN:
-            for mu, expected in irreducible_character(datum, lam).terms.items():
+            for mu, expected in irreducible_character(datum, lam).items():
                 mq = lusztig_mq(datum, lam, mu)
                 assert sum(mq.coeffs.values()) == expected
                 assert weyl_multiplicity(datum, lam, mu) == expected

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catalog_documents import catalog_document
-from nilchar import oracle
+from nilchar import cli, ktheta, oracle
 from nilchar.charring import GradedCharacter, IrrepSeries
 from nilchar.cli import _json_rows, _json_text, main
 from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
@@ -34,7 +34,7 @@ def test_catalog_round_trips_through_files(tmp_path):
         from nilchar.config import load_config_file
 
         cfg = load_config_file(str(path))
-        assert cfg.label == name
+        assert cfg.real_form.label == name
 
 
 def _refused_file(tmp_path, capsys, data: bytes) -> str:
@@ -112,6 +112,22 @@ def test_config_error_k_weights_outside_g(tmp_path, capsys):
         assert code == 1 and out == "", command
         assert err.startswith("error: ") and "Traceback" not in err, command
         assert "k.weights" in err, command
+
+
+def test_config_error_involution_must_permute_the_roots(tmp_path, capsys):
+    """The involution is read by no command, yet it is still checked against
+    G's roots when the document loads: one that does not permute them is a
+    config error naming `involution`, exit 1."""
+    doc = catalog_document("sl3-split")
+    doc["involution"]["matrix"] = [[0, 1], [1, 0]]
+    assert config_from_dict(doc).real_form.label == "sl3-split"
+    doc["involution"]["matrix"] = [[1, 0], [0, -1]]
+    with pytest.raises(ConfigError, match=r"^involution: involution does not permute the roots"):
+        config_from_dict(doc)
+    path = tmp_path / "bad_involution.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+    assert (code, out) == (1, "") and err.startswith("error: involution: ") and "Traceback" not in err
 
 
 def test_config_error_model_rank():
@@ -245,7 +261,7 @@ def test_names_must_be_strings(tmp_path, capsys, field, value):
 def test_missing_label_is_unnamed():
     doc = catalog_document("sl2-split")
     del doc["label"]
-    assert config_from_dict(doc).label == "unnamed"
+    assert config_from_dict(doc).real_form.label == "unnamed"
 
 
 @pytest.mark.parametrize("value", ["false", 0, None, "true"], ids=repr)
@@ -380,9 +396,52 @@ def test_cntheta_decompose_k(capsys):
 def test_checks_pass(capsys):
     code, out, _ = run(capsys, "checks", "--group", "sl2-split", "--degree", "10")
     assert code == 0
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
     assert "[PASS] lusztig-vs-harmonics" in out
     assert "[PASS] k-invariants" in out
+    assert "[PASS] ktypes-vs-torus" in out
+
+
+CHECK_ROWS = ["koszul", "dimensions", "lusztig-vs-harmonics", "k-invariants", "ktypes-vs-torus"]
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_checks_rows_are_pinned(capsys, name, force):
+    """Every entry of `checks`, in order, on every catalog group, with and
+    without --force: an entry that drops out silently fails here. `oracle`
+    is there where the config has a cone model."""
+    argv = ["checks", "--group", name, "--degree", "3", "--json"] + ["--force"] * force
+    code, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["rows"]
+    has_model = load_catalog_config(name).oracle_model is not None
+    assert [r["check"] for r in rows] == CHECK_ROWS + ["oracle"] * has_model
+    skipped = {r["check"] for r in rows if r["passed"] is None}
+    if name == "sl2xsl2-swap" and not force:
+        assert skipped == {"k-invariants", "ktypes-vs-torus"}
+    else:
+        assert skipped == set()
+
+
+def test_checks_builds_each_cone_form_once(monkeypatch, capsys):
+    """One `checks` run builds the K-types once and the torus series once;
+    `k-invariants`, `ktypes-vs-torus` and `oracle` share them."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner in (cli, ktheta, oracle):
+        for name in ("theta_cone_character", "theta_cone_ktypes"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted(name, getattr(ktheta, name)))
+    code, out, _ = run(capsys, "checks", "--group", "sp4-split", "--degree", "6")
+    assert code == 0 and out.count("[PASS]") == 6
+    assert sorted(calls) == ["theta_cone_character", "theta_cone_ktypes"]
 
 
 def test_checks_degree_zero_vacuous(capsys):

@@ -80,7 +80,7 @@ def test_partition_degree_bounds():
         p = kostant_partition_q(B2, lam)
         if not p:
             continue
-        assert p.degree <= B2.height(lam)
+        assert p.degree <= sum(B2.root_coords_int(lam))
         brute = brute_partition_q(B2, lam)
         assert min(p.coeffs) == min(brute.coeffs)
 
@@ -173,10 +173,10 @@ def test_weyl_multiplicity_examples():
 
 
 def test_irreducible_character_examples():
-    assert irreducible_character(A1, (4,)).terms[(0,)] == 1
-    assert irreducible_character(A2, (1, 1)).terms[(2, -1)] == 1
-    assert irreducible_character(A2, (1, 1)).terms[(0, 0)] == 2
-    assert (5, 5) not in irreducible_character(A2, (1, 1)).terms
+    assert irreducible_character(A1, (4,))[(0,)] == 1
+    assert irreducible_character(A2, (1, 1))[(2, -1)] == 1
+    assert irreducible_character(A2, (1, 1))[(0, 0)] == 2
+    assert (5, 5) not in irreducible_character(A2, (1, 1))
 
 
 @pytest.mark.parametrize("datum", [A2, B2], ids=["A2", "B2"])
@@ -184,7 +184,7 @@ def test_three_way_multiplicity_agreement(datum):
     """Lusztig's q-analog at q = 1, the Weyl-group sum and the Demazure-built
     character agree on every weight of every irreducible scanned."""
     for lam in dominant_weights_up_to_height(datum, 4):
-        for mu, m in irreducible_character(datum, lam).terms.items():
+        for mu, m in irreducible_character(datum, lam).items():
             mq = lusztig_mq(datum, lam, mu)
             assert sum(mq.coeffs.values()) == weyl_multiplicity(datum, lam, mu)
             assert sum(mq.coeffs.values()) == m

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilchar import charring, kernels, ktheta
+from nilchar import charring, cli, kernels, ktheta
 from nilchar.charring import irreducible_character
 from nilchar.cli import main
 from nilchar.config import catalog_names, load_catalog_config
@@ -17,14 +17,16 @@ from nilchar.ktheta import (
     exterior_products,
     k_invariant_check,
     koszul_check,
+    ktypes_vs_torus_check,
+    labels_off_torus,
     theta_cone_character,
     theta_cone_ktypes,
     wedge_class,
 )
 from nilchar.kernels import lusztig_check
-from nilchar.rootdata import InvolutionData, RootDatum, build_root_datum
+from nilchar.rootdata import RootDatum, build_root_datum
 from paper_formula import restrict_times_wedge
-from weyl_action import decompose_into_irreducibles, weyl_dimension
+from weyl_action import weyl_dimension
 
 
 def test_wedge_single_zero_weight():
@@ -152,7 +154,6 @@ SPLIT = [name for name in catalog_names() if load_catalog_config(name).real_form
 GL2_SPLIT = RealFormConfig(
     label="gl2-split",
     g_datum=RootDatum(2, [(1, -1)], [(1, -1)]),
-    involution=InvolutionData([[-1, 0], [0, -1]]),
     k_torus_rank=1,
     restriction=[[1, -1]],
     k_weights=[(0,)],
@@ -164,7 +165,6 @@ GL2_SPLIT = RealFormConfig(
 COMPACT_TORUS = RealFormConfig(
     label="u1",
     g_datum=RootDatum(1, (), ()),
-    involution=InvolutionData([[1]]),
     k_torus_rank=1,
     restriction=[[1]],
     k_weights=[(0,)],
@@ -251,7 +251,7 @@ def test_ktypes_equal_the_decomposed_torus_character(name):
     series = theta_cone_ktypes(rf, N, force=force)
     assert series.truncation == N
     for n in range(N + 1):
-        assert series.layers[n] == decompose_into_irreducibles(rf.k_datum, gc.layer(n)), n
+        assert series.layers[n] == labels_off_torus(rf.k_datum, gc.layers[n]), n
     assert all(series.layers)
 
 
@@ -334,7 +334,7 @@ def test_ktype_totals_are_dim_mu_m_sp4():
     totals = _totals(theta_cone_ktypes(rf, 24))
     region = [(a, b) for a in range(-20, 21) for b in range(-20, a + 1) if 2 * (a - b) + abs(a + b) <= 20]
     expected = {
-        mu: sum(c for w, c in irreducible_character(rf.k_datum, mu).terms.items() if w[0] % 2 == 0 == w[1] % 2)
+        mu: sum(c for w, c in irreducible_character(rf.k_datum, mu).items() if w[0] % 2 == 0 == w[1] % 2)
         for mu in region
     }
     assert {mu: totals.get(mu, 0) for mu in region} == expected
@@ -350,7 +350,6 @@ def test_dimension_check_degenerate_torus():
     cfg = RealFormConfig(
         label="torus",
         g_datum=RootDatum(1, (), ()),
-        involution=InvolutionData([[-1]]),
         k_torus_rank=1,
         restriction=[[1]],
         k_weights=(),
@@ -368,7 +367,6 @@ def test_dimension_check_rejects_bad_table():
     bad = RealFormConfig(
         label="bad",
         g_datum=a1,
-        involution=InvolutionData([[-1]]),
         k_torus_rank=1,
         restriction=[[1]],
         k_weights=[(0,), (2,), (-2,)],
@@ -390,7 +388,6 @@ def test_dimension_check_cone_line_can_fail():
     bad = RealFormConfig(
         label=sl3.label,
         g_datum=sl3.g_datum,
-        involution=sl3.involution,
         k_torus_rank=sl3.k_torus_rank,
         restriction=sl3.restriction,
         k_weights=sl3.k_weights,
@@ -457,7 +454,7 @@ def test_lusztig_check_fails_on_straightening_without_the_sign(monkeypatch, caps
 
 @pytest.mark.parametrize("name", ["sl2-split", "sl3-split", "sp4-split"])
 def test_k_invariant_check_catalog(name):
-    result = k_invariant_check(load_catalog_config(name).real_form, 12, False)
+    result = k_invariant_check(theta_cone_ktypes(load_catalog_config(name).real_form, 12))
     assert result.passed and result.lines == ("trivial K-type occurs once, in degree 0, through degree 12",)
 
 
@@ -465,52 +462,106 @@ def test_k_invariant_check_fails_on_the_forced_swap():
     """On sl2 x sl2 with the swap, p is the adjoint module of K = SL2, so
     S(p)^K has one generator, of degree 2, but G has two invariants of
     degree 2: the forced formula gives the trivial K-type multiplicity -1 in
-    degree 2. Unforced, the check refuses the config."""
+    degree 2. Unforced, the K-types it reads are refused."""
     swap = load_catalog_config("sl2xsl2-swap").real_form
-    result = k_invariant_check(swap, 6, True)
+    result = k_invariant_check(theta_cone_ktypes(swap, 6, True))
     assert not result.passed
     assert result.lines == ("trivial K-type has multiplicity -1 in degree 2, expected 0",)
     with pytest.raises(SplitHypothesisError):
-        k_invariant_check(swap, 6, False)
+        theta_cone_ktypes(swap, 6, False)
+
+
+def _bump(real, degree, label):
+    """`real` (a cone form's builder) with the multiplicity of `label` in
+    `degree` raised by one; `label` None is the zero weight."""
+
+    def bumped(config, truncation, force=False):
+        out = real(config, truncation, force)
+        key = (0,) * out.rank if label is None else label
+        out.layers[degree][key] = out.layers[degree].get(key, 0) + 1
+        return out
+
+    return bumped
 
 
 @pytest.mark.parametrize("degree", [0, 3])
 def test_k_invariant_check_fails_on_one_changed_multiplicity(monkeypatch, capsys, degree):
-    real = ktheta.theta_cone_ktypes
-
-    def bumped(config, truncation, force):
-        out = real(config, truncation, force)
-        zero = (0,) * out.rank
-        out.layers[degree][zero] = out.layers[degree].get(zero, 0) + 1
-        return out
-
-    monkeypatch.setattr(ktheta, "theta_cone_ktypes", bumped)
-    result = k_invariant_check(load_catalog_config("sp4-split").real_form, 5, False)
+    """A trivial K-type bumped by one fails `k-invariants`, and
+    `ktypes-vs-torus` too: the torus series does not hold it."""
+    bumped = _bump(ktheta.theta_cone_ktypes, degree, None)
+    result = k_invariant_check(bumped(load_catalog_config("sp4-split").real_form, 5, False))
     expected = 2 if degree == 0 else 1
     assert result.lines == (f"trivial K-type has multiplicity {expected} in degree {degree}, expected {int(degree == 0)}",)
+    monkeypatch.setattr(cli, "theta_cone_ktypes", bumped)
     code = main(["checks", "--group", "sp4-split", "--degree", "5"])
     out = capsys.readouterr().out
     assert code == 2
-    assert "[FAIL] k-invariants" in out and out.count("[FAIL]") == 1
+    assert "[FAIL] k-invariants" in out and "[FAIL] ktypes-vs-torus" in out and out.count("[FAIL]") == 2
+
+
+@pytest.mark.parametrize("name", sorted(catalog_names()))
+def test_ktypes_vs_torus_passes_on_the_catalog(capsys, name):
+    """Every catalog entry, the non-split one forced, at degree 16."""
+    code = main(["checks", "--group", name, "--degree", "16", "--force"])
+    out = capsys.readouterr().out
+    assert code == (2 if name == "sl2xsl2-swap" else 0)
+    assert ("[PASS] ktypes-vs-torus\n    K-types equal the torus series read off K's Weyl denominator "
+            "through degree 16\n") in out
+
+
+def test_ktypes_vs_torus_reads_a_label_where_the_layer_has_no_weight():
+    """Forced sl2xsl2-swap in degree 2 is V_4 - V_0, whose torus layer holds
+    no zero weight; V_0's multiplicity -1 is read off the denominator there,
+    so the read-back scans the product, not the layer's dominant weights."""
+    swap = load_catalog_config("sl2xsl2-swap").real_form
+    layer = theta_cone_character(swap, 2, force=True).layers[2]
+    assert (0,) not in layer
+    assert labels_off_torus(swap.k_datum, layer) == {(4,): 1, (0,): -1}
+    assert ktypes_vs_torus_check(swap.k_datum, theta_cone_ktypes(swap, 2, True), theta_cone_character(swap, 2, True))
+
+
+@pytest.mark.parametrize("side, label", [("ktypes", (2, 0)), ("torus", (1, 1))])
+def test_ktypes_vs_torus_fails_on_one_bumped_multiplicity(monkeypatch, capsys, side, label):
+    """A non-trivial K-type, or a torus weight that K's Weyl group fixes,
+    bumped by one in degree 3 of sp4-split fails the entry with exit 2. The
+    K-types' bump fails it alone; the torus's also fails the oracle, which
+    reads the same series."""
+    name = "theta_cone_ktypes" if side == "ktypes" else "theta_cone_character"
+    monkeypatch.setattr(cli, name, _bump(getattr(ktheta, name), 3, label))
+    code = main(["checks", "--group", "sp4-split", "--degree", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[FAIL] ktypes-vs-torus\n    degree 3: K-types " in out
+    failed = {line[len("[FAIL] "):] for line in out.splitlines() if line.startswith("[FAIL]")}
+    assert failed == ({"ktypes-vs-torus"} if side == "ktypes" else {"ktypes-vs-torus", "oracle"})
+
+
+def test_ktypes_vs_torus_reports_a_layer_that_is_not_weyl_invariant():
+    rf = load_catalog_config("sp4-split").real_form
+    torus = theta_cone_character(rf, 2)
+    torus.layers[2][(4, 0)] += 1
+    result = ktypes_vs_torus_check(rf.k_datum, theta_cone_ktypes(rf, 2), torus)
+    assert not result.passed
+    assert result.lines[0].startswith("degree 2: the torus layer cannot be read as K-types: character is not Weyl-invariant")
 
 
 def test_config_validation_errors():
     a1 = build_root_datum([[2]])
     with pytest.raises(ValueError, match="dim k"):
         RealFormConfig(
-            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            label="x", g_datum=a1,
             k_torus_rank=1, restriction=[[1]], k_weights=[(0,), (0,)],
             dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="negation"):
         RealFormConfig(
-            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            label="x", g_datum=a1,
             k_torus_rank=1, restriction=[[1]], k_weights=[(2,)],
             dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="matrix"):
         RealFormConfig(
-            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            label="x", g_datum=a1,
             k_torus_rank=2, restriction=[[1]], k_weights=[(0, 0), (1, 1), (-1, -1)],
             dims=Dims(3, 3, 0, 1), split_mod_center=True, k_datum=None,
         )
@@ -523,13 +574,13 @@ def test_config_refuses_non_integer_entries(bad):
     a1 = build_root_datum([[2]])
     with pytest.raises(ValueError, match=r"restriction\[0\]\[0\]"):
         RealFormConfig(
-            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            label="x", g_datum=a1,
             k_torus_rank=1, restriction=[[bad]], k_weights=[(0,)],
             dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
         RealFormConfig(
-            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
+            label="x", g_datum=a1,
             k_torus_rank=1, restriction=[[1]], k_weights=[(bad,)],
             dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
         )

@@ -34,8 +34,11 @@ domain, orbit walk and partition table in `kernels`), and `ktheta._multiset`
 `_json_text` directly), and `graded_mul` with the ring operators of
 `TorusCharacter` and their rank check `_check` (every torus product is
 taken on packed weights, `ktheta.exterior_products`; the tests' reference
-product is `tests/paper_formula.py`'s `tuple_product`), are gone; no source
-file, README line or build setting may point back to them."""
+product is `tests/paper_formula.py`'s `tuple_product`), and the
+`TorusCharacter` class (a character is a weight -> multiplicity dict,
+written by `charring.format_terms`; the read-back off the Weyl denominator
+is `ktheta.labels_off_torus`), are gone; no source file, README line or
+build setting may point back to them."""
 
 from pathlib import Path
 
@@ -111,6 +114,7 @@ STALE = (
     "_print_json",
     "graded_mul",
     "def _check(",
+    "class TorusCharacter",
 )
 
 

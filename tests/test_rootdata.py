@@ -221,7 +221,7 @@ def test_dominant_weights_up_to_height():
     assert dominant_weights_up_to_height(a2, 2) == [(0, 0), (1, 1)]
     for w in dominant_weights_up_to_height(a2, 5):
         assert a2.is_dominant(w)
-        assert a2.height(w) <= 5
+        assert sum(a2.root_coords_int(w)) <= 5
 
 
 @pytest.mark.parametrize(
@@ -335,3 +335,34 @@ def test_cartan_adjugate(name):
     assert mat_mul(adj, datum.cartan_matrix) == tuple(
         tuple(det if i == j else 0 for j in range(datum.nsimple)) for i in range(datum.nsimple)
     )
+
+
+E8_EDGES = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]  # Bourbaki's numbering, from 0
+E8 = [[2 if i == j else -1 if (i, j) in E8_EDGES or (j, i) in E8_EDGES else 0 for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: build_root_datum(A4), 10),
+        (lambda: build_root_datum(F4), 24),
+        (lambda: build_root_datum(E8), 120),
+        (lambda: COORD_CASES["GL3"][0], 3),
+    ],
+    ids=["A4", "F4", "E8", "GL3"],
+)
+def test_positive_root_coords_are_solved_once_in_height_order(monkeypatch, make, count):
+    """The closure solves each non-simple positive root for its simple-root
+    coordinates once and keeps them, a simple root's being a unit vector:
+    they equal `root_coords_int`'s, and the roots are in (height, root)
+    order, with the height from `root_coords_int`."""
+    template = make()
+    real = RootDatum.root_coords_int
+    calls = []
+    monkeypatch.setattr(RootDatum, "root_coords_int", lambda self, w: calls.append(w) or real(self, w))
+    datum = RootDatum(template.rank, template.simple_roots, template.simple_coroots)
+    monkeypatch.undo()
+    roots = datum.positive_roots
+    assert len(roots) == count and len(calls) == count - datum.nsimple
+    assert datum.positive_root_coords == tuple(datum.root_coords_int(r) for r in roots)
+    assert list(roots) == sorted(roots, key=lambda r: (sum(datum.root_coords_int(r)), r))

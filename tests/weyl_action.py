@@ -1,13 +1,12 @@
 """The Weyl group listed as reduced words and acting on weights, Weyl's
-dimension formula, and the decomposition of a Weyl-invariant character off
-the Weyl denominator, kept on the test side: the element with reduced word
-(i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple reflections apply last
-letter first. The decomposition is the reference that the K-types on
-highest-weight labels (`theta_cone_ktypes`) are held to, and its inverse,
-the expansion of labels onto the torus by Demazure's formula."""
+dimension formula, and the expansion of highest-weight labels onto the
+torus by Demazure's formula, kept on the test side: the element with
+reduced word (i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple
+reflections apply last letter first. The expansion is the inverse of the
+read-back off the Weyl denominator (`ktheta.labels_off_torus`)."""
 
-from nilchar.charring import TorusCharacter, irreducible_character
-from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
+from nilchar.charring import irreducible_character
+from nilchar.rootdata import Weight, wadd, wdot, wscale
 
 
 def act(datum, word, weight):
@@ -82,50 +81,11 @@ def weyl_dimension(datum, lam) -> int:
     return dim
 
 
-def decompose_into_irreducibles(datum, ch: TorusCharacter) -> dict[Weight, int]:
-    """Write a Weyl-invariant virtual character as an integer combination of
-    irreducible characters, read off the Weyl denominator.
-
-    By the Weyl character formula, ch(V_lam) * prod_{alpha>0} (1 - e^{-alpha})
-    = sum_w sign(w) e^{w(lam+rho)-rho}, and only w = 1 gives a dominant weight
-    (w(lam+rho) is dominant regular only for w = 1). So the multiplicity of
-    V_lam in `ch` is the coefficient of e^lam in ch * prod_{alpha>0} (1 - e^{-alpha})."""
-    if ch.rank != datum.rank:
-        raise ValueError(f"torus rank mismatch: {ch.rank} vs {datum.rank}")
-    _validate_weyl_invariance(datum, ch)
-    acc = dict(ch.terms)
-    for alpha in datum.positive_roots:
-        shifted = dict(acc)
-        for w, c in acc.items():
-            key = wsub(w, alpha)
-            v = shifted.get(key, 0) - c
-            if v:
-                shifted[key] = v
-            else:
-                del shifted[key]
-        acc = shifted
-    return {w: c for w, c in acc.items() if datum.is_dominant(w)}
-
-
-def expand_labels(datum, labels: dict[Weight, int]) -> TorusCharacter:
+def expand_labels(datum, labels: dict[Weight, int]) -> dict[Weight, int]:
     """The torus character sum_lam c_lam ch V_lam of a label combination,
     each irreducible by `irreducible_character`."""
     out: dict[Weight, int] = {}
     for lam, c in labels.items():
-        for w, m in irreducible_character(datum, lam).terms.items():
+        for w, m in irreducible_character(datum, lam).items():
             out[w] = out.get(w, 0) + c * m
-    return TorusCharacter(datum.rank, out)
-
-
-def _validate_weyl_invariance(datum, ch: TorusCharacter) -> None:
-    checked: set[Weight] = set()
-    for w, c in ch.terms.items():
-        if w in checked:
-            continue
-        orbit = weyl_orbit(datum, w)
-        checked |= orbit
-        vals = {ch.terms.get(v, 0) for v in orbit}
-        if len(vals) != 1:
-            raise ValueError(
-                f"character is not Weyl-invariant on the orbit of {w}: multiplicities {sorted(vals)}"
-            )
+    return {w: c for w, c in out.items() if c}
