@@ -36,7 +36,6 @@ _HOMES = {
     "lusztig_check": "kernels",
     "lusztig_series": "kernels",
     "CheckResult": "ktheta",
-    "Dims": "ktheta",
     "RealFormConfig": "ktheta",
     "SplitHypothesisError": "ktheta",
     "dimension_check": "ktheta",

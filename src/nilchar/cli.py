@@ -169,7 +169,11 @@ def cmd_checks(opts) -> int:
         results.append(("k-invariants", k_invariant_check(ktypes), None))
         results.append(("ktypes-vs-torus", ktypes_vs_torus_check(rf.k_datum, ktypes, torus), None))
     if cfg.oracle_model is not None:
-        res = None if not_split else oracle.compare_with_formula(rf, cfg.oracle_model, degree, force, formula=torus)
+        res = None
+        if not_split is None:
+            if torus is None:  # no K datum, so no entry above built it
+                torus = theta_cone_character(rf, degree, force=force)
+            res = oracle.compare_with_formula(torus, oracle.graded_character_by_degree(cfg.oracle_model, degree))
         results.append(("oracle", res, not_split))
     rows = []
     ok = True
@@ -222,7 +226,8 @@ def cmd_oracle_check(opts) -> int:
     require_split(cfg.real_form, opts["--force"])
     actual = oracle.graded_character_by_degree(cfg.oracle_model, degree)
     dims = actual.masses()
-    result = oracle.compare_with_formula(cfg.real_form, cfg.oracle_model, degree, force=opts["--force"], actual=actual)
+    formula = theta_cone_character(cfg.real_form, degree, force=opts["--force"])
+    result = oracle.compare_with_formula(formula, actual)
     if opts["--json"]:
         payload = {"command": "oracle-check", "group": cfg.real_form.label, "degree": degree, "hilbert": dims}
         print(_json_text({**payload, "passed": result.passed, "details": list(result.lines)}))

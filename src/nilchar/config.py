@@ -1,6 +1,8 @@
 """Configuration documents: a JSON object model describing the group, the
-involution, the K-side data, dimensions, optional torus tables, and an
+involution, the K-side data, the split rank, optional torus tables, and an
 optional affine cone model. Validation failures name the offending field.
+A field that the loader derives (the dimensions, the K-torus rank, and the
+k weights when `k.datum` is given) may still be stated, as a cross-check.
 
 This module owns the format: it loads documents into records, defines the
 records the loader builds for torus tables (`PositiveSystem`, `TorusDatum`)
@@ -9,7 +11,7 @@ groups (the catalog) as documents of the same kind."""
 
 from math import lcm
 
-from .ktheta import Dims, RealFormConfig, dimension_check
+from .ktheta import RealFormConfig, dimension_check
 from .rootdata import (
     InvolutionData, Record, RootDatum, Weight, build_root_datum, classify_roots, int_vector, is_int, wadd, wneg,
 )
@@ -317,8 +319,28 @@ def _load_model(obj, path) -> AffineConeModel:
     return model
 
 
+def _cross_check(obj, key, path, derived, source, read=_int) -> None:
+    """A derived field that the document states anyway must state the value
+    derived from `source`, as `read` reads it; otherwise it is a ConfigError
+    naming the field."""
+    if key in obj and read(obj[key], f"{path}.{key}") != derived:
+        raise ConfigError(f"{path}.{key}: the document states {obj[key]}, but it is {derived}, derived from {source}")
+
+
+def _weight_multiset(value, path) -> list[list[int]]:
+    """A list of weights read as a multiset: sorted, each weight a list."""
+    return sorted(map(list, _weight_list(value, path)))
+
+
 def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     """Build and cross-validate a configuration from its object model.
+
+    The document states G, the restriction to the K-torus, `dims.rank_split`
+    and `split_mod_center`, and either `k.weights` or `k.datum`. The rest is
+    derived: `k.torus_rank` (the rows of `k.restriction`), `k.weights` (the
+    adjoint weights of `k.datum`, when given) and `dims.g`, `dims.k` and
+    `dims.p` (from the k and p weights). A document may state a derived
+    field too, and then it must state the derived value.
 
     A document that declares `split_mod_center` must pass the split lines of
     `dimension_check`, since every split-only result rests on them.
@@ -331,20 +353,19 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     involution = _load_involution(_get(doc, "involution", "involution"), "involution")
 
     kobj = _object(_get(doc, "k", "k"), "k")
-    torus_rank = _int(_get(kobj, "torus_rank", "k"), "k.torus_rank")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
-    k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
+    _cross_check(kobj, "torus_rank", "k", len(restriction), "the rows of k.restriction")
     k_datum = None
     if kobj.get("datum") is not None:
         k_datum = _load_group(kobj["datum"], "k.datum")
+        k_weights = k_datum.adjoint_weights
+        _cross_check(kobj, "weights", "k", sorted(map(list, k_weights)), "the adjoint weights of k.datum",
+                     _weight_multiset)
+    else:
+        k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
 
     dobj = _get(doc, "dims", "dims")
-    dims = Dims(
-        dim_g=_int(_get(dobj, "g", "dims"), "dims.g"),
-        dim_k=_int(_get(dobj, "k", "dims"), "dims.k"),
-        dim_p=_int(_get(dobj, "p", "dims"), "dims.p"),
-        rank_split=_int(_get(dobj, "rank_split", "dims"), "dims.rank_split"),
-    )
+    rank_split = _int(_get(dobj, "rank_split", "dims"), "dims.rank_split")
     split = _bool(_get(doc, "split_mod_center", "split_mod_center"), "split_mod_center")
 
     try:
@@ -355,15 +376,18 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
         real_form = RealFormConfig(
             label=name,
             g_datum=g_datum,
-            k_torus_rank=torus_rank,
             restriction=restriction,
             k_weights=k_weights,
-            dims=dims,
+            rank_split=rank_split,
             split_mod_center=split,
             k_datum=k_datum,
         )
     except ValueError as exc:
         raise ConfigError(f"config {name!r}: {exc}") from None
+    dim_k, dim_p = len(real_form.k_weights), len(real_form.p_weights)
+    _cross_check(dobj, "g", "dims", dim_k + dim_p, "the k and p weights")
+    _cross_check(dobj, "k", "dims", dim_k, "the k weights")
+    _cross_check(dobj, "p", "dims", dim_p, "the p weights")
     if split and require_split:
         failing = [line[len("FAIL: "):] for line in dimension_check(real_form).lines if line.startswith("FAIL")]
         if failing:
@@ -384,9 +408,9 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     model = None
     if doc.get("oracle_model") is not None:
         model = _load_model(doc["oracle_model"], "oracle_model")
-        if model.torus_rank != torus_rank:
+        if model.torus_rank != real_form.k_torus_rank:
             raise ConfigError(
-                f"oracle_model: torus rank {model.torus_rank} does not match k.torus_rank {torus_rank}"
+                f"oracle_model: torus rank {model.torus_rank} does not match k.torus_rank {real_form.k_torus_rank}"
             )
 
     return LoadedConfig(real_form, tori, model)
@@ -429,12 +453,10 @@ _SL2_SPLIT = {
     "group": {"cartan_matrix": [[2]]},
     "involution": {"matrix": [[-1]]},
     "k": {
-        "torus_rank": 1,
         "restriction": [[1]],
-        "weights": [[0]],
         "datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},
     },
-    "dims": {"g": 3, "k": 1, "p": 2, "rank_split": 1},
+    "dims": {"rank_split": 1},
     "split_mod_center": True,
     "tori": [
         {
@@ -464,12 +486,10 @@ _SL2XSL2_SWAP = {
     "group": {"cartan_matrix": [[2, 0], [0, 2]]},
     "involution": {"matrix": [[0, 1], [1, 0]]},
     "k": {
-        "torus_rank": 1,
         "restriction": [[1, 1]],
-        "weights": [[-2], [0], [2]],
         "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
     },
-    "dims": {"g": 6, "k": 3, "p": 3, "rank_split": 1},
+    "dims": {"rank_split": 1},
     "split_mod_center": False,
 }
 
@@ -483,12 +503,10 @@ _SL3_SPLIT = {
     "group": {"cartan_matrix": [[2, -1], [-1, 2]]},
     "involution": {"matrix": [[-1, 0], [0, -1]]},
     "k": {
-        "torus_rank": 1,
         "restriction": [[2, 0]],
-        "weights": [[-2], [0], [2]],
         "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
     },
-    "dims": {"g": 8, "k": 3, "p": 5, "rank_split": 2},
+    "dims": {"rank_split": 2},
     "split_mod_center": True,
     "oracle_model": {
         "variables": [
@@ -524,12 +542,10 @@ _SP4_SPLIT = {
     "group": {"cartan_matrix": [[2, -2], [-1, 2]]},
     "involution": {"matrix": [[-1, 0], [0, -1]]},
     "k": {
-        "torus_rank": 2,
         "restriction": [[1, 1], [0, 1]],
-        "weights": [[1, -1], [-1, 1], [0, 0], [0, 0]],
         "datum": {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]},
     },
-    "dims": {"g": 10, "k": 4, "p": 6, "rank_split": 2},
+    "dims": {"rank_split": 2},
     "split_mod_center": True,
     "oracle_model": {
         "variables": [

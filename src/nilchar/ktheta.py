@@ -58,67 +58,53 @@ class CheckResult(Record):
         return self.passed
 
 
-class Dims(Record):
-    __slots__ = ("dim_g", "dim_k", "dim_p", "rank_split")
-
-    dim_g: int
-    dim_k: int
-    dim_p: int
-    rank_split: int
-
-
 class RealFormConfig(Record):
     """The (G, K) package: ambient root datum, torus-level restriction to K,
-    the weights of k, and the dimension table.
+    the weights of k, the split rank, whether the form is split modulo
+    center, and K's root datum when known.
 
-    `p_weights` is derived: the restricted weights of g (both signs of every
-    root, and `rank` zero weights) less the weights of k, as multisets. A k
-    weight that the restricted weights of g do not cover is refused, and so
-    are k weights other than the adjoint weights of `k_datum` when given, and
-    p weights that the Weyl group of `k_datum` does not preserve."""
+    `k_weights` is kept sorted, as a multiset. Two fields are derived:
+    `k_torus_rank`, the number of rows of `restriction`, and `p_weights`,
+    the adjoint weights of G under `restriction` less the k weights, as a
+    sorted multiset. So dim k and dim p are the numbers of k and p weights,
+    and dim g = 2|Phi+| + rank is their sum (`dimension_check`). A k weight
+    that the restricted weights of g do not cover is refused, and so are k
+    weights other than the adjoint weights of `k_datum` when given, and p
+    weights that the Weyl group of `k_datum` does not preserve."""
 
-    __slots__ = ("label", "g_datum", "k_torus_rank", "restriction", "k_weights", "dims", "split_mod_center",
-                 "k_datum", "p_weights")
-    _derived = ("p_weights",)
+    __slots__ = ("label", "g_datum", "restriction", "k_weights", "rank_split", "split_mod_center", "k_datum",
+                 "k_torus_rank", "p_weights")
+    _derived = ("k_torus_rank", "p_weights")
 
     label: str
     g_datum: RootDatum
-    k_torus_rank: int
     restriction: tuple[tuple[int, ...], ...]
     k_weights: tuple[Weight, ...]
-    dims: Dims
+    rank_split: int
     split_mod_center: bool
     k_datum: RootDatum | None
+    k_torus_rank: int
     p_weights: tuple[Weight, ...]
 
     def __post_init__(self):
         rows = tuple(int_vector(row, f"restriction[{i}]") for i, row in enumerate(self.restriction))
         object.__setattr__(self, "restriction", rows)
-        if len(rows) != self.k_torus_rank or any(len(r) != self.g_datum.rank for r in rows):
-            raise ValueError(
-                f"restriction must be a {self.k_torus_rank} x {self.g_datum.rank} integer matrix"
-            )
-        kw = tuple(int_vector(w, f"k_weights[{i}]") for i, w in enumerate(self.k_weights))
+        object.__setattr__(self, "k_torus_rank", len(rows))
+        if any(len(r) != self.g_datum.rank for r in rows):
+            raise ValueError(f"restriction must be a {len(rows)} x {self.g_datum.rank} integer matrix")
+        if self.k_datum is not None and self.k_datum.rank != len(rows):
+            raise ValueError("K root datum rank must equal the K-torus rank")
+        kw = tuple(sorted(int_vector(w, f"k_weights[{i}]") for i, w in enumerate(self.k_weights)))
         object.__setattr__(self, "k_weights", kw)
-        if any(len(w) != self.k_torus_rank for w in kw):
+        if any(len(w) != len(rows) for w in kw):
             raise ValueError("k weights must live on the K-torus lattice")
-        if len(kw) != self.dims.dim_k:
-            raise ValueError(f"|k_weights| = {len(kw)} but dim k = {self.dims.dim_k}")
-        if self.dims.dim_g != self.dims.dim_k + self.dims.dim_p:
-            raise ValueError("dimension table violates dim g = dim k + dim p")
         if Counter(kw) != Counter(map(wneg, kw)):
             raise ValueError("k weights must be symmetric under negation")
         object.__setattr__(self, "p_weights", _p_weights(self.g_datum, rows, kw))
         if self.k_datum is not None:
-            if self.k_datum.rank != self.k_torus_rank:
-                raise ValueError("K root datum rank must equal the K-torus rank")
-            roots = self.k_datum.positive_roots
-            zeros = [(0,) * self.k_torus_rank] * self.k_torus_rank
-            adjoint = list(roots) + [wneg(r) for r in roots] + zeros
-            if Counter(kw) != Counter(adjoint):
-                raise ValueError(
-                    f"k.datum: its adjoint weights {sorted(adjoint)} are not the k weights {sorted(kw)}"
-                )
+            adjoint = sorted(self.k_datum.adjoint_weights)
+            if kw != tuple(adjoint):
+                raise ValueError(f"k.datum: its adjoint weights {adjoint} are not the k weights {list(kw)}")
             # p is a K-module: its weights are invariant under every simple
             # reflection of K, as `theta_cone_ktypes` needs.
             p = Counter(self.p_weights)
@@ -131,11 +117,9 @@ class RealFormConfig(Record):
 
 
 def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]:
-    """The restricted weights of g less the weights of k, as a sorted
+    """The restricted adjoint weights of G less the weights of k, as a sorted
     multiset; a k weight they do not cover is a ValueError naming k.weights."""
-    roots = [mat_apply(restriction, r) for r in g_datum.positive_roots]
-    zeros = [(0,) * len(restriction)] * g_datum.rank
-    counts = Counter(roots + [wneg(w) for w in roots] + zeros)
+    counts = Counter(mat_apply(restriction, w) for w in g_datum.adjoint_weights)
     for w, c in sorted(Counter(k_weights).items()):
         if c > counts.get(w, 0):
             raise ValueError(
@@ -327,47 +311,30 @@ def times_exterior(packed, layers: list[dict[int, int]]) -> list[dict[int, int]]
 
 
 def dimension_check(config: RealFormConfig) -> CheckResult:
-    """Dimension bookkeeping: (when split) the cone-restriction identity with
-    dim N = 2|Phi+| taken from the root datum, consistency of dim g with the
-    root datum, and (when split) the Iwasawa count. The Cartan decomposition
-    dim g = dim k + dim p is enforced when the config is built."""
-    d = config.dims
+    """Dimension bookkeeping of a form split modulo center, from the weights:
+    dim k and dim p are their numbers, and dim g = 2|Phi+| + rank is their
+    sum. The cone-restriction identity, with dim N = 2|Phi+|, holds exactly
+    when `rank_split` is the rank of G; the Iwasawa count holds exactly when
+    dim p = dim k + `rank_split`. Both lines are skipped for a form that is
+    not split modulo center."""
+    dim_k, dim_p = len(config.k_weights), len(config.p_weights)
+    dim_g = dim_k + dim_p
     dim_n = 2 * len(config.g_datum.positive_roots)
-    lines = []
-    ok = True
-
-    if config.split_mod_center:
-        lhs = d.dim_p - d.rank_split
-        rhs = dim_n + d.dim_p - d.dim_g
-        good = lhs == rhs
-        ok &= good
-        lines.append(
-            f"{'ok' if good else 'FAIL'}: dim N_theta = dim N + dim p - dim g  ({lhs} vs {rhs})"
+    rank = config.rank_split
+    if not config.split_mod_center:
+        lines = (
+            "skip: dim N_theta = dim N + dim p - dim g (config is not split modulo center)",
+            "skip: Iwasawa count (config is not split modulo center)",
         )
-    else:
-        lines.append("skip: dim N_theta = dim N + dim p - dim g (config is not split modulo center)")
+        return CheckResult(True, lines)
 
-    datum_dim = dim_n + config.g_datum.rank
-    good = d.dim_g == datum_dim
-    ok &= good
-    lines.append(f"{'ok' if good else 'FAIL'}: dim g matches the root datum  ({d.dim_g} vs {datum_dim})")
-
-    if config.split_mod_center:
-        good = (d.dim_g - d.rank_split) % 2 == 0
-        nil = (d.dim_g - d.rank_split) // 2
-        good = good and d.dim_g == d.dim_k + d.rank_split + nil
-        ok &= good
-        lines.append(
-            f"{'ok' if good else 'FAIL'}: Iwasawa count dim g = dim k + rank + dim n  "
-            f"({d.dim_g} vs {d.dim_k} + {d.rank_split} + {nil})"
-        )
-        good = d.rank_split == config.g_datum.rank
-        ok &= good
-        lines.append(
-            f"{'ok' if good else 'FAIL'}: split rank equals the lattice rank  "
-            f"({d.rank_split} vs {config.g_datum.rank})"
-        )
-    else:
-        lines.append("skip: Iwasawa count (config is not split modulo center)")
-
-    return CheckResult(bool(ok), tuple(lines))
+    lhs, rhs = dim_p - rank, dim_n + dim_p - dim_g
+    cone = lhs == rhs
+    nil, odd = divmod(dim_g - rank, 2)
+    iwasawa = not odd and dim_g == dim_k + rank + nil
+    lines = (
+        f"{'ok' if cone else 'FAIL'}: dim N_theta = dim N + dim p - dim g  ({lhs} vs {rhs})",
+        f"{'ok' if iwasawa else 'FAIL'}: Iwasawa count dim g = dim k + rank + dim n  "
+        f"({dim_g} vs {dim_k} + {rank} + {nil})",
+    )
+    return CheckResult(cone and iwasawa, lines)

@@ -18,7 +18,7 @@ without attempting any orbit geometry.
 
 from .config import TorusDatum
 from .ktheta import RealFormConfig, exterior_products, times_invariant_factors
-from .rootdata import Record, RootDatum, Weight, classify_roots, wneg
+from .rootdata import Record, RootDatum, Weight, classify_roots
 
 
 class ContinuedParameter(Record):
@@ -108,14 +108,12 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     for torus in tori:
         torus.validate(datum)
 
-    # S(g) on both signs of every root and `rank` zero weights, times the
-    # exterior class of each torus's k weights, then the invariant-degree
-    # factors that make S(g) into ch_q C[N].
-    g_weights = [*datum.positive_roots, *map(wneg, datum.positive_roots), *[(0,) * datum.rank] * datum.rank]
-    k_sets = [k_weight_multiset(datum, torus, config.dims.dim_k) for torus in tori]
+    # S(g) times the exterior class of each torus's k weights, then the
+    # invariant-degree factors that make S(g) into ch_q C[N].
+    k_sets = [k_weight_multiset(datum, torus, len(config.k_weights)) for torus in tori]
 
     terms = []
-    for torus, product in zip(tori, exterior_products(g_weights, k_sets, truncation, datum.rank)):
+    for torus, product in zip(tori, exterior_products(datum.adjoint_weights, k_sets, truncation, datum.rank)):
         times_invariant_factors(datum, product)
         for ps in torus.positive_systems:
             sign = -1 if ps.ell % 2 else 1

@@ -17,7 +17,7 @@ from operator import mul
 
 from .charring import GradedCharacter, format_terms, weight_codec
 from .config import AffineConeModel
-from .ktheta import CheckResult, RealFormConfig, theta_cone_character
+from .ktheta import CheckResult
 
 
 def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
@@ -145,35 +145,20 @@ def graded_character_by_degree(
     return GradedCharacter(model.torus_rank, truncation, _quotient_layers(model, truncation, order))
 
 
-def compare_with_formula(
-    config: RealFormConfig,
-    model: AffineConeModel,
-    truncation: int,
-    force: bool = False,
-    actual: GradedCharacter | None = None,
-    formula: GradedCharacter | None = None,
-) -> CheckResult:
+def compare_with_formula(formula: GradedCharacter, actual: GradedCharacter) -> CheckResult:
     """Layer-by-layer comparison of the product-formula character (`formula`,
-    when the caller has it from `theta_cone_character`) against the model's
-    brute-force character (`actual`, from `graded_character_by_degree`)."""
-    if model.torus_rank != config.k_torus_rank:
-        raise ValueError(
-            f"model torus rank {model.torus_rank} does not match config rank {config.k_torus_rank}"
-        )
-    if formula is None:
-        formula = theta_cone_character(config, truncation, force=force)
-    if actual is None:
-        actual = graded_character_by_degree(model, truncation)
+    from `ktheta.theta_cone_character`) against the model's brute-force
+    character (`actual`, from `graded_character_by_degree`), through the
+    lower truncation of the two, up to the first layer that differs."""
+    if actual.rank != formula.rank:
+        raise ValueError(f"model torus rank {actual.rank} does not match config rank {formula.rank}")
     lines = []
     ok = True
-    for n in range(truncation + 1):
-        if formula.layers[n] == actual.layers[n]:
+    for n, (want, got) in enumerate(zip(formula.layers, actual.layers)):
+        if want == got:
             lines.append(f"ok: degree {n} agrees (mass {actual.mass(n)})")
         else:
             ok = False
-            lines.append(
-                f"FAIL: degree {n} disagrees: formula {format_terms(formula.layers[n])}, "
-                f"model {format_terms(actual.layers[n])}"
-            )
+            lines.append(f"FAIL: degree {n} disagrees: formula {format_terms(want)}, model {format_terms(got)}")
             break
     return CheckResult(ok, tuple(lines))

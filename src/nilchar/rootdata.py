@@ -135,7 +135,7 @@ def adjugate(matrix) -> tuple[Matrix, int]:
 
 class RootDatum:
     """Immutable root datum: simple (co)roots on a fixed lattice plus every
-    derived structure (positive roots, 2*rho).
+    derived structure (positive roots and their simple-root coordinates).
 
     Use :func:`build_root_datum` for the canonical fundamental-weight
     realization of a Cartan matrix, or construct one directly from explicit
@@ -169,11 +169,7 @@ class RootDatum:
         adj, self._coord_den = adjugate(self.cartan_matrix)
         self._coord_rows = mat_mul(adj, coroots)
 
-        self.positive_roots, self.positive_coroots, self.positive_root_coords = self._close_positive_roots()
-        two_rho = (0,) * rank
-        for r in self.positive_roots:
-            two_rho = wadd(two_rho, r)
-        self.two_rho = two_rho
+        self.positive_roots, self.positive_root_coords = self._close_positive_roots()
 
         self._key = (rank, roots, coroots)
         self._hash = hash(self._key)
@@ -238,6 +234,13 @@ class RootDatum:
             out.extend([k] * (counts.get(k, 0) - counts.get(k + 1, 0)))
         return tuple(out)
 
+    @property
+    def adjoint_weights(self) -> tuple[Weight, ...]:
+        """The weights of g with multiplicity: every positive root, then their
+        negatives, then one zero per lattice direction."""
+        roots = self.positive_roots
+        return (*roots, *map(wneg, roots), *[(0,) * self.rank] * self.rank)
+
     def reflect(self, i: int, weight: Weight) -> Weight:
         p = wdot(weight, self.simple_coroots[i])
         return tuple([x - p * a for x, a in zip(weight, self.simple_roots[i])])
@@ -245,36 +248,29 @@ class RootDatum:
     # -- internals ----------------------------------------------------------
 
     def _close_positive_roots(self):
-        """(roots, coroots, simple-root coordinates) of the positive roots in (height, root)
+        """(roots, simple-root coordinates) of the positive roots in (height, root)
         order; each root is solved once, when met, and a simple root's are a unit vector."""
-        pos: dict[Weight, Weight] = {}
-        coords: dict[Weight, tuple[int, ...]] = {}
-        for j, (r, c) in enumerate(zip(self.simple_roots, self.simple_coroots)):
-            pos[r] = c
-            coords[r] = tuple(int(k == j) for k in range(self.nsimple))
+        coords = {r: tuple(int(k == j) for k in range(self.nsimple)) for j, r in enumerate(self.simple_roots)}
         frontier = list(self.simple_roots)
         while frontier:
             nxt = []
             for beta in frontier:
-                cov = pos[beta]
                 for i in range(self.nsimple):
                     if beta == self.simple_roots[i]:
                         continue
                     im = self.reflect(i, beta)
-                    if im in pos:
+                    if im in coords:
                         continue
                     rc = self.root_coords_int(im)
                     if rc is None or any(v < 0 for v in rc):
                         raise ValueError("positive-root closure escaped the positive cone")
-                    imcov = wsub(cov, wscale(wdot(self.simple_roots[i], cov), self.simple_coroots[i]))
-                    pos[im] = imcov
                     coords[im] = rc
                     nxt.append(im)
-                    if len(pos) > 100_000:
+                    if len(coords) > 100_000:
                         raise ValueError("positive-root closure did not terminate; not finite type")
             frontier = nxt
-        ordered = sorted(pos, key=lambda r: (sum(coords[r]), r))
-        return tuple(ordered), tuple(pos[r] for r in ordered), tuple(coords[r] for r in ordered)
+        ordered = sorted(coords, key=lambda r: (sum(coords[r]), r))
+        return tuple(ordered), tuple(coords[r] for r in ordered)
 
     def __repr__(self) -> str:
         return f"RootDatum(rank={self.rank}, positive_roots={len(self.positive_roots)})"

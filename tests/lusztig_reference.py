@@ -13,7 +13,7 @@ from __future__ import annotations
 from nilchar import kernels
 from nilchar.kernels import LusztigSum
 from nilchar.rootdata import RootDatum, Weight, is_int, wsub
-from weyl_action import act, sign, weyl_words
+from weyl_action import act, sign, two_rho, weyl_words
 
 
 class QPolynomial:
@@ -135,12 +135,12 @@ def brute_weyl_sum(datum: RootDatum, lam: Weight, mu: Weight) -> QPolynomial:
     (`weyl_action.act`); the polynomials come from one `kernels.partition_table`
     as high as the highest argument. rho may be a half-integral weight, so
     w(rho) - rho is taken as (w(2 rho) - 2 rho) / 2, a sum of negative roots."""
-    two_rho = datum.two_rho
+    rho2 = two_rho(datum)
     terms = []
     for word in weyl_words(datum):
         arg = tuple(
             a + (r - t) // 2 - m
-            for a, r, t, m in zip(act(datum, word, lam), act(datum, word, two_rho), two_rho, mu)
+            for a, r, t, m in zip(act(datum, word, lam), act(datum, word, rho2), rho2, mu)
         )
         rc = datum.root_coords_int(arg)
         if rc is not None and all(v >= 0 for v in rc):

@@ -93,7 +93,7 @@ def branching_reference(config, tori, truncation: int, cone_labels) -> FormalSta
     ]
     terms = []
     for torus in tori:
-        k_weights = k_weight_multiset(datum, torus, config.dims.dim_k)
+        k_weights = k_weight_multiset(datum, torus, len(config.k_weights))
         subs = [
             (n, (-1) ** n * mult, sigma)
             for n in range(min(len(k_weights), truncation) + 1)

@@ -16,7 +16,7 @@ from nilchar.rootdata import RootDatum, build_root_datum
 from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import exterior_layers, nilcone_character, restrict_character, restrict_graded, symmetric_layers
 from paper_formula import tuple_product
-from weyl_action import act, expand_labels, sign, weyl_dimension, weyl_words
+from weyl_action import act, expand_labels, sign, two_rho, weyl_dimension, weyl_words
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -180,14 +180,14 @@ def test_irreducible_character_times_denominator_is_weyl_numerator(datum, bound)
     denominator = [one]
     for alpha in datum.positive_roots:
         denominator = tuple_product(denominator, [{**one, tuple(-v for v in alpha): -1}])
-    two_rho = datum.two_rho
+    rho2 = two_rho(datum)
     lams = dominant_box(datum, bound)
     assert len(lams) > bound
     for lam in lams:
         numerator = {}
-        shifted = tuple(2 * x + r for x, r in zip(lam, two_rho))
+        shifted = tuple(2 * x + r for x, r in zip(lam, rho2))
         for word in weyl_words(datum):
-            doubled = tuple(a - r for a, r in zip(act(datum, word, shifted), two_rho))
+            doubled = tuple(a - r for a, r in zip(act(datum, word, shifted), rho2))
             assert all(v % 2 == 0 for v in doubled)
             key = tuple(v // 2 for v in doubled)
             numerator[key] = numerator.get(key, 0) + sign(word)

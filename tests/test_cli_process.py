@@ -129,7 +129,7 @@ def test_process_failed_check_is_exit_2(tmp_path):
     proc = run_process(["checks", "--group", str(path), "--degree", "2"], tmp_path, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (2, "")
     assert "[FAIL] dimensions" in proc.stdout
-    assert "FAIL: split rank equals the lattice rank  (1 vs 2)" in proc.stdout
+    assert "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)" in proc.stdout
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -72,15 +72,41 @@ def test_duplicate_key_is_a_config_error(tmp_path, capsys, where):
         text = text.replace('"split_mod_center": true', '"split_mod_center": false, "split_mod_center": true')
         key = "split_mod_center"
     else:
-        text = text.replace('"g": 3', '"g": 3, "g": 3')
-        key = "g"
+        text = text.replace('"rank_split": 1', '"rank_split": 1, "rank_split": 1')
+        key = "rank_split"
     assert "duplicate key " + repr(key) in _refused_file(tmp_path, capsys, text.encode())
 
 
 def test_config_error_names_field():
     doc = catalog_document("sl2-split")
-    del doc["dims"]["p"]
-    with pytest.raises(ConfigError, match="dims.p"):
+    del doc["dims"]["rank_split"]
+    with pytest.raises(ConfigError, match="dims.rank_split: missing"):
+        config_from_dict(doc)
+
+
+# The derived fields as the catalog documents stated them before they were
+# derived, and a wrong value for each.
+STATED = {
+    "sl2-split": {"g": 3, "k": 1, "p": 2, "torus_rank": 1, "weights": [[0]]},
+    "sl2xsl2-swap": {"g": 6, "k": 3, "p": 3, "torus_rank": 1, "weights": [[-2], [0], [2]]},
+    "sl3-split": {"g": 8, "k": 3, "p": 5, "torus_rank": 1, "weights": [[-2], [0], [2]]},
+    "sp4-split": {"g": 10, "k": 4, "p": 6, "torus_rank": 2, "weights": [[1, -1], [-1, 1], [0, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("name", list(STATED))
+@pytest.mark.parametrize("field", ["dims.g", "dims.k", "dims.p", "k.torus_rank", "k.weights"])
+def test_stated_derived_field_is_a_cross_check(name, field):
+    """A document may still state a derived field: the value it is derived
+    as loads to the same config as the short form, and any other value is
+    a ConfigError naming the field."""
+    section, key = field.split(".")
+    short = config_from_dict(catalog_document(name)).real_form
+    doc = catalog_document(name)
+    stated = doc[section][key] = STATED[name][key]
+    assert config_from_dict(doc).real_form == short
+    doc[section][key] = stated[1:] if key == "weights" else stated + 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: the document states .*, derived from "):
         config_from_dict(doc)
 
 
@@ -93,6 +119,7 @@ def test_config_error_bad_cartan():
 
 def test_config_error_inconsistent_weights():
     doc = catalog_document("sl2-split")
+    del doc["k"]["datum"]
     doc["k"]["weights"] = [[0], [2]]
     with pytest.raises(ConfigError, match="sl2-split"):
         config_from_dict(doc)
@@ -102,6 +129,7 @@ def test_config_error_k_weights_outside_g(tmp_path, capsys):
     """sl3-split restricts the roots of g to +-4, +-2, +-2 on the K-torus.
     With k weights +-6, p would need weight 6 with multiplicity -1."""
     doc = catalog_document("sl3-split")
+    del doc["k"]["datum"]
     doc["k"]["weights"] = [[-6], [0], [6]]
     with pytest.raises(ConfigError, match=r"k\.weights: weight \[-6\] occurs 1 times in k but 0"):
         config_from_dict(doc)
@@ -162,10 +190,12 @@ def test_config_error_duplicate_positive_system_id():
 
 def test_config_error_k_datum_is_not_k(tmp_path, capsys):
     """sl2-split has K = SO(2), a torus: an A1 datum for K has weights -2, 0,
-    2, not the one zero weight of k, and would print A1 labels."""
+    2, not the one zero weight of k that the document states, and would
+    print A1 labels."""
     doc = catalog_document("sl2-split")
+    doc["k"]["weights"] = [[0]]
     doc["k"]["datum"] = {"cartan_matrix": [[2]]}
-    with pytest.raises(ConfigError, match=r"k\.datum: its adjoint weights"):
+    with pytest.raises(ConfigError, match=r"k\.weights: .* derived from the adjoint weights of k\.datum"):
         config_from_dict(doc)
     path = tmp_path / "bad_k_datum.json"
     path.write_text(json.dumps(doc))
@@ -450,14 +480,16 @@ def test_checks_degree_zero_vacuous(capsys):
 
 
 def test_checks_fail_on_bad_dims(tmp_path, capsys):
+    """A stated dimension is a cross-check on the derived one, so a wrong
+    table is refused when the document loads, also by `checks`."""
     doc = catalog_document("sl2-split")
     doc["dims"]["g"] = 5
     doc["dims"]["p"] = 4
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "2")
-    assert code == 2
-    assert "[FAIL] dimensions" in out
+    code, out, err = run(capsys, "checks", "--group", str(path), "--degree", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: dims.g: the document states 5, but it is 3, derived from the k and p weights\n"
 
 
 def test_checks_skips_oracle_when_not_split(tmp_path, capsys):
@@ -486,6 +518,7 @@ def test_checks_k_invariants_skip_unforced_and_fail_forced_on_swap(capsys):
 def test_checks_k_invariants_skip_without_k_datum(tmp_path, capsys):
     doc = catalog_document("sl3-split")
     del doc["k"]["datum"]
+    doc["k"]["weights"] = [[-2], [0], [2]]
     path = tmp_path / "no-k-datum.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "3")
@@ -526,7 +559,7 @@ def test_checks_reports_false_split(tmp_path, capsys):
     code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "2")
     assert code == 2
     assert "[FAIL] dimensions" in out
-    assert out.count("FAIL: ") == 3
+    assert out.count("FAIL: ") == 2
 
 
 def test_branching_degree_zero_is_zuckerman(capsys):

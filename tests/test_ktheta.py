@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from nilchar import charring, cli, kernels, ktheta
 from nilchar.charring import irreducible_character
 from nilchar.cli import main
-from nilchar.config import catalog_names, load_catalog_config
+from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
 from nilchar.ktheta import (
-    Dims,
     RealFormConfig,
     SplitHypothesisError,
     dimension_check,
@@ -25,6 +24,7 @@ from nilchar.ktheta import (
 )
 from nilchar.kernels import lusztig_check
 from nilchar.rootdata import RootDatum, build_root_datum
+from catalog_documents import catalog_document
 from paper_formula import restrict_times_wedge
 from weyl_action import weyl_dimension
 
@@ -154,10 +154,9 @@ SPLIT = [name for name in catalog_names() if load_catalog_config(name).real_form
 GL2_SPLIT = RealFormConfig(
     label="gl2-split",
     g_datum=RootDatum(2, [(1, -1)], [(1, -1)]),
-    k_torus_rank=1,
     restriction=[[1, -1]],
     k_weights=[(0,)],
-    dims=Dims(dim_g=4, dim_k=1, dim_p=3, rank_split=2),
+    rank_split=2,
     split_mod_center=True,
     k_datum=None,
 )
@@ -165,10 +164,9 @@ GL2_SPLIT = RealFormConfig(
 COMPACT_TORUS = RealFormConfig(
     label="u1",
     g_datum=RootDatum(1, (), ()),
-    k_torus_rank=1,
     restriction=[[1]],
     k_weights=[(0,)],
-    dims=Dims(dim_g=1, dim_k=1, dim_p=0, rank_split=0),
+    rank_split=0,
     split_mod_center=False,
     k_datum=None,
 )
@@ -204,9 +202,26 @@ def test_p_weights_catalog():
     assert load_catalog_config("sl3-split").real_form.p_weights == ((-4,), (-2,), (0,), (2,), (4,))
     sp4 = load_catalog_config("sp4-split").real_form
     assert sp4.p_weights == ((-2, 0), (-1, -1), (0, -2), (0, 2), (1, 1), (2, 0))
-    for name in catalog_names():
-        cfg = load_catalog_config(name).real_form
-        assert len(cfg.p_weights) == cfg.dims.dim_p, name
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        ("sl2-split", (3, 1, 2, 1)),
+        ("sl2xsl2-swap", (6, 3, 3, 1)),
+        ("sl3-split", (8, 3, 5, 2)),
+        ("sp4-split", (10, 4, 6, 2)),
+    ],
+)
+def test_catalog_dimensions_are_derived(name, dims):
+    """(dim g, dim k, dim p, rank_split) of each catalog group: dim k and
+    dim p are the numbers of k and p weights, dim g = 2|Phi+| + rank is their
+    sum, and the K-torus rank is the number of rows of the restriction."""
+    cfg = load_catalog_config(name).real_form
+    dim_k, dim_p = len(cfg.k_weights), len(cfg.p_weights)
+    assert (dim_k + dim_p, dim_k, dim_p, cfg.rank_split) == dims
+    assert dim_k + dim_p == 2 * len(cfg.g_datum.positive_roots) + cfg.g_datum.rank
+    assert cfg.k_torus_rank == len(cfg.restriction) == cfg.k_datum.rank
 
 
 def test_theta_cone_builds_no_g_torus_character(monkeypatch):
@@ -350,10 +365,9 @@ def test_dimension_check_degenerate_torus():
     cfg = RealFormConfig(
         label="torus",
         g_datum=RootDatum(1, (), ()),
-        k_torus_rank=1,
         restriction=[[1]],
         k_weights=(),
-        dims=Dims(dim_g=1, dim_k=0, dim_p=1, rank_split=1),
+        rank_split=1,
         split_mod_center=True,
         k_datum=None,
     )
@@ -363,20 +377,24 @@ def test_dimension_check_degenerate_torus():
 
 
 def test_dimension_check_rejects_bad_table():
+    """Compact SL2 declared split: every weight of g lies in k, so p is
+    empty and the Iwasawa count fails."""
     a1 = build_root_datum([[2]])
     bad = RealFormConfig(
         label="bad",
         g_datum=a1,
-        k_torus_rank=1,
         restriction=[[1]],
         k_weights=[(0,), (2,), (-2,)],
-        dims=Dims(dim_g=5, dim_k=3, dim_p=2, rank_split=1),
+        rank_split=1,
         split_mod_center=True,
         k_datum=None,
     )
     result = dimension_check(bad)
     assert not result.passed
-    assert "FAIL" in "\n".join(result.lines)
+    assert result.lines == (
+        "ok: dim N_theta = dim N + dim p - dim g  (-1 vs -1)",
+        "FAIL: Iwasawa count dim g = dim k + rank + dim n  (3 vs 3 + 1 + 1)",
+    )
 
 
 def test_dimension_check_cone_line_can_fail():
@@ -384,20 +402,35 @@ def test_dimension_check_cone_line_can_fail():
     cone-restriction line itself. Built directly: the config loader refuses
     a split document whose dimensions fail."""
     sl3 = load_catalog_config("sl3-split").real_form
-    d = sl3.dims
     bad = RealFormConfig(
         label=sl3.label,
         g_datum=sl3.g_datum,
-        k_torus_rank=sl3.k_torus_rank,
         restriction=sl3.restriction,
         k_weights=sl3.k_weights,
-        dims=Dims(dim_g=d.dim_g, dim_k=d.dim_k, dim_p=d.dim_p, rank_split=1),
+        rank_split=1,
         split_mod_center=sl3.split_mod_center,
         k_datum=sl3.k_datum,
     )
     result = dimension_check(bad)
     assert not result.passed
     assert result.lines[0] == "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)"
+
+
+def test_dimension_check_iwasawa_line_can_fail():
+    """sl3-split with k.weights [[0]] and no K datum: dim k = 1 and dim p = 7,
+    so the rank is right and the cone line holds, but the Iwasawa count
+    fails. `checks` loads such a document and reports the line."""
+    doc = catalog_document("sl3-split")
+    del doc["k"]["datum"]
+    doc["k"]["weights"] = [[0]]
+    result = dimension_check(config_from_dict(doc, require_split=False).real_form)
+    assert not result.passed
+    assert result.lines == (
+        "ok: dim N_theta = dim N + dim p - dim g  (5 vs 5)",
+        "FAIL: Iwasawa count dim g = dim k + rank + dim n  (8 vs 1 + 2 + 3)",
+    )
+    with pytest.raises(ConfigError, match=r"split_mod_center: .*Iwasawa count"):
+        config_from_dict(doc)
 
 
 def test_dimension_check_cone_line_skipped_when_not_split():
@@ -547,23 +580,23 @@ def test_ktypes_vs_torus_reports_a_layer_that_is_not_weyl_invariant():
 
 def test_config_validation_errors():
     a1 = build_root_datum([[2]])
-    with pytest.raises(ValueError, match="dim k"):
+    with pytest.raises(ValueError, match=r"k\.weights: weight \[0\] occurs 2 times in k but 1"):
         RealFormConfig(
             label="x", g_datum=a1,
-            k_torus_rank=1, restriction=[[1]], k_weights=[(0,), (0,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
+            restriction=[[1]], k_weights=[(0,), (0,)],
+            rank_split=1, split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="negation"):
         RealFormConfig(
             label="x", g_datum=a1,
-            k_torus_rank=1, restriction=[[1]], k_weights=[(2,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
+            restriction=[[1]], k_weights=[(2,)],
+            rank_split=1, split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match="matrix"):
         RealFormConfig(
             label="x", g_datum=a1,
-            k_torus_rank=2, restriction=[[1]], k_weights=[(0, 0), (1, 1), (-1, -1)],
-            dims=Dims(3, 3, 0, 1), split_mod_center=True, k_datum=None,
+            restriction=[[1, 0]], k_weights=[(0,)],
+            rank_split=1, split_mod_center=True, k_datum=None,
         )
 
 
@@ -575,12 +608,12 @@ def test_config_refuses_non_integer_entries(bad):
     with pytest.raises(ValueError, match=r"restriction\[0\]\[0\]"):
         RealFormConfig(
             label="x", g_datum=a1,
-            k_torus_rank=1, restriction=[[bad]], k_weights=[(0,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
+            restriction=[[bad]], k_weights=[(0,)],
+            rank_split=1, split_mod_center=True, k_datum=None,
         )
     with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
         RealFormConfig(
             label="x", g_datum=a1,
-            k_torus_rank=1, restriction=[[1]], k_weights=[(bad,)],
-            dims=Dims(3, 1, 2, 1), split_mod_center=True, k_datum=None,
+            restriction=[[1]], k_weights=[(bad,)],
+            rank_split=1, split_mod_center=True, k_datum=None,
         )

@@ -75,7 +75,7 @@ def test_k_multiset_repeats_a_weight():
     """The four zero weights of k on the split torus of Sp4 (one per positive
     real root) are kept with their multiplicity."""
     rf = load_catalog_config("sp4-split").real_form
-    assert k_weight_multiset(rf.g_datum, SP4_SPLIT_TORUS[0], rf.dims.dim_k) == ((0, 0),) * 4
+    assert k_weight_multiset(rf.g_datum, SP4_SPLIT_TORUS[0], len(rf.k_weights)) == ((0, 0),) * 4
 
 
 @pytest.mark.parametrize(
@@ -185,7 +185,7 @@ def _assert_three_factor_masses(rf, tori, N):
     for deg, layer in enumerate(lusztig_series(datum, N).layers):
         for lam, c in layer.items():
             dim_series[deg] += weyl_dimension(datum, lam) * c
-    dim_k = rf.dims.dim_k
+    dim_k = len(rf.k_weights)
     expected = {}
     for n in range(N + 1):
         conv = sum(

@@ -37,8 +37,12 @@ taken on packed weights, `ktheta.exterior_products`; the tests' reference
 product is `tests/paper_formula.py`'s `tuple_product`), and the
 `TorusCharacter` class (a character is a weight -> multiplicity dict,
 written by `charring.format_terms`; the read-back off the Weyl denominator
-is `ktheta.labels_off_torus`), are gone; no source file, README line or
-build setting may point back to them."""
+is `ktheta.labels_off_torus`), and the `Dims` record with the two
+`dimensions` lines that could no longer fail (the dimensions are derived
+from the weights, and the cone line tests the split rank), and
+`RootDatum.two_rho` and `RootDatum.positive_coroots`, which no library
+code read (the tests take both from `tests/weyl_action.py`), are gone; no
+source file, README line or build setting may point back to them."""
 
 from pathlib import Path
 
@@ -115,6 +119,11 @@ STALE = (
     "graded_mul",
     "def _check(",
     "class TorusCharacter",
+    "class Dims",
+    "dim g matches the root datum",
+    "split rank equals the lattice rank",
+    "two_rho",
+    "positive_coroots",
 )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nilchar import oracle
 from nilchar.config import AffineConeModel, ConeVariable, load_catalog_config
+from nilchar.ktheta import theta_cone_character
 from nilchar.oracle import _insert_row, compare_with_formula, graded_character_by_degree
 from oracle_reference import _monomials, hilbert_by_degree, reference_layers
 from paper_formula import nilcone_character
@@ -269,8 +270,14 @@ def test_duplicate_variable_names_rejected():
         AffineConeModel((ConeVariable("x", (0,)), ConeVariable("x", (1,))), ())
 
 
+def compare(config, model, truncation):
+    """`config`'s product formula held against `model`'s brute-force character."""
+    formula = theta_cone_character(config, truncation)
+    return compare_with_formula(formula, graded_character_by_degree(model, truncation))
+
+
 def test_compare_sl2_models():
-    assert compare_with_formula(SL2.real_form, XY_MODEL, 8).passed
+    assert compare(SL2.real_form, XY_MODEL, 8).passed
 
 
 def test_compare_detects_perturbed_model():
@@ -278,26 +285,26 @@ def test_compare_detects_perturbed_model():
         (ConeVariable("x", (2,)), ConeVariable("y", (-2,))),
         ({(2, 0): 1},),
     )
-    result = compare_with_formula(SL2.real_form, bad, 4)
+    result = compare(SL2.real_form, bad, 4)
     assert not result.passed
     assert result.lines[-1] == "FAIL: degree 2 disagrees: formula 1*e[-4] + 1*e[4], model 1*e[-4] + 1*e[0]"
 
 
 def test_compare_degree_zero_trivial():
-    assert compare_with_formula(SL2.real_form, XY_MODEL, 0).passed
+    assert compare(SL2.real_form, XY_MODEL, 0).passed
 
 
 def test_compare_rank_mismatch():
     model = AffineConeModel((ConeVariable("x", (1, 0)),), ())
     with pytest.raises(ValueError, match="rank"):
-        compare_with_formula(SL2.real_form, model, 2)
+        compare(SL2.real_form, model, 2)
 
 
 def test_catalog_models_agree_with_formula():
     sl3 = load_catalog_config("sl3-split")
-    assert compare_with_formula(sl3.real_form, sl3.oracle_model, 10).passed
+    assert compare(sl3.real_form, sl3.oracle_model, 10).passed
     sp4 = load_catalog_config("sp4-split")
-    assert compare_with_formula(sp4.real_form, sp4.oracle_model, 8).passed
+    assert compare(sp4.real_form, sp4.oracle_model, 8).passed
 
 
 def test_rational_coefficients():

@@ -11,7 +11,7 @@ import pytest
 
 import nilchar
 from nilchar.config import load_catalog_config
-from nilchar.ktheta import CheckResult, Dims, RealFormConfig, dimension_check
+from nilchar.ktheta import CheckResult, RealFormConfig, dimension_check
 from nilchar.langlands import ContinuedParameter, FormalStandardSum
 from nilchar.rootdata import Record, classify_roots
 
@@ -152,8 +152,7 @@ def test_cold_query_loads_only_the_modules_it_runs(argv, extra):
 
 # The package's public names, as `from nilchar import *` gives them.
 PUBLIC_NAMES = {
-    "AffineConeModel", "CheckResult", "ConeVariable", "ConfigError", "ContinuedParameter", "Dims",
-    "FormalStandardSum", "GradedCharacter", "InvolutionData", "IrrepSeries", "LoadedConfig", "PositiveSystem",
+    "AffineConeModel", "CheckResult", "ConeVariable", "ConfigError", "ContinuedParameter", "FormalStandardSum", "GradedCharacter", "InvolutionData", "IrrepSeries", "LoadedConfig", "PositiveSystem",
     "RealFormConfig", "RootDatum", "SplitHypothesisError", "TorusDatum", "build_root_datum",
     "catalog_names", "classify_roots", "compare_with_formula", "config_from_dict", "dimension_check",
     "dominant_weights_up_to_height", "graded_branching_sum", "graded_character_by_degree",
@@ -169,7 +168,7 @@ def test_star_import_gives_the_public_names_from_their_home_modules():
     namespace = {}
     exec("from nilchar import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC_NAMES) == 37 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
+    assert len(PUBLIC_NAMES) == 36 and set(namespace) == PUBLIC_NAMES <= set(dir(nilchar))
     for name, value in namespace.items():
         assert getattr(importlib.import_module(value.__module__), name) is value, name
         assert getattr(nilchar, name) is value, name
@@ -203,7 +202,6 @@ def _every_record():
     return [
         sl2,
         rf,
-        rf.dims,
         torus.theta,
         classify_roots(rf.g_datum, torus.theta),
         dimension_check(rf),
@@ -216,7 +214,7 @@ def _every_record():
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in _every_record()}) == 11
+    assert len({type(r) for r in _every_record()}) == 10
     assert all(isinstance(r, Record) for r in _every_record())
 
 
@@ -248,27 +246,27 @@ def test_records_of_different_types_are_unequal():
 
     assert CheckResult(True, ()) != Verdict(True, ())
     assert CheckResult(True, ()) != (True, ())
-    assert Dims(1, 0, 1, 1) != None  # noqa: E711
+    assert ContinuedParameter("T", (1,), "ps") != None  # noqa: E711
 
 
 def test_constructor_binds_positional_and_keyword_arguments():
-    d = Dims(3, dim_k=1, dim_p=2, rank_split=1)
-    assert d == Dims(dim_g=3, dim_k=1, dim_p=2, rank_split=1) == Dims(3, 1, 2, 1)
-    assert repr(d) == "Dims(dim_g=3, dim_k=1, dim_p=2, rank_split=1)"
+    p = ContinuedParameter("T", gamma0=(1,), positive_system="ps")
+    assert p == ContinuedParameter(torus="T", gamma0=(1,), positive_system="ps") == ContinuedParameter("T", (1,), "ps")
+    assert repr(p) == "ContinuedParameter(torus='T', gamma0=(1,), positive_system='ps')"
 
 
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
-        ((3, 1, 2), {}, "missing arguments: rank_split"),
-        ((3, 1, 2, 1), {"extra": 0}, "unexpected argument 'extra'"),
-        ((3, 1, 2), {"dim_g": 3, "rank_split": 1}, "multiple values for argument 'dim_g'"),
-        ((3, 1, 2, 1, 0), {}, "takes 4 arguments but 5 were given"),
+        (("T", (1,)), {}, "missing arguments: positive_system"),
+        (("T", (1,), "ps"), {"extra": 0}, "unexpected argument 'extra'"),
+        (("T", (1,)), {"torus": "T", "positive_system": "ps"}, "multiple values for argument 'torus'"),
+        (("T", (1,), "ps", 0), {}, "takes 3 arguments but 4 were given"),
     ],
 )
 def test_constructor_refuses_missing_unknown_or_repeated_fields(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
-        Dims(*args, **kwargs)
+        ContinuedParameter(*args, **kwargs)
 
 
 def _rebuild(rf, **changes):
@@ -279,8 +277,9 @@ def _rebuild(rf, **changes):
 
 def test_real_form_config_leaves_out_derived_p_weights():
     rf = load_catalog_config("sp4-split").real_form
-    assert "p_weights" not in rf._fields and len(rf.p_weights) == 6
-    assert "p_weights" not in repr(rf)
+    assert rf._fields == ("label", "g_datum", "restriction", "k_weights", "rank_split", "split_mod_center", "k_datum")
+    assert len(rf.p_weights) == 6 and rf.k_torus_rank == 2
+    assert "p_weights" not in repr(rf) and "k_torus_rank" not in repr(rf)
     assert repr(rf).startswith("RealFormConfig(label='sp4-split', g_datum=RootDatum(")
     copy = _rebuild(rf)
     object.__setattr__(copy, "p_weights", ())
@@ -288,6 +287,8 @@ def test_real_form_config_leaves_out_derived_p_weights():
     assert _rebuild(rf, label="other") != rf
     with pytest.raises(TypeError, match="unexpected argument 'p_weights'"):
         _rebuild(rf, p_weights=rf.p_weights)
+    with pytest.raises(TypeError, match="unexpected argument 'k_torus_rank'"):
+        _rebuild(rf, k_torus_rank=rf.k_torus_rank)
 
 
 def test_check_result_keeps_its_truth_value():

@@ -17,7 +17,7 @@ from nilchar.rootdata import (
     mat_mul,
     wneg,
 )
-from weyl_action import act, weyl_dimension, weyl_orbit, weyl_words
+from weyl_action import act, positive_coroots, two_rho, weyl_dimension, weyl_orbit, weyl_words
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -50,14 +50,24 @@ def test_exponents():
 
 
 def test_two_rho_is_sum_of_positive_roots():
-    for cartan in (A1, A2, B2, A1A1, G2):
+    """The test side's closure of (root, coroot) pairs (`weyl_action`) finds
+    the datum's positive roots; each coroot pairs to 2 with its root, and its
+    reflection permutes the roots; 2 rho is their sum."""
+    for cartan in (A1, A2, B2, A1A1, G2, F4):
         datum = build_root_datum(cartan)
+        pairs = positive_coroots(datum)
+        assert sorted(pairs) == sorted(datum.positive_roots), cartan
+        roots = set(pairs) | {wneg(r) for r in pairs}
+        for beta, cov in pairs.items():
+            assert sum(b * c for b, c in zip(beta, cov)) == 2
+            reflected = {tuple(x - sum(a * c for a, c in zip(w, cov)) * b for x, b in zip(w, beta)) for w in roots}
+            assert reflected == roots, (cartan, beta)
         total = (0,) * datum.rank
         for r in datum.positive_roots:
             total = tuple(a + b for a, b in zip(total, r))
-        assert datum.two_rho == total
+        assert two_rho(datum) == total
         # <2 rho, alpha_i^vee> = 2 in the fundamental-weight realization
-        assert datum.two_rho == (2,) * datum.rank
+        assert two_rho(datum) == (2,) * datum.rank
 
 
 WEYL_ORDERS = [(A1, 2), (A2, 6), (B2, 8), (A1A1, 4), (G2, 12), (A4, 120), (D4, 192), (F4, 1152)]
@@ -71,7 +81,8 @@ def test_weyl_group_orders():
         words = weyl_words(datum)
         assert len(words) == order, cartan
         assert list(words) == sorted(words, key=lambda w: (len(w), w)), cartan
-        assert len({act(datum, w, datum.two_rho) for w in words}) == order, cartan
+        rho2 = two_rho(datum)
+        assert len({act(datum, w, rho2) for w in words}) == order, cartan
 
 
 def test_weyl_lengths_match_inversions():

@@ -1,12 +1,15 @@
-"""The Weyl group listed as reduced words and acting on weights, Weyl's
-dimension formula, and the expansion of highest-weight labels onto the
-torus by Demazure's formula, kept on the test side: the element with
-reduced word (i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple
-reflections apply last letter first. The expansion is the inverse of the
-read-back off the Weyl denominator (`ktheta.labels_off_torus`)."""
+"""The Weyl group listed as reduced words and acting on weights, the
+positive coroots and 2*rho, Weyl's dimension formula, and the expansion of
+highest-weight labels onto the torus by Demazure's formula, kept on the
+test side: the element with reduced word (i_1, ..., i_k) is
+s_{i_1} ... s_{i_k}, so its simple reflections apply last letter first.
+The expansion is the inverse of the read-back off the Weyl denominator
+(`ktheta.labels_off_torus`)."""
+
+from functools import reduce
 
 from nilchar.charring import irreducible_character
-from nilchar.rootdata import Weight, wadd, wdot, wscale
+from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
 
 
 def act(datum, word, weight):
@@ -65,16 +68,44 @@ def weyl_orbit(datum, weight: Weight) -> set[Weight]:
     return orbit
 
 
+def positive_coroots(datum) -> dict[Weight, Weight]:
+    """Each positive root with its coroot. Both are closed together from
+    the simple ones: for a positive root beta other than alpha_i, s_i(beta)
+    is a positive root, and its coroot is s_i applied to beta's coroot,
+    beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
+    pairs = dict(zip(datum.simple_roots, datum.simple_coroots))
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            cov = pairs[beta]
+            for i, (alpha, alpha_cov) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
+                if beta == alpha:
+                    continue
+                image = datum.reflect(i, beta)
+                if image not in pairs:
+                    pairs[image] = wsub(cov, wscale(wdot(alpha, cov), alpha_cov))
+                    nxt.append(image)
+        frontier = nxt
+    return pairs
+
+
+def two_rho(datum) -> Weight:
+    """The sum of the positive roots."""
+    return reduce(wadd, datum.positive_roots, (0,) * datum.rank)
+
+
 def weyl_dimension(datum, lam) -> int:
     """Dimension of the irreducible with highest weight `lam`: the product
     over positive coroots of <lam + rho, a^vee> / <rho, a^vee>."""
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     num = den = 1
-    lam_rho2 = wadd(wscale(2, lam), datum.two_rho)
-    for cov in datum.positive_coroots:
+    rho2 = two_rho(datum)
+    lam_rho2 = wadd(wscale(2, lam), rho2)
+    for cov in positive_coroots(datum).values():
         num *= wdot(lam_rho2, cov)
-        den *= wdot(datum.two_rho, cov)
+        den *= wdot(rho2, cov)
     dim, rem = divmod(num, den)
     if rem:
         raise ValueError(f"Weyl product for {lam} is not an integer: {num}/{den}")
