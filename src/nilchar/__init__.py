@@ -44,7 +44,6 @@ _HOMES = {
     "nilcone_series": "ktheta",
     "theta_cone_character": "ktheta",
     "theta_cone_ktypes": "ktheta",
-    "wedge_class": "ktheta",
     "ContinuedParameter": "langlands",
     "FormalStandardSum": "langlands",
     "graded_branching_sum": "langlands",

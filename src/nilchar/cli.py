@@ -146,8 +146,8 @@ def cmd_checks(opts) -> int:
     from . import oracle
     from .kernels import lusztig_check
 
-    # A config declared split but failing its dimension identities loads
-    # here, so that the dimensions entry can report the failing lines.
+    # A split config failing its Iwasawa count loads here, so that the
+    # dimensions entry can report the failing line.
     cfg = _load_group(opts["--group"], require_split=False)
     degree = _check_degree(opts)
     rf = cfg.real_form

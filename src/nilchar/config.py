@@ -1,8 +1,9 @@
 """Configuration documents: a JSON object model describing the group, the
-involution, the K-side data, the split rank, optional torus tables, and an
-optional affine cone model. Validation failures name the offending field.
-A field that the loader derives (the dimensions, the K-torus rank, and the
-k weights when `k.datum` is given) may still be stated, as a cross-check.
+involution, the K-side data, optional torus tables, and an optional affine
+cone model. Validation failures name the offending field. A field that the
+loader derives (the dimensions, the split rank, whether the form is split
+modulo center, the K-torus rank, and the k weights when `k.datum` is
+given) may still be stated, as a cross-check.
 
 This module owns the format: it loads documents into records, defines the
 records the loader builds for torus tables (`PositiveSystem`, `TorusDatum`)
@@ -226,13 +227,16 @@ def _load_group(obj, path) -> RootDatum:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_involution(obj, path) -> InvolutionData:
-    matrix = _int_matrix(_get(obj, "matrix", path), f"{path}.matrix")
+def _load_involution(obj, path, key="matrix") -> InvolutionData:
+    """The involution that `obj`, at `path`, states as the matrix `key`, with
+    the roots it marks compact in `compact_roots`; a matrix that is not an
+    involution is a ConfigError naming `path.key`."""
+    matrix = _int_matrix(_get(obj, key, path), f"{path}.{key}")
     compact = _weight_list(_get(obj, "compact_roots", path, required=False, default=[]), f"{path}.compact_roots")
     try:
         return InvolutionData(matrix, compact)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
 def _load_tori(value, path) -> tuple[TorusDatum, ...]:
@@ -244,10 +248,7 @@ def _load_tori(value, path) -> tuple[TorusDatum, ...]:
         label = _str(_get(entry, "label", tpath), f"{tpath}.label")
         if any(other.label == label for other in out):
             raise ConfigError(f"{tpath}.label: duplicate torus label {label!r}")
-        theta = _load_involution(
-            {"matrix": _get(entry, "theta", tpath), "compact_roots": entry.get("compact_roots", [])},
-            tpath,
-        )
+        theta = _load_involution(entry, tpath, "theta")
         systems = []
         raw_systems = _get(entry, "positive_systems", tpath)
         if not isinstance(raw_systems, list) or not raw_systems:
@@ -319,12 +320,13 @@ def _load_model(obj, path) -> AffineConeModel:
     return model
 
 
-def _cross_check(obj, key, path, derived, source, read=_int) -> None:
-    """A derived field that the document states anyway must state the value
-    derived from `source`, as `read` reads it; otherwise it is a ConfigError
-    naming the field."""
-    if key in obj and read(obj[key], f"{path}.{key}") != derived:
-        raise ConfigError(f"{path}.{key}: the document states {obj[key]}, but it is {derived}, derived from {source}")
+def _cross_check(obj, field, derived, source, read=_int) -> None:
+    """A derived field that the document states anyway in `obj` must state
+    the value derived from `source`, as `read` reads it; otherwise it is a
+    ConfigError naming the field (its path, such as `k.torus_rank`)."""
+    key = field.rpartition(".")[2]
+    if key in obj and read(obj[key], field) != derived:
+        raise ConfigError(f"{field}: the document states {obj[key]}, but it is {derived}, derived from {source}")
 
 
 def _weight_multiset(value, path) -> list[list[int]]:
@@ -335,17 +337,20 @@ def _weight_multiset(value, path) -> list[list[int]]:
 def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     """Build and cross-validate a configuration from its object model.
 
-    The document states G, the restriction to the K-torus, `dims.rank_split`
-    and `split_mod_center`, and either `k.weights` or `k.datum`. The rest is
-    derived: `k.torus_rank` (the rows of `k.restriction`), `k.weights` (the
-    adjoint weights of `k.datum`, when given) and `dims.g`, `dims.k` and
-    `dims.p` (from the k and p weights). A document may state a derived
-    field too, and then it must state the derived value.
+    The document states G, the involution theta on a maximally split
+    Cartan, the restriction to the K-torus, and either `k.weights` or
+    `k.datum`. The rest is derived: `dims.rank_split` (rank less the rank
+    theta fixes) and `split_mod_center` (theta = -1 on the whole lattice),
+    `k.torus_rank` (the rows of `k.restriction`), `k.weights` (the adjoint
+    weights of `k.datum`, when given) and `dims.g`, `dims.k` and `dims.p`
+    (from the k and p weights). A document may state a derived field too,
+    and then it must state the derived value. A theta with a noncompact
+    imaginary root is not on a maximally split Cartan and is refused.
 
-    A document that declares `split_mod_center` must pass the split lines of
-    `dimension_check`, since every split-only result rests on them.
-    `require_split=False` loads it anyway, for a caller that reports those
-    lines itself (the `checks` command)."""
+    A form split modulo center must pass the Iwasawa count of
+    `dimension_check`, since every split-only result rests on it.
+    `require_split=False` loads it anyway, for a caller that reports that
+    line itself (the `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     name = _str(doc.get("label", "unnamed"), "label")
@@ -354,45 +359,48 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
 
     kobj = _object(_get(doc, "k", "k"), "k")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
-    _cross_check(kobj, "torus_rank", "k", len(restriction), "the rows of k.restriction")
+    _cross_check(kobj, "k.torus_rank", len(restriction), "the rows of k.restriction")
     k_datum = None
     if kobj.get("datum") is not None:
         k_datum = _load_group(kobj["datum"], "k.datum")
         k_weights = k_datum.adjoint_weights
-        _cross_check(kobj, "weights", "k", sorted(map(list, k_weights)), "the adjoint weights of k.datum",
+        _cross_check(kobj, "k.weights", sorted(map(list, k_weights)), "the adjoint weights of k.datum",
                      _weight_multiset)
     else:
         k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
 
-    dobj = _get(doc, "dims", "dims")
-    rank_split = _int(_get(dobj, "rank_split", "dims"), "dims.rank_split")
-    split = _bool(_get(doc, "split_mod_center", "split_mod_center"), "split_mod_center")
-
     try:
-        classify_roots(g_datum, involution)
+        noncompact = classify_roots(g_datum, involution).imaginary_noncompact
     except ValueError as exc:
         raise ConfigError(f"involution: {exc}") from None
+    if noncompact:
+        raise ConfigError(
+            f"involution: root {list(noncompact[0])} is noncompact imaginary, so the involution is not on a "
+            "maximally split Cartan (mark it in involution.compact_roots if it is compact)"
+        )
     try:
         real_form = RealFormConfig(
             label=name,
             g_datum=g_datum,
+            involution=involution,
             restriction=restriction,
             k_weights=k_weights,
-            rank_split=rank_split,
-            split_mod_center=split,
             k_datum=k_datum,
         )
     except ValueError as exc:
         raise ConfigError(f"config {name!r}: {exc}") from None
+    dobj = _object(doc.get("dims", {}), "dims")
     dim_k, dim_p = len(real_form.k_weights), len(real_form.p_weights)
-    _cross_check(dobj, "g", "dims", dim_k + dim_p, "the k and p weights")
-    _cross_check(dobj, "k", "dims", dim_k, "the k weights")
-    _cross_check(dobj, "p", "dims", dim_p, "the p weights")
-    if split and require_split:
+    _cross_check(dobj, "dims.g", dim_k + dim_p, "the k and p weights")
+    _cross_check(dobj, "dims.k", dim_k, "the k weights")
+    _cross_check(dobj, "dims.p", dim_p, "the p weights")
+    _cross_check(dobj, "dims.rank_split", real_form.rank_split, "the involution")
+    _cross_check(doc, "split_mod_center", real_form.split_mod_center, "the involution", _bool)
+    if real_form.split_mod_center and require_split:
         failing = [line[len("FAIL: "):] for line in dimension_check(real_form).lines if line.startswith("FAIL")]
         if failing:
             raise ConfigError(
-                f"split_mod_center: config {name!r} is declared split modulo center, "
+                f"split_mod_center: config {name!r} is split modulo center by its involution, "
                 f"but its dimensions fail {'; '.join(failing)}"
             )
 
@@ -456,8 +464,6 @@ _SL2_SPLIT = {
         "restriction": [[1]],
         "datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},
     },
-    "dims": {"rank_split": 1},
-    "split_mod_center": True,
     "tori": [
         {
             "label": "split",
@@ -489,8 +495,6 @@ _SL2XSL2_SWAP = {
         "restriction": [[1, 1]],
         "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
     },
-    "dims": {"rank_split": 1},
-    "split_mod_center": False,
 }
 
 # Split SL3: K = SO(3). The K-torus coordinate is doubled so that every
@@ -506,8 +510,6 @@ _SL3_SPLIT = {
         "restriction": [[2, 0]],
         "datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
     },
-    "dims": {"rank_split": 2},
-    "split_mod_center": True,
     "oracle_model": {
         "variables": [
             {"name": "v4", "weight": [4]},
@@ -545,8 +547,6 @@ _SP4_SPLIT = {
         "restriction": [[1, 1], [0, 1]],
         "datum": {"rank": 2, "simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]},
     },
-    "dims": {"rank_split": 2},
-    "split_mod_center": True,
     "oracle_model": {
         "variables": [
             {"name": "a20", "weight": [2, 0]},

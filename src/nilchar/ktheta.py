@@ -28,11 +28,11 @@ the K-torus, on packed weights (`theta_cone_character`), and on K's
 highest-weight labels (`theta_cone_ktypes`: S(p) by Newton's identity with
 Brauer-Klimyk straightening, as for C[N]). Every product with an exterior
 class is packed too (`exterior_products`): the Koszul identity
-S(k) * Lambda(k) = 1, `wedge_class` and `langlands.graded_branching_sum`.
-Alongside are the dimension bookkeeping that the hypothesis rests on and
-two checks: the trivial K-type occurs in degree 0 only, and each torus
-layer read off K's Weyl denominator (`labels_off_torus`) is that degree's
-K-types.
+S(k) * Lambda(k) = 1 and `langlands.graded_branching_sum`. Alongside are
+the real form, whose involution decides the hypothesis, the Iwasawa count
+that ties its k weights to the involution, and two checks: the trivial
+K-type occurs in degree 0 only, and each torus layer read off K's Weyl
+denominator (`labels_off_torus`) is that degree's K-types.
 """
 
 from collections import Counter
@@ -41,7 +41,7 @@ from itertools import chain, islice
 from .charring import (
     GradedCharacter, IrrepSeries, format_terms, packed_symmetric_series, symmetric_irreps, weight_codec,
 )
-from .rootdata import Record, RootDatum, Weight, int_vector, mat_apply, wneg, wsub
+from .rootdata import InvolutionData, Record, RootDatum, Weight, int_vector, mat_apply, wneg, wsub
 
 
 class SplitHypothesisError(ValueError):
@@ -59,39 +59,50 @@ class CheckResult(Record):
 
 
 class RealFormConfig(Record):
-    """The (G, K) package: ambient root datum, torus-level restriction to K,
-    the weights of k, the split rank, whether the form is split modulo
-    center, and K's root datum when known.
+    """The (G, K) package: ambient root datum, the involution theta on a
+    maximally split Cartan, torus-level restriction to K, the weights of k,
+    and K's root datum when known.
 
-    `k_weights` is kept sorted, as a multiset. Two fields are derived:
-    `k_torus_rank`, the number of rows of `restriction`, and `p_weights`,
-    the adjoint weights of G under `restriction` less the k weights, as a
-    sorted multiset. So dim k and dim p are the numbers of k and p weights,
-    and dim g = 2|Phi+| + rank is their sum (`dimension_check`). A k weight
-    that the restricted weights of g do not cover is refused, and so are k
-    weights other than the adjoint weights of `k_datum` when given, and p
-    weights that the Weyl group of `k_datum` does not preserve."""
+    `k_weights` is kept sorted, as a multiset. Four fields are derived:
+    `k_torus_rank`, the number of rows of `restriction`; `p_weights`, the
+    adjoint weights of G under `restriction` less the k weights, as a
+    sorted multiset; `rank_split`, the dimension of a, rank less the rank
+    fixed by theta; and `split_mod_center`, whether theta is -1 on the whole
+    lattice (`rank_split` is the rank), which also puts any centre in p. So
+    dim k and dim p are the numbers of k and p weights, and dim g = 2|Phi+|
+    + rank is their sum (`dimension_check`). A k weight that the restricted
+    weights of g do not cover is refused, and so are k weights other than
+    the adjoint weights of `k_datum` when given, and p weights that the
+    Weyl group of `k_datum` does not preserve. That theta has no noncompact
+    imaginary root, as on a maximally split Cartan, is the loader's check
+    (`config.config_from_dict`)."""
 
-    __slots__ = ("label", "g_datum", "restriction", "k_weights", "rank_split", "split_mod_center", "k_datum",
-                 "k_torus_rank", "p_weights")
-    _derived = ("k_torus_rank", "p_weights")
+    __slots__ = ("label", "g_datum", "involution", "restriction", "k_weights", "k_datum",
+                 "k_torus_rank", "p_weights", "rank_split", "split_mod_center")
+    _derived = ("k_torus_rank", "p_weights", "rank_split", "split_mod_center")
 
     label: str
     g_datum: RootDatum
+    involution: InvolutionData
     restriction: tuple[tuple[int, ...], ...]
     k_weights: tuple[Weight, ...]
-    rank_split: int
-    split_mod_center: bool
     k_datum: RootDatum | None
     k_torus_rank: int
     p_weights: tuple[Weight, ...]
+    rank_split: int
+    split_mod_center: bool
 
     def __post_init__(self):
+        rank = self.g_datum.rank
+        if self.involution.rank != rank:
+            raise ValueError(f"involution must be a {rank} x {rank} matrix")
+        object.__setattr__(self, "rank_split", rank - self.involution.fixed_rank())
+        object.__setattr__(self, "split_mod_center", self.rank_split == rank)
         rows = tuple(int_vector(row, f"restriction[{i}]") for i, row in enumerate(self.restriction))
         object.__setattr__(self, "restriction", rows)
         object.__setattr__(self, "k_torus_rank", len(rows))
-        if any(len(r) != self.g_datum.rank for r in rows):
-            raise ValueError(f"restriction must be a {len(rows)} x {self.g_datum.rank} integer matrix")
+        if any(len(r) != rank for r in rows):
+            raise ValueError(f"restriction must be a {len(rows)} x {rank} integer matrix")
         if self.k_datum is not None and self.k_datum.rank != len(rows):
             raise ValueError("K root datum rank must equal the K-torus rank")
         kw = tuple(sorted(int_vector(w, f"k_weights[{i}]") for i, w in enumerate(self.k_weights)))
@@ -141,13 +152,6 @@ def exterior_products(weights, exteriors, truncation: int, rank: int) -> list[li
     ints = iter(packed)
     base = packed_symmetric_series(list(islice(ints, len(weights))), truncation)
     return [unpack(times_exterior(list(islice(ints, len(b))), [dict(layer) for layer in base])) for b in exteriors]
-
-
-def wedge_class(k_weights, truncation: int, rank: int) -> GradedCharacter:
-    """Signed graded exterior algebra of a weight multiset: the expansion of
-    the product over weights w of (1 - e^w q), `times_exterior` applied to
-    1. Layer n carries sign (-1)^n."""
-    return GradedCharacter(rank, truncation, exterior_products([], [k_weights], truncation, rank)[0])
 
 
 def koszul_check(k_weights, truncation: int, rank: int) -> CheckResult:
@@ -311,30 +315,19 @@ def times_exterior(packed, layers: list[dict[int, int]]) -> list[dict[int, int]]
 
 
 def dimension_check(config: RealFormConfig) -> CheckResult:
-    """Dimension bookkeeping of a form split modulo center, from the weights:
-    dim k and dim p are their numbers, and dim g = 2|Phi+| + rank is their
-    sum. The cone-restriction identity, with dim N = 2|Phi+|, holds exactly
-    when `rank_split` is the rank of G; the Iwasawa count holds exactly when
-    dim p = dim k + `rank_split`. Both lines are skipped for a form that is
+    """The Iwasawa count g = k + a + n of a form split modulo center, from
+    the weights: dim k and dim p are their numbers, dim g = 2|Phi+| + rank
+    is their sum, and dim a is `rank_split`, derived from the involution.
+    So the count holds exactly when dim p = dim k + `rank_split`, which
+    ties the k weights to the involution. It is skipped for a form that is
     not split modulo center."""
+    if not config.split_mod_center:
+        return CheckResult(True, ("skip: Iwasawa count (config is not split modulo center)",))
     dim_k, dim_p = len(config.k_weights), len(config.p_weights)
     dim_g = dim_k + dim_p
-    dim_n = 2 * len(config.g_datum.positive_roots)
     rank = config.rank_split
-    if not config.split_mod_center:
-        lines = (
-            "skip: dim N_theta = dim N + dim p - dim g (config is not split modulo center)",
-            "skip: Iwasawa count (config is not split modulo center)",
-        )
-        return CheckResult(True, lines)
-
-    lhs, rhs = dim_p - rank, dim_n + dim_p - dim_g
-    cone = lhs == rhs
     nil, odd = divmod(dim_g - rank, 2)
     iwasawa = not odd and dim_g == dim_k + rank + nil
-    lines = (
-        f"{'ok' if cone else 'FAIL'}: dim N_theta = dim N + dim p - dim g  ({lhs} vs {rhs})",
-        f"{'ok' if iwasawa else 'FAIL'}: Iwasawa count dim g = dim k + rank + dim n  "
-        f"({dim_g} vs {dim_k} + {rank} + {nil})",
-    )
-    return CheckResult(cone and iwasawa, lines)
+    line = (f"{'ok' if iwasawa else 'FAIL'}: Iwasawa count dim g = dim k + rank + dim n  "
+            f"({dim_g} vs {dim_k} + {rank} + {nil})")
+    return CheckResult(iwasawa, (line,))

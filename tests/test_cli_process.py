@@ -122,14 +122,17 @@ def test_process_reads_config_files_as_utf8_in_any_locale(tmp_path):
 
 
 def test_process_failed_check_is_exit_2(tmp_path):
+    """sl3-split with k.weights [[0]] and no K datum fails the Iwasawa count:
+    `checks` reports the line and exits 2."""
     doc = catalog_document("sl3-split")
-    doc["dims"]["rank_split"] = 1
-    path = tmp_path / "bad-rank.json"
+    del doc["k"]["datum"]
+    doc["k"]["weights"] = [[0]]
+    path = tmp_path / "bad-k.json"
     path.write_text(json.dumps(doc))
     proc = run_process(["checks", "--group", str(path), "--degree", "2"], tmp_path, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (2, "")
     assert "[FAIL] dimensions" in proc.stdout
-    assert "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)" in proc.stdout
+    assert "FAIL: Iwasawa count dim g = dim k + rank + dim n  (8 vs 1 + 2 + 3)" in proc.stdout
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

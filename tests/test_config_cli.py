@@ -66,46 +66,62 @@ def test_non_utf8_file_is_a_config_error(tmp_path, capsys, data):
 @pytest.mark.parametrize("where", ["top", "nested"])
 def test_duplicate_key_is_a_config_error(tmp_path, capsys, where):
     """A repeated key is refused, naming it, instead of resolving to its last
-    value (here, a form declared not split and then split)."""
+    value (here, a form stated not split and then split, or an involution
+    stated compact and then split)."""
     text = json.dumps(catalog_document("sl2-split"))
     if where == "top":
-        text = text.replace('"split_mod_center": true', '"split_mod_center": false, "split_mod_center": true')
+        text = text.replace('"label": "sl2-split",', '"label": "sl2-split", "split_mod_center": false, "split_mod_center": true,')
         key = "split_mod_center"
     else:
-        text = text.replace('"rank_split": 1', '"rank_split": 1, "rank_split": 1')
-        key = "rank_split"
+        text = text.replace('"matrix": [[-1]]', '"matrix": [[1]], "matrix": [[-1]]')
+        key = "matrix"
     assert "duplicate key " + repr(key) in _refused_file(tmp_path, capsys, text.encode())
 
 
 def test_config_error_names_field():
     doc = catalog_document("sl2-split")
-    del doc["dims"]["rank_split"]
-    with pytest.raises(ConfigError, match="dims.rank_split: missing"):
+    del doc["involution"]["matrix"]
+    with pytest.raises(ConfigError, match="involution.matrix: missing"):
         config_from_dict(doc)
 
 
 # The derived fields as the catalog documents stated them before they were
-# derived, and a wrong value for each.
+# derived.
 STATED = {
-    "sl2-split": {"g": 3, "k": 1, "p": 2, "torus_rank": 1, "weights": [[0]]},
-    "sl2xsl2-swap": {"g": 6, "k": 3, "p": 3, "torus_rank": 1, "weights": [[-2], [0], [2]]},
-    "sl3-split": {"g": 8, "k": 3, "p": 5, "torus_rank": 1, "weights": [[-2], [0], [2]]},
-    "sp4-split": {"g": 10, "k": 4, "p": 6, "torus_rank": 2, "weights": [[1, -1], [-1, 1], [0, 0], [0, 0]]},
+    "sl2-split": {"g": 3, "k": 1, "p": 2, "rank_split": 1, "split_mod_center": True, "torus_rank": 1,
+                  "weights": [[0]]},
+    "sl2xsl2-swap": {"g": 6, "k": 3, "p": 3, "rank_split": 1, "split_mod_center": False, "torus_rank": 1,
+                     "weights": [[-2], [0], [2]]},
+    "sl3-split": {"g": 8, "k": 3, "p": 5, "rank_split": 2, "split_mod_center": True, "torus_rank": 1,
+                  "weights": [[-2], [0], [2]]},
+    "sp4-split": {"g": 10, "k": 4, "p": 6, "rank_split": 2, "split_mod_center": True, "torus_rank": 2,
+                  "weights": [[1, -1], [-1, 1], [0, 0], [0, 0]]},
 }
 
 
+def _wrong(value):
+    """A value of the same JSON type that differs from `value`."""
+    if isinstance(value, list):
+        return value[1:]
+    return not value if isinstance(value, bool) else value + 1
+
+
 @pytest.mark.parametrize("name", list(STATED))
-@pytest.mark.parametrize("field", ["dims.g", "dims.k", "dims.p", "k.torus_rank", "k.weights"])
+@pytest.mark.parametrize(
+    "field", ["dims.g", "dims.k", "dims.p", "dims.rank_split", "split_mod_center", "k.torus_rank", "k.weights"]
+)
 def test_stated_derived_field_is_a_cross_check(name, field):
     """A document may still state a derived field: the value it is derived
     as loads to the same config as the short form, and any other value is
     a ConfigError naming the field."""
-    section, key = field.split(".")
+    *sections, key = field.split(".")
     short = config_from_dict(catalog_document(name)).real_form
-    doc = catalog_document(name)
-    stated = doc[section][key] = STATED[name][key]
+    doc = owner = catalog_document(name)
+    for section in sections:
+        owner = owner.setdefault(section, {})
+    stated = owner[key] = STATED[name][key]
     assert config_from_dict(doc).real_form == short
-    doc[section][key] = stated[1:] if key == "weights" else stated + 1
+    owner[key] = _wrong(stated)
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: the document states .*, derived from "):
         config_from_dict(doc)
 
@@ -143,12 +159,10 @@ def test_config_error_k_weights_outside_g(tmp_path, capsys):
 
 
 def test_config_error_involution_must_permute_the_roots(tmp_path, capsys):
-    """The involution is read by no command, yet it is still checked against
-    G's roots when the document loads: one that does not permute them is a
-    config error naming `involution`, exit 1."""
+    """The involution decides the split hypothesis, and it is checked
+    against G's roots when the document loads: one that does not permute
+    them is a config error naming `involution`, exit 1."""
     doc = catalog_document("sl3-split")
-    doc["involution"]["matrix"] = [[0, 1], [1, 0]]
-    assert config_from_dict(doc).real_form.label == "sl3-split"
     doc["involution"]["matrix"] = [[1, 0], [0, -1]]
     with pytest.raises(ConfigError, match=r"^involution: involution does not permute the roots"):
         config_from_dict(doc)
@@ -156,6 +170,48 @@ def test_config_error_involution_must_permute_the_roots(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
     assert (code, out) == (1, "") and err.startswith("error: involution: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, matrix, root, rank_split",
+    [("sl2-split", [[1]], [2], 0), ("sl3-split", [[0, 1], [1, 0]], [1, 1], 1)],
+    ids=["sl2-identity", "sl3-swap"],
+)
+def test_involution_must_be_on_a_maximally_split_cartan(tmp_path, capsys, name, matrix, root, rank_split):
+    """A noncompact imaginary root means theta is not on a maximally split
+    Cartan, where the rank it does not fix would be too small for the
+    split rank: a config error naming `involution`, exit 1. With the root
+    marked compact, the same theta loads, as a form that is not split."""
+    doc = catalog_document(name)
+    doc["involution"]["matrix"] = matrix
+    with pytest.raises(ConfigError, match=re.escape(f"involution: root {root} is noncompact imaginary, ")):
+        config_from_dict(doc)
+    path = tmp_path / "not_maximally_split.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
+    assert (code, out) == (1, "") and err.startswith(f"error: involution: root {root} is noncompact imaginary")
+    doc["involution"]["compact_roots"] = [root]
+    rf = config_from_dict(doc).real_form
+    assert (rf.rank_split, rf.split_mod_center) == (rank_split, False)
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([[1.5]], "tori[0].theta[0][0]: expected an integer, got 1.5"),
+        ("x", "tori[0].theta: expected a matrix"),
+        ([[1, 0]], "tori[0].theta: involution matrix must be square"),
+        ([[2]], "tori[0].theta: involution matrix must square to the identity"),
+    ],
+    ids=["float-entry", "string", "not-square", "not-an-involution"],
+)
+def test_bad_torus_theta_names_the_theta_field(theta, message):
+    """A torus states its involution as `theta`, and that is the field an
+    error names, not the top-level involution's `matrix`."""
+    doc = catalog_document("sl2-split")
+    doc["tori"][0]["theta"] = theta
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        config_from_dict(doc)
 
 
 def test_config_error_model_rank():
@@ -237,6 +293,7 @@ def test_config_refuses_non_integers(tmp_path, capsys, field, value):
     """A value that is not a JSON integer is refused, never converted
     (int(1.5) == 1 and int(True) == 1 would run a different model)."""
     doc = catalog_document("sp4-split")
+    doc["dims"] = {}  # a stated dimension is read, as a cross-check
     owner = doc
     for key in field[:-1]:
         owner = owner[key]
@@ -296,13 +353,15 @@ def test_missing_label_is_unnamed():
 
 @pytest.mark.parametrize("value", ["false", 0, None, "true"], ids=repr)
 def test_split_mod_center_must_be_boolean(value):
-    """bool("false") is True: only JSON true/false may reach the split guard."""
+    """A stated `split_mod_center` is read as JSON true/false only:
+    bool("false") is True, so "false" would pass the cross-check on a split
+    form."""
     doc = catalog_document("sp4-split")
     doc["split_mod_center"] = value
     with pytest.raises(ConfigError, match=re.escape("split_mod_center: expected true or false")):
         config_from_dict(doc)
-    doc["split_mod_center"] = False
-    assert config_from_dict(doc).real_form.split_mod_center is False
+    doc["split_mod_center"] = True
+    assert config_from_dict(doc).real_form.split_mod_center is True
 
 
 def _top_and_first_level_fields(doc):
@@ -483,8 +542,7 @@ def test_checks_fail_on_bad_dims(tmp_path, capsys):
     """A stated dimension is a cross-check on the derived one, so a wrong
     table is refused when the document loads, also by `checks`."""
     doc = catalog_document("sl2-split")
-    doc["dims"]["g"] = 5
-    doc["dims"]["p"] = 4
+    doc["dims"] = {"g": 5, "p": 4}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "checks", "--group", str(path), "--degree", "2")
@@ -528,7 +586,7 @@ def test_checks_k_invariants_skip_without_k_datum(tmp_path, capsys):
 
 
 def _flipped_swap(tmp_path):
-    """sl2xsl2-swap declared split: its dimension table says otherwise."""
+    """sl2xsl2-swap declared split: its involution says otherwise."""
     doc = catalog_document("sl2xsl2-swap")
     doc["split_mod_center"] = True
     path = tmp_path / "flipped.json"
@@ -537,10 +595,14 @@ def _flipped_swap(tmp_path):
 
 
 def test_declared_split_must_pass_dimension_identities(tmp_path):
+    """A form is split modulo center when its involution is -1 on the whole
+    lattice (the split rank is the rank), so a stated `split_mod_center`
+    that says otherwise is refused, also for the `checks` command."""
     doc, _ = _flipped_swap(tmp_path)
-    with pytest.raises(ConfigError, match=r"split_mod_center: .*dim N_theta = dim N \+ dim p - dim g"):
-        config_from_dict(doc)
-    assert config_from_dict(doc, require_split=False).real_form.split_mod_center is True
+    message = "split_mod_center: the document states True, but it is False, derived from the involution"
+    for require_split in (True, False):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            config_from_dict(doc, require_split=require_split)
 
 
 @pytest.mark.parametrize("command", ["cntheta", "oracle-check", "branching"])
@@ -550,16 +612,17 @@ def test_split_dependent_commands_refuse_false_split(tmp_path, capsys, command):
     _, path = _flipped_swap(tmp_path)
     code, out, err = run(capsys, command, "--group", str(path), "--degree", "3")
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert "split_mod_center" in err and "Iwasawa count" in err
+    assert err.startswith("error: split_mod_center: ") and "Traceback" not in err
+    assert "derived from the involution" in err
 
 
 def test_checks_reports_false_split(tmp_path, capsys):
+    """`checks` loads a split form whose Iwasawa count fails, to report the
+    line, but a stated split hypothesis that the involution contradicts is
+    a config error there too."""
     _, path = _flipped_swap(tmp_path)
-    code, out, _ = run(capsys, "checks", "--group", str(path), "--degree", "2")
-    assert code == 2
-    assert "[FAIL] dimensions" in out
-    assert out.count("FAIL: ") == 2
+    code, out, err = run(capsys, "checks", "--group", str(path), "--degree", "2")
+    assert (code, out) == (1, "") and err.startswith("error: split_mod_center: the document states True")
 
 
 def test_branching_degree_zero_is_zuckerman(capsys):

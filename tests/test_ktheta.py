@@ -20,37 +20,34 @@ from nilchar.ktheta import (
     labels_off_torus,
     theta_cone_character,
     theta_cone_ktypes,
-    wedge_class,
 )
 from nilchar.kernels import lusztig_check
-from nilchar.rootdata import RootDatum, build_root_datum
+from nilchar.rootdata import InvolutionData, RootDatum, build_root_datum
 from catalog_documents import catalog_document
 from paper_formula import restrict_times_wedge
 from weyl_action import weyl_dimension
 
 
 def test_wedge_single_zero_weight():
-    w = wedge_class([(0,)], 4, rank=1)
-    assert w.layers == [{(0,): 1}, {(0,): -1}, {}, {}, {}]
+    assert exterior_products([], [[(0,)]], 4, rank=1)[0] == [{(0,): 1}, {(0,): -1}, {}, {}, {}]
 
 
 def test_wedge_empty_is_trivial():
-    w = wedge_class([], 3, rank=1)
-    assert w.layers == [{(0,): 1}, {}, {}, {}]
+    assert exterior_products([], [[]], 3, rank=1)[0] == [{(0,): 1}, {}, {}, {}]
 
 
 def test_wedge_three_weights():
-    w = wedge_class([(-2,), (0,), (2,)], 4, rank=1)
-    assert w.layers[0] == {(0,): 1}
-    assert w.layers[1] == {(-2,): -1, (0,): -1, (2,): -1}
-    assert w.layers[2] == {(-2,): 1, (0,): 1, (2,): 1}
-    assert w.layers[3] == {(0,): -1}
-    assert w.layers[4] == {}
+    w = exterior_products([], [[(-2,), (0,), (2,)]], 4, rank=1)[0]
+    assert w[0] == {(0,): 1}
+    assert w[1] == {(-2,): -1, (0,): -1, (2,): -1}
+    assert w[2] == {(-2,): 1, (0,): 1, (2,): 1}
+    assert w[3] == {(0,): -1}
+    assert w[4] == {}
 
 
 def test_wedge_vanishes_above_dimension():
-    w = wedge_class([(1,), (-1,)], 5, rank=1)
-    assert all(not w.layers[n] for n in range(3, 6))
+    w = exterior_products([], [[(1,), (-1,)]], 5, rank=1)[0]
+    assert all(not w[n] for n in range(3, 6))
 
 
 def test_symmetric_series_geometric():
@@ -154,22 +151,46 @@ SPLIT = [name for name in catalog_names() if load_catalog_config(name).real_form
 GL2_SPLIT = RealFormConfig(
     label="gl2-split",
     g_datum=RootDatum(2, [(1, -1)], [(1, -1)]),
+    involution=InvolutionData([[-1, 0], [0, -1]]),
     restriction=[[1, -1]],
     k_weights=[(0,)],
-    rank_split=2,
-    split_mod_center=True,
     k_datum=None,
 )
 # A one-dimensional compact torus: its only (central) direction lies in k.
 COMPACT_TORUS = RealFormConfig(
     label="u1",
     g_datum=RootDatum(1, (), ()),
+    involution=InvolutionData([[1]]),
     restriction=[[1]],
     k_weights=[(0,)],
-    rank_split=0,
-    split_mod_center=False,
     k_datum=None,
 )
+# Split SL2 times a compact centre: theta fixes the central direction, so
+# the form is not split modulo center.
+SL2_COMPACT_CENTRE = RealFormConfig(
+    label="sl2-u1",
+    g_datum=RootDatum(2, [(2, 0)], [(1, 0)]),
+    involution=InvolutionData([[-1, 0], [0, 1]]),
+    restriction=[[1, 0], [0, 1]],
+    k_weights=[(0, 0), (0, 0)],
+    k_datum=None,
+)
+
+
+@pytest.mark.parametrize(
+    "config, rank_split, split",
+    [(GL2_SPLIT, 2, True), (COMPACT_TORUS, 0, False), (SL2_COMPACT_CENTRE, 1, False)],
+    ids=["gl2-minus-identity", "u1-identity", "sl2-compact-centre"],
+)
+def test_split_hypothesis_is_read_off_the_involution(config, rank_split, split):
+    """`rank_split` is the rank less the rank that theta fixes, and the form
+    is split modulo center exactly when theta is -1 on the whole lattice,
+    its centre included: a central direction in k is a compact factor."""
+    assert (config.rank_split, config.split_mod_center) == (rank_split, split)
+    assert "rank_split" not in repr(config) and "split_mod_center" not in repr(config)
+    if not split:
+        with pytest.raises(SplitHypothesisError):
+            theta_cone_character(config, 2)
 
 
 @pytest.mark.parametrize("name", SPLIT)
@@ -365,10 +386,9 @@ def test_dimension_check_degenerate_torus():
     cfg = RealFormConfig(
         label="torus",
         g_datum=RootDatum(1, (), ()),
+        involution=InvolutionData([[-1]]),
         restriction=[[1]],
         k_weights=(),
-        rank_split=1,
-        split_mod_center=True,
         k_datum=None,
     )
     assert dimension_check(cfg).passed
@@ -377,66 +397,40 @@ def test_dimension_check_degenerate_torus():
 
 
 def test_dimension_check_rejects_bad_table():
-    """Compact SL2 declared split: every weight of g lies in k, so p is
-    empty and the Iwasawa count fails."""
+    """The k weights of compact SL2 under the split involution: every
+    weight of g lies in k, so p is empty and the Iwasawa count fails."""
     a1 = build_root_datum([[2]])
     bad = RealFormConfig(
         label="bad",
         g_datum=a1,
+        involution=InvolutionData([[-1]]),
         restriction=[[1]],
         k_weights=[(0,), (2,), (-2,)],
-        rank_split=1,
-        split_mod_center=True,
         k_datum=None,
     )
     result = dimension_check(bad)
     assert not result.passed
-    assert result.lines == (
-        "ok: dim N_theta = dim N + dim p - dim g  (-1 vs -1)",
-        "FAIL: Iwasawa count dim g = dim k + rank + dim n  (3 vs 3 + 1 + 1)",
-    )
-
-
-def test_dimension_check_cone_line_can_fail():
-    """dim N comes from the root datum, so a wrong real rank shows on the
-    cone-restriction line itself. Built directly: the config loader refuses
-    a split document whose dimensions fail."""
-    sl3 = load_catalog_config("sl3-split").real_form
-    bad = RealFormConfig(
-        label=sl3.label,
-        g_datum=sl3.g_datum,
-        restriction=sl3.restriction,
-        k_weights=sl3.k_weights,
-        rank_split=1,
-        split_mod_center=sl3.split_mod_center,
-        k_datum=sl3.k_datum,
-    )
-    result = dimension_check(bad)
-    assert not result.passed
-    assert result.lines[0] == "FAIL: dim N_theta = dim N + dim p - dim g  (4 vs 3)"
+    assert result.lines == ("FAIL: Iwasawa count dim g = dim k + rank + dim n  (3 vs 3 + 1 + 1)",)
 
 
 def test_dimension_check_iwasawa_line_can_fail():
     """sl3-split with k.weights [[0]] and no K datum: dim k = 1 and dim p = 7,
-    so the rank is right and the cone line holds, but the Iwasawa count
-    fails. `checks` loads such a document and reports the line."""
+    so the Iwasawa count fails. `checks` loads such a document and reports
+    the line."""
     doc = catalog_document("sl3-split")
     del doc["k"]["datum"]
     doc["k"]["weights"] = [[0]]
     result = dimension_check(config_from_dict(doc, require_split=False).real_form)
     assert not result.passed
-    assert result.lines == (
-        "ok: dim N_theta = dim N + dim p - dim g  (5 vs 5)",
-        "FAIL: Iwasawa count dim g = dim k + rank + dim n  (8 vs 1 + 2 + 3)",
-    )
+    assert result.lines == ("FAIL: Iwasawa count dim g = dim k + rank + dim n  (8 vs 1 + 2 + 3)",)
     with pytest.raises(ConfigError, match=r"split_mod_center: .*Iwasawa count"):
         config_from_dict(doc)
 
 
-def test_dimension_check_cone_line_skipped_when_not_split():
+def test_dimension_check_skipped_when_not_split():
     result = dimension_check(load_catalog_config("sl2xsl2-swap").real_form)
     assert result.passed
-    assert result.lines[0].startswith("skip: dim N_theta")
+    assert result.lines == ("skip: Iwasawa count (config is not split modulo center)",)
 
 
 def test_lusztig_check_catalog():
@@ -582,21 +576,27 @@ def test_config_validation_errors():
     a1 = build_root_datum([[2]])
     with pytest.raises(ValueError, match=r"k\.weights: weight \[0\] occurs 2 times in k but 1"):
         RealFormConfig(
-            label="x", g_datum=a1,
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[1]], k_weights=[(0,), (0,)],
-            rank_split=1, split_mod_center=True, k_datum=None,
+            k_datum=None,
         )
     with pytest.raises(ValueError, match="negation"):
         RealFormConfig(
-            label="x", g_datum=a1,
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[1]], k_weights=[(2,)],
-            rank_split=1, split_mod_center=True, k_datum=None,
+            k_datum=None,
+        )
+    with pytest.raises(ValueError, match=r"involution must be a 1 x 1 matrix"):
+        RealFormConfig(
+            label="x", g_datum=a1, involution=InvolutionData([[-1, 0], [0, -1]]),
+            restriction=[[1]], k_weights=[(0,)],
+            k_datum=None,
         )
     with pytest.raises(ValueError, match="matrix"):
         RealFormConfig(
-            label="x", g_datum=a1,
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[1, 0]], k_weights=[(0,)],
-            rank_split=1, split_mod_center=True, k_datum=None,
+            k_datum=None,
         )
 
 
@@ -607,13 +607,13 @@ def test_config_refuses_non_integer_entries(bad):
     a1 = build_root_datum([[2]])
     with pytest.raises(ValueError, match=r"restriction\[0\]\[0\]"):
         RealFormConfig(
-            label="x", g_datum=a1,
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[bad]], k_weights=[(0,)],
-            rank_split=1, split_mod_center=True, k_datum=None,
+            k_datum=None,
         )
     with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
         RealFormConfig(
-            label="x", g_datum=a1,
+            label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[1]], k_weights=[(bad,)],
-            rank_split=1, split_mod_center=True, k_datum=None,
+            k_datum=None,
         )

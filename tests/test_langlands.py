@@ -9,7 +9,7 @@ from nilchar import charring, kernels, ktheta, langlands
 from nilchar.charring import irreducible_character
 from nilchar.config import PositiveSystem, TorusDatum, load_catalog_config
 from nilchar.kernels import lusztig_series
-from nilchar.ktheta import nilcone_series, wedge_class
+from nilchar.ktheta import exterior_products, nilcone_series
 from nilchar.langlands import ContinuedParameter, FormalStandardSum, graded_branching_sum, k_weight_multiset
 from nilchar.rootdata import InvolutionData, build_root_datum
 from standard_sums import branching_reference, mass_by_degree, subset_sums, tensor_standard, zuckerman_expansion
@@ -84,26 +84,27 @@ def test_k_multiset_repeats_a_weight():
     ids=["distinct", "single", "repeated", "four-zeros", "rank-2"],
 )
 def test_wedge_class_layers_are_signed_subset_sums(weights):
-    """Layer n of `wedge_class` is (-1)^n times the sums over the size-n
+    """Layer n of the signed exterior class (`exterior_products` of no
+    symmetric weights) is (-1)^n times the sums over the size-n
     sub-multisets, counted by recursion over the distinct weights."""
     top = len(weights) + 1
-    wedge = wedge_class(weights, top, rank=len(weights[0]))
+    wedge = exterior_products([], [weights], top, rank=len(weights[0]))[0]
     for n in range(top + 1):
-        assert wedge.layers[n] == {w: (-1) ** n * c for w, c in subset_sums(weights, n).items()}, n
+        assert wedge[n] == {w: (-1) ** n * c for w, c in subset_sums(weights, n).items()}, n
 
 
 def test_wedge_multiset_edges():
-    assert wedge_class([(1,), (2,)], 3, rank=1).layers == [{(0,): 1}, {(1,): -1, (2,): -1}, {(3,): 1}, {}]
-    assert wedge_class([(0,)], 1, rank=1).layers == [{(0,): 1}, {(0,): -1}]
+    assert exterior_products([], [[(1,), (2,)]], 3, rank=1)[0] == [{(0,): 1}, {(1,): -1, (2,): -1}, {(3,): 1}, {}]
+    assert exterior_products([], [[(0,)]], 1, rank=1)[0] == [{(0,): 1}, {(0,): -1}]
 
 
 def test_wedge_multiset_total_counts():
     weights = [(1,), (1,), (-1,), (3,)]
-    wedge = wedge_class(weights, 5, rank=1)
+    wedge = exterior_products([], [weights], 5, rank=1)[0]
     for n in range(5):
-        assert wedge.mass(n) == (-1) ** n * comb(4, n)
+        assert sum(wedge[n].values()) == (-1) ** n * comb(4, n)
         assert sum(subset_sums(weights, n).values()) == comb(4, n)
-    assert wedge.layers[5] == {}
+    assert wedge[5] == {}
 
 
 def test_irrep_multiset_masses():

@@ -12,7 +12,7 @@ functions with `QPolynomial` (now `tests/lusztig_reference.py`) and the
 tensoring and Zuckerman sums (now `tests/standard_sums.py`), and the
 branching sum's own weight-multiset type, exterior algebra and irreducible
 weight multiset (the sum is one graded product per torus, with
-`ktheta.wedge_class`), and the Lusztig sum's per-element `D_w` matrices
+`ktheta.exterior_products`), and the Lusztig sum's per-element `D_w` matrices
 with `weyl_on_labels`, which built them (the sum is one pruned walk over
 the Weyl orbit), and the defaults and aliases that only tests used (the
 `RootDatum` aliases `reductive_root_datum` and `torus_datum`, `Record`'s
@@ -41,7 +41,11 @@ is `ktheta.labels_off_torus`), and the `Dims` record with the two
 `dimensions` lines that could no longer fail (the dimensions are derived
 from the weights, and the cone line tests the split rank), and
 `RootDatum.two_rho` and `RootDatum.positive_coroots`, which no library
-code read (the tests take both from `tests/weyl_action.py`), are gone; no
+code read (the tests take both from `tests/weyl_action.py`), and
+`ktheta.wedge_class`, which no command called (its tests call
+`exterior_products`), and the cone line `dim N_theta = dim N + dim p - dim
+g`, which only restated `rank_split == rank`, now the definition of split
+(both are derived from the involution), are gone; no
 source file, README line or build setting may point back to them."""
 
 from pathlib import Path
@@ -124,6 +128,8 @@ STALE = (
     "split rank equals the lattice rank",
     "two_rho",
     "positive_coroots",
+    "wedge_class",
+    "dim N_theta = dim N + dim p - dim g",
 )
 
 
