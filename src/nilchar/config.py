@@ -79,11 +79,14 @@ class ConeVariable(Record):
 
 
 class AffineConeModel(Record):
-    """Weighted polynomial ring modulo the ideal of the listed generators.
+    """Weighted polynomial ring modulo the ideal of the listed generators,
+    built in its normal form.
 
-    Generators map exponent tuples to rational coefficients (`int` or
-    `Fraction`) and must be homogeneous in total degree (and in weight for
-    character computations).
+    A generator maps exponent tuples to rational coefficients, each an `int`
+    or a `Fraction`, and is kept as the same generator times the lcm of its
+    denominators: the same ideal, with integer coefficients. It must be
+    homogeneous in total degree and in weight, so that the ideal splits
+    along both; one that is not is refused, naming `generators[i]`.
     """
 
     __slots__ = ("variables", "generators")
@@ -95,22 +98,23 @@ class AffineConeModel(Record):
         variables = tuple(self.variables)
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
+            raise ValueError("variables: names must be unique")
         ranks = {len(v.weight) for v in variables}
         if len(ranks) > 1:
-            raise ValueError("variable weights must share one torus rank")
+            raise ValueError("variables: weights must share one torus rank")
+        object.__setattr__(self, "variables", variables)
         gens = []
         for i, g in enumerate(self.generators):
             terms = {}
             for exps, c in dict(g).items():
                 exps = tuple(exps)
-                term = f"generator {i} term {exps!r}"
+                term = f"generators[{i}] term {exps!r}"
                 if len(exps) != len(variables):
-                    raise ValueError("generator exponent vector length mismatch")
+                    raise ValueError(f"{term}: exponent vector length mismatch")
                 if not all(is_int(e) for e in exps):
                     raise ValueError(f"{term}: exponents must be integers")
                 if any(e < 0 for e in exps):
-                    raise ValueError("generator exponents must be non-negative")
+                    raise ValueError(f"{term}: exponents must be non-negative")
                 # An int or a Fraction, told by its integer denominator without
                 # importing `fractions`; a float or Decimal has none, and a bool
                 # (an int) is refused by name.
@@ -119,9 +123,15 @@ class AffineConeModel(Record):
                 if c:
                     terms[exps] = c
             if not terms:
-                raise ValueError("zero generator")
-            gens.append(terms)
-        object.__setattr__(self, "variables", variables)
+                raise ValueError(f"generators[{i}]: zero generator")
+            degrees = {sum(exps) for exps in terms}
+            if len(degrees) != 1:
+                raise ValueError(f"generators[{i}]: generator is not degree-homogeneous: degrees {sorted(degrees)}")
+            weights = {self.monomial_weight(exps) for exps in terms}
+            if len(weights) != 1:
+                raise ValueError(f"generators[{i}]: generator is not weight-homogeneous: weights {sorted(weights)}")
+            scale = lcm(*(c.denominator for c in terms.values()))
+            gens.append({exps: c.numerator * (scale // c.denominator) for exps, c in terms.items()})
         object.__setattr__(self, "generators", tuple(gens))
 
     @property
@@ -129,16 +139,8 @@ class AffineConeModel(Record):
         return len(self.variables[0].weight) if self.variables else 0
 
     def generator_degree(self, g) -> int:
-        degrees = {sum(exps) for exps in g}
-        if len(degrees) != 1:
-            raise ValueError(f"generator is not degree-homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    def generator_weight(self, g) -> Weight:
-        weights = {self.monomial_weight(exps) for exps in g}
-        if len(weights) != 1:
-            raise ValueError(f"generator is not weight-homogeneous: weights {sorted(weights)}")
-        return weights.pop()
+        """The total degree of `g`, one of the model's (homogeneous) generators."""
+        return sum(next(iter(g)))
 
     def monomial_weight(self, exps) -> Weight:
         acc = [0] * self.torus_rank
@@ -163,9 +165,11 @@ def _object(value, path) -> dict:
 
 
 def _get(obj, key, path, required=True, default=None):
+    """`obj[key]`, where `obj` is the object at `path` ("" for the top level);
+    a required key that is missing is a ConfigError naming `path.key`."""
     if key not in _object(obj, path):
         if required:
-            raise ConfigError(f"{path}.{key}: missing")
+            raise ConfigError(f"{path}.{key}: missing" if path else f"{key}: missing")
         return default
     return obj[key]
 
@@ -306,18 +310,9 @@ def _load_model(obj, path) -> AffineConeModel:
             terms[exps] = terms.get(exps, 0) + num * (scale // den)
         generators.append(terms)
     try:
-        model = AffineConeModel(tuple(variables), tuple(generators))
+        return AffineConeModel(tuple(variables), tuple(generators))
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    # The oracle splits its ideal along degrees and weights, so a generator
-    # must be homogeneous in both; it is refused here, where it can be named.
-    for i, g in enumerate(model.generators):
-        try:
-            model.generator_degree(g)
-            model.generator_weight(g)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.generators[{i}]: {exc}") from None
-    return model
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _cross_check(obj, field, derived, source, read=_int) -> None:
@@ -354,10 +349,10 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     name = _str(doc.get("label", "unnamed"), "label")
-    g_datum = _load_group(_get(doc, "group", "group"), "group")
-    involution = _load_involution(_get(doc, "involution", "involution"), "involution")
+    g_datum = _load_group(_get(doc, "group", ""), "group")
+    involution = _load_involution(_get(doc, "involution", ""), "involution")
 
-    kobj = _object(_get(doc, "k", "k"), "k")
+    kobj = _object(_get(doc, "k", ""), "k")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
     _cross_check(kobj, "k.torus_rank", len(restriction), "the rows of k.restriction")
     k_datum = None

@@ -12,18 +12,12 @@ span of the others are skipped. No Groebner basis, no floating point.
 """
 
 from collections import Counter
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .charring import GradedCharacter, format_terms, weight_codec
 from .config import AffineConeModel
 from .ktheta import CheckResult
-
-
-def _integer_terms(g) -> list[tuple[tuple[int, ...], int]]:
-    """The generator's terms scaled to integers by the lcm of its denominators."""
-    denom = lcm(*(c.denominator for c in g.values()))
-    return [(exps, c.numerator * (denom // c.denominator)) for exps, c in g.items()]
 
 
 def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
@@ -53,17 +47,19 @@ def _insert_row(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int |
     return None
 
 
-def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> list[dict]:
+def _quotient_layers(model: AffineConeModel, truncation: int) -> list[dict]:
     """Dimension of each weight block of each degree slice of the quotient
-    ring; the generators must be weight-homogeneous.
+    ring. The model's generators are integral and homogeneous in degree and
+    weight, as `AffineConeModel` builds them.
 
     A monomial of degree at most N = `truncation` is one int, its column.
     The low digits are its exponents in base `N + 1`, the first variable the
-    most significant, negated for `revlex`; their value lies within `half`
-    of 0. Above them, in units of `2*half`, sits its weight's int from
-    `charring.weight_codec`: signed digits in base `2*N*max|w| + 1`. No digit of a degree-N monomial
-    exceeds its bound, so a product of monomials is the sum of their ints
-    with no carry, and a column's weight block is `(col + half) // (2*half)`.
+    most significant (lex order); their value lies below `width`. Above
+    them, in units of `width`, sits its weight's int from
+    `charring.weight_codec`: signed digits in base `2*N*max|w| + 1`. No
+    digit of a degree-N monomial exceeds its bound, so a product of
+    monomials is the sum of their ints with no carry, and a column's weight
+    block is `col // width`.
     Different weights never share a column, so one pivot table per degree
     splits along weights by itself; the sizes and ranks of the weight
     blocks are counted at the end.
@@ -84,21 +80,16 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
     downward induction on `m` every skipped row is in the span of kept
     rows, whatever the generators are. `owners[d]` maps each lead of a
     degree-d pivot to the generator whose row made it."""
-    if order not in ("lex", "revlex"):
-        raise ValueError(f"unknown monomial order {order!r}")
-    sign = 1 if order == "lex" else -1
     nvars = len(model.variables)
     base = truncation + 1
-    half = base**nvars
-    width = 2 * half
+    width = base**nvars
     packed, unpack = weight_codec([v.weight for v in model.variables], truncation, model.torus_rank)
-    steps = [w * width + sign * base ** (nvars - 1 - i) for i, w in enumerate(packed)]
+    steps = [w * width + base ** (nvars - 1 - i) for i, w in enumerate(packed)]
     gens = []
     for g in model.generators:
         dg = model.generator_degree(g)
-        model.generator_weight(g)  # refuses a weight-inhomogeneous generator
         if dg <= truncation:
-            gens.append((dg, sorted((sum(map(mul, exps, steps)), c) for exps, c in _integer_terms(g))))
+            gens.append((dg, sorted((sum(map(mul, exps, steps)), c) for exps, c in g.items())))
     # ends[i]: the monomials whose last variable is i; 1 may take any, so it is in ends[0]
     ends = [[0]] + [[] for _ in steps[1:]]
     graded = [[0]]
@@ -130,19 +121,17 @@ def _quotient_layers(model: AffineConeModel, truncation: int, order: str) -> lis
                 lead = _insert_row(pivots, {m + t: c for t, c in terms})
                 if lead is not None:
                     owners[n][lead] = j
-        sizes = Counter((m + half) // width for m in monomials)
-        sizes.subtract((lead + half) // width for lead in pivots)
+        sizes = Counter(m // width for m in monomials)
+        sizes.subtract(lead // width for lead in pivots)
         layers.append(sizes)
     return unpack(layers)
 
 
-def graded_character_by_degree(
-    model: AffineConeModel, truncation: int, order: str = "lex"
-) -> GradedCharacter:
+def graded_character_by_degree(model: AffineConeModel, truncation: int) -> GradedCharacter:
     """Torus character of each degree slice of the quotient ring; its masses
-    are the Hilbert function. Generators must be weight-homogeneous so the
+    are the Hilbert function. The generators are weight-homogeneous, so the
     ideal splits along weights."""
-    return GradedCharacter(model.torus_rank, truncation, _quotient_layers(model, truncation, order))
+    return GradedCharacter(model.torus_rank, truncation, _quotient_layers(model, truncation))
 
 
 def compare_with_formula(formula: GradedCharacter, actual: GradedCharacter) -> CheckResult:

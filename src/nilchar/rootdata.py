@@ -133,30 +133,109 @@ def adjugate(matrix) -> tuple[Matrix, int]:
     return tuple(tuple(row[n:]) for row in a), prev
 
 
-class RootDatum:
-    """Immutable root datum: simple (co)roots on a fixed lattice plus every
-    derived structure (positive roots and their simple-root coordinates).
+class Record:
+    """Read-only value record. A subclass names its fields in `__slots__`,
+    and its instances are equal, hashed and printed by those fields, in order.
+
+    The constructor binds every field from positional or keyword arguments,
+    then calls `__post_init__` when the class has one; that hook may
+    normalize a field with `object.__setattr__`. A field named in `_derived`
+    is set there alone and takes no part in construction, equality, hashing
+    or repr.
+    """
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if f not in cls._derived)
+        cls._field_values = attrgetter(*cls._fields)
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
+        if self._post_init is not None:
+            self._post_init()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values in order, from arguments other than one
+        positional argument per field."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [values[f] for f in fields]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class RootDatum(Record):
+    """Root datum: simple (co)roots on a fixed lattice plus every derived
+    structure (positive roots and their simple-root coordinates).
 
     Use :func:`build_root_datum` for the canonical fundamental-weight
     realization of a Cartan matrix, or construct one directly from explicit
     (co)roots on a rank-`rank` lattice; the root count may be smaller than
     the rank (central torus directions), down to none for a pure torus.
+    Equal (co)roots make equal data, also when built separately.
     """
 
-    def __init__(self, rank: int, simple_roots, simple_coroots):
+    _derived = ("nsimple", "cartan_matrix", "_coord_den", "_coord_rows", "positive_roots", "positive_root_coords",
+                "__weakref__")
+    __slots__ = ("rank", "simple_roots", "simple_coroots", *_derived)
+
+    rank: int
+    simple_roots: tuple[Weight, ...]
+    simple_coroots: tuple[Weight, ...]
+
+    def __post_init__(self):
+        rank = self.rank
         if rank <= 0:
             raise ValueError("rank must be positive")
-        roots = tuple(int_vector(r, f"simple_roots[{j}]") for j, r in enumerate(simple_roots))
-        coroots = tuple(int_vector(c, f"simple_coroots[{j}]") for j, c in enumerate(simple_coroots))
+        roots = tuple(int_vector(r, f"simple_roots[{j}]") for j, r in enumerate(self.simple_roots))
+        coroots = tuple(int_vector(c, f"simple_coroots[{j}]") for j, c in enumerate(self.simple_coroots))
         if len(roots) != len(coroots):
             raise ValueError("simple roots and coroots must come in equal numbers")
         for v in roots + coroots:
             if len(v) != rank:
                 raise ValueError("simple (co)root length does not match rank")
-        self.rank = rank
-        self.simple_roots = roots
-        self.simple_coroots = coroots
-        self.nsimple = len(roots)
+        object.__setattr__(self, "simple_roots", roots)
+        object.__setattr__(self, "simple_coroots", coroots)
+        object.__setattr__(self, "nsimple", len(roots))
 
         # Cartan matrix a[i][j] = <alpha_j, alpha_i^vee>, then finite-type checks;
         # the last, positive leading minors, comes with the adjugate.
@@ -164,25 +243,15 @@ class RootDatum:
         if self.nsimple:
             cartan = _validate_cartan_shape(cartan)
             _check_symmetrizable(cartan)
-        self.cartan_matrix = tuple(tuple(r) for r in cartan)
+        object.__setattr__(self, "cartan_matrix", tuple(tuple(r) for r in cartan))
 
-        adj, self._coord_den = adjugate(self.cartan_matrix)
-        self._coord_rows = mat_mul(adj, coroots)
+        adj, den = adjugate(self.cartan_matrix)
+        object.__setattr__(self, "_coord_den", den)
+        object.__setattr__(self, "_coord_rows", mat_mul(adj, coroots))
 
-        self.positive_roots, self.positive_root_coords = self._close_positive_roots()
-
-        self._key = (rank, roots, coroots)
-        self._hash = hash(self._key)
-
-    # Equal (co)roots make equal data, also when built separately.
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootDatum):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        positive, coords = self._close_positive_roots()
+        object.__setattr__(self, "positive_roots", positive)
+        object.__setattr__(self, "positive_root_coords", coords)
 
     # -- basic pairings ----------------------------------------------------
 
@@ -272,9 +341,6 @@ class RootDatum:
         ordered = sorted(coords, key=lambda r: (sum(coords[r]), r))
         return tuple(ordered), tuple(coords[r] for r in ordered)
 
-    def __repr__(self) -> str:
-        return f"RootDatum(rank={self.rank}, positive_roots={len(self.positive_roots)})"
-
 
 def build_root_datum(cartan_matrix) -> RootDatum:
     """Canonical realization of a Cartan matrix on the fundamental-weight
@@ -284,76 +350,6 @@ def build_root_datum(cartan_matrix) -> RootDatum:
     simple_roots = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
     simple_coroots = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     return RootDatum(n, simple_roots, simple_coroots)
-
-
-class Record:
-    """Read-only value record. A subclass names its fields in `__slots__`,
-    and its instances are equal, hashed and printed by those fields, in order.
-
-    The constructor binds every field from positional or keyword arguments,
-    then calls `__post_init__` when the class has one; that hook may
-    normalize a field with `object.__setattr__`. A field named in `_derived`
-    is set there alone and takes no part in construction, equality, hashing
-    or repr.
-    """
-
-    __slots__ = ()
-
-    _fields: tuple[str, ...] = ()
-    _derived: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__slots__ if f not in cls._derived)
-        cls._field_values = attrgetter(*cls._fields)
-        cls._post_init = getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for f, value in zip(fields, args):
-            object.__setattr__(self, f, value)
-        if self._post_init is not None:
-            self._post_init()
-
-    @classmethod
-    def _bind(cls, args, kwargs) -> list:
-        """The field values in order, from arguments other than one
-        positional argument per field."""
-        fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [f for f in fields if f not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return [values[f] for f in fields]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__qualname__} is read-only: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        values = self._field_values
-        return values(self) == values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._field_values(self))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({body})"
 
 
 class InvolutionData(Record):

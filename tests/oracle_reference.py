@@ -1,15 +1,16 @@
 """The oracle's quotient layers by the plain tuple route, the reference that
 the packed-integer route in `nilchar.oracle` is held to: every degree's
-monomials enumerated afresh as exponent tuples, each weight computed from
-scratch, and one block per degree or one per weight. The elimination is the
-library's own `_insert_row`."""
+monomials enumerated afresh as exponent tuples, in lex or revlex order, each
+weight computed from scratch, and one block per degree or one per weight.
+The elimination is the library's own `_insert_row`, so a revlex run shows
+that the rank does not depend on the library's lex order."""
 
 import itertools
 from collections import Counter
 from operator import add
 
 from nilchar.config import AffineConeModel
-from nilchar.oracle import _insert_row, _integer_terms
+from nilchar.oracle import _insert_row
 
 
 def _monomials(nvars: int, degree: int, order: str = "lex"):
@@ -34,14 +35,12 @@ def _monomials(nvars: int, degree: int, order: str = "lex"):
 def reference_layers(model: AffineConeModel, truncation: int, order: str = "lex", split: bool = True) -> list[dict]:
     """Dimension of each block of each degree slice of the quotient ring.
 
-    With `split` the blocks are the weights and the generators must be
-    weight-homogeneous; without it each degree is one block keyed `()`."""
+    With `split` the blocks are the weights; without it each degree is one
+    block keyed `()`. The model's generators are integral and homogeneous,
+    as `AffineConeModel` builds them."""
     nvars = len(model.variables)
     weight = model.monomial_weight if split else (lambda m: ())
-    gens = [
-        (model.generator_degree(g), model.generator_weight(g) if split else (), _integer_terms(g))
-        for g in model.generators
-    ]
+    gens = [(model.generator_degree(g), weight(next(iter(g))), g.items()) for g in model.generators]
     graded = []  # graded[d]: the degree-d monomials in order, each with its block
     layers = []
     for n in range(truncation + 1):
@@ -61,5 +60,5 @@ def reference_layers(model: AffineConeModel, truncation: int, order: str = "lex"
 
 def hilbert_by_degree(model: AffineConeModel, truncation: int, order: str = "lex") -> list[int]:
     """Dimension of each degree slice of the quotient ring, on unsplit
-    matrices; the generators need only be degree-homogeneous."""
+    matrices."""
     return [layer.get((), 0) for layer in reference_layers(model, truncation, order, split=False)]

@@ -85,6 +85,19 @@ def test_config_error_names_field():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("section", ["group", "involution", "k"])
+def test_missing_section_is_named_once(tmp_path, capsys, section):
+    """A missing top-level section is named as it is, `group: missing`, and
+    not as `group.group: missing`."""
+    doc = catalog_document("sl2-split")
+    del doc[section]
+    with pytest.raises(ConfigError, match=f"^{section}: missing$"):
+        config_from_dict(doc)
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "cntheta", "--group", str(path), "--degree", "1") == (1, "", f"error: {section}: missing\n")
+
+
 # The derived fields as the catalog documents stated them before they were
 # derived.
 STATED = {

@@ -45,7 +45,11 @@ code read (the tests take both from `tests/weyl_action.py`), and
 `ktheta.wedge_class`, which no command called (its tests call
 `exterior_products`), and the cone line `dim N_theta = dim N + dim p - dim
 g`, which only restated `rank_split == rank`, now the definition of split
-(both are derived from the involution), are gone; no
+(both are derived from the involution), and the oracle's own clearing of
+denominators (`_integer_terms`; `AffineConeModel` holds integer
+generators), its revlex monomial order (the tests' reference keeps it) and
+`RootDatum`'s hand-written equality with its cached `self._hash` (a datum
+is a `Record`), are gone; no
 source file, README line or build setting may point back to them."""
 
 from pathlib import Path
@@ -130,6 +134,9 @@ STALE = (
     "positive_coroots",
     "wedge_class",
     "dim N_theta = dim N + dim p - dim g",
+    "_integer_terms",
+    "revlex",
+    "self._hash",
 )
 
 

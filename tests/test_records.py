@@ -13,7 +13,7 @@ import nilchar
 from nilchar.config import load_catalog_config
 from nilchar.ktheta import CheckResult, RealFormConfig, dimension_check
 from nilchar.langlands import ContinuedParameter, FormalStandardSum
-from nilchar.rootdata import Record, classify_roots
+from nilchar.rootdata import Record, RootDatum, build_root_datum, classify_roots
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,13 +50,16 @@ def _cold_query(argv):
 
 
 def test_cold_cli_query_loads_no_parser_or_number_tower_modules():
-    """A cold degree-0 query through `cli.main` parses its flags without
-    `argparse` (and its `gettext` and `locale`) and reads exact rationals as
-    integer pairs, without `fractions` (and its `decimal` and `numbers`)."""
-    status, stdout, loaded = _cold_query(["cntheta", "--group", "sl3-split", "--degree", "0", "--json"])
-    assert status == "0" and '"command": "cntheta"' in stdout
-    assert "nilchar.cli" in loaded
-    assert not loaded & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+    """A cold query through `cli.main` parses its flags without `argparse`
+    (and its `gettext` and `locale`) and reads exact rationals as integer
+    pairs, without `fractions` (and its `decimal` and `numbers`). That holds
+    for `oracle-check` too, whose cone model clears its denominators when it
+    is built and whose elimination runs on the integers it holds."""
+    for command, group, degree in (("cntheta", "sl3-split", "0"), ("oracle-check", "sp4-split", "2")):
+        status, stdout, loaded = _cold_query([command, "--group", group, "--degree", degree, "--json"])
+        assert status == "0" and f'"command": "{command}"' in stdout
+        assert "nilchar.cli" in loaded
+        assert not loaded & {"argparse", "gettext", "locale", "fractions", "decimal", "numbers"}, command
 
 
 def test_cold_text_query_loads_no_json():
@@ -209,11 +212,12 @@ def _every_record():
         ContinuedParameter("T", (1,), "ps"),
         model,
         model.variables[0],
+        rf.g_datum,
     ]
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in _every_record()}) == 10
+    assert len({type(r) for r in _every_record()}) == 11
     assert all(isinstance(r, Record) for r in _every_record())
 
 
@@ -288,6 +292,17 @@ def test_real_form_config_leaves_out_derived_p_weights():
     for name in rf._derived:
         with pytest.raises(TypeError, match=f"unexpected argument '{name}'"):
             _rebuild(rf, **{name: getattr(rf, name)})
+
+
+def test_root_datum_is_a_record_of_its_simple_co_roots():
+    """A datum is equal, hashed and printed by its rank and simple (co)roots;
+    everything derived from them takes no part."""
+    datum = build_root_datum([[2, -1], [-1, 2]])
+    rebuilt = RootDatum(2, [list(r) for r in datum.simple_roots], [list(c) for c in datum.simple_coroots])
+    assert rebuilt is not datum and rebuilt == datum and hash(rebuilt) == hash(datum)
+    assert rebuilt != RootDatum(2, datum.simple_roots[:1], datum.simple_coroots[:1])
+    assert datum._fields == ("rank", "simple_roots", "simple_coroots")
+    assert repr(datum) == "RootDatum(rank=2, simple_roots=((2, -1), (-1, 2)), simple_coroots=((1, 0), (0, 1)))"
 
 
 def test_check_result_keeps_its_truth_value():
