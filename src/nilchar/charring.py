@@ -13,6 +13,7 @@ Negative multiplicities are first-class everywhere: alternating classes
 the typical inputs.
 """
 
+from collections import Counter
 from itertools import chain
 from operator import add, mul
 
@@ -172,30 +173,33 @@ def symmetric_irreps(datum: RootDatum, weights, truncation: int) -> list[dict[We
     Newton's identity n h_n = sum_{k=1..n} psi^k * h_{n-k}, where the Adams
     operation psi^k = sum_w e^{k w} runs over the weights (Macdonald,
     Symmetric Functions and Hall Polynomials, I.2), gives each layer from the
-    lower ones. Each product is taken by Brauer-Klimyk:
-    V_lam * sum_nu e^nu = sum_nu sign(w) V_{w.(lam + nu)}, straightened by
-    `_straighten`. A coefficient of n h_n that n does not divide is a
-    ValueError naming its weight; it shows a multiset that is not
-    Weyl-invariant.
+    lower ones. psi^k is linear in the multiset, so each distinct weight
+    keeps one running sum, counted with its multiplicity. Each product is
+    taken by Brauer-Klimyk: V_lam * sum_nu e^nu = sum_nu sign(w)
+    V_{w.(lam + nu)}, straightened by `_straighten`. A coefficient of n h_n
+    that n does not divide is a ValueError naming its weight; it shows a
+    multiset that is not Weyl-invariant.
     """
     weights = [tuple(w) for w in weights]
     _refuse_bad_weights(weights, datum.rank)
     zero = (0,) * datum.rank
     layers: list[dict[Weight, int]] = [{zero: 1}]
-    # strings[j] holds sum_{k=1..n} e^{k w_j} * h_{n-k} for the weight w_j, as
-    # unstraightened labels lam + k w_j: from degree n - 1 to n it is shifted
-    # by w_j after h_{n-1} is added, so each layer costs one shift per weight,
-    # not one per k.
-    strings: list[dict[Weight, int]] = [{} for _ in weights]
+    # strings[j] holds m * sum_{k=1..n} e^{k w} * h_{n-k} for the j-th
+    # distinct weight w and its multiplicity m, as unstraightened labels
+    # lam + k w: from degree n - 1 to n it is shifted by w after m * h_{n-1}
+    # is added, so each layer costs one shift per distinct weight, not one
+    # per k, and m multiplies only the entries of h_{n-1}.
+    counts = list(Counter(weights).items())
+    strings: list[dict[Weight, int]] = [{} for _ in counts]
     # weight -> `_straighten` of it; a weight recurs across the weights and
     # the layers.
     straightened: dict[Weight, tuple[Weight, int]] = {}
     for n in range(1, truncation + 1):
         raw: dict[Weight, int] = {}
-        for j, w in enumerate(weights):
+        for j, (w, m) in enumerate(counts):
             string = strings[j]
             for lam, c in layers[n - 1].items():
-                string[lam] = string.get(lam, 0) + c
+                string[lam] = string.get(lam, 0) + m * c
             string = strings[j] = {tuple(map(add, v, w)): c for v, c in string.items() if c}
             for v, c in string.items():
                 raw[v] = raw.get(v, 0) + c

@@ -358,6 +358,11 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     k_datum = None
     if kobj.get("datum") is not None:
         k_datum = _load_group(kobj["datum"], "k.datum")
+        # Before its weights, which hold one zero weight per lattice direction.
+        if k_datum.rank != len(restriction):
+            raise ConfigError(
+                f"k.datum: rank {k_datum.rank} is not the K-torus rank {len(restriction)}, the rows of k.restriction"
+            )
         k_weights = k_datum.adjoint_weights
         _cross_check(kobj, "k.weights", sorted(map(list, k_weights)), "the adjoint weights of k.datum",
                      _weight_multiset)

@@ -221,7 +221,7 @@ def lusztig_check(datum: RootDatum, truncation: int) -> CheckResult:
     """Compare Lusztig's highest-weight series with the harmonic closed form,
     label by label. The two are independent: one is Lusztig's signed
     Weyl-group sum over the partition function (`lusztig_series`), the other
-    Newton's identity on the roots with Brauer-Klimyk straightening
+    Newton's identity on g's weights with Brauer-Klimyk straightening
     (`nilcone_series`). Both describe the complex group alone, so no
     real-form hypothesis is needed. A closed-form coefficient that Newton's
     identity cannot divide fails the check, naming the weight."""

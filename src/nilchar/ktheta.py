@@ -3,14 +3,12 @@ Kostant-Rallis analogue: both are a symmetric algebra times one factor per
 invariant degree of G.
 
 Kostant's closed form (Amer. J. Math. 85, 1963) is ch_q C[N] = S(g) *
-prod_i (1 - q^{d_i}). The rank zero weights of g give 1 / (1 - q)^rank, and
-grouping them with the invariant degrees d_i = e_i + 1 leaves prod_i (1 + q
-+ ... + q^{e_i}) over the exponents; central torus directions have d = 1
-and cancel exactly. So C[N] is the symmetric algebra on the roots times
-those q-strings, which `nilcone_series` computes on highest-weight labels
-(`charring.symmetric_irreps`: Newton's identity, each product by
-Brauer-Klimyk), with no Weyl group, no partition function and no torus
-character; the q-strings only add layers. Its independent check is
+prod_i (1 - q^{d_i}), with d_i = e_i + 1 over the exponents and d = 1 for
+each central torus direction. `nilcone_series` computes it on
+highest-weight labels by the same two calls as the K side below: S(g) by
+`charring.symmetric_irreps` (Newton's identity, each product by
+Brauer-Klimyk), then `times_invariant_factors`, with no Weyl group, no
+partition function and no torus character. Its independent check is
 Lusztig's series (`kernels.lusztig_check`).
 
 For a real form split modulo center, the paper computes the graded
@@ -23,16 +21,16 @@ that product equals
 
 the Kostant-Rallis description of N_theta as the zero fibre of p -> p//K
 (Amer. J. Math. 93, 1971). This module computes the right-hand side with
-the invariant degrees d_i of G, in two forms that share one factor loop: on
-the K-torus, on packed weights (`theta_cone_character`), and on K's
-highest-weight labels (`theta_cone_ktypes`: S(p) by Newton's identity with
-Brauer-Klimyk straightening, as for C[N]). Every product with an exterior
-class is packed too (`exterior_products`): the Koszul identity
-S(k) * Lambda(k) = 1 and `langlands.graded_branching_sum`. Alongside are
-the real form, whose involution decides the hypothesis, the Iwasawa count
-that ties its k weights to the involution, and two checks: the trivial
-K-type occurs in degree 0 only, and each torus layer read off K's Weyl
-denominator (`labels_off_torus`) is that degree's K-types.
+the invariant degrees d_i of G, in two forms: on the K-torus, on packed
+weights (`theta_cone_character`), and on K's highest-weight labels
+(`theta_cone_ktypes`: S(p) by `symmetric_irreps`, as for C[N]). Every cone
+takes its factors from the one loop `times_invariant_factors`. Every
+product with an exterior class is packed too (`exterior_products`): the
+Koszul identity S(k) * Lambda(k) = 1 and `langlands.graded_branching_sum`.
+Alongside are the real form, whose involution decides the hypothesis, the
+Iwasawa count that ties its k weights to the involution, and two checks:
+the trivial K-type occurs in degree 0 only, and each torus layer read off
+K's Weyl denominator (`labels_off_torus`) is that degree's K-types.
 """
 
 from collections import Counter
@@ -194,19 +192,10 @@ def theta_cone_ktypes(config: RealFormConfig, truncation: int, force: bool = Fal
 
 def nilcone_series(datum: RootDatum, truncation: int) -> IrrepSeries:
     """Highest-weight decomposition of the graded cone functions, by degree,
-    from the harmonic closed form on labels: S(roots) by
-    `symmetric_irreps`, times prod over exponents e of (1 + q + ... + q^e)."""
-    roots = datum.positive_roots + tuple(wneg(r) for r in datum.positive_roots)
-    layers = symmetric_irreps(datum, roots, truncation)
-    for e in datum.exponents:
-        # Times 1 + q + ... + q^e, from the top down, so that each layer
-        # below n still holds the factor's input when layer n reads it.
-        for n in range(truncation, 0, -1):
-            layer = layers[n]
-            for j in range(max(n - e, 0), n):
-                for lam, c in layers[j].items():
-                    layer[lam] = layer.get(lam, 0) + c
-    return IrrepSeries(datum.rank, truncation, layers)
+    in Kostant's form S(g) * prod_i (1 - q^{d_i}) on labels: the two calls
+    of `theta_cone_ktypes`, with g's weights and G in place of p and K."""
+    layers = symmetric_irreps(datum, datum.adjoint_weights, truncation)
+    return IrrepSeries(datum.rank, truncation, times_invariant_factors(datum, layers))
 
 
 def k_invariant_check(ktypes: IrrepSeries) -> CheckResult:

@@ -237,6 +237,27 @@ def test_decompose_nilcone_layers_match_lusztig(datum, truncation):
     assert IrrepSeries(datum.rank, truncation, layers) == nilcone_series(datum, truncation)
 
 
+SP4 = load_catalog_config("sp4-split").real_form
+
+
+@pytest.mark.parametrize(
+    "datum, weights",
+    [
+        *[(d, d.adjoint_weights) for d in (A2, B2, G2, GL2, RootDatum(2, (), ()))],
+        (SP4.k_datum, SP4.p_weights * 2),
+    ],
+    ids=["A2", "B2", "G2", "GL2", "T2", "sp4-split p twice"],
+)
+def test_symmetric_irreps_of_repeated_weights(datum, weights):
+    """A weight that occurs m times (the zero weights of g, or every p
+    weight of p + p) is one Newton string counted m times, so the layers
+    are those of the torus product over every copy, read off the Weyl
+    denominator."""
+    assert len(set(weights)) < len(weights)
+    torus = symmetric_layers(weights, 6, datum.rank)
+    assert symmetric_irreps(datum, weights, 6) == [labels_off_torus(datum, layer) for layer in torus]
+
+
 @pytest.mark.parametrize("datum", [B2, G2], ids=["B2", "G2"])
 def test_decompose_signed_exterior_round_trip(datum):
     """Every layer of the signed exterior algebra of the adjoint weights (a

@@ -76,6 +76,11 @@ def test_process_stdout_is_the_in_process_output(args, tmp_path, capsys):
             ["cn", "--group", "sp4-split", "--degree", "20", "--json"],
             "dff84b757c124d1904d7c53dc7e62521a16675c7848e3f4a0fa6c11ed2351040",
         ),
+        # the one catalog group with a repeated invariant degree, (2, 2)
+        (
+            ["cn", "--group", "sl2xsl2-swap", "--degree", "12", "--json"],
+            "372f681d1e3792bb5d7696c04e9ef7ad7cea3cef7038240913decd06973a98e5",
+        ),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else value[:8],
 )

@@ -274,6 +274,22 @@ def test_config_error_k_datum_is_not_k(tmp_path, capsys):
     assert "k.datum" in err
 
 
+@pytest.mark.parametrize("rank", [10**30, 3], ids=["10**30", "3"])
+def test_config_error_k_datum_rank_is_checked_before_its_weights(tmp_path, capsys, rank):
+    """sl2-split's K-torus has rank 1, the rows of k.restriction. A k.datum
+    of another rank is refused naming k.datum, before its adjoint weights,
+    one zero weight per lattice direction, are built: rank 10**30 would not
+    fit in a tuple."""
+    doc = catalog_document("sl2-split")
+    doc["k"]["datum"]["rank"] = rank
+    message = f"k.datum: rank {rank} is not the K-torus rank 1, the rows of k.restriction"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(doc)
+    path = tmp_path / "k_datum_rank.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "cntheta", "--group", str(path), "--degree", "3") == (1, "", f"error: {message}\n")
+
+
 def test_config_error_p_is_not_a_k_module(tmp_path, capsys):
     """sp4-split with a sheared restriction still covers the k weights, but
     its p weights are not invariant under the swap that is K's Weyl group:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nilchar import kernels
+from nilchar import kernels, ktheta
 from nilchar.charring import symmetric_irreps
 from nilchar.kernels import dominant_weights_up_to_height, lusztig_series
 from nilchar.ktheta import nilcone_series
@@ -115,6 +115,23 @@ def test_label_route_builds_no_weyl_group_or_partition_table(monkeypatch):
     assert calls == []
     assert series == lusztig_series(A4, 4)
     assert calls == ["partition_table"]
+
+
+@pytest.mark.parametrize("datum", [A2, GL2], ids=["A2", "GL2"])
+def test_nilcone_series_takes_its_factors_from_the_one_factor_loop(monkeypatch, datum):
+    """C[N] is S(g) * prod_i (1 - q^{d_i}) by the two calls of the K side:
+    its factors, a central one for GL2 too, come from one call of
+    `ktheta.times_invariant_factors` on G, with no loop of its own."""
+    calls = []
+    apply = ktheta.times_invariant_factors
+
+    def counted(g, layers):
+        calls.append(g)
+        return apply(g, layers)
+
+    monkeypatch.setattr(ktheta, "times_invariant_factors", counted)
+    nilcone_series(datum, 5)
+    assert calls == [datum]
 
 
 def test_symmetric_irreps_of_the_standard_representation():

@@ -49,7 +49,10 @@ g`, which only restated `rank_split == rank`, now the definition of split
 denominators (`_integer_terms`; `AffineConeModel` holds integer
 generators), its revlex monomial order (the tests' reference keeps it) and
 `RootDatum`'s hand-written equality with its cached `self._hash` (a datum
-is a `Record`), are gone; no
+is a `Record`), and C[N]'s own product over the exponents' q-strings
+`1 + q + ... + q^e` (C[N] takes the invariant-degree factors from
+`ktheta.times_invariant_factors`, as the K side does; the tests' torus
+reference `tests/paper_formula.py` keeps the q-strings), are gone; no
 source file, README line or build setting may point back to them."""
 
 from pathlib import Path
@@ -137,6 +140,7 @@ STALE = (
     "_integer_terms",
     "revlex",
     "self._hash",
+    "1 + q + ... + q^",
 )
 
 
