@@ -21,7 +21,6 @@ loads only the modules that are used.
 _HOMES = {
     "GradedCharacter": "charring",
     "IrrepSeries": "charring",
-    "irreducible_character": "charring",
     "AffineConeModel": "config",
     "ConeVariable": "config",
     "ConfigError": "config",

@@ -1,13 +1,13 @@
 """Truncated q-graded character series, the packed-int weight codec with
-the graded symmetric algebra on it, the graded symmetric algebra on
-highest-weight labels, and irreducible characters. A character is a plain
-{weight: multiplicity} dict, written as text by `format_terms`.
+the graded symmetric algebra on it, and the graded symmetric algebra on
+highest-weight labels. A character is a plain {weight: multiplicity} dict,
+written as text by `format_terms`.
 
-Irreducible characters come from Demazure's character formula; the
-Weyl-sum multiplicities and the Weyl numerator remain tests of them. A
-graded symmetric algebra of a Weyl-invariant weight multiset is computed
+A graded symmetric algebra of a Weyl-invariant weight multiset is computed
 on highest-weight labels (`symmetric_irreps`), so no production route
-decomposes a torus character into irreducibles.
+builds an irreducible character or decomposes a torus character into
+irreducibles; the tests expand labels onto the torus by Demazure's formula
+(`tests/weyl_action.py`).
 Negative multiplicities are first-class everywhere: alternating classes
 (signed exterior algebras, character expansions of the trivial module) are
 the typical inputs.
@@ -17,7 +17,7 @@ from collections import Counter
 from itertools import chain
 from operator import add, mul
 
-from .rootdata import RootDatum, Weight, is_int, wdot
+from .rootdata import RootDatum, Weight, is_int
 
 
 def _refuse_bad_weights(weights, rank: int, where: str = "") -> None:
@@ -268,44 +268,3 @@ class IrrepSeries(_Series):
             for w, c in sorted(self.layers[n].items()):
                 parts.append(f"{c}*tau{list(w)}q^{n}")
         return " + ".join(parts) if parts else "0"
-
-
-def irreducible_character(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Torus character {weight: multiplicity} of the irreducible with highest
-    weight `lam`, by Demazure's formula ch V_lam = D_{w0}(e^lam) (Bull. Sci.
-    Math. 98, 1974): one Demazure operator per letter of w0's word."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    terms = {tuple(lam): 1}
-    for i in reversed(_w0_word(datum)):
-        terms = _demazure(datum, i, terms)
-    return _checked_terms(datum.rank, terms)
-
-
-def _w0_word(datum: RootDatum) -> tuple[int, ...]:
-    """The least reduced word of w0. The Dynkin labels of w^-1(rho) identify
-    w; letter i lengthens w exactly when label i is positive, and takes away
-    label i times the labels of alpha_i, column i of the Cartan matrix. Each
-    element lies below w0, so the least such letter |Phi+| times reaches w0."""
-    labels, word = (1,) * datum.nsimple, []
-    for _ in datum.positive_roots:
-        i = next(k for k, v in enumerate(labels) if v > 0)
-        word.append(i)
-        labels = tuple(v - labels[i] * row[i] for v, row in zip(labels, datum.cartan_matrix))
-    return tuple(word)
-
-
-def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight, int]:
-    """The Demazure operator D_i = (e^mu - e^{s_i(mu) - alpha_i}) / (1 - e^{-alpha_i})
-    on e^mu, with n = <mu, alpha_i^vee>: the string e^{mu - k alpha_i} for
-    k = 0..n when n >= 0, zero when n = -1, and minus the string for
-    k = n+1..-1 when n <= -2."""
-    alpha, coroot = datum.simple_roots[i], datum.simple_coroots[i]
-    out: dict[Weight, int] = {}
-    for mu, c in terms.items():
-        n = wdot(mu, coroot)
-        ks, sign = (range(n + 1), c) if n >= 0 else (range(n + 1, 0), -c)
-        for k in ks:
-            key = tuple(m - k * a for m, a in zip(mu, alpha))
-            out[key] = out.get(key, 0) + sign
-    return {w: c for w, c in out.items() if c}

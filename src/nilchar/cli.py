@@ -25,7 +25,6 @@ from .ktheta import (
     koszul_check,
     ktypes_vs_torus_check,
     nilcone_series,
-    require_split,
     theta_cone_character,
     theta_cone_ktypes,
 )
@@ -221,12 +220,10 @@ def cmd_oracle_check(opts) -> int:
     degree = _check_degree(opts)
     if cfg.oracle_model is None:
         raise ConfigError(f"config {cfg.real_form.label!r} has no `oracle_model` section")
-    # The comparison would refuse a non-split config; refuse it before the
-    # elimination, which is the costly part.
-    require_split(cfg.real_form, opts["--force"])
+    # The formula first: it refuses a non-split config before the costly elimination.
+    formula = theta_cone_character(cfg.real_form, degree, force=opts["--force"])
     actual = oracle.graded_character_by_degree(cfg.oracle_model, degree)
     dims = actual.masses()
-    formula = theta_cone_character(cfg.real_form, degree, force=opts["--force"])
     result = oracle.compare_with_formula(formula, actual)
     if opts["--json"]:
         payload = {"command": "oracle-check", "group": cfg.real_form.label, "degree": degree, "hilbert": dims}

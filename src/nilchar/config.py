@@ -1,9 +1,11 @@
 """Configuration documents: a JSON object model describing the group, the
 involution, the K-side data, optional torus tables, and an optional affine
-cone model. Validation failures name the offending field. A field that the
-loader derives (the dimensions, the split rank, whether the form is split
-modulo center, the K-torus rank, and the k weights when `k.datum` is
-given) may still be stated, as a cross-check.
+cone model. Validation failures name the offending field: the loader names
+a malformed value's path, and `ktheta.RealFormConfig` the field at fault in
+the real form it states. A field that the loader derives (the dimensions,
+the split rank, whether the form is split modulo center, the K-torus rank,
+and the k weights when `k.datum` is given) may still be stated, as a
+cross-check.
 
 This module owns the format: it loads documents into records, defines the
 records the loader builds for torus tables (`PositiveSystem`, `TorusDatum`)
@@ -82,11 +84,10 @@ class AffineConeModel(Record):
     """Weighted polynomial ring modulo the ideal of the listed generators,
     built in its normal form.
 
-    A generator maps exponent tuples to rational coefficients, each an `int`
-    or a `Fraction`, and is kept as the same generator times the lcm of its
-    denominators: the same ideal, with integer coefficients. It must be
-    homogeneous in total degree and in weight, so that the ideal splits
-    along both; one that is not is refused, naming `generators[i]`.
+    A generator maps exponent tuples to integer coefficients (the loader
+    clears a document's denominators) and must be homogeneous in total
+    degree and in weight, so that the ideal splits along both; one that
+    breaks either rule is refused, naming `generators[i]`.
     """
 
     __slots__ = ("variables", "generators")
@@ -115,11 +116,8 @@ class AffineConeModel(Record):
                     raise ValueError(f"{term}: exponents must be integers")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"{term}: exponents must be non-negative")
-                # An int or a Fraction, told by its integer denominator without
-                # importing `fractions`; a float or Decimal has none, and a bool
-                # (an int) is refused by name.
-                if isinstance(c, bool) or not is_int(getattr(c, "denominator", None)):
-                    raise ValueError(f"{term}: coefficient {c!r} must be an int or a Fraction")
+                if not is_int(c):
+                    raise ValueError(f"{term}: coefficient {c!r} must be an integer")
                 if c:
                     terms[exps] = c
             if not terms:
@@ -130,8 +128,7 @@ class AffineConeModel(Record):
             weights = {self.monomial_weight(exps) for exps in terms}
             if len(weights) != 1:
                 raise ValueError(f"generators[{i}]: generator is not weight-homogeneous: weights {sorted(weights)}")
-            scale = lcm(*(c.denominator for c in terms.values()))
-            gens.append({exps: c.numerator * (scale // c.denominator) for exps, c in terms.items()})
+            gens.append(terms)
         object.__setattr__(self, "generators", tuple(gens))
 
     @property
@@ -244,8 +241,8 @@ def _load_involution(obj, path, key="matrix") -> InvolutionData:
 
 
 def _load_tori(value, path) -> tuple[TorusDatum, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of torus tables")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of torus tables")
     out = []
     for i, entry in enumerate(value):
         tpath = f"{path}[{i}]"
@@ -334,18 +331,19 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
 
     The document states G, the involution theta on a maximally split
     Cartan, the restriction to the K-torus, and either `k.weights` or
-    `k.datum`. The rest is derived: `dims.rank_split` (rank less the rank
+    `k.datum`, each read here as JSON; `RealFormConfig` judges the real form
+    they make. The rest is derived: `dims.rank_split` (rank less the rank
     theta fixes) and `split_mod_center` (theta = -1 on the whole lattice),
     `k.torus_rank` (the rows of `k.restriction`), `k.weights` (the adjoint
     weights of `k.datum`, when given) and `dims.g`, `dims.k` and `dims.p`
     (from the k and p weights). A document may state a derived field too,
-    and then it must state the derived value. A theta with a noncompact
-    imaginary root is not on a maximally split Cartan and is refused.
+    and then it must state the derived value.
 
     A form split modulo center must pass the Iwasawa count of
-    `dimension_check`, since every split-only result rests on it.
-    `require_split=False` loads it anyway, for a caller that reports that
-    line itself (the `checks` command)."""
+    `dimension_check`, since every split-only result rests on it; the
+    refusal names the stated fields the count reads. `require_split=False`
+    loads it anyway, for a caller that reports that line itself (the
+    `checks` command)."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
     name = _str(doc.get("label", "unnamed"), "label")
@@ -355,40 +353,15 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
     kobj = _object(_get(doc, "k", ""), "k")
     restriction = _int_matrix(_get(kobj, "restriction", "k"), "k.restriction")
     _cross_check(kobj, "k.torus_rank", len(restriction), "the rows of k.restriction")
-    k_datum = None
-    if kobj.get("datum") is not None:
-        k_datum = _load_group(kobj["datum"], "k.datum")
-        # Before its weights, which hold one zero weight per lattice direction.
-        if k_datum.rank != len(restriction):
-            raise ConfigError(
-                f"k.datum: rank {k_datum.rank} is not the K-torus rank {len(restriction)}, the rows of k.restriction"
-            )
-        k_weights = k_datum.adjoint_weights
-        _cross_check(kobj, "k.weights", sorted(map(list, k_weights)), "the adjoint weights of k.datum",
+    k_datum = None if kobj.get("datum") is None else _load_group(kobj["datum"], "k.datum")
+    k_weights = None if k_datum is not None else _weight_list(_get(kobj, "weights", "k"), "k.weights")
+    try:
+        real_form = RealFormConfig(name, g_datum, involution, restriction, k_weights, k_datum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if k_datum is not None:
+        _cross_check(kobj, "k.weights", sorted(map(list, real_form.k_weights)), "the adjoint weights of k.datum",
                      _weight_multiset)
-    else:
-        k_weights = _weight_list(_get(kobj, "weights", "k"), "k.weights")
-
-    try:
-        noncompact = classify_roots(g_datum, involution).imaginary_noncompact
-    except ValueError as exc:
-        raise ConfigError(f"involution: {exc}") from None
-    if noncompact:
-        raise ConfigError(
-            f"involution: root {list(noncompact[0])} is noncompact imaginary, so the involution is not on a "
-            "maximally split Cartan (mark it in involution.compact_roots if it is compact)"
-        )
-    try:
-        real_form = RealFormConfig(
-            label=name,
-            g_datum=g_datum,
-            involution=involution,
-            restriction=restriction,
-            k_weights=k_weights,
-            k_datum=k_datum,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config {name!r}: {exc}") from None
     dobj = _object(doc.get("dims", {}), "dims")
     dim_k, dim_p = len(real_form.k_weights), len(real_form.p_weights)
     _cross_check(dobj, "dims.g", dim_k + dim_p, "the k and p weights")
@@ -400,18 +373,18 @@ def config_from_dict(doc: dict, require_split: bool = True) -> LoadedConfig:
         failing = [line[len("FAIL: "):] for line in dimension_check(real_form).lines if line.startswith("FAIL")]
         if failing:
             raise ConfigError(
-                f"split_mod_center: config {name!r} is split modulo center by its involution, "
-                f"but its dimensions fail {'; '.join(failing)}"
+                f"group, involution and {'k.weights' if k_datum is None else 'k.datum'}: the involution makes the "
+                f"form split modulo center, but their dimensions fail the {'; '.join(failing)}"
             )
 
     tori = None
     if doc.get("tori") is not None:
         tori = _load_tori(doc["tori"], "tori")
-        for torus in tori:
+        for i, torus in enumerate(tori):
             try:
                 torus.validate(g_datum)
             except ValueError as exc:
-                raise ConfigError(f"tori[{torus.label!r}]: {exc}") from None
+                raise ConfigError(f"tori[{i}]: {exc}") from None
 
     model = None
     if doc.get("oracle_model") is not None:

@@ -20,8 +20,8 @@ pushed, so only sums of at most `degree_bound` roots are held. Counts are
 arbitrary-precision integers, so the table never overflows.
 
 Nothing is kept between calls. Single queries, and the multiplicity
-formula that the tests hold `charring.irreducible_character` to, are in the
-test helper `lusztig_reference`. The module keeps the name `kernels`
+formula that the tests hold Demazure's irreducible characters to, are in
+the test helper `lusztig_reference`. The module keeps the name `kernels`
 because the benchmark harness imports it for `active_backend()`.
 """
 

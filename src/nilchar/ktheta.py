@@ -39,7 +39,7 @@ from itertools import chain, islice
 from .charring import (
     GradedCharacter, IrrepSeries, format_terms, packed_symmetric_series, symmetric_irreps, weight_codec,
 )
-from .rootdata import InvolutionData, Record, RootDatum, Weight, int_vector, mat_apply, wneg, wsub
+from .rootdata import InvolutionData, Record, RootDatum, Weight, classify_roots, int_vector, mat_apply, wneg, wsub
 
 
 class SplitHypothesisError(ValueError):
@@ -61,19 +61,20 @@ class RealFormConfig(Record):
     maximally split Cartan, torus-level restriction to K, the weights of k,
     and K's root datum when known.
 
-    `k_weights` is kept sorted, as a multiset. Four fields are derived:
-    `k_torus_rank`, the number of rows of `restriction`; `p_weights`, the
-    adjoint weights of G under `restriction` less the k weights, as a
-    sorted multiset; `rank_split`, the dimension of a, rank less the rank
-    fixed by theta; and `split_mod_center`, whether theta is -1 on the whole
-    lattice (`rank_split` is the rank), which also puts any centre in p. So
-    dim k and dim p are the numbers of k and p weights, and dim g = 2|Phi+|
-    + rank is their sum (`dimension_check`). A k weight that the restricted
-    weights of g do not cover is refused, and so are k weights other than
-    the adjoint weights of `k_datum` when given, and p weights that the
-    Weyl group of `k_datum` does not preserve. That theta has no noncompact
-    imaginary root, as on a maximally split Cartan, is the loader's check
-    (`config.config_from_dict`)."""
+    `k_weights` is kept sorted, as a multiset; None derives them from
+    `k_datum`. Four fields are derived: `k_torus_rank`, the number of rows
+    of `restriction`; `p_weights`, the adjoint weights of G under
+    `restriction` less the k weights, as a sorted multiset; `rank_split`,
+    the dimension of a, rank less the rank fixed by theta; and
+    `split_mod_center`, whether theta is -1 on the whole lattice
+    (`rank_split` is the rank), which also puts any centre in p. So dim k and
+    dim p are the numbers of k and p weights, and dim g = 2|Phi+| + rank is
+    their sum (`dimension_check`). Every invalid (G, theta, K) is refused
+    here, with a ValueError that begins with the document field at fault:
+    a theta with a noncompact imaginary root, so not on a maximally split
+    Cartan; k weights that g's restricted weights do not cover, or other
+    than the adjoint weights of `k_datum`; p weights that K's Weyl group
+    does not preserve."""
 
     __slots__ = ("label", "g_datum", "involution", "restriction", "k_weights", "k_datum",
                  "k_torus_rank", "p_weights", "rank_split", "split_mod_center")
@@ -93,27 +94,44 @@ class RealFormConfig(Record):
     def __post_init__(self):
         rank = self.g_datum.rank
         if self.involution.rank != rank:
-            raise ValueError(f"involution must be a {rank} x {rank} matrix")
+            raise ValueError(f"involution: must be a {rank} x {rank} matrix")
+        try:
+            noncompact = classify_roots(self.g_datum, self.involution).imaginary_noncompact
+        except ValueError as exc:
+            raise ValueError(f"involution: {exc}") from None
+        if noncompact:
+            raise ValueError(
+                f"involution: root {list(noncompact[0])} is noncompact imaginary, so the involution is not on a "
+                "maximally split Cartan (mark it in involution.compact_roots if it is compact)"
+            )
         object.__setattr__(self, "rank_split", rank - self.involution.fixed_rank())
         object.__setattr__(self, "split_mod_center", self.rank_split == rank)
-        rows = tuple(int_vector(row, f"restriction[{i}]") for i, row in enumerate(self.restriction))
+        rows = tuple(int_vector(row, f"k.restriction[{i}]") for i, row in enumerate(self.restriction))
         object.__setattr__(self, "restriction", rows)
         object.__setattr__(self, "k_torus_rank", len(rows))
         if any(len(r) != rank for r in rows):
-            raise ValueError(f"restriction must be a {len(rows)} x {rank} integer matrix")
+            raise ValueError(f"k.restriction: must be a {len(rows)} x {rank} integer matrix")
         if self.k_datum is not None and self.k_datum.rank != len(rows):
-            raise ValueError("K root datum rank must equal the K-torus rank")
-        kw = tuple(sorted(int_vector(w, f"k_weights[{i}]") for i, w in enumerate(self.k_weights)))
+            raise ValueError(
+                f"k.datum: rank {self.k_datum.rank} is not the K-torus rank {len(rows)}, the rows of k.restriction"
+            )
+        adjoint = None if self.k_datum is None else tuple(sorted(self.k_datum.adjoint_weights))
+        if self.k_weights is None and adjoint is None:
+            raise ValueError("k.weights: missing, and there is no k.datum to derive them from")
+        if self.k_weights is None:  # derived, so a weight that g does not cover shows a wrong restriction
+            kw, field = adjoint, "k.restriction"
+        else:
+            field = "k.weights"
+            kw = tuple(sorted(int_vector(w, f"{field}[{i}]") for i, w in enumerate(self.k_weights)))
+            if any(len(w) != len(rows) for w in kw):
+                raise ValueError("k.weights: must live on the K-torus lattice")
+            if Counter(kw) != Counter(map(wneg, kw)):
+                raise ValueError("k.weights: must be symmetric under negation")
+            if adjoint is not None and kw != adjoint:
+                raise ValueError(f"k.datum: its adjoint weights {list(adjoint)} are not the k weights {list(kw)}")
         object.__setattr__(self, "k_weights", kw)
-        if any(len(w) != len(rows) for w in kw):
-            raise ValueError("k weights must live on the K-torus lattice")
-        if Counter(kw) != Counter(map(wneg, kw)):
-            raise ValueError("k weights must be symmetric under negation")
-        object.__setattr__(self, "p_weights", _p_weights(self.g_datum, rows, kw))
+        object.__setattr__(self, "p_weights", _p_weights(self.g_datum, rows, kw, field))
         if self.k_datum is not None:
-            adjoint = sorted(self.k_datum.adjoint_weights)
-            if kw != tuple(adjoint):
-                raise ValueError(f"k.datum: its adjoint weights {adjoint} are not the k weights {list(kw)}")
             # p is a K-module: its weights are invariant under every simple
             # reflection of K, as `theta_cone_ktypes` needs.
             p = Counter(self.p_weights)
@@ -125,14 +143,14 @@ class RealFormConfig(Record):
                     )
 
 
-def _p_weights(g_datum: RootDatum, restriction, k_weights) -> tuple[Weight, ...]:
+def _p_weights(g_datum: RootDatum, restriction, k_weights, field: str) -> tuple[Weight, ...]:
     """The restricted adjoint weights of G less the weights of k, as a sorted
-    multiset; a k weight they do not cover is a ValueError naming k.weights."""
+    multiset; a k weight they do not cover is a ValueError naming `field`."""
     counts = Counter(mat_apply(restriction, w) for w in g_datum.adjoint_weights)
     for w, c in sorted(Counter(k_weights).items()):
         if c > counts.get(w, 0):
             raise ValueError(
-                f"k.weights: weight {list(w)} occurs {c} times in k but "
+                f"{field}: weight {list(w)} occurs {c} times in k but "
                 f"{counts.get(w, 0)} times in the restricted weights of g, so p would "
                 "have a negative multiplicity"
             )
@@ -266,8 +284,8 @@ def require_split(config: RealFormConfig, force: bool) -> None:
     """Refuse a config that is not split modulo center, unless `force`."""
     if not config.split_mod_center and not force:
         raise SplitHypothesisError(
-            f"config {config.label!r} is not split modulo center; the product formula is "
-            "proved only under that hypothesis (pass --force, or force=True, to compute it anyway)"
+            f"config {config.label!r} is not split modulo center; the product formula is proved only under that "
+            "hypothesis (pass --force where the command takes it, or force=True, to compute it anyway)"
         )
 
 

@@ -17,7 +17,7 @@ without attempting any orbit geometry.
 """
 
 from .config import TorusDatum
-from .ktheta import RealFormConfig, exterior_products, times_invariant_factors
+from .ktheta import RealFormConfig, exterior_products, require_split, times_invariant_factors
 from .rootdata import Record, RootDatum, Weight, classify_roots
 
 
@@ -98,12 +98,12 @@ def graded_branching_sum(config: RealFormConfig, tori, truncation: int) -> Forma
     """The graded K-character of the K-nilpotent cone written as standard
     classes: on each torus, ch_q C[N] times the signed exterior class of the
     k weights there, emitted once per positive system with sign (-1)^ell and
-    truncated in total q-power."""
+    truncated in total q-power. A config that is not split modulo center is
+    refused (`ktheta.require_split`)."""
     tori = list(tori)
     if not tori:
         raise ValueError("the torus table is empty")
-    if not config.split_mod_center:
-        raise ValueError(f"config {config.label!r} is not split modulo center")
+    require_split(config, False)
     datum = config.g_datum
     for torus in tori:
         torus.validate(datum)

@@ -8,9 +8,9 @@ torus is held to, with the highest weights of C[N] from either of its two
 label routes (`nilcone_series` or `lusztig_series`), each expanded by
 Demazure's formula."""
 
-from nilchar.charring import irreducible_character
 from nilchar.langlands import ContinuedParameter, FormalStandardSum, k_weight_multiset
 from nilchar.rootdata import Weight, wadd
+from weyl_action import irreducible_character
 
 
 def mass_by_degree(total: FormalStandardSum) -> dict[int, int]:

@@ -12,7 +12,6 @@ import pytest
 
 from nilchar.cli import main
 from nilchar.config import AffineConeModel, ConeVariable, load_catalog_config
-from nilchar.charring import irreducible_character
 from nilchar.kernels import dominant_weights_up_to_height, lusztig_series
 from nilchar.ktheta import dimension_check, koszul_check, theta_cone_character
 from nilchar.langlands import graded_branching_sum
@@ -21,7 +20,7 @@ from nilchar.rootdata import build_root_datum
 from lusztig_reference import lusztig_mq, weyl_multiplicity
 from paper_formula import nilcone_character
 from standard_sums import mass_by_degree, zuckerman_expansion
-from weyl_action import weyl_dimension
+from weyl_action import irreducible_character, weyl_dimension
 
 SL2 = load_catalog_config("sl2-split")
 A2 = build_root_datum([[2, -1], [-1, 2]])

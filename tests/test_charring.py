@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring
-from nilchar.charring import GradedCharacter, IrrepSeries, irreducible_character, symmetric_irreps
+from nilchar.charring import GradedCharacter, IrrepSeries, symmetric_irreps
 from nilchar.config import load_catalog_config
 from nilchar.kernels import dominant_weights_up_to_height
 from nilchar.ktheta import exterior_products, labels_off_torus, nilcone_series, theta_cone_character
@@ -16,7 +16,7 @@ from nilchar.rootdata import RootDatum, build_root_datum
 from lusztig_reference import QPolynomial, weyl_multiplicity
 from paper_formula import exterior_layers, nilcone_character, restrict_character, restrict_graded, symmetric_layers
 from paper_formula import tuple_product
-from weyl_action import act, expand_labels, sign, two_rho, weyl_dimension, weyl_words
+from weyl_action import act, expand_labels, irreducible_character, sign, two_rho, weyl_dimension, weyl_words
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])
@@ -273,8 +273,9 @@ def test_decompose_signed_exterior_round_trip(datum):
 
 
 def test_decompose_builds_no_irreducible(monkeypatch):
-    """Reading K-types off the Weyl denominator needs no irreducible
-    character, no Demazure operator and no root-lattice solve."""
+    """Reading K-types off the Weyl denominator needs no root-lattice solve,
+    and no irreducible character: the library has none, since Demazure's
+    formula is `weyl_action`'s."""
     rf = load_catalog_config("sp4-split").real_form
     gc = theta_cone_character(rf, 8)
     calls = []
@@ -286,8 +287,6 @@ def test_decompose_builds_no_irreducible(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(charring, "irreducible_character", counted("irrep", charring.irreducible_character))
-    monkeypatch.setattr(charring, "_demazure", counted("demazure", charring._demazure))
     monkeypatch.setattr(RootDatum, "root_coords_int", counted("solve", RootDatum.root_coords_int))
     ktypes = [labels_off_torus(rf.k_datum, layer) for layer in gc.layers]
     assert calls == []

@@ -150,7 +150,7 @@ def test_config_error_inconsistent_weights():
     doc = catalog_document("sl2-split")
     del doc["k"]["datum"]
     doc["k"]["weights"] = [[0], [2]]
-    with pytest.raises(ConfigError, match="sl2-split"):
+    with pytest.raises(ConfigError, match=r"^k\.weights: must be symmetric under negation$"):
         config_from_dict(doc)
 
 
@@ -393,37 +393,80 @@ def test_split_mod_center_must_be_boolean(value):
     assert config_from_dict(doc).real_form.split_mod_center is True
 
 
-def _top_and_first_level_fields(doc):
-    for key, value in doc.items():
-        yield (key,)
-        if isinstance(value, dict):
-            yield from ((key, sub) for sub in value)
+def _paths(value, path=""):
+    """Every path below `value`, down to each list entry, in the loader's
+    notation (`k.restriction[0][1]`), with the object or list that holds it
+    and its key there."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        sub_path = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        yield sub_path, value, key
+        yield from _paths(sub, sub_path)
 
 
-@pytest.mark.parametrize("value", [5, None, "x", [], True], ids=repr)
+def _names_a_path(doc, message) -> bool:
+    """`message` begins with a path of `doc`, followed by a colon, a space
+    or a comma, or names a key missing from an object that `doc` has."""
+    paths = {p for p, _, _ in _paths(doc)}
+    missing = re.match(r"([\w.\[\]]+): missing", message)
+    if missing and missing.group(1).rpartition(".")[0] in paths | {""}:
+        return True
+    return any(message.startswith(p) and message[len(p):len(p) + 1] in (":", " ", ",") for p in paths)
+
+
+_DELETED = object()
+_SWEEP = [None, True, 1.5, 2.0, -1, 0, 7, 10**6, "x", [], [[]], {}, [0], [[0]], [1, 2, 3], [[1, 0], [0, 1]], 5]
+
+
+@pytest.mark.parametrize("value", [*_SWEEP, _DELETED], ids=lambda v: "deleted" if v is _DELETED else repr(v))
 def test_single_field_mutation_is_valid_or_config_error(tmp_path, capsys, value):
-    """Every top-level and first-level field of sp4-split set to one wrong
-    value: the document loads, or it is refused with a ConfigError and the
-    CLI exits 1 with `error:`; never another exception."""
+    """Every path of every catalog document, down to each list entry, set to
+    one value or deleted, with no random draws: the document loads and
+    computes at degree 2 (both cone forms, C[N], the oracle and the
+    branching sum, as far as it has them), and `cntheta --force` on its file
+    exits 0; or it is refused with a ConfigError that begins with a path of
+    the document, or names a key missing from an object it has. Every fifth
+    refused document also goes through `cntheta --group <file>`: exit 1 and
+    that one error line on stderr, no traceback.
+
+    Values that allocate their own size are left out, such as a rank near
+    10**9, whose K datum would hold that many zero weights of that length;
+    the largest value swept is 10**6, which the K datum's rank check
+    refuses before its weights are built."""
+    from nilchar.langlands import graded_branching_sum
+
     path = tmp_path / "mutated.json"
-    for field in _top_and_first_level_fields(catalog_document("sp4-split")):
-        doc = catalog_document("sp4-split")
-        owner = doc
-        for key in field[:-1]:
-            owner = owner[key]
-        owner[field[-1]] = value
-        try:
-            config_from_dict(doc)
-            valid = True
-        except ConfigError:
-            valid = False
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "cntheta", "--group", str(path), "--degree", "1")
-        if valid:
-            assert code == 0, (field, err)
-        else:
-            assert code == 1 and out == "", field
-            assert err.startswith("error: ") and "Traceback" not in err, (field, err)
+    refused = 0
+    for name in catalog_names():
+        for i in range(len(list(_paths(catalog_document(name))))):
+            doc = catalog_document(name)
+            field, owner, key = list(_paths(doc))[i]
+            if value is _DELETED:
+                del owner[key]
+            else:
+                owner[key] = copy.deepcopy(value)
+            try:
+                cfg = config_from_dict(doc)
+            except ConfigError as exc:
+                assert _names_a_path(doc, str(exc)), (name, field, str(exc))
+                refused += 1
+                if refused % 5 == 0:
+                    path.write_text(json.dumps(doc))
+                    assert run(capsys, "cntheta", "--group", str(path), "--degree", "2") == (1, "", f"error: {exc}\n")
+                continue
+            rf = cfg.real_form
+            theta_cone_character(rf, 2, force=True)
+            if rf.k_datum is not None:
+                theta_cone_ktypes(rf, 2, force=True)
+            nilcone_series(rf.g_datum, 2)
+            if cfg.oracle_model is not None:
+                oracle.graded_character_by_degree(cfg.oracle_model, 2)
+            if cfg.tori is not None and rf.split_mod_center:
+                graded_branching_sum(rf, cfg.tori, 2)
+            path.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "cntheta", "--group", str(path), "--degree", "2", "--force")
+            assert (code, err) == (0, ""), (name, field, err)
+    assert refused
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import kernels
-from nilchar.charring import irreducible_character
 from nilchar.kernels import LusztigSum, dominant_weights_up_to_height, lusztig_series
 from nilchar.ktheta import nilcone_series
 from nilchar.rootdata import RootDatum, build_root_datum, wsub
 from lusztig_reference import QPolynomial, brute_weyl_sum, kostant_partition_q, lusztig_mq, weyl_multiplicity
-from weyl_action import weyl_words
+from weyl_action import irreducible_character, weyl_words
 
 A1 = build_root_datum([[2]])
 A2 = build_root_datum([[2, -1], [-1, 2]])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchar import charring, cli, kernels, ktheta
-from nilchar.charring import irreducible_character
 from nilchar.cli import main
 from nilchar.config import ConfigError, catalog_names, config_from_dict, load_catalog_config
 from nilchar.ktheta import (
@@ -25,7 +24,7 @@ from nilchar.kernels import lusztig_check
 from nilchar.rootdata import InvolutionData, RootDatum, build_root_datum
 from catalog_documents import catalog_document
 from paper_formula import restrict_times_wedge
-from weyl_action import weyl_dimension
+from weyl_action import irreducible_character, weyl_dimension
 
 
 def test_wedge_single_zero_weight():
@@ -423,7 +422,7 @@ def test_dimension_check_iwasawa_line_can_fail():
     result = dimension_check(config_from_dict(doc, require_split=False).real_form)
     assert not result.passed
     assert result.lines == ("FAIL: Iwasawa count dim g = dim k + rank + dim n  (8 vs 1 + 2 + 3)",)
-    with pytest.raises(ConfigError, match=r"split_mod_center: .*Iwasawa count"):
+    with pytest.raises(ConfigError, match=r"^group, involution and k\.weights: .*Iwasawa count"):
         config_from_dict(doc)
 
 
@@ -586,7 +585,7 @@ def test_config_validation_errors():
             restriction=[[1]], k_weights=[(2,)],
             k_datum=None,
         )
-    with pytest.raises(ValueError, match=r"involution must be a 1 x 1 matrix"):
+    with pytest.raises(ValueError, match=r"^involution: must be a 1 x 1 matrix"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1, 0], [0, -1]]),
             restriction=[[1]], k_weights=[(0,)],
@@ -600,18 +599,52 @@ def test_config_validation_errors():
         )
 
 
+def test_record_refuses_an_involution_off_the_maximally_split_cartan():
+    """The record judges theta itself: on A1, theta = 1 leaves the root
+    noncompact imaginary, so it is not on a maximally split Cartan. The
+    library caller is refused, naming `involution`, as the loader is; it is
+    not told that SL2(R) is a form that is not split."""
+    a1 = build_root_datum([[2]])
+    with pytest.raises(ValueError, match=r"^involution: root \[2\] is noncompact imaginary, "):
+        RealFormConfig(
+            label="x", g_datum=a1, involution=InvolutionData([[1]]),
+            restriction=[[1]], k_weights=[(0,)],
+            k_datum=RootDatum(1, [], []),
+        )
+    compact = RealFormConfig(
+        label="x", g_datum=a1, involution=InvolutionData([[1]], [(2,)]),
+        restriction=[[1]], k_weights=[(-2,), (0,), (2,)], k_datum=None,
+    )
+    assert (compact.rank_split, compact.split_mod_center) == (0, False)
+
+
+def test_record_derives_k_weights_from_k_datum():
+    """With `k_weights` None the record takes K's adjoint weights, after its
+    rank check; weights that g's restricted weights do not cover then show
+    a wrong restriction, and the message names `k.restriction`."""
+    sl3 = load_catalog_config("sl3-split").real_form
+    fields = {name: getattr(sl3, name) for name in ("label", "g_datum", "involution", "restriction", "k_datum")}
+    assert RealFormConfig(**fields, k_weights=None) == sl3
+    with pytest.raises(ValueError, match=r"^k\.restriction: weight \[-2\] occurs 1 times in k but 0"):
+        RealFormConfig(**{**fields, "restriction": [[0, 0]]}, k_weights=None)
+    with pytest.raises(ValueError, match=r"^k\.datum: rank 2 is not the K-torus rank 1"):
+        RealFormConfig(**{**fields, "k_datum": RootDatum(2, [], [])}, k_weights=None)
+    with pytest.raises(ValueError, match=r"^k\.weights: missing"):
+        RealFormConfig(**{**fields, "k_datum": None}, k_weights=None)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, 2.0])
 def test_config_refuses_non_integer_entries(bad):
     """A float (even 2.0) or a bool in `restriction` or `k_weights` is
-    refused and named, not rounded."""
+    refused and named by its document field, not rounded."""
     a1 = build_root_datum([[2]])
-    with pytest.raises(ValueError, match=r"restriction\[0\]\[0\]"):
+    with pytest.raises(ValueError, match=r"^k\.restriction\[0\]\[0\]"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[bad]], k_weights=[(0,)],
             k_datum=None,
         )
-    with pytest.raises(ValueError, match=r"k_weights\[0\]\[0\]"):
+    with pytest.raises(ValueError, match=r"^k\.weights\[0\]\[0\]"):
         RealFormConfig(
             label="x", g_datum=a1, involution=InvolutionData([[-1]]),
             restriction=[[1]], k_weights=[(bad,)],

@@ -5,15 +5,14 @@ from math import comb
 
 import pytest
 
-from nilchar import charring, kernels, ktheta, langlands
-from nilchar.charring import irreducible_character
+from nilchar import kernels, ktheta, langlands
 from nilchar.config import PositiveSystem, TorusDatum, load_catalog_config
 from nilchar.kernels import lusztig_series
-from nilchar.ktheta import exterior_products, nilcone_series
+from nilchar.ktheta import SplitHypothesisError, exterior_products, nilcone_series
 from nilchar.langlands import ContinuedParameter, FormalStandardSum, graded_branching_sum, k_weight_multiset
 from nilchar.rootdata import InvolutionData, build_root_datum
 from standard_sums import branching_reference, mass_by_degree, subset_sums, tensor_standard, zuckerman_expansion
-from weyl_action import weyl_dimension
+from weyl_action import irreducible_character, weyl_dimension
 
 A1 = build_root_datum([[2]])
 SL2 = load_catalog_config("sl2-split")
@@ -212,8 +211,8 @@ def test_branching_mass_matches_three_factor_convolution_on_the_sp4_split_torus(
 def test_branching_builds_one_symmetric_series_and_no_irreducible_or_table(monkeypatch):
     """C[N] on the torus of G comes from Kostant's form on packed weights:
     one packed symmetric series, S(g), however many tori and positive
-    systems read it. No highest-weight label, irreducible character or
-    partition table is built."""
+    systems read it. No highest-weight label or partition table is built
+    (and the library has no irreducible character to build)."""
     calls = []
 
     def counted(name, fn):
@@ -223,7 +222,6 @@ def test_branching_builds_one_symmetric_series_and_no_irreducible_or_table(monke
 
         return wrapper
 
-    monkeypatch.setattr(charring, "_w0_word", counted("irreducible", charring._w0_word))
     monkeypatch.setattr(kernels, "partition_table", counted("partition_table", kernels.partition_table))
     monkeypatch.setattr(ktheta, "symmetric_irreps", counted("labels", ktheta.symmetric_irreps))
     monkeypatch.setattr(ktheta, "packed_symmetric_series", counted("symmetric", ktheta.packed_symmetric_series))
@@ -325,7 +323,7 @@ def test_formal_sum_items_return_the_held_parameters(monkeypatch):
 def test_branching_requires_split():
     swap = load_catalog_config("sl2xsl2-swap")
     torus = TorusDatum("c", InvolutionData([[0, 1], [1, 0]]), (PositiveSystem("e", (), 0),))
-    with pytest.raises(ValueError, match="split"):
+    with pytest.raises(SplitHypothesisError, match="is not split modulo center"):
         graded_branching_sum(swap.real_form, (torus,), 1)
 
 

@@ -52,8 +52,18 @@ generators), its revlex monomial order (the tests' reference keeps it) and
 is a `Record`), and C[N]'s own product over the exponents' q-strings
 `1 + q + ... + q^e` (C[N] takes the invariant-degree factors from
 `ktheta.times_invariant_factors`, as the K side does; the tests' torus
-reference `tests/paper_formula.py` keeps the q-strings), are gone; no
-source file, README line or build setting may point back to them."""
+reference `tests/paper_formula.py` keeps the q-strings), and the loader's
+own judgement of the real form (its noncompact-root test, its `k.datum`
+rank check and its `config '<label>': ` prefix; `RealFormConfig` judges
+every (G, theta, K), with messages that begin with the field) and the
+record's old field names (`restriction`, `k_weights`), the branching sum's
+and `oracle-check`'s own split tests (`ktheta.require_split` is the one
+guard), torus errors named by label (now `tori[i]`), the cone model's own
+clearing of `Fraction` denominators (the loader clears a document's; the
+record takes integers), and `charring.irreducible_character` with
+`_w0_word` and `_demazure` (Demazure's formula is
+`tests/weyl_action.py`'s), are gone; no source file, README line or build
+setting may point back to them."""
 
 from pathlib import Path
 
@@ -141,6 +151,21 @@ STALE = (
     "revlex",
     "self._hash",
     "1 + q + ... + q^",
+    "config {name!r}: {exc}",
+    "classify_roots(g_datum, involution)",
+    "K root datum rank must equal",
+    "involution must be a",
+    'f"restriction[{i}]"',
+    "k_weights[{i}]",
+    "split_mod_center: config",
+    'raise ValueError(f"config {config.label!r} is not split modulo center")',
+    "require_split(cfg.real_form",
+    "tori[{torus.label!r}]",
+    "must be an int or a Fraction",
+    "c.denominator",
+    "irreducible_character",
+    "_w0_word",
+    "_demazure",
 )
 
 

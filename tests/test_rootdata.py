@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from nilchar import charring
 from nilchar.kernels import dominant_weights_up_to_height
 from nilchar.rootdata import (
     InvolutionData,
@@ -17,7 +16,7 @@ from nilchar.rootdata import (
     mat_mul,
     wneg,
 )
-from weyl_action import act, positive_coroots, two_rho, weyl_dimension, weyl_orbit, weyl_words
+from weyl_action import act, positive_coroots, two_rho, w0_word, weyl_dimension, weyl_orbit, weyl_words
 
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
@@ -111,7 +110,7 @@ def test_w0_word_is_the_last_listed_word():
     data = [build_root_datum(cartan) for cartan, _ in WEYL_ORDERS]
     data += [RootDatum(2, [(1, -1)], [(1, -1)]), RootDatum(1, (), ())]
     for datum in data:
-        word = charring._w0_word(datum)
+        word = w0_word(datum)
         assert word == weyl_words(datum)[-1], datum
         assert len(word) == len(datum.positive_roots), datum
 

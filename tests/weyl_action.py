@@ -1,15 +1,14 @@
 """The Weyl group listed as reduced words and acting on weights, the
-positive coroots and 2*rho, Weyl's dimension formula, and the expansion of
-highest-weight labels onto the torus by Demazure's formula, kept on the
-test side: the element with reduced word (i_1, ..., i_k) is
-s_{i_1} ... s_{i_k}, so its simple reflections apply last letter first.
-The expansion is the inverse of the read-back off the Weyl denominator
-(`ktheta.labels_off_torus`)."""
+positive coroots and 2*rho, Weyl's dimension formula, irreducible
+characters by Demazure's formula, and the expansion of highest-weight
+labels onto the torus by them, kept on the test side: the element with
+reduced word (i_1, ..., i_k) is s_{i_1} ... s_{i_k}, so its simple
+reflections apply last letter first. The expansion is the inverse of the
+read-back off the Weyl denominator (`ktheta.labels_off_torus`)."""
 
 from functools import reduce
 
-from nilchar.charring import irreducible_character
-from nilchar.rootdata import Weight, wadd, wdot, wscale, wsub
+from nilchar.rootdata import RootDatum, Weight, wadd, wdot, wscale, wsub
 
 
 def act(datum, word, weight):
@@ -110,6 +109,47 @@ def weyl_dimension(datum, lam) -> int:
     if rem:
         raise ValueError(f"Weyl product for {lam} is not an integer: {num}/{den}")
     return dim
+
+
+def irreducible_character(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """Torus character {weight: multiplicity} of the irreducible with highest
+    weight `lam`, by Demazure's formula ch V_lam = D_{w0}(e^lam) (Bull. Sci.
+    Math. 98, 1974): one Demazure operator per letter of w0's word."""
+    if not datum.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    terms = {tuple(lam): 1}
+    for i in reversed(w0_word(datum)):
+        terms = _demazure(datum, i, terms)
+    return terms
+
+
+def w0_word(datum: RootDatum) -> tuple[int, ...]:
+    """The least reduced word of w0. The Dynkin labels of w^-1(rho) identify
+    w; letter i lengthens w exactly when label i is positive, and takes away
+    label i times the labels of alpha_i, column i of the Cartan matrix. Each
+    element lies below w0, so the least such letter |Phi+| times reaches w0."""
+    labels, word = (1,) * datum.nsimple, []
+    for _ in datum.positive_roots:
+        i = next(k for k, v in enumerate(labels) if v > 0)
+        word.append(i)
+        labels = tuple(v - labels[i] * row[i] for v, row in zip(labels, datum.cartan_matrix))
+    return tuple(word)
+
+
+def _demazure(datum: RootDatum, i: int, terms: dict[Weight, int]) -> dict[Weight, int]:
+    """The Demazure operator D_i = (e^mu - e^{s_i(mu) - alpha_i}) / (1 - e^{-alpha_i})
+    on e^mu, with n = <mu, alpha_i^vee>: the string e^{mu - k alpha_i} for
+    k = 0..n when n >= 0, zero when n = -1, and minus the string for
+    k = n+1..-1 when n <= -2."""
+    alpha, coroot = datum.simple_roots[i], datum.simple_coroots[i]
+    out: dict[Weight, int] = {}
+    for mu, c in terms.items():
+        n = wdot(mu, coroot)
+        ks, signed = (range(n + 1), c) if n >= 0 else (range(n + 1, 0), -c)
+        for k in ks:
+            key = tuple(m - k * a for m, a in zip(mu, alpha))
+            out[key] = out.get(key, 0) + signed
+    return {w: c for w, c in out.items() if c}
 
 
 def expand_labels(datum, labels: dict[Weight, int]) -> dict[Weight, int]:
